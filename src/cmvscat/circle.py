@@ -145,6 +145,8 @@ class ScatteringFunction:
             raise InputError(
                 f"sample count {samples.shape} does not match grid size {grid.size}"
             )
+        if not np.all(np.isfinite(samples)):
+            raise InputError("samples must be finite (got NaN or inf)")
         sup = float(np.max(np.abs(samples)))
         if sup > 1.0 + 1e-12:
             raise InputError(f"|R| must not exceed 1; got sup |R| = {sup:.6g}")

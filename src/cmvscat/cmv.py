@@ -12,6 +12,10 @@ straddling the edges are either compressed (`zero-tail`, exact
 compression of the infinite matrix with vanishing tail coefficients) or
 given |alpha| = 1 so the finite block decouples and is exactly unitary
 (`decoupled`).
+
+U is stored as its five diagonals and applied by banded matvecs, the
+only operation direct scattering needs. The banded LU `resolvent_solve`
+is the independent route that certifies it in the tests.
 """
 
 from dataclasses import dataclass, field
@@ -68,11 +72,10 @@ class CmvMatrix:
         return v
 
     def dense(self):
-        D = self.dim
-        out = np.zeros((D, D), dtype=complex)
-        for off in range(-BANDWIDTH, BANDWIDTH + 1):
-            js = np.arange(max(0, -off), D - max(0, off))
-            out[js + off, js] = self.bands[BANDWIDTH + off, js]
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for off, lo, hi in _diagonals(self.dim):
+            js = np.arange(lo, hi)
+            out[js + off, js] = self.bands[BANDWIDTH + off, lo:hi]
         return out
 
     def entry(self, i, j):
@@ -81,13 +84,29 @@ class CmvMatrix:
         return complex(self.bands[BANDWIDTH + self.pos(i) - self.pos(j), self.pos(j)])
 
 
-def _theta(alpha):
-    rho = np.sqrt(1.0 - abs(alpha) ** 2)
-    return np.array([[alpha, rho], [rho, -np.conj(alpha)]], dtype=complex)
+def _diagonals(D):
+    """(off, lo, hi) per stored diagonal: entries U[j + off, j] for lo <= j < hi."""
+    for off in range(-BANDWIDTH, BANDWIDTH + 1):
+        yield off, max(0, -off), D - max(0, off)
 
 
 def build_cmv(seq, W, boundary="zero-tail"):
     """Assemble the windowed matrix from a Verblunsky sequence.
+
+    Each entry of U = L M is one entry of L times one entry of M, because
+    the blocks of L and M overlap in at most one index. Row i (level i)
+    reads the levels i-2..i+1; for odd i
+
+        U[i, i-1] = alpha_i rho_{i-1},    U[i, i] = -alpha_i conj(alpha_{i-1}),
+        U[i, i+1] = rho_i alpha_{i+1},    U[i, i+2] = rho_i rho_{i+1},
+
+    and for even i
+
+        U[i, i-2] = rho_{i-1} rho_{i-2},  U[i, i-1] = -conj(alpha_{i-2}) rho_{i-1},
+        U[i, i] = -conj(alpha_{i-1}) alpha_i,  U[i, i+1] = -conj(alpha_{i-1}) rho_i.
+
+    The middle L M index lies between i and the column, so dropping the
+    entries outside the window is exactly the zero-tail compression.
 
     Parameters
     ----------
@@ -107,85 +126,83 @@ def build_cmv(seq, W, boundary="zero-tail"):
     if W < 2:
         raise InputError(f"window must be at least 2, got {W}")
     D = 2 * W + 1
-
-    def alpha_at(j):
-        if boundary == "decoupled" and j in (-W - 1, W):
-            return 1.0
-        a = seq.alpha(j)
-        if abs(a) >= 1.0:
-            raise DomainError(f"|alpha_{j}| = {abs(a):.6g} >= 1")
-        return a
-
-    L = np.zeros((D, D), dtype=complex)
-    M = np.zeros((D, D), dtype=complex)
-    for j in range(-W - 1, W + 1):
-        target = L if j % 2 else M
-        th = _theta(alpha_at(j))
-        rows = [j + W, j + 1 + W]  # positions of basis indices (j, j+1)
-        inside = [r for r in (0, 1) if 0 <= rows[r] < D]
-        sub = np.ix_([rows[r] for r in inside], [rows[r] for r in inside])
-        target[sub] = th[np.ix_(inside, inside)]
-    U = L @ M
+    # alpha_j for j = -W-2..W+1 at position j + W + 2; the outer two
+    # levels only feed entries that fall outside the window
+    a = np.zeros(D + 3, dtype=complex)
+    lo, hi = max(seq.lo, -W - 1), min(seq.hi, W)
+    if lo <= hi:
+        a[lo + W + 2 : hi + W + 3] = seq.alphas[lo - seq.lo : hi - seq.lo + 1]
+    big = np.flatnonzero(~(np.abs(a) < 1.0))
+    if big.size:
+        j = int(big[0]) - W - 2
+        raise DomainError(f"|alpha_{j}| = {abs(a[big[0]]):.6g} >= 1")
+    if boundary == "decoupled":
+        a[[1, D + 1]] = 1.0  # levels -W-1 and W
+    rho = np.sqrt(1.0 - np.abs(a) ** 2)
+    am2, am1, a0, ap1 = (a[s : s + D] for s in range(4))
+    rm2, rm1, r0, rp1 = (rho[s : s + D] for s in range(4))
+    odd = np.arange(-W, W + 1) % 2 == 1
+    rows = {  # rows[q][p] = U[p, p + q]
+        -2: np.where(odd, 0.0, rm1 * rm2),
+        -1: np.where(odd, a0 * rm1, -np.conj(am2) * rm1),
+        0: -np.conj(am1) * a0,
+        1: np.where(odd, ap1 * r0, -np.conj(am1) * r0),
+        2: np.where(odd, r0 * rp1, 0.0),
+    }
     bands = np.zeros((2 * BANDWIDTH + 1, D), dtype=complex)
-    for off in range(-BANDWIDTH, BANDWIDTH + 1):
-        js = np.arange(max(0, -off), D - max(0, off))
-        bands[BANDWIDTH + off, js] = U[js + off, js]
+    for off, lo, hi in _diagonals(D):
+        # U[j + off, j] is row j + off at column offset q = -off
+        bands[BANDWIDTH + off, lo:hi] = rows[-off][lo + off : hi + off]
     return CmvMatrix(W, boundary, bands, seq)
+
+
+def _check_vector(U, v):
+    v = np.asarray(v, dtype=complex)
+    if v.shape != (U.dim,):
+        raise InputError(f"vector length {v.shape} does not match window dim {U.dim}")
+    return v
 
 
 def apply(U, v):
     """Banded matrix-vector product U v."""
-    v = np.asarray(v, dtype=complex)
-    D = U.dim
-    if v.shape != (D,):
-        raise InputError(f"vector length {v.shape} does not match window dim {D}")
-    y = np.zeros(D, dtype=complex)
-    for off in range(-BANDWIDTH, BANDWIDTH + 1):
-        js = np.arange(max(0, -off), D - max(0, off))
-        y[js + off] += U.bands[BANDWIDTH + off, js] * v[js]
-    return y
+    return _band_matvec(U.bands, _check_vector(U, v))
 
 
 def apply_adjoint(U, v):
     """Banded matrix-vector product U* v."""
-    v = np.asarray(v, dtype=complex)
-    D = U.dim
-    if v.shape != (D,):
-        raise InputError(f"vector length {v.shape} does not match window dim {D}")
-    y = np.zeros(D, dtype=complex)
-    for off in range(-BANDWIDTH, BANDWIDTH + 1):
-        js = np.arange(max(0, -off), D - max(0, off))
-        # U*[j, j+off'] with off' = -off: conj of the U band
-        y[js] += np.conj(U.bands[BANDWIDTH + off, js]) * v[js + off]
+    v = _check_vector(U, v)
+    y = np.zeros(U.dim, dtype=complex)
+    for off, lo, hi in _diagonals(U.dim):
+        # U*[j, j+off] = conj(U[j+off, j])
+        y[lo:hi] += np.conj(U.bands[BANDWIDTH + off, lo:hi]) * v[lo + off : hi + off]
     return y
 
 
 def _shifted_bands(U, z, mode):
     """Band storage of I - z U* (star) or I - conj(z) U (plain)."""
-    D = U.dim
-    ab = np.zeros((2 * BANDWIDTH + 1, D), dtype=complex)
+    ab = np.zeros((2 * BANDWIDTH + 1, U.dim), dtype=complex)
     ab[BANDWIDTH, :] = 1.0
-    for off in range(-BANDWIDTH, BANDWIDTH + 1):
-        js = np.arange(max(0, -off), D - max(0, off))
+    for off, lo, hi in _diagonals(U.dim):
+        band = U.bands[BANDWIDTH + off, lo:hi]
         if mode == "star":
-            # (U*)[i, i+off] = conj(U[i+off, i]): flip the band
-            ab[BANDWIDTH - off, js + off] -= z * np.conj(U.bands[BANDWIDTH + off, js])
+            # (U*)[j, j+off] = conj(U[j+off, j]): flip the band
+            ab[BANDWIDTH - off, lo + off : hi + off] -= z * np.conj(band)
         else:
-            ab[BANDWIDTH + off, js] -= np.conj(z) * U.bands[BANDWIDTH + off, js]
+            ab[BANDWIDTH + off, lo:hi] -= np.conj(z) * band
     return ab
 
 
 def _band_matvec(ab, v):
-    D = v.shape[0]
-    y = np.zeros(D, dtype=complex)
-    for off in range(-BANDWIDTH, BANDWIDTH + 1):
-        js = np.arange(max(0, -off), D - max(0, off))
-        y[js + off] += ab[BANDWIDTH + off, js] * v[js]
+    y = np.zeros(v.shape[0], dtype=complex)
+    for off, lo, hi in _diagonals(v.shape[0]):
+        y[lo + off : hi + off] += ab[BANDWIDTH + off, lo:hi] * v[lo:hi]
     return y
 
 
 def resolvent_solve(U, z, v, mode="star"):
     """Solve (I - z U*) x = v or (I - conj(z) U) x = v by banded LU.
+
+    Cross-check of the moment route in `scattering.direct_scattering`.
 
     Parameters
     ----------
@@ -237,11 +254,8 @@ def unitarity_defect(U):
 def dump_entries(U):
     """Nonzero entries as (row_index, col_index, value) triplets."""
     out = []
-    D = U.dim
-    for off in range(-BANDWIDTH, BANDWIDTH + 1):
-        js = np.arange(max(0, -off), D - max(0, off))
-        vals = U.bands[BANDWIDTH + off, js]
-        for j, val in zip(js, vals):
+    for off, lo, hi in _diagonals(U.dim):
+        for j, val in zip(range(lo, hi), U.bands[BANDWIDTH + off, lo:hi]):
             if val != 0:
                 out.append((int(j + off - U.window), int(j - U.window), complex(val)))
     out.sort(key=lambda t: (t[0], t[1]))

@@ -14,7 +14,9 @@ import numpy as np
 
 from . import lrspace
 from .circle import szego_check
-from .errors import CmvScatError, DomainError, EvaluationError, InconsistencyError
+from .errors import (
+    CmvScatError, DomainError, EvaluationError, InconsistencyError, InputError,
+)
 from .lrspace import converged_defect_pair, evaluate, inner_product
 
 THREADS_ENV = "CMV_SCATTER_THREADS"
@@ -58,6 +60,8 @@ class VerblunskySequence:
 
     def __post_init__(self):
         self.alphas = np.atleast_1d(np.asarray(self.alphas, dtype=complex))
+        if not np.all(np.isfinite(self.alphas)):
+            raise InputError("coefficients must be finite (got NaN or inf)")
         if np.any(np.abs(self.alphas) >= 1.0):
             worst = float(np.max(np.abs(self.alphas)))
             raise DomainError(f"|alpha| must be < 1 everywhere, got {worst:.6g}")

@@ -91,6 +91,15 @@ def test_scattering_function_rejects_expansive(grid):
         ScatteringFunction.from_samples(np.full(grid.size, 1.5 + 0j), grid)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_scattering_function_rejects_nonfinite_samples(grid, bad):
+    # a NaN sup passes the "> 1" test, so the check must come first
+    samples = np.full(grid.size, 0.5 + 0j)
+    samples[3] = bad
+    with pytest.raises(InputError):
+        ScatteringFunction.from_samples(samples, grid)
+
+
 def test_coefficient_outside_window(grid, r_half, r_smooth):
     # exact coefficient lists extend by zero; sampled ones do not resolve
     assert r_half.coefficient(300) == 0j

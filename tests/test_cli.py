@@ -132,6 +132,14 @@ def test_cli_direct_rejects_large_alpha(tmp_path):
     assert code == 2
 
 
+def test_cli_direct_rejects_nonfinite_alpha(tmp_path, capsys):
+    alphas = _write(tmp_path, "a.json", '{"lo": 0, "alphas": [[0.1, 0.0], [NaN, 0.0]]}')
+    code = main(["direct", "--alphas", alphas, "--out", str(tmp_path / "o.json")]
+                + FAST)
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_cli_direct_explicit_points(tmp_path):
     alphas = _write(
         tmp_path, "a.json",

@@ -205,3 +205,30 @@ def test_dump_entries_roundtrip():
     for i, j, v in entries:
         rebuilt[U.pos(i), U.pos(j)] = v
     assert np.max(np.abs(rebuilt - dense)) == 0.0
+
+
+def _dense_lm(seq, W, boundary):
+    # reference build: dense L and M from the Theta blocks, then L @ M
+    D = 2 * W + 1
+    L = np.zeros((D, D), dtype=complex)
+    M = np.zeros((D, D), dtype=complex)
+    for j in range(-W - 1, W + 1):
+        a = 1.0 if boundary == "decoupled" and j in (-W - 1, W) else seq.alpha(j)
+        rho = np.sqrt(1.0 - abs(a) ** 2)
+        theta = np.array([[a, rho], [rho, -np.conj(a)]], dtype=complex)
+        target = L if j % 2 else M
+        for r in (0, 1):
+            for c in (0, 1):
+                pr, pc = j + r + W, j + c + W
+                if 0 <= pr < D and 0 <= pc < D:
+                    target[pr, pc] = theta[r, c]
+    return L @ M
+
+
+@pytest.mark.parametrize("W", [2, 3, 16, 128])
+@pytest.mark.parametrize("boundary", ["zero-tail", "decoupled"])
+def test_banded_build_matches_dense_product(W, boundary):
+    # coefficients reach past both window edges and include the edge levels
+    seq = _random_sequence(-W - 3, 2 * W + 7, scale=0.9, seed=W)
+    U = build_cmv(seq, W, boundary)
+    assert np.max(np.abs(U.dense() - _dense_lm(seq, W, boundary))) <= 1e-15

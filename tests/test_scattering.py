@@ -9,10 +9,11 @@ from cmvscat import (
     build_cmv,
     direct_scattering,
     inverse_scattering,
+    resolvent_solve,
     roundtrip,
     wandering_vectors,
 )
-from cmvscat.errors import DomainError
+from cmvscat.errors import DomainError, SolverError
 
 
 def test_wandering_free_case_exact():
@@ -128,6 +129,58 @@ def test_direct_scattering_conjugate_symmetry(small_cfg):
     assert abs(vals[0] - np.conj(vals[1])) < 1e-9
     assert abs(vals[3] - np.conj(vals[4])) < 1e-9
     assert abs(vals[2].imag) < 1e-9
+
+
+def _two_solve_form(seq, zs, W, depth, boundary="zero-tail"):
+    # independent route: two banded LU solves per point
+    U = build_cmv(seq, W, boundary)
+    wa = wandering_vectors(U, depth)
+    d = apply(U, wa.d0)
+    return np.array([
+        np.vdot(d, resolvent_solve(U, z, wa.e0, "star")
+                + resolvent_solve(U, z, wa.e0, "plain") - wa.e0)
+        for z in zs
+    ])
+
+
+def test_direct_scattering_matches_resolvent_solves(r_smooth, small_cfg):
+    seq = inverse_scattering(r_smooth, small_cfg.levels, small_cfg)
+    W, depth = small_cfg.cmv_window, small_cfg.depth
+    zs = [0.0, 0.5j, 0.9 * np.exp(1j), 0.999, -0.9999]
+    vals = direct_scattering(seq, zs, W, depth)
+    assert np.max(np.abs(vals - _two_solve_form(seq, zs, W, depth))) <= 1e-12
+    zs = [0.0, 0.5j, 0.9 * np.exp(1j), -0.9, 0.3 - 0.6j]
+    vals = direct_scattering(seq, zs, W, depth, "decoupled")
+    ref = _two_solve_form(seq, zs, W, depth, "decoupled")
+    assert np.max(np.abs(vals - ref)) <= 1e-12
+
+
+def test_boundary_reconstruction_matches_resolvent_solves():
+    from cmvscat import CircleGrid, RunConfig
+    from cmvscat.families import from_string
+    from cmvscat.scattering import RICHARDSON_EPS
+
+    cfg = RunConfig(check_splits=False)
+    grid = CircleGrid(cfg.grid_size)
+    R = from_string("random,degree=4,margin=0.2,seed=0", grid)
+    seq = inverse_scattering(R, cfg.levels, cfg)
+    W, depth = cfg.cmv_window, cfg.depth
+    rec = boundary_reconstruction(seq, grid, W, depth)
+    e1, e2 = RICHARDSON_EPS
+    ring1 = _two_solve_form(seq, (1.0 - e1) * grid.nodes, W, depth)
+    ring2 = _two_solve_form(seq, (1.0 - e2) * grid.nodes, W, depth)
+    assert np.max(np.abs(rec - (2.0 * ring2 - ring1))) <= 1e-12
+
+
+def test_direct_scattering_certificate_refuses_near_circle():
+    # the decoupled window is exactly unitary, so the moments never decay
+    # and the tail bound at |z| = 1 - 1e-6 cannot be met within the cap
+    rng = np.random.default_rng(9)
+    seq = VerblunskySequence(-3, 0.3 * (rng.standard_normal(7) + 0j))
+    with pytest.raises(SolverError):
+        direct_scattering(seq, [1.0 - 1e-6], 8, 2, "decoupled")
+    with pytest.raises(DomainError):
+        direct_scattering(seq, [0.1, 1.0 - 1e-7], 8, 2)
 
 
 def test_boundary_reconstruction_zero(r_zero, small_cfg):

@@ -10,7 +10,7 @@ from cmvscat import (
     recover_omega,
     schur_step,
 )
-from cmvscat.errors import DomainError
+from cmvscat.errors import DomainError, InputError
 from cmvscat.lrspace import converged_defect_pair
 from cmvscat.verblunsky import (
     SchurFunction,
@@ -33,6 +33,12 @@ def _pair(R, j, cfg):
 def test_sequence_rejects_large_alpha():
     with pytest.raises(DomainError):
         VerblunskySequence(0, np.array([1.0 + 0j]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.1, np.nan)])
+def test_sequence_rejects_nonfinite_alpha(bad):
+    with pytest.raises(InputError):
+        VerblunskySequence(0, np.array([0.2, bad], dtype=complex))
 
 
 def test_alpha_zero_function(r_zero):
