@@ -103,7 +103,10 @@ def cmd_inverse(args):
 
 def _parse_zgrid(args, cfg):
     if args.z:
-        return np.array([complex(part) for part in args.z.split(";") if part])
+        try:
+            return np.array([complex(part) for part in args.z.split(";") if part])
+        except ValueError as exc:
+            raise InputError(f"--z: {exc}") from exc
     if args.ring_radius is None and args.ring_count is None:
         return None  # boundary reconstruction on the full grid
     radius = args.ring_radius if args.ring_radius is not None else 0.9

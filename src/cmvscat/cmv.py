@@ -13,9 +13,10 @@ compression of the infinite matrix with vanishing tail coefficients) or
 given |alpha| = 1 so the finite block decouples and is exactly unitary
 (`decoupled`).
 
-U is stored as its five diagonals and applied by banded matvecs, the
-only operation direct scattering needs. The banded LU `resolvent_solve`
-is the independent route that certifies it in the tests.
+U is stored as its five diagonals and applied by banded matvecs, which
+direct scattering sweeps for its moments. The banded LU `resolvent_solve`
+serves direct scattering where the sweep would cost more, and certifies
+the sweep in the tests.
 """
 
 from dataclasses import dataclass, field
@@ -202,7 +203,8 @@ def _band_matvec(ab, v):
 def resolvent_solve(U, z, v, mode="star"):
     """Solve (I - z U*) x = v or (I - conj(z) U) x = v by banded LU.
 
-    Cross-check of the moment route in `scattering.direct_scattering`.
+    The per-point route of `scattering.direct_scattering`, and the
+    cross-check of its moment sweep.
 
     Parameters
     ----------

@@ -116,7 +116,12 @@ def load_alphas(path):
             raise InputError(f"{path}: invalid JSON ({exc})") from exc
     if "lo" not in data or "alphas" not in data:
         raise InputError(f"{path}: coefficient files need 'lo' and 'alphas'")
-    alphas = np.array([complex(a[0], a[1]) for a in data["alphas"]])
+    try:
+        if any(len(a) != 2 for a in data["alphas"]):
+            raise ValueError("each entry must be an [re, im] pair")
+        alphas = np.array([complex(a[0], a[1]) for a in data["alphas"]], dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: bad 'alphas' ({exc})") from exc
     a0s = np.array(data["a0s"], dtype=float) if "a0s" in data else None
     return VerblunskySequence(int(data["lo"]), alphas, a0s)
 

@@ -3,8 +3,9 @@
 The two wandering vectors are reached by running the operator powers on
 far-out basis vectors. The reconstruction expands a resolvent bilinear
 form inside the disk in Krylov moments of the banded operator, taken in
-one certified sweep of matvecs for all points, and recovers boundary
-values from two near-boundary rings by Richardson extrapolation.
+one certified sweep of matvecs for all points (or, where that sweep
+would cost more, by two banded LU solves per point), and recovers
+boundary values from two near-boundary rings by Richardson extrapolation.
 """
 
 from dataclasses import dataclass
@@ -12,13 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmv
-from .errors import DomainError, SolverError
+from .errors import DomainError, InputError, SolverError
 from .lrspace import converged_defect_pair, generator, inner_product
-from .verblunsky import inverse_scattering
+from .verblunsky import _map_levels, inverse_scattering
 
 RICHARDSON_EPS = (1e-2, 5e-3)
 MOMENT_TOL = 1e-16
-MOMENT_CAP_PER_DIM = 64
+# sweep steps that cost about as much as the two LU solves of one point
+# (6.8 to 8.9 measured at W = 128 and 512, both boundary policies)
+MOMENTS_PER_POINT = 6
 
 
 @dataclass
@@ -55,7 +58,25 @@ def wandering_vectors(U, depth):
     return WanderingApprox(e0, d0, depth, 2.0 - 2.0 * tail)
 
 
-def _moments(U, e0, d, radius):
+def _moment_count(e0, d, radius):
+    """Moments that certify the tail at |z| <= radius without any decay.
+
+    The window matrix is a contraction, so ||U*^k e0|| and ||U^k e0|| stay
+    at most ||e0|| and the bound in `_moments` is at most
+    2 ||d|| ||e0|| r^k / (1 - r). This returns the first k where that
+    falls below MOMENT_TOL, plus one spare step against rounding in the
+    norms. On an exactly unitary window (the decoupled policy) it is also
+    the count the sweep needs.
+    """
+    top = 2.0 * float(np.linalg.norm(e0) * np.linalg.norm(d)) / (1.0 - radius)
+    if top < MOMENT_TOL:
+        return 1
+    if radius == 0.0:
+        return 2
+    return int(np.log(MOMENT_TOL / top) / np.log(radius)) + 2
+
+
+def _moments(U, e0, d, radius, count):
     """Krylov moments a_k = <U*^k e0, d> and b_k = <U^k e0, d> for k < K.
 
     The window matrix is a contraction, so ||U*^k e0|| and ||U^k e0||
@@ -63,13 +84,12 @@ def _moments(U, e0, d, radius):
     full ones by at most ||d|| (||U*^K e0|| + ||U^K e0||) r^K / (1 - r)
     at every |z| <= r. K is the first index where that bound falls
     below MOMENT_TOL; a non-finite bound, or none below it within
-    MOMENT_CAP_PER_DIM * dim moments, raises SolverError.
+    `count` moments, raises SolverError.
     """
-    cap = MOMENT_CAP_PER_DIM * U.dim
     scale = float(np.linalg.norm(d)) / (1.0 - radius)
     star, plain = e0, e0
     a, b = [], []
-    for k in range(cap + 1):
+    for k in range(count + 1):
         bound = scale * radius**k * float(np.linalg.norm(star) + np.linalg.norm(plain))
         if not np.isfinite(bound):
             raise SolverError(f"moment tail bound is {bound} at k = {k}")
@@ -81,7 +101,7 @@ def _moments(U, e0, d, radius):
         plain = cmv.apply(U, plain)
     raise SolverError(
         f"moment tail bound {bound:.3e} still above {MOMENT_TOL:.0e} after "
-        f"{cap} moments at |z| = {radius:.8f}"
+        f"{count} moments at |z| = {radius:.8f}"
     )
 
 
@@ -93,21 +113,39 @@ def _horner(coeffs, x):
     return acc
 
 
+def _resolvent_form(U, e0, d, zs):
+    """The form at each point from two banded LU solves (residual-checked)."""
+
+    def eval_one(z):
+        x1 = cmv.resolvent_solve(U, z, e0, "star")
+        x2 = cmv.resolvent_solve(U, z, e0, "plain")
+        return complex(np.vdot(d, x1 + x2 - e0))
+
+    return np.array(_map_levels(eval_one, [complex(z) for z in zs]), dtype=complex)
+
+
 def direct_scattering(seq, zs, W, depth, boundary="zero-tail"):
     """Harmonic continuation of the scattering function at points of the disk.
 
     Evaluates d*{(I - z U*)^{-1} + (I - conj(z) U)^{-1} - I} e0 where d
     is the wandering vector shifted once by the operator; the unshifted
     pairing reproduces the continuation of t R(t) instead of R. The form
-    equals sum_k z^k <U*^k e0, d> + sum_{k>=1} conj(z)^k <U^k e0, d>;
-    one moment sweep (`_moments`, certified at r = max |z|) serves all
-    points, each evaluated by Horner's rule.
+    equals sum_k z^k <U*^k e0, d> + sum_{k>=1} conj(z)^k <U^k e0, d>.
+
+    Two routes give the same values. One moment sweep (`_moments`,
+    certified at r = max |z|) serves all points, each evaluated by
+    Horner's rule; its length is at most `_moment_count`. Two banded LU
+    solves per point cost about as much as MOMENTS_PER_POINT sweep steps,
+    so the sweep is taken when `_moment_count` is at most
+    MOMENTS_PER_POINT times the number of points, and the solves
+    otherwise: few points, or a window that cannot certify short of the
+    circle (the decoupled policy near |z| = 1).
 
     Parameters
     ----------
     seq : VerblunskySequence
     zs : iterable of complex
-        Points with |z| <= 1 - 1e-6.
+        Finite points with |z| <= 1 - 1e-6.
     W, depth : int
         Window half-width and wandering-vector depth.
 
@@ -117,19 +155,26 @@ def direct_scattering(seq, zs, W, depth, boundary="zero-tail"):
 
     Raises
     ------
+    InputError
+        A point is not finite.
     DomainError
         A point lies too close to the unit circle.
     SolverError
-        The tail bound cannot be certified (see `_moments`).
+        The tail bound or a solve residual cannot be certified.
     """
     zs = np.asarray(zs, dtype=complex).reshape(-1)
+    if not np.all(np.isfinite(zs)):
+        raise InputError("evaluation points must be finite")
     radius = float(np.max(np.abs(zs))) if zs.size else 0.0
     if radius > 1.0 - 1e-6:
         raise DomainError(f"|z| = {radius:.8f} exceeds 1 - 1e-6")
     U = cmv.build_cmv(seq, W, boundary)
     wa = wandering_vectors(U, depth)
     d = cmv.apply(U, wa.d0)
-    a, b = _moments(U, wa.e0, d, radius)
+    count = _moment_count(wa.e0, d, radius)
+    if count > MOMENTS_PER_POINT * zs.size:
+        return _resolvent_form(U, wa.e0, d, zs)
+    a, b = _moments(U, wa.e0, d, radius, count)
     zbar = np.conj(zs)
     return _horner(a, zs) + zbar * _horner(b[1:], zbar)
 

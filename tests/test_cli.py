@@ -154,6 +154,24 @@ def test_cli_direct_explicit_points(tmp_path):
     assert abs(val - 0.25) < 1e-6
 
 
+@pytest.mark.parametrize("points", ["nan", "0.5;abc"])
+def test_cli_direct_rejects_bad_points(tmp_path, capsys, points):
+    alphas = _write(tmp_path, "a.json", '{"lo": 0, "alphas": [[-0.5, 0.0]]}')
+    code = main(["direct", "--alphas", alphas, "--z", points,
+                 "--out", str(tmp_path / "o.json")] + FAST)
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", ["[[0.1]]", "[0.1]", '[["a", "b"]]'])
+def test_cli_direct_rejects_malformed_alphas(tmp_path, capsys, rows):
+    alphas = _write(tmp_path, "a.json", '{"lo": 0, "alphas": %s}' % rows)
+    code = main(["direct", "--alphas", alphas, "--out", str(tmp_path / "o.json")]
+                + FAST)
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_cli_roundtrip_report(tmp_path):
     out = str(tmp_path / "report.json")
     code = main(

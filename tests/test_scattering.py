@@ -13,7 +13,8 @@ from cmvscat import (
     roundtrip,
     wandering_vectors,
 )
-from cmvscat.errors import DomainError, SolverError
+from cmvscat import cmv, scattering
+from cmvscat.errors import DomainError, InputError, SolverError
 
 
 def test_wandering_free_case_exact():
@@ -143,7 +144,19 @@ def _two_solve_form(seq, zs, W, depth, boundary="zero-tail"):
     ])
 
 
-def test_direct_scattering_matches_resolvent_solves(r_smooth, small_cfg):
+@pytest.fixture
+def no_solves(monkeypatch):
+    # fail if direct_scattering takes the per-point LU route
+    def refuse(*args, **kwargs):
+        raise AssertionError("resolvent_solve called")
+
+    monkeypatch.setattr(cmv, "resolvent_solve", refuse)
+
+
+def test_direct_scattering_matches_resolvent_solves(r_smooth, small_cfg, monkeypatch,
+                                                    no_solves):
+    # force the moment sweep however few the points
+    monkeypatch.setattr(scattering, "MOMENTS_PER_POINT", 10**12)
     seq = inverse_scattering(r_smooth, small_cfg.levels, small_cfg)
     W, depth = small_cfg.cmv_window, small_cfg.depth
     zs = [0.0, 0.5j, 0.9 * np.exp(1j), 0.999, -0.9999]
@@ -155,7 +168,7 @@ def test_direct_scattering_matches_resolvent_solves(r_smooth, small_cfg):
     assert np.max(np.abs(vals - ref)) <= 1e-12
 
 
-def test_boundary_reconstruction_matches_resolvent_solves():
+def test_boundary_reconstruction_matches_resolvent_solves(no_solves):
     from cmvscat import CircleGrid, RunConfig
     from cmvscat.families import from_string
     from cmvscat.scattering import RICHARDSON_EPS
@@ -172,15 +185,34 @@ def test_boundary_reconstruction_matches_resolvent_solves():
     assert np.max(np.abs(rec - (2.0 * ring2 - ring1))) <= 1e-12
 
 
-def test_direct_scattering_certificate_refuses_near_circle():
+def test_direct_scattering_near_circle_uses_solves(small_cfg):
     # the decoupled window is exactly unitary, so the moments never decay
-    # and the tail bound at |z| = 1 - 1e-6 cannot be met within the cap
+    # and a certified sweep near the circle would outcost the LU solves
     rng = np.random.default_rng(9)
     seq = VerblunskySequence(-3, 0.3 * (rng.standard_normal(7) + 0j))
-    with pytest.raises(SolverError):
-        direct_scattering(seq, [1.0 - 1e-6], 8, 2, "decoupled")
+    W, depth = small_cfg.cmv_window, small_cfg.depth
+    for z in (0.999, 1.0 - 1e-6):
+        vals = direct_scattering(seq, [z, -0.5j], W, depth, "decoupled")
+        ref = _two_solve_form(seq, [z, -0.5j], W, depth, "decoupled")
+        assert np.max(np.abs(vals - ref)) <= 1e-12
     with pytest.raises(DomainError):
-        direct_scattering(seq, [0.1, 1.0 - 1e-7], 8, 2)
+        direct_scattering(seq, [0.1, 1.0 - 1e-7], W, depth)
+    with pytest.raises(InputError):
+        direct_scattering(seq, [0.1, complex("nan")], W, depth)
+
+
+def test_moment_sweep_refuses_uncertified_tail():
+    # a unitary window needs about 9,000 moments at r = 0.999; 100 is too few
+    rng = np.random.default_rng(9)
+    seq = VerblunskySequence(-3, 0.3 * (rng.standard_normal(7) + 0j))
+    U = build_cmv(seq, 8, "decoupled")
+    wa = wandering_vectors(U, 2)
+    d = apply(U, wa.d0)
+    with pytest.raises(SolverError):
+        scattering._moments(U, wa.e0, d, 0.999, 100)
+    count = scattering._moment_count(wa.e0, d, 0.999)
+    a, _ = scattering._moments(U, wa.e0, d, 0.999, count)
+    assert len(a) <= count
 
 
 def test_boundary_reconstruction_zero(r_zero, small_cfg):
