@@ -17,6 +17,7 @@ from .circle import (
     analyze,
     harmonic_extension,
     outer_factor,
+    require_szego,
     synthesize,
     szego_check,
 )
@@ -25,13 +26,12 @@ from .config import RunConfig
 from .lrspace import (
     DefectPair,
     GeneratorFrame,
-    GramBlocks,
     LrElement,
     converged_defect_pair,
     defect_pair,
     evaluate,
+    frame_gram,
     generator,
-    gram_matrix,
     inner_product,
     shift,
 )

@@ -16,7 +16,6 @@ from .lrspace import (
     converged_defect_pair,
     defect_pair,
     frame_gram,
-    gram_matrix,
     inner_product,
     shift,
 )
@@ -53,10 +52,6 @@ def _leq(name, value, bound, detail=""):
     return CheckResult(name, value <= bound, float(value), float(bound), detail)
 
 
-def _pair_kw(cfg):
-    return dict(start=cfg.section_start, cap=cfg.section_cap, tol=cfg.section_tol)
-
-
 def check_gram_structure(R, cfg, levels=(-2, 0, 3)):
     """Hankel exactness, contractivity of the cross norm, defect geometry."""
     out = []
@@ -64,14 +59,14 @@ def check_gram_structure(R, cfg, levels=(-2, 0, 3)):
     norm_excess = 0.0
     ortho = 0.0
     unit = 0.0
+    N = cfg.section_start
     for j in levels:
         n, m = level_split(j)
-        gb = gram_matrix(R, GeneratorFrame(n, m, cfg.section_start))
-        c = gb.cross
+        G = frame_gram(R, GeneratorFrame(n, m, N))
+        c = G[N:, :N].T  # cross block <g'_k, g''_l>
         hankel = max(hankel, float(np.max(np.abs(c[1:, :-1] - c[:-1, 1:]))))
-        norm_excess = max(norm_excess, gb.cross_norm - (1.0 - R.margin))
-        pair = defect_pair(R, n, m, cfg.section_start)
-        G = frame_gram(R, pair.frame)
+        norm_excess = max(norm_excess, float(np.linalg.norm(c, 2)) - (1.0 - R.margin))
+        pair = defect_pair(R, n, m, N)
         vk = G @ pair.K.coords()
         vt = G @ pair.Ktilde.coords()
         # orthogonality against every generator of the reduced frames
@@ -144,11 +139,9 @@ def check_cmv(R, seq, cfg, ns=(0, 1)):
     out.append(_leq("cmv_spectrum_on_circle", float(np.max(np.abs(np.abs(eig) - 1.0))),
                     1e-10))
 
-    kw = _pair_kw(cfg)
-
     def basis_vector(index):
         kind, bn, bm = cmv.basis_label(index)
-        pair = converged_defect_pair(R, bn, bm, **kw)
+        pair = converged_defect_pair(R, bn, bm, cfg)
         return pair.K if kind == "K" else pair.Ktilde
 
     entry_dev = 0.0
@@ -166,12 +159,10 @@ def check_cmv(R, seq, cfg, ns=(0, 1)):
                 abs(inner_product(shifted_t, vec) - U0.entry(row, 2 * n + 1)),
             )
         # shift identities: U Ktilde_{n,n} = Ktilde_{n+1,n-1}, U K_{n,n+1} = K_{n+1,n}
-        mid = converged_defect_pair(R, n, n, **kw)
-        up = converged_defect_pair(R, n, n + 1, **kw)
-        lhs1 = shift(mid.Ktilde, 1) - converged_defect_pair(
-            R, n + 1, n - 1, **kw
-        ).Ktilde
-        lhs2 = shift(up.K, 1) - converged_defect_pair(R, n + 1, n, **kw).K
+        mid = converged_defect_pair(R, n, n, cfg)
+        up = converged_defect_pair(R, n, n + 1, cfg)
+        lhs1 = shift(mid.Ktilde, 1) - converged_defect_pair(R, n + 1, n - 1, cfg).Ktilde
+        lhs2 = shift(up.K, 1) - converged_defect_pair(R, n + 1, n, cfg).K
         ident_dev = max(ident_dev, lhs1.norm(), lhs2.norm())
     out.append(_leq("cmv_entries_match_gram", entry_dev, cfg.tol_fun))
     out.append(_leq("cmv_shift_identities", ident_dev, 1e-7))
@@ -213,7 +204,7 @@ def check_spectral(R, cfg, ns=(0, 1), kmax=4):
         rep = spectral.moment_check(dens, R, n, kmax, cfg)
         moment_dev = max(moment_dev, rep["max_abs_dev"])
         if n == ns[0]:
-            pair = converged_defect_pair(R, n, n, **_pair_kw(cfg))
+            pair = converged_defect_pair(R, n, n, cfg)
             alpha = alpha_from_defects(pair)
             changed = spectral.change_basis_density(dens, alpha)
             rep2 = spectral.moment_check(changed, R, n, kmax, cfg)

@@ -1,8 +1,9 @@
 """Fourier analysis on the unit circle.
 
 Equispaced power-of-two grids, finite Laurent series, contractive
-boundary data, the Szego integrability check, outer factorization via
-the circular Hilbert transform, and harmonic extension into the disk.
+boundary data, the Szego integrability check and the one guard that
+refuses inputs failing it, outer factorization via the circular Hilbert
+transform, and harmonic extension into the disk.
 
 All integrals over the circle use normalized Lebesgue measure, so the
 trapezoidal rule on an equispaced grid is a plain mean over the nodes.
@@ -218,6 +219,26 @@ def szego_check(R):
         log_integral = float(np.mean(np.log1p(-np.minimum(a, 1.0))))
     passes = bool(sup <= 1.0 and np.isfinite(log_integral))
     return SzegoReport(sup, log_integral, passes, 1.0 - sup)
+
+
+def require_szego(R, margin_min=0.0):
+    """The Szego check as a guard: its report, or DomainError.
+
+    Refuses R when the Szego condition fails on the grid or when the
+    contractivity margin 1 - sup |R| is below `margin_min`.
+    """
+    rep = szego_check(R)
+    if not rep.passes:
+        raise DomainError(
+            f"Szego condition fails: sup |R| = {rep.sup_modulus:.6g}, "
+            f"log-integral = {rep.log_integral:.6g}"
+        )
+    if rep.margin < margin_min:
+        raise DomainError(
+            f"contractivity margin {rep.margin:.3e} below margin_min "
+            f"{margin_min:.1e}"
+        )
+    return rep
 
 
 def hilbert_conjugate(u, grid):

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import cmv, fileio, scattering, spectral
-from .circle import CircleGrid, szego_check
+from .circle import CircleGrid
 from .config import RunConfig
 from .errors import INPUT_ERRORS, NUMERICAL_ERRORS, InputError
 from .families import from_string
@@ -25,32 +25,29 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
-def _add_common(p):
+def _add_common(p, level_window=True):
     p.add_argument("--config", help="JSON file with RunConfig overrides")
     p.add_argument("--grid", type=int, help="grid size M (power of two)")
-    p.add_argument("--levels", type=int,
-                   help="level half-window J (spectrum: the level n)")
+    if level_window:
+        p.add_argument("--levels", type=int, help="level half-window J")
+    else:  # spectrum: the density level, which may be zero or negative
+        p.add_argument("--levels", dest="level", type=int, default=0,
+                       help="the density level n (default 0)")
     p.add_argument("--window", type=int, help="basis half-window W")
     p.add_argument("--depth", type=int, help="wandering-vector depth")
     p.add_argument("--out", help="output path ('-' for stdout)")
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"))
+    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+
+
+# CLI flag -> RunConfig field
+_OVERRIDES = (("grid", "grid_size"), ("levels", "levels"),
+              ("window", "cmv_window"), ("depth", "depth"))
 
 
 def _config_from(args):
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    over = {}
-    if getattr(args, "grid", None):
-        over["grid_size"] = args.grid
-    if getattr(args, "levels", None):
-        over["levels"] = args.levels
-    if getattr(args, "window", None):
-        over["cmv_window"] = args.window
-    if getattr(args, "depth", None):
-        over["depth"] = args.depth
-    if getattr(args, "out", None):
-        over["out"] = args.out
-    if getattr(args, "fmt", None):
-        over["fmt"] = args.fmt
+    over = {field: getattr(args, flag) for flag, field in _OVERRIDES
+            if getattr(args, flag, None) is not None}
     return cfg.replace(**over)
 
 
@@ -69,26 +66,11 @@ def _emit(text, path):
         fileio.write_text(path, text)
 
 
-def _require_szego(R, cfg):
-    rep = szego_check(R)
-    if not rep.passes:
-        raise InputError(
-            f"Szego condition fails: sup |R| = {rep.sup_modulus:.6g}, "
-            f"log-integral = {rep.log_integral:.6g}"
-        )
-    if rep.margin < cfg.margin_min:
-        raise InputError(
-            f"contractivity margin {rep.margin:.3e} below margin_min "
-            f"{cfg.margin_min:.1e}"
-        )
-
-
 def cmd_inverse(args):
     cfg = _config_from(args)
     R = _load_input(args, cfg)
-    _require_szego(R, cfg)
     seq = inverse_scattering(R, cfg.levels, cfg)
-    _emit(fileio.save_alphas(seq), cfg.out)
+    _emit(fileio.save_alphas(seq), args.out)
     report = {"convergence": convergence_report(seq),
               "diagnostics": seq.diagnostics}
     if args.report:
@@ -102,15 +84,20 @@ def cmd_inverse(args):
 
 
 def _parse_zgrid(args, cfg):
-    if args.z:
+    if args.z is not None:
         try:
-            return np.array([complex(part) for part in args.z.split(";") if part])
+            zs = [complex(part) for part in args.z.split(";") if part]
         except ValueError as exc:
             raise InputError(f"--z: {exc}") from exc
+        if not zs:
+            raise InputError("--z lists no points")
+        return np.array(zs)
     if args.ring_radius is None and args.ring_count is None:
         return None  # boundary reconstruction on the full grid
     radius = args.ring_radius if args.ring_radius is not None else 0.9
     count = args.ring_count if args.ring_count is not None else cfg.grid_size
+    if count < 1:
+        raise InputError(f"--ring-count must be at least 1, got {count}")
     theta = 2.0 * np.pi * np.arange(count) / count
     return radius * np.exp(1j * theta)
 
@@ -130,7 +117,7 @@ def cmd_direct(args):
             seq, zgrid, cfg.cmv_window, cfg.depth, cfg.boundary
         )
         zs = zgrid
-    _emit(fileio.save_reconstruction(zs, values, cfg.fmt), cfg.out)
+    _emit(fileio.save_reconstruction(zs, values, args.fmt), args.out)
     print(f"direct: evaluated {len(zs)} points, sup |R| = "
           f"{np.max(np.abs(values)):.6g}", file=sys.stderr)
     return EXIT_OK
@@ -139,24 +126,19 @@ def cmd_direct(args):
 def cmd_roundtrip(args):
     cfg = _config_from(args)
     R = _load_input(args, cfg)
-    _require_szego(R, cfg)
     rep = scattering.roundtrip(R, cfg, ladder=args.ladder)
-    _emit(fileio.save_report(rep), cfg.out)
+    _emit(fileio.save_report(rep), args.out)
     print(f"roundtrip: sup error = {rep['sup_error']:.3e}, "
           f"l2 error = {rep['l2_error']:.3e}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_spectrum(args):
-    # --levels names the density level here (it may be negative), so it
-    # must not flow into the RunConfig level window
-    n = args.levels if args.levels is not None else 0
-    args.levels = None
+    n = args.level
     cfg = _config_from(args)
     R = _load_input(args, cfg)
-    _require_szego(R, cfg)
     dens = spectral.spectral_density(R, n, cfg)
-    _emit(fileio.save_density_csv(dens), cfg.out)
+    _emit(fileio.save_density_csv(dens), args.out)
     rep = spectral.moment_check(dens, R, n, kmax=4, cfg=cfg)
     rep["log_det"] = spectral.log_det_diagnostic(dens)
     if args.report:
@@ -174,7 +156,7 @@ def cmd_check(args):
         "all_passed": all(r.passed for r in results),
         "checks": [r.as_dict() for r in results],
     }
-    _emit(fileio.save_report(report), cfg.out)
+    _emit(fileio.save_report(report), args.out)
     for r in results:
         mark = "pass" if r.passed else "FAIL"
         print(f"[{mark}] {r.name}: {r.value:.3e} (bound {r.bound:.3e})",
@@ -186,7 +168,7 @@ def cmd_dump_matrix(args):
     cfg = _config_from(args)
     seq = fileio.load_alphas(args.alphas)
     U = cmv.build_cmv(seq, cfg.cmv_window, cfg.boundary)
-    _emit(fileio.save_matrix_csv(cmv.dump_entries(U)), cfg.out)
+    _emit(fileio.save_matrix_csv(cmv.dump_entries(U)), args.out)
     return EXIT_OK
 
 
@@ -224,7 +206,7 @@ def build_parser():
     p.add_argument("--input", help="scattering function file")
     p.add_argument("--family", help="built-in input family spec")
     p.add_argument("--report", help="write the moments report here")
-    _add_common(p)
+    _add_common(p, level_window=False)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("check", help="full invariant suite and oracle comparison")

@@ -1,4 +1,8 @@
-"""Run configuration shared by the library drivers and the CLI."""
+"""Run configuration shared by the library drivers and the CLI.
+
+Numerical parameters only; where output goes and in which format are
+CLI flags (`--out`, `--format`), not fields.
+"""
 
 import dataclasses
 import json
@@ -24,8 +28,6 @@ class RunConfig:
     boundary: str = "zero-tail"
     oversample: int = 4
     check_splits: bool = True
-    out: str | None = None
-    fmt: str = "json"
 
     def __post_init__(self):
         for name in ("grid_size", "levels", "section_start", "section_cap",
@@ -38,8 +40,6 @@ class RunConfig:
                 raise InputError(f"{name} must be positive")
         if self.boundary not in ("zero-tail", "decoupled"):
             raise InputError(f"unknown boundary policy {self.boundary!r}")
-        if self.fmt not in ("json", "csv"):
-            raise InputError(f"format must be json or csv, got {self.fmt!r}")
 
     def replace(self, **kw):
         return dataclasses.replace(self, **kw)

@@ -9,7 +9,9 @@ which are orthonormal within each family; the only coupling is the
 cross Gram <g'_k, g''_l> = c_{-(k+l)}, a Hankel form in the Fourier
 coefficients c_j of R. Everything here works in generator coordinates
 over a finite index window, and the defect vectors come out of plain
-Hermitian positive-definite solves against that Gram.
+Hermitian positive-definite solves against that Gram. The section size
+is decided here alone: `converged_defect_pair` reads the doubling
+policy (start, cap, certificate) from the RunConfig it is given.
 
 Gram orientation used throughout: G[a, b] = <s_b, s_a>, so that for
 coordinate vectors u, v the inner product <u, v> is v^H G u.
@@ -21,12 +23,11 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.lapack import zpocon
 
-from .circle import LaurentSeries, synthesize, szego_check
+from .circle import LaurentSeries, require_szego, synthesize
 from .errors import (
     ConditioningError,
     ConvergenceError,
     DegeneracyError,
-    DomainError,
     InputError,
     ResolutionError,
 )
@@ -116,8 +117,9 @@ def generator(R, kind, index, frame):
     return LrElement(frame, x, y, R)
 
 
-def _cross_from_coeffs(R, ks, ls):
-    # cross[i, j] = c_{-(ks[i] + ls[j])}; Hankel in i + j by construction
+def _cross_block(R, frame):
+    # cross[i, j] = <g'_{n+i}, g''_{m+1+j}> = c_{-(n+m+1+i+j)}; Hankel in i + j
+    ks, ls = frame.analytic_indices, frame.antianalytic_indices
     smin = int(ks[0] + ls[0])
     smax = int(ks[-1] + ls[-1])
     carr = R.coeff_range(-smax, -smin)  # indices -smax .. -smin
@@ -125,52 +127,18 @@ def _cross_from_coeffs(R, ks, ls):
     return carr[smax - s]
 
 
-@dataclass
-class GramBlocks:
-    """Cross block of the frame Gram; the diagonal blocks are identity."""
-
-    frame: GeneratorFrame
-    cross: np.ndarray
-    cross_norm: float
-
-    def entry(self, k, l):
-        return complex(
-            self.cross[k - self.frame.n, l - self.frame.m - 1]
-        )
-
-
-def gram_matrix(R, frame):
-    """Assemble the Hankel cross block for a frame.
-
-    Requires the Szego check to pass and the needed coefficient indices
-    to be resolved. The full Gram [[I, cross-bar], [cross-T, I]] has
-    smallest eigenvalue 1 - ||cross|| >= 1 - sup|R|; a cross norm above
-    1 would contradict contractivity and raises.
-    """
-    if not szego_check(R).passes:
-        raise DomainError("scattering function fails the Szego condition on the grid")
-    cross = _cross_from_coeffs(R, frame.analytic_indices, frame.antianalytic_indices)
-    norm = float(np.linalg.norm(cross, 2))
-    if norm > 1.0 + 1e-10:
-        raise ResolutionError(
-            f"cross block norm {norm:.6g} exceeds 1; coefficients are aliased, "
-            "increase the grid size M"
-        )
-    return GramBlocks(frame, cross, norm)
-
-
-def _full_gram(R, ks, ls):
-    # G[a, b] = <s_b, s_a> over the ordered set [g'_{ks}, g''_{ls}]
-    cross = _cross_from_coeffs(R, ks, ls)
-    na, nb = len(ks), len(ls)
-    G = np.eye(na + nb, dtype=complex)
-    G[:na, na:] = np.conj(cross)
-    G[na:, :na] = cross.T
+def _gram_from_cross(cross):
+    # G[a, b] = <s_b, s_a> over the ordered set [g'_k, g''_l]
+    N = cross.shape[0]
+    G = np.eye(2 * N, dtype=complex)
+    G[:N, N:] = np.conj(cross)
+    G[N:, :N] = cross.T
     return G
 
 
 def frame_gram(R, frame):
-    return _full_gram(R, frame.analytic_indices, frame.antianalytic_indices)
+    """Full Gram [[I, conj(cross)], [cross^T, I]] of a frame's generators."""
+    return _gram_from_cross(_cross_block(R, frame))
 
 
 def _hull_frame(a, b):
@@ -303,6 +271,11 @@ def _project_out(G, drop):
 def defect_pair(R, n, m, N):
     """Defect vectors of the finite section at (n, m) with N generators per family.
 
+    Refuses R when it fails the Szego condition (DomainError) and when
+    the needed coefficients are unresolved or the cross block norm
+    exceeds 1 (ResolutionError: the full Gram has smallest eigenvalue
+    1 - ||cross|| >= 1 - sup|R|, so a larger norm means aliasing).
+
     Parameters
     ----------
     R : ScatteringFunction
@@ -318,8 +291,15 @@ def defect_pair(R, n, m, N):
         orthogonal to every other generator of their reduced frames.
     """
     frame = GeneratorFrame(n, m, N)
-    gram_matrix(R, frame)  # validates Szego, resolution, contractivity
-    G = frame_gram(R, frame)
+    require_szego(R)
+    cross = _cross_block(R, frame)
+    norm = float(np.linalg.norm(cross, 2))
+    if norm > 1.0 + 1e-10:
+        raise ResolutionError(
+            f"cross block norm {norm:.6g} exceeds 1; coefficients are aliased, "
+            "increase the grid size M"
+        )
+    G = _gram_from_cross(cross)
     ck, a0, cond_k = _project_out(G, 0)
     ct, a0t, cond_t = _project_out(G, N)
     K = LrElement(frame, ck[:N], ck[N:], R)
@@ -327,14 +307,15 @@ def defect_pair(R, n, m, N):
     return DefectPair(K, Kt, a0, a0t, max(cond_k, cond_t))
 
 
-def converged_defect_pair(R, n, m, start=32, cap=512, tol=1e-9):
+def converged_defect_pair(R, n, m, cfg):
     """Defect pair with a section-doubling convergence certificate.
 
-    Doubles N until the coordinates of both defect vectors change by
-    less than `tol` between consecutive sizes; returns the larger
-    section's pair. No convergence within the cap raises.
+    Starts at N = cfg.section_start and doubles N until the coordinates
+    of both defect vectors change by less than cfg.section_tol between
+    consecutive sizes; returns the larger section's pair. No convergence
+    by N = cfg.section_cap raises ConvergenceError.
     """
-    N = start
+    N, cap, tol = cfg.section_start, cfg.section_cap, cfg.section_tol
     delta = np.inf
     prev = defect_pair(R, n, m, N)
     while 2 * N <= cap:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import CircleGrid, outer_factor, szego_check, synthesize
+from .circle import CircleGrid, outer_factor, require_szego, synthesize
 from .errors import DomainError, InputError, ResolutionError
 from .verblunsky import VerblunskySequence, level_split
 
@@ -43,8 +43,7 @@ def quadrature_space(R, oversample=4, weight_via="outer"):
         formula path differs from pointwise algebra; "inverse" inverts
         the 2x2 matrix [[1, Rbar], [R, 1]] directly (cross-check path).
     """
-    if not szego_check(R).passes:
-        raise DomainError("scattering function fails the Szego condition")
+    require_szego(R)
     qgrid = CircleGrid(R.grid.size * oversample)
     rq = synthesize(R.coeffs, qgrid)
     density = 1.0 - np.abs(rq) ** 2
@@ -112,9 +111,14 @@ def _frame_samples(Q, n, m, N):
 
 
 def _quadrature_gram(vecs, Q):
-    # G[a, b] = <v_b, v_a>; one contraction over nodes and components
-    wv = np.einsum("mab,jbm->jam", Q.weight, vecs)
-    return np.einsum("jam,iam->ij", wv, np.conj(vecs)) / Q.grid.size
+    # G[a, b] = <v_b, v_a>: the 2x2 weight applied node by node, then one
+    # product summing over nodes and components together
+    w = Q.weight
+    wv = np.empty_like(vecs)
+    wv[:, 0] = w[:, 0, 0] * vecs[:, 0] + w[:, 0, 1] * vecs[:, 1]
+    wv[:, 1] = w[:, 1, 0] * vecs[:, 0] + w[:, 1, 1] * vecs[:, 1]
+    dim = vecs.shape[0]
+    return np.conj(vecs.reshape(dim, -1)) @ wv.reshape(dim, -1).T / Q.grid.size
 
 
 def _mgs_defect(G, drop):

@@ -15,7 +15,7 @@ import numpy as np
 from . import cmv
 from .errors import DomainError, InputError, SolverError
 from .lrspace import converged_defect_pair, generator, inner_product
-from .verblunsky import _map_levels, inverse_scattering
+from .verblunsky import inverse_scattering
 
 RICHARDSON_EPS = (1e-2, 5e-3)
 MOMENT_TOL = 1e-16
@@ -121,7 +121,7 @@ def _resolvent_form(U, e0, d, zs):
         x2 = cmv.resolvent_solve(U, z, e0, "plain")
         return complex(np.vdot(d, x1 + x2 - e0))
 
-    return np.array(_map_levels(eval_one, [complex(z) for z in zs]), dtype=complex)
+    return np.array([eval_one(z) for z in zs], dtype=complex)
 
 
 def direct_scattering(seq, zs, W, depth, boundary="zero-tail"):
@@ -201,7 +201,14 @@ def roundtrip(R, cfg, ladder=0):
     Returns
     -------
     dict with sup/L2 boundary errors per rung.
+
+    Raises
+    ------
+    InputError
+        A negative ladder.
     """
+    if ladder < 0:
+        raise InputError(f"ladder must be >= 0, got {ladder}")
     rungs = []
     J, W, depth, start = cfg.levels, cfg.cmv_window, cfg.depth, cfg.section_start
     for rung in range(ladder + 1):
@@ -237,9 +244,7 @@ def asymptotics_check(R, n, ms, cfg):
     """
     rows = []
     for m in ms:
-        pair = converged_defect_pair(
-            R, n, m, start=cfg.section_start, cap=cfg.section_cap, tol=cfg.section_tol
-        )
+        pair = converged_defect_pair(R, n, m, cfg)
         g = generator(R, "analytic", n, pair.frame)
         diff = g - pair.K
         lhs = float(inner_product(diff, diff).real)

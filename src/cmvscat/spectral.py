@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circle import require_szego
 from .errors import ConditioningError, DomainError, InconsistencyError
 from .lrspace import converged_defect_pair, evaluate, inner_product, shift
 from .verblunsky import alpha_from_defects, level_split, recover_omega
@@ -109,11 +110,11 @@ def spectral_density(R, n, cfg):
 
     Returns the corner block at offsets (n, n), tagged `K-and-tKtilde`;
     Hermitian nonnegativity is verified pointwise (eigenvalues above
-    -1e-9).
+    -1e-9). R must pass the Szego guard at cfg.margin_min
+    (`require_szego`, DomainError otherwise).
     """
-    pair = converged_defect_pair(
-        R, n, n, start=cfg.section_start, cap=cfg.section_cap, tol=cfg.section_tol
-    )
+    require_szego(R, cfg.margin_min)
+    pair = converged_defect_pair(R, n, n, cfg)
     blocks = sigma_blocks(pair, R, n, n)
     dens = SpectralDensity(R.grid, blocks.s11, PAIR_DIAGONAL, n)
     _check_nonnegative(dens)
@@ -171,13 +172,12 @@ def moment_check(density, R, n, kmax, cfg):
     -------
     dict with the worst entrywise deviation and the per-k table.
     """
-    kw = dict(start=cfg.section_start, cap=cfg.section_cap, tol=cfg.section_tol)
-    pair = converged_defect_pair(R, n, n, **kw)
+    pair = converged_defect_pair(R, n, n, cfg)
     v1 = pair.K
     if density.pair_tag == PAIR_DIAGONAL:
         v2 = shift(pair.Ktilde, 1)
     elif density.pair_tag == PAIR_NEXT:
-        v2 = converged_defect_pair(R, n + 1, n, **kw).Ktilde
+        v2 = converged_defect_pair(R, n + 1, n, cfg).Ktilde
     else:
         raise DomainError(f"unknown pair tag {density.pair_tag!r}")
     vs = (v1, v2)
@@ -202,11 +202,10 @@ def sigma_recursion_check(R, j, cfg):
     Evaluates rho_j diag(1, tbar) S'_{j+1} - S'_j diag(1, tbar)
     [[1, -conj(alpha_j)], [-alpha_j, 1]] over the grid.
     """
-    kw = dict(start=cfg.section_start, cap=cfg.section_cap, tol=cfg.section_tol)
     n0, m0 = level_split(j)
     n1, m1 = level_split(j + 1)
-    pair0 = converged_defect_pair(R, n0, m0, **kw)
-    pair1 = converged_defect_pair(R, n1, m1, **kw)
+    pair0 = converged_defect_pair(R, n0, m0, cfg)
+    pair1 = converged_defect_pair(R, n1, m1, cfg)
     _, _, s0 = sigma21_prime(pair0, n0, m0)
     _, _, s1 = sigma21_prime(pair1, n1, m1)
     alpha = alpha_from_defects(pair0)

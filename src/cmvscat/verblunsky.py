@@ -6,36 +6,16 @@ off pointwise from the defect vector components and obey a Moebius
 recursion that links consecutive levels.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import lrspace
-from .circle import szego_check
+from .circle import require_szego
 from .errors import (
     CmvScatError, DomainError, EvaluationError, InconsistencyError, InputError,
 )
 from .lrspace import converged_defect_pair, evaluate, inner_product
-
-THREADS_ENV = "CMV_SCATTER_THREADS"
-
-
-def thread_count():
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
-def _map_levels(fn, keys):
-    # deterministic ordering regardless of worker count
-    workers = thread_count()
-    if workers == 1 or len(keys) < 2:
-        return [fn(k) for k in keys]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, keys))
 
 
 def level_split(j):
@@ -128,29 +108,23 @@ def inverse_scattering(R, J, cfg):
     -------
     VerblunskySequence
         `diagnostics` carries {"split_dev", "rho_dev", "cond"}.
-    """
-    rep = szego_check(R)
-    if not rep.passes:
-        raise DomainError("scattering function fails the Szego condition on the grid")
-    if rep.margin < cfg.margin_min:
-        raise DomainError(
-            f"contractivity margin {rep.margin:.3e} below margin_min "
-            f"{cfg.margin_min:.1e}"
-        )
 
-    levels = list(range(-J, J + 2))
+    Raises
+    ------
+    DomainError
+        R fails the Szego guard at cfg.margin_min (`require_szego`).
+    """
+    require_szego(R, cfg.margin_min)
 
     def solve(j):
         n, m = level_split(j)
         try:
-            return converged_defect_pair(
-                R, n, m,
-                start=cfg.section_start, cap=cfg.section_cap, tol=cfg.section_tol,
-            )
+            return converged_defect_pair(R, n, m, cfg)
         except CmvScatError as exc:
             raise type(exc)(f"level {j}: {exc}") from exc
 
-    pairs = dict(zip(levels, _map_levels(solve, levels)))
+    levels = range(-J, J + 2)
+    pairs = {j: solve(j) for j in levels}
     alphas = np.array([alpha_from_defects(pairs[j]) for j in range(-J, J + 1)])
     a0s = np.array([pairs[j].a0 for j in levels])
     seq = VerblunskySequence(-J, alphas, a0s)
@@ -164,10 +138,7 @@ def inverse_scattering(R, J, cfg):
         devs = []
         for j in range(-J, J + 1):
             n, m = level_split(j)
-            alt = converged_defect_pair(
-                R, n + 1, m - 1,
-                start=cfg.section_start, cap=cfg.section_cap, tol=cfg.section_tol,
-            )
+            alt = converged_defect_pair(R, n + 1, m - 1, cfg)
             devs.append(abs(alpha_from_defects(alt) - seq.alpha(j)))
         seq.diagnostics["split_dev"] = float(max(devs))
     return seq
@@ -249,9 +220,7 @@ def schur_chain(R, seq, cfg, levels=None):
     omegas = {}
     for j in list(levels) + [max(levels) + 1]:
         n, m = level_split(j)
-        pair = converged_defect_pair(
-            R, n, m, start=cfg.section_start, cap=cfg.section_cap, tol=cfg.section_tol
-        )
+        pair = converged_defect_pair(R, n, m, cfg)
         omegas[j] = recover_omega(pair, n, m)
     step_dev = 0.0
     zero_dev = 0.0
@@ -271,10 +240,9 @@ def rotation_relation_residual(R, n, m, cfg):
     column by column in the weighted norm, with
     Theta_j = [[alpha_j, rho_j], [rho_j, -conj(alpha_j)]].
     """
-    kw = dict(start=cfg.section_start, cap=cfg.section_cap, tol=cfg.section_tol)
-    base = converged_defect_pair(R, n, m, **kw)
-    right = converged_defect_pair(R, n + 1, m, **kw)
-    up = converged_defect_pair(R, n, m + 1, **kw)
+    base = converged_defect_pair(R, n, m, cfg)
+    right = converged_defect_pair(R, n + 1, m, cfg)
+    up = converged_defect_pair(R, n, m + 1, cfg)
     alpha = alpha_from_defects(base)
     rho = float(np.sqrt(1.0 - abs(alpha) ** 2))
     r1 = base.K - (alpha * base.Ktilde + rho * up.K)
@@ -284,9 +252,8 @@ def rotation_relation_residual(R, n, m, cfg):
 
 def shift_covariance_residual(R, n, m, cfg):
     """Norm defect of defect_pair(n+1, m-1) against the shifted pair at (n, m)."""
-    kw = dict(start=cfg.section_start, cap=cfg.section_cap, tol=cfg.section_tol)
-    a = converged_defect_pair(R, n, m, **kw)
-    b = converged_defect_pair(R, n + 1, m - 1, **kw)
+    a = converged_defect_pair(R, n, m, cfg)
+    b = converged_defect_pair(R, n + 1, m - 1, cfg)
     dk = lrspace.shift(a.K, 1) - b.K
     dt = lrspace.shift(a.Ktilde, 1) - b.Ktilde
     return max(dk.norm(), dt.norm())

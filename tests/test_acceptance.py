@@ -41,9 +41,7 @@ GAMMAS = (0.3, 0.5, 0.8j)
 
 
 def _pair(R, n, m, cfg=CFG):
-    return converged_defect_pair(
-        R, n, m, start=cfg.section_start, cap=cfg.section_cap, tol=cfg.section_tol
-    )
+    return converged_defect_pair(R, n, m, cfg)
 
 
 def _report(name, detail):

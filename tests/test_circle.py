@@ -8,6 +8,7 @@ from cmvscat import (
     analyze,
     harmonic_extension,
     outer_factor,
+    require_szego,
     synthesize,
     szego_check,
 )
@@ -175,3 +176,14 @@ def test_harmonic_extension_mean_at_zero(grid):
 def test_harmonic_extension_domain():
     with pytest.raises(DomainError):
         harmonic_extension(LaurentSeries(0, [1.0]), 1.0)
+
+
+def test_require_szego_guard(grid):
+    R = ScatteringFunction.from_coeffs(LaurentSeries(-1, [0.5]), grid)
+    assert require_szego(R, 0.4).passes
+    with pytest.raises(DomainError, match="below margin_min"):
+        require_szego(R, 0.6)
+    samples = np.full(grid.size, 0.5 + 0j)
+    samples[0] = 1.0
+    with pytest.raises(DomainError, match="sup \\|R\\| = 1"):
+        require_szego(ScatteringFunction.from_samples(samples, grid))

@@ -86,15 +86,52 @@ def test_cli_inverse_zero_family(tmp_path):
     assert np.max(np.abs(seq.alphas)) < 1e-14
 
 
-def test_cli_inverse_rejects_unimodular_sample(tmp_path):
+@pytest.mark.parametrize("command", ["inverse", "roundtrip", "spectrum"])
+def test_cli_inverse_rejects_unimodular_sample(tmp_path, capsys, command):
     grid = CircleGrid(64)
     vals = np.full(64, 0.5 + 0j)
     vals[3] = 1.0
     data = {"type": "samples", "grid": 64,
             "values": [[v.real, v.imag] for v in vals]}
     inp = _write(tmp_path, "r.json", json.dumps(data))
-    code = main(["inverse", "--input", inp, "--out", str(tmp_path / "a.json")] + FAST)
+    code = main([command, "--input", inp, "--out", str(tmp_path / "a.json")] + FAST)
     assert code == 2
+    err = capsys.readouterr().err
+    assert "Szego condition fails" in err
+    assert "Traceback" not in err
+
+
+def test_cli_spectrum_rejects_margin_below_floor(tmp_path, capsys):
+    # sup |R| = 0.9995 passes Szego, but its margin is below margin_min = 1e-3
+    code = main(["spectrum", "--family", "monomial,gamma=0.9995,k=1",
+                 "--grid", "256", "--out", str(tmp_path / "d.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "below margin_min" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--grid", "--levels", "--window", "--depth"])
+def test_cli_rejects_zero_override(tmp_path, capsys, flag):
+    args = ["inverse", "--family", "monomial,gamma=0.5,k=1",
+            "--out", str(tmp_path / "a.json")] + FAST
+    args[args.index(flag) + 1] = "0"
+    code = main(args)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "must be positive" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "a.json").exists()
+
+
+def test_cli_spectrum_level_zero_is_a_level(tmp_path):
+    # for spectrum --levels names the density level, so 0 is a valid value
+    out = str(tmp_path / "d.csv")
+    rep = str(tmp_path / "m.json")
+    code = main(["spectrum", "--family", "monomial,gamma=0.5,k=1", "--levels", "0",
+                 "--grid", "256", "--out", out, "--report", rep])
+    assert code == 0
+    assert json.loads(open(rep).read())["max_abs_dev"] <= 1e-6
 
 
 def test_cli_direct_zero_alphas(tmp_path):
@@ -154,10 +191,16 @@ def test_cli_direct_explicit_points(tmp_path):
     assert abs(val - 0.25) < 1e-6
 
 
-@pytest.mark.parametrize("points", ["nan", "0.5;abc"])
+@pytest.mark.parametrize("points", [
+    pytest.param(["--z", "nan"], id="nan"),
+    pytest.param(["--z", "0.5;abc"], id="0.5;abc"),
+    pytest.param(["--z", ";"], id=";"),
+    pytest.param(["--ring-count", "0"], id="ring-count=0"),
+    pytest.param(["--ring-count", "-3"], id="ring-count=-3"),
+])
 def test_cli_direct_rejects_bad_points(tmp_path, capsys, points):
     alphas = _write(tmp_path, "a.json", '{"lo": 0, "alphas": [[-0.5, 0.0]]}')
-    code = main(["direct", "--alphas", alphas, "--z", points,
+    code = main(["direct", "--alphas", alphas, *points,
                  "--out", str(tmp_path / "o.json")] + FAST)
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
@@ -181,6 +224,25 @@ def test_cli_roundtrip_report(tmp_path):
     assert code == 0
     rep = json.loads(open(out).read())
     assert rep["sup_error"] <= 1e-3
+
+
+def test_cli_roundtrip_rejects_negative_ladder(tmp_path, capsys):
+    code = main(["roundtrip", "--family", "monomial,gamma=0.5,k=1", "--ladder", "-1",
+                 "--out", str(tmp_path / "report.json")] + FAST)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "ladder" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [("out", "x.json"), ("fmt", "csv")])
+def test_cli_config_rejects_output_keys(tmp_path, capsys, key, value):
+    # where output goes and its format are flags, not RunConfig fields
+    cfg_path = _write(tmp_path, "cfg.json", json.dumps({key: value}))
+    code = main(["inverse", "--family", "zero", "--config", cfg_path,
+                 "--out", str(tmp_path / "a.json")] + FAST)
+    assert code == 2
+    assert "unknown config keys" in capsys.readouterr().err
 
 
 def test_cli_spectrum_csv(tmp_path):
@@ -245,18 +307,6 @@ def test_cli_direct_ring_spec(tmp_path):
     # harmonic extension of 0.5 tbar on the ring of radius 0.5
     for (zr, zi), (rr, ri) in zip(data["z"], data["R"]):
         assert abs(complex(rr, ri) - 0.5 * np.conj(complex(zr, zi))) < 1e-8
-
-
-def test_cli_thread_cap_is_deterministic(tmp_path, monkeypatch):
-    inp = _write(
-        tmp_path, "r.json", json.dumps({"type": "coeffs", "entries": [[-1, 0.5, 0.0]]})
-    )
-    a = str(tmp_path / "a1.json")
-    b = str(tmp_path / "a2.json")
-    assert main(["inverse", "--input", inp, "--out", a] + FAST) == 0
-    monkeypatch.setenv("CMV_SCATTER_THREADS", "4")
-    assert main(["inverse", "--input", inp, "--out", b] + FAST) == 0
-    assert open(a).read() == open(b).read()
 
 
 def test_cli_numerical_failure_exit_code(tmp_path):

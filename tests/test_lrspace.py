@@ -7,44 +7,49 @@ from cmvscat import (
     defect_pair,
     evaluate,
     generator,
-    gram_matrix,
     inner_product,
     shift,
 )
+from cmvscat.config import RunConfig
 from cmvscat.errors import ConvergenceError, DomainError
 from cmvscat.lrspace import LrElement, embed, frame_gram
 
 RHO = np.sqrt(0.75)
 
 
+def _cross(R, frame):
+    # cross[k - n, l - m - 1] = <g'_k, g''_l>, the lower-left block of G transposed
+    N = frame.N
+    G = frame_gram(R, frame)
+    assert np.array_equal(G[:N, N:], np.conj(G[N:, :N].T))
+    return G[N:, :N].T
+
+
 def test_gram_zero_coupling(r_zero):
-    gb = gram_matrix(r_zero, GeneratorFrame(0, 0, 4))
-    assert np.max(np.abs(gb.cross)) == 0.0
+    assert np.max(np.abs(_cross(r_zero, GeneratorFrame(0, 0, 4)))) == 0.0
 
 
 def test_gram_monomial_single_entry(r_half):
-    gb = gram_matrix(r_half, GeneratorFrame(0, 0, 4))
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 0] = 0.5  # analytic index 0 against anti-analytic index 1
-    assert np.array_equal(gb.cross, expected)
-    assert abs(gb.entry(0, 1) - 0.5) < 1e-15
+    assert np.array_equal(_cross(r_half, GeneratorFrame(0, 0, 4)), expected)
 
 
 def test_gram_monomial_vanishes_above_level(r_half):
-    gb = gram_matrix(r_half, GeneratorFrame(1, 0, 4))
-    assert np.max(np.abs(gb.cross)) == 0.0
+    assert np.max(np.abs(_cross(r_half, GeneratorFrame(1, 0, 4)))) == 0.0
 
 
 def test_gram_hankel_property(r_smooth):
-    gb = gram_matrix(r_smooth, GeneratorFrame(-2, -1, 12))
-    c = gb.cross
+    c = _cross(r_smooth, GeneratorFrame(-2, -1, 12))
     assert np.array_equal(c[1:, :-1], c[:-1, 1:])
 
 
 def test_gram_positivity(r_smooth):
-    gb = gram_matrix(r_smooth, GeneratorFrame(0, 0, 16))
+    frame = GeneratorFrame(0, 0, 16)
     # eigenvalues of the full two-block Gram are 1 +- singular values
-    assert gb.cross_norm <= (1.0 - r_smooth.margin) + 1e-10
+    norm = np.linalg.svd(_cross(r_smooth, frame), compute_uv=False)[0]
+    assert norm <= (1.0 - r_smooth.margin) + 1e-10
+    assert np.min(np.linalg.eigvalsh(frame_gram(r_smooth, frame))) >= r_smooth.margin - 1e-10
 
 
 def test_gram_requires_szego(grid):
@@ -54,7 +59,7 @@ def test_gram_requires_szego(grid):
     samples[0] = 1.0
     bad = cs.ScatteringFunction.from_samples(samples, grid)
     with pytest.raises(DomainError):
-        gram_matrix(bad, GeneratorFrame(0, 0, 4))
+        defect_pair(bad, 0, 0, 4)
 
 
 def test_defect_pair_zero(r_zero):
@@ -116,12 +121,10 @@ def test_a0_nonincreasing_in_section_size(r_smooth):
 
 
 def test_a0_monotone_in_level(r_smooth, small_cfg):
-    kw = dict(start=small_cfg.section_start, cap=small_cfg.section_cap,
-              tol=small_cfg.section_tol)
     a0s = []
     for j in range(-3, 4):
         n = -((-j) // 2)
-        a0s.append(converged_defect_pair(r_smooth, n, j - n, **kw).a0)
+        a0s.append(converged_defect_pair(r_smooth, n, j - n, small_cfg).a0)
     assert all(b >= a - 1e-6 for a, b in zip(a0s, a0s[1:]))
 
 
@@ -132,7 +135,8 @@ def test_convergence_certificate_raises_on_cap(grid):
 
     R = blaschke(grid, r=0.6, zeros=(0.5,))
     with pytest.raises(ConvergenceError):
-        converged_defect_pair(R, 0, 0, start=4, cap=8, tol=1e-30)
+        cfg = RunConfig(section_start=4, section_cap=8, section_tol=1e-30)
+        converged_defect_pair(R, 0, 0, cfg)
 
 
 def test_gram_out_of_window_raises(grid, r_smooth):
@@ -142,7 +146,7 @@ def test_gram_out_of_window_raises(grid, r_smooth):
 
     sampled = cs.ScatteringFunction.from_samples(r_smooth.samples, grid)
     with pytest.raises(ResolutionError) as err:
-        gram_matrix(sampled, GeneratorFrame(60, 4, 48))
+        defect_pair(sampled, 60, 4, 48)
     assert "increase the grid size" in str(err.value)
 
 

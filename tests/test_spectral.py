@@ -20,15 +20,9 @@ from cmvscat.spectral import (
 )
 
 
-def _pair(R, n, m, cfg):
-    return converged_defect_pair(
-        R, n, m, start=cfg.section_start, cap=cfg.section_cap, tol=cfg.section_tol
-    )
-
-
 def test_sigma_blocks_zero_function(r_zero, small_cfg):
     n = 2
-    pair = _pair(r_zero, n, n, small_cfg)
+    pair = converged_defect_pair(r_zero, n, n, small_cfg)
     blocks = sigma_blocks(pair, r_zero, n, n)
     t = r_zero.grid.nodes
     assert np.max(np.abs(blocks.A - 1.0)) < 1e-12
@@ -42,7 +36,7 @@ def test_sigma_blocks_zero_function(r_zero, small_cfg):
 
 
 def test_sigma_blocks_monomial_level_one(r_half, small_cfg):
-    pair = _pair(r_half, 1, 0, small_cfg)
+    pair = converged_defect_pair(r_half, 1, 0, small_cfg)
     blocks = sigma_blocks(pair, r_half, 1, 0)
     assert np.max(np.abs(blocks.A - 1.0)) < 1e-10
     assert np.max(np.abs(blocks.omega.samples - 0.5)) < 1e-10
@@ -55,7 +49,7 @@ def test_sigma_blocks_monomial_level_one(r_half, small_cfg):
 
 
 def test_sigma22_determinant(r_smooth, small_cfg):
-    pair = _pair(r_smooth, 0, 0, small_cfg)
+    pair = converged_defect_pair(r_smooth, 0, 0, small_cfg)
     blocks = sigma_blocks(pair, r_smooth, 0, 0)
     det = (
         blocks.s22[:, 0, 0] * blocks.s22[:, 1, 1]
@@ -65,7 +59,7 @@ def test_sigma22_determinant(r_smooth, small_cfg):
 
 
 def test_sigma12_is_adjoint_of_sigma21(r_smooth, small_cfg):
-    pair = _pair(r_smooth, 1, 1, small_cfg)
+    pair = converged_defect_pair(r_smooth, 1, 1, small_cfg)
     blocks = sigma_blocks(pair, r_smooth, 1, 1)
     assert np.max(np.abs(blocks.s12 - np.conj(np.swapaxes(blocks.s21, 1, 2)))) == 0.0
 
@@ -126,7 +120,7 @@ def test_change_basis_rotates_offdiagonal_entries(r_smooth, small_cfg):
 
 def test_change_basis_preserves_trace_integral(r_smooth, small_cfg):
     dens = spectral_density(r_smooth, 1, small_cfg)
-    pair = _pair(r_smooth, 1, 1, small_cfg)
+    pair = converged_defect_pair(r_smooth, 1, 1, small_cfg)
     alpha = alpha_from_defects(pair)
     changed = change_basis_density(dens, alpha)
     tr = np.mean(changed.values[:, 0, 0] + changed.values[:, 1, 1]).real
@@ -135,7 +129,7 @@ def test_change_basis_preserves_trace_integral(r_smooth, small_cfg):
 
 def test_change_basis_moments_against_gram(r_half, small_cfg):
     dens = spectral_density(r_half, 0, small_cfg)
-    pair = _pair(r_half, 0, 0, small_cfg)
+    pair = converged_defect_pair(r_half, 0, 0, small_cfg)
     changed = change_basis_density(dens, alpha_from_defects(pair))
     rep = moment_check(changed, r_half, 0, 3, small_cfg)
     assert rep["max_abs_dev"] <= 1e-6
@@ -171,3 +165,11 @@ def test_log_det_diagnostic(r_smooth, small_cfg):
     rep = log_det_diagnostic(dens)
     assert rep["min_det"] > 0.0
     assert np.isfinite(rep["log_det_integral"])
+
+
+def test_density_requires_margin(grid, small_cfg):
+    from cmvscat.families import monomial
+
+    R = monomial(grid, gamma=0.9995, k=1)  # passes Szego, margin 5e-4 < 1e-3
+    with pytest.raises(DomainError, match="below margin_min"):
+        spectral_density(R, 0, small_cfg)

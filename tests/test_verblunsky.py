@@ -25,9 +25,7 @@ RHO = np.sqrt(0.75)
 
 def _pair(R, j, cfg):
     n, m = level_split(j)
-    return converged_defect_pair(
-        R, n, m, start=cfg.section_start, cap=cfg.section_cap, tol=cfg.section_tol
-    ), n, m
+    return converged_defect_pair(R, n, m, cfg), n, m
 
 
 def test_sequence_rejects_large_alpha():
