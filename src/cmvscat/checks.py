@@ -1,8 +1,10 @@
 """Invariant-verification harness.
 
 Each check returns a CheckResult with the measured value and the bound
-it is held to; `run_full_suite` strings them together for one input.
-The CLI `check` command and the acceptance tests both run these.
+it is held to; `run_full_suite` strings them together for one input,
+inside one `section_memo()` block so that the checks solve each
+section once between them. The CLI `check` command and the acceptance
+tests both run these.
 """
 
 from dataclasses import dataclass
@@ -14,9 +16,10 @@ from .circle import szego_check
 from .lrspace import (
     GeneratorFrame,
     converged_defect_pair,
-    defect_pair,
     frame_gram,
     inner_product,
+    section_memo,
+    section_pair,
     shift,
 )
 from .verblunsky import (
@@ -66,7 +69,7 @@ def check_gram_structure(R, cfg, levels=(-2, 0, 3)):
         c = G[N:, :N].T  # cross block <g'_k, g''_l>
         hankel = max(hankel, float(np.max(np.abs(c[1:, :-1] - c[:-1, 1:]))))
         norm_excess = max(norm_excess, float(np.linalg.norm(c, 2)) - (1.0 - R.margin))
-        pair = defect_pair(R, n, m, N)
+        pair = section_pair(R, n, m, N)
         vk = G @ pair.K.coords()
         vt = G @ pair.Ktilde.coords()
         # orthogonality against every generator of the reduced frames
@@ -243,7 +246,16 @@ def check_oracle(R, cfg, J=4, N=None):
 
 
 def run_full_suite(R, cfg, heavy=True):
-    """All invariant checks for one input; returns a list of CheckResult."""
+    """All invariant checks for one input; returns a list of CheckResult.
+
+    The checks share one `section_memo()` block, released on return or
+    raise, so each section (n, m, N) is solved once per suite.
+    """
+    with section_memo():
+        return _suite(R, cfg, heavy)
+
+
+def _suite(R, cfg, heavy):
     results = []
     rep = szego_check(R)
     results.append(

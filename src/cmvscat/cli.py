@@ -109,7 +109,7 @@ def cmd_direct(args):
     if zgrid is None:
         grid = CircleGrid(cfg.grid_size)
         values = scattering.boundary_reconstruction(
-            seq, grid, cfg.cmv_window, cfg.depth
+            seq, grid, cfg.cmv_window, cfg.depth, cfg.boundary
         )
         zs = grid.nodes
     else:

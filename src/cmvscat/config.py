@@ -38,6 +38,11 @@ class RunConfig:
                      "margin_min", "tail_tol"):
             if getattr(self, name) <= 0:
                 raise InputError(f"{name} must be positive")
+        if self.section_cap < 2 * self.section_start:
+            raise InputError(
+                f"section_cap {self.section_cap} must be at least twice "
+                f"section_start {self.section_start}, or no section can double"
+            )
         if self.boundary not in ("zero-tail", "decoupled"):
             raise InputError(f"unknown boundary policy {self.boundary!r}")
 

@@ -11,12 +11,16 @@ coefficients c_j of R. Everything here works in generator coordinates
 over a finite index window, and the defect vectors come out of plain
 Hermitian positive-definite solves against that Gram. The section size
 is decided here alone: `converged_defect_pair` reads the doubling
-policy (start, cap, certificate) from the RunConfig it is given.
+policy (start, cap, certificate) from the RunConfig it is given. Inside
+a `section_memo()` block each section (R, n, m, N) is solved once; the
+invariant suite opens one so that its checks share their sections.
 
 Gram orientation used throughout: G[a, b] = <s_b, s_a>, so that for
 coordinate vectors u, v the inner product <u, v> is v^H G u.
 """
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -307,19 +311,57 @@ def defect_pair(R, n, m, N):
     return DefectPair(K, Kt, a0, a0t, max(cond_k, cond_t))
 
 
+# solved sections of the open `section_memo` block, keyed (id(R), n, m, N);
+# None outside any block. A cached pair holds R through its elements, so
+# the id cannot be reused while the entry lives, and nothing points back.
+_SECTIONS = ContextVar("cmvscat_sections", default=None)
+
+
+@contextmanager
+def section_memo():
+    """Solve each section at most once inside the block.
+
+    `section_pair` serves repeated sections from the block's memo, which
+    is released when the block exits, normally or by an exception.
+    """
+    token = _SECTIONS.set({})
+    try:
+        yield
+    finally:
+        _SECTIONS.reset(token)
+
+
+def section_pair(R, n, m, N):
+    """`defect_pair(R, n, m, N)`, taken from the open section memo if solved there.
+
+    Outside a `section_memo()` block this is a plain `defect_pair` call.
+    Inside one, every caller of a section gets the same DefectPair, so
+    callers must not modify it in place.
+    """
+    memo = _SECTIONS.get()
+    if memo is None:
+        return defect_pair(R, n, m, N)
+    key = (id(R), n, m, N)
+    pair = memo.get(key)
+    if pair is None:
+        pair = memo[key] = defect_pair(R, n, m, N)
+    return pair
+
+
 def converged_defect_pair(R, n, m, cfg):
     """Defect pair with a section-doubling convergence certificate.
 
     Starts at N = cfg.section_start and doubles N until the coordinates
     of both defect vectors change by less than cfg.section_tol between
     consecutive sizes; returns the larger section's pair. No convergence
-    by N = cfg.section_cap raises ConvergenceError.
+    by N = cfg.section_cap raises ConvergenceError. Sections come from
+    `section_pair`, so an open `section_memo()` block solves each once.
     """
     N, cap, tol = cfg.section_start, cfg.section_cap, cfg.section_tol
     delta = np.inf
-    prev = defect_pair(R, n, m, N)
+    prev = section_pair(R, n, m, N)
     while 2 * N <= cap:
-        cur = defect_pair(R, n, m, 2 * N)
+        cur = section_pair(R, n, m, 2 * N)
         delta = _pair_delta(prev, cur)
         if delta < tol:
             return cur

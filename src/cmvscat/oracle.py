@@ -1,10 +1,10 @@
 """Brute-force validator on an oversampled quadrature grid.
 
 Everything here goes through dense trapezoidal quadrature of the 2x2
-weight and classical modified Gram-Schmidt, sharing nothing with the
-Hankel fast path beyond grid construction and the outer factorization
-used to express the weight. Slow on purpose; it exists to certify the
-fast path, not to compete with it.
+weight and re-orthogonalized classical Gram-Schmidt (CGS2), sharing
+nothing with the Hankel fast path beyond grid construction and the
+outer factorization used to express the weight. Slow on purpose; it
+exists to certify the fast path, not to compete with it.
 """
 
 from dataclasses import dataclass
@@ -94,53 +94,62 @@ def generator_samples(Q, kind, index):
     raise InputError(f"unknown generator kind {kind!r}")
 
 
-def _frame_samples(Q, n, m, N):
-    ks = np.arange(n, n + N)
-    ls = np.arange(m + 1, m + N + 1)
+def _generator_block(Q, ks, ls):
+    """Samples of g'_k for k in ks, then of g''_l for l in ls."""
     t = Q.grid.nodes
-    vecs = np.empty((2 * N, 2, Q.grid.size), dtype=complex)
+    vecs = np.empty((len(ks) + len(ls), 2, Q.grid.size), dtype=complex)
     for i, k in enumerate(ks):
         base = t**k
         vecs[i, 0] = base
         vecs[i, 1] = Q.r_samples * base
-    for i, l in enumerate(ls):
+    for i, l in enumerate(ls, start=len(ks)):
         base = t ** (-l)
-        vecs[N + i, 0] = np.conj(Q.r_samples) * base
-        vecs[N + i, 1] = base
+        vecs[i, 0] = np.conj(Q.r_samples) * base
+        vecs[i, 1] = base
     return vecs
 
 
 def _quadrature_gram(vecs, Q):
     # G[a, b] = <v_b, v_a>: the 2x2 weight applied node by node, then one
-    # product summing over nodes and components together
+    # product summing over nodes and components together. It is taken as
+    # conj(V conj(WV)^T) with WV built and conjugated in place, so that
+    # the samples are never copied whole.
     w = Q.weight
     wv = np.empty_like(vecs)
-    wv[:, 0] = w[:, 0, 0] * vecs[:, 0] + w[:, 0, 1] * vecs[:, 1]
-    wv[:, 1] = w[:, 1, 0] * vecs[:, 0] + w[:, 1, 1] * vecs[:, 1]
+    for c in (0, 1):
+        np.multiply(w[:, c, 0], vecs[:, 0], out=wv[:, c])
+        wv[:, c] += w[:, c, 1] * vecs[:, 1]
+    np.conjugate(wv, out=wv)
     dim = vecs.shape[0]
-    return np.conj(vecs.reshape(dim, -1)) @ wv.reshape(dim, -1).T / Q.grid.size
+    return np.conj(vecs.reshape(dim, -1) @ wv.reshape(dim, -1).T) / Q.grid.size
 
 
-def _mgs_defect(G, drop):
-    """Defect coordinates by modified Gram-Schmidt in the quadrature Gram.
+def _cgs2_defect(G, drop):
+    """Defect coordinates by classical Gram-Schmidt, run twice, in the Gram G.
 
-    Orthonormalizes the generators other than `drop`, projects the
-    dropped one out twice (classical re-orthogonalization), and returns
-    the normalized residual coordinates and its norm.
+    Orthonormalizes the generators other than `drop` in order. Each one
+    is projected against the whole basis built so far as one product
+    with the stored basis, then once more against it (re-orthogonalized
+    CGS, "twice is enough"), and normalized. The dropped generator is
+    projected out the same way; returns its normalized residual
+    coordinates and its norm.
     """
     dim = G.shape[0]
+    basis = np.zeros((dim, dim - 1), dtype=complex)  # G-orthonormal columns
+    g_basis = np.zeros_like(basis)  # G times each basis column
+
+    def project_out(w, k):
+        # the coefficient on column q is <w, q> = q^H G w = (G q)^H w
+        for _ in range(2):
+            w = w - basis[:, :k] @ (np.conj(g_basis[:, :k].T) @ w)
+        return w
+
+    unit = np.eye(dim, dtype=complex)
     order = [i for i in range(dim) if i != drop]
-
-    def ip(c, d):
-        return complex(np.conj(d) @ (G @ c))
-
-    basis = []
-    for i in order:
-        w = np.zeros(dim, dtype=complex)
-        w[i] = 1.0
-        for q in basis:
-            w -= ip(w, q) * q
-        nrm2 = ip(w, w).real
+    for k, i in enumerate(order):
+        w = project_out(unit[i], k)
+        gw = G @ w
+        nrm2 = float(np.real(np.conj(w) @ gw))
         if nrm2 <= -1e-8:
             raise ResolutionError(
                 "quadrature Gram indefinite; raise the oversampling factor"
@@ -149,13 +158,10 @@ def _mgs_defect(G, drop):
             raise ResolutionError(
                 "quadrature Gram numerically singular; raise the oversampling factor"
             )
-        basis.append(w / np.sqrt(nrm2))
-    r = np.zeros(dim, dtype=complex)
-    r[drop] = 1.0
-    for _ in range(2):
-        for q in basis:
-            r -= ip(r, q) * q
-    a0 = np.sqrt(max(ip(r, r).real, 0.0))
+        basis[:, k] = w / np.sqrt(nrm2)
+        g_basis[:, k] = gw / np.sqrt(nrm2)
+    r = project_out(unit[drop], dim - 1)
+    a0 = np.sqrt(max(float(np.real(np.conj(r) @ (G @ r))), 0.0))
     if a0 == 0.0:
         raise ResolutionError(
             "defect residual vanished in quadrature; raise the oversampling factor"
@@ -168,20 +174,31 @@ def oracle_verblunsky(R, J, N, Q):
 
     Same mathematics as the fast path, independent numerics: the Gram
     comes from pointwise quadrature of the weight (no Hankel lookups),
-    the defect vectors from modified Gram-Schmidt (no Cholesky solves).
+    the defect vectors from classical Gram-Schmidt run twice (no Cholesky
+    solves).
+
+    The frames of all levels lie in one window of generator indices, so
+    one quadrature Gram over that window serves every level.
 
     Returns
     -------
     VerblunskySequence with residual norms attached.
     """
+    # n and m = j - n both grow with j, so the end levels bound every frame
+    n0, m0 = level_split(-J)
+    n1, m1 = level_split(J + 1)
+    ks = np.arange(n0, n1 + N)
+    ls = np.arange(m0 + 1, m1 + N + 1)
+    G_all = _quadrature_gram(_generator_block(Q, ks, ls), Q)
+    span = np.arange(N)
     alphas = []
     a0s = []
     for j in range(-J, J + 2):
         n, m = level_split(j)
-        vecs = _frame_samples(Q, n, m, N)
-        G = _quadrature_gram(vecs, Q)
-        ck, a0 = _mgs_defect(G, 0)
-        ct, _ = _mgs_defect(G, N)
+        idx = np.concatenate([n - n0 + span, len(ks) + m - m0 + span])
+        G = G_all[np.ix_(idx, idx)]
+        ck, a0 = _cgs2_defect(G, 0)
+        ct, _ = _cgs2_defect(G, N)
         a0s.append(a0)
         if j <= J:
             alphas.append(complex(np.conj(ct) @ (G @ ck)))

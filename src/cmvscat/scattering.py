@@ -179,15 +179,16 @@ def direct_scattering(seq, zs, W, depth, boundary="zero-tail"):
     return _horner(a, zs) + zbar * _horner(b[1:], zbar)
 
 
-def boundary_reconstruction(seq, grid, W, depth):
+def boundary_reconstruction(seq, grid, W, depth, boundary="zero-tail"):
     """Boundary samples of the reconstructed scattering function.
 
     Evaluates the continuation on the rings 1 - eps for the two ladder
-    radii in one moment sweep and extrapolates the O(eps) term away.
+    radii in one `direct_scattering` call, with the window's edge policy
+    `boundary`, and extrapolates the O(eps) term away.
     """
     e1, e2 = RICHARDSON_EPS
     rings = np.concatenate(((1.0 - e1) * grid.nodes, (1.0 - e2) * grid.nodes))
-    ring1, ring2 = np.split(direct_scattering(seq, rings, W, depth), 2)
+    ring1, ring2 = np.split(direct_scattering(seq, rings, W, depth, boundary), 2)
     # eps1 = 2 eps2, so the linear term cancels in 2 f(eps2) - f(eps1)
     return 2.0 * ring2 - ring1
 
@@ -196,7 +197,9 @@ def roundtrip(R, cfg, ladder=0):
     """Inverse scattering followed by reconstruction, with error metrics.
 
     With ladder > 0, repeats with (J, W, depth, N) doubled that many
-    times and reports the error trend.
+    times and reports the error trend. Each rung's inverse skips the
+    shifted-split recomputation (`check_splits`): only the boundary
+    errors are reported here.
 
     Returns
     -------
@@ -205,18 +208,28 @@ def roundtrip(R, cfg, ladder=0):
     Raises
     ------
     InputError
-        A negative ladder.
+        A negative ladder, or one whose last rung starts its sections
+        above half of cfg.section_cap, where they cannot double.
     """
     if ladder < 0:
         raise InputError(f"ladder must be >= 0, got {ladder}")
-    rungs = []
     J, W, depth, start = cfg.levels, cfg.cmv_window, cfg.depth, cfg.section_start
+    # the largest k with 2 * start * 2**k <= cap
+    top = (cfg.section_cap // (2 * start)).bit_length() - 1
+    if ladder > top:
+        raise InputError(
+            f"ladder {ladder} exceeds {top}: rung {top + 1} would start its "
+            f"sections at {start * 2 ** (top + 1)}, which cannot double within "
+            f"section_cap {cfg.section_cap}"
+        )
+    rungs = []
     for rung in range(ladder + 1):
         sub = cfg.replace(
             levels=J * 2**rung,
             cmv_window=W * 2**rung,
             depth=depth * 2**rung,
-            section_start=min(start * 2**rung, cfg.section_cap),
+            section_start=start * 2**rung,
+            check_splits=False,
         )
         seq = inverse_scattering(R, sub.levels, sub)
         rec = boundary_reconstruction(seq, R.grid, sub.cmv_window, sub.depth)

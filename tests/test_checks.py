@@ -1,0 +1,93 @@
+"""The invariant suite shares one section memo between its checks."""
+
+import gc
+import weakref
+
+import pytest
+
+from cmvscat import CircleGrid, checks, lrspace
+from cmvscat.checks import run_full_suite
+from cmvscat.families import random_trig
+from cmvscat.lrspace import converged_defect_pair
+from cmvscat.verblunsky import inverse_scattering
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """Sections (n, m, N) in the order they reach defect_pair."""
+    keys = []
+    original = lrspace.defect_pair
+
+    def counting(R, n, m, N):
+        keys.append((n, m, N))
+        return original(R, n, m, N)
+
+    monkeypatch.setattr(lrspace, "defect_pair", counting)
+    return keys
+
+
+def test_suite_solves_each_section_once(r_smooth, small_cfg, solved):
+    cfg = small_cfg.replace(check_splits=True)
+    results = run_full_suite(r_smooth, cfg)
+    assert {r.name for r in results} >= {"alpha_split_invariance", "roundtrip_sup_error",
+                                          "oracle_alpha_agreement"}
+    assert len(solved) > 0
+    assert len(solved) == len(set(solved))
+
+
+def test_memo_released_after_return(r_smooth, small_cfg, solved):
+    run_full_suite(r_smooth, small_cfg, heavy=False)
+    del solved[:]
+    converged_defect_pair(r_smooth, 0, 0, small_cfg)
+    converged_defect_pair(r_smooth, 0, 0, small_cfg)
+    assert len(solved) > 0
+    assert len(solved) == 2 * len(set(solved))
+
+
+def test_memo_released_after_raise(r_smooth, small_cfg, solved, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("check failed")
+
+    monkeypatch.setattr(checks, "check_cmv", fail)
+    with pytest.raises(RuntimeError):
+        run_full_suite(r_smooth, small_cfg, heavy=False)
+    del solved[:]
+    converged_defect_pair(r_smooth, 0, 0, small_cfg)
+    converged_defect_pair(r_smooth, 0, 0, small_cfg)
+    assert len(solved) > 0
+    assert len(solved) == 2 * len(set(solved))
+
+
+def test_suite_values_match_checks_run_alone(r_smooth, small_cfg):
+    cfg = small_cfg.replace(check_splits=True)
+    suite = run_full_suite(r_smooth, cfg)
+    R = r_smooth
+    seq = inverse_scattering(R, min(cfg.levels, 8), cfg)
+    alone = (
+        checks.check_gram_structure(R, cfg)
+        + checks.check_verblunsky(R, seq, cfg)
+        + checks.check_rotation(R, cfg)
+        + checks.check_shift_covariance(R, cfg)
+        + checks.check_schur(R, seq, cfg)
+        + checks.check_cmv(R, seq, cfg)
+        + checks.check_asymptotics(R, cfg)
+        + checks.check_spectral(R, cfg)
+        + checks.check_roundtrip(R, cfg)
+        + checks.check_oracle(R, cfg)
+    )
+    assert suite[0].name == "szego_condition"
+    assert [r.as_dict() for r in suite[1:]] == [r.as_dict() for r in alone]
+
+
+def test_suite_leaves_no_cycle_through_input(small_cfg):
+    # the memo holds R only through its pairs, and drops them on exit, so
+    # R is freed by reference counting alone
+    R = random_trig(CircleGrid(small_cfg.grid_size), degree=3, margin=0.3, seed=4)
+    ref = weakref.ref(R)
+    gc.disable()
+    try:
+        run_full_suite(R, small_cfg, heavy=False)
+        del R
+        assert ref() is None
+    finally:
+        gc.enable()

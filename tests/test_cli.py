@@ -340,3 +340,54 @@ def test_config_file_roundtrip(tmp_path):
     path.write_text(json.dumps({"bogus": 1}))
     with pytest.raises(InputError):
         RunConfig.from_file(str(path))
+
+
+def test_cli_config_rejects_undoublable_sections(tmp_path, capsys):
+    # a cap below twice the start leaves no section to double into
+    cfg_path = _write(tmp_path, "cfg.json",
+                      json.dumps({"section_start": 64, "section_cap": 64}))
+    code = main(["inverse", "--family", "monomial,gamma=0.5,k=1", "--config", cfg_path,
+                 "--out", str(tmp_path / "a.json")] + FAST)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "section_cap" in err
+    assert "Traceback" not in err
+    with pytest.raises(InputError):
+        RunConfig(section_start=64, section_cap=127)
+
+
+def test_cli_roundtrip_rejects_undoublable_ladder(tmp_path, capsys, monkeypatch):
+    # at the defaults (start 32, cap 512) rung 4 would start at N = 512
+    from cmvscat import scattering
+
+    def no_inverse(*args, **kwargs):
+        raise AssertionError("inverse_scattering ran before the ladder was refused")
+
+    monkeypatch.setattr(scattering, "inverse_scattering", no_inverse)
+    code = main(["roundtrip", "--family", "monomial,gamma=0.5,k=1", "--ladder", "4",
+                 "--out", str(tmp_path / "report.json")] + FAST)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "ladder 4" in err
+    assert "Traceback" not in err
+
+
+def test_cli_direct_boundary_follows_config(tmp_path):
+    from cmvscat import scattering
+
+    alphas = _write(tmp_path, "a.json",
+                    json.dumps({"lo": -2, "alphas": [[0.2, 0.1], [-0.3, 0.0], [0.1, -0.2],
+                                                     [0.05, 0.0], [0.0, 0.1]]}))
+    small = ["--grid", "64", "--window", "16", "--depth", "4"]
+    outs = {}
+    for policy in ("zero-tail", "decoupled"):
+        cfg_path = _write(tmp_path, f"{policy}.json", json.dumps({"boundary": policy}))
+        outs[policy] = str(tmp_path / f"{policy}.json.out")
+        assert main(["direct", "--alphas", alphas, "--config", cfg_path,
+                     "--out", outs[policy]] + small) == 0
+    text = {p: open(path).read() for p, path in outs.items()}
+    assert text["decoupled"] != text["zero-tail"]
+    grid = CircleGrid(64)
+    values = scattering.boundary_reconstruction(fileio.load_alphas(alphas), grid, 16, 4,
+                                                "decoupled")
+    assert text["decoupled"] == fileio.save_reconstruction(grid.nodes, values, "json")

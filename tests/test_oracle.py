@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from cmvscat import inverse_scattering, oracle_inner, oracle_verblunsky
-from cmvscat.errors import InputError
+from cmvscat.errors import InputError, ResolutionError
 from cmvscat.families import random_trig
 from cmvscat.oracle import (
+    _cgs2_defect,
+    _generator_block,
+    _quadrature_gram,
     compare_with_fast_path,
     generator_samples,
     quadrature_space,
@@ -94,3 +97,49 @@ def test_oracle_inner_against_gram_entries(r_smooth):
             got = oracle_inner(g, h, Q)
             worst = max(worst, abs(got - r_smooth.coefficient(-(k + l))))
     assert worst < 1e-7
+
+
+def _frame_gram(R, n, m, N):
+    # quadrature Gram of the frame at (n, m) with N generators per family
+    Q = quadrature_space(R)
+    vecs = _generator_block(Q, np.arange(n, n + N), np.arange(m + 1, m + N + 1))
+    return _quadrature_gram(vecs, Q)
+
+
+@pytest.mark.parametrize("drop", [0, 8])
+def test_gram_schmidt_residual_is_orthogonal(r_smooth, drop):
+    G = _frame_gram(r_smooth, 1, 0, 8)
+    r, a0 = _cgs2_defect(G, drop)
+    Gr = G @ r
+    keep = np.arange(G.shape[0]) != drop
+    assert np.max(np.abs(Gr[keep])) <= 1e-12
+    assert abs(np.conj(r) @ Gr - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("drop", [0, 8])
+def test_gram_schmidt_residual_norm_matches_dense_solve(r_smooth, drop):
+    # the residual of e_d against the other generators has norm (G^-1)_dd^(-1/2)
+    G = _frame_gram(r_smooth, 0, -1, 8)
+    _, a0 = _cgs2_defect(G, drop)
+    unit = np.zeros(G.shape[0])
+    unit[drop] = 1.0
+    inv_dd = np.linalg.solve(G, unit)[drop].real
+    assert abs(a0 - inv_dd ** -0.5) <= 1e-12
+
+
+def test_gram_schmidt_refuses_indefinite_gram():
+    with pytest.raises(ResolutionError, match="indefinite"):
+        _cgs2_defect(np.diag([1.0, -1.0, 1.0]).astype(complex), 2)
+
+
+def test_gram_schmidt_refuses_singular_gram():
+    G = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
+    with pytest.raises(ResolutionError, match="numerically singular"):
+        _cgs2_defect(G, 2)
+
+
+def test_gram_schmidt_refuses_vanished_residual():
+    # the dropped generator equals the first kept one in this Gram
+    G = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]], dtype=complex)
+    with pytest.raises(ResolutionError, match="vanished"):
+        _cgs2_defect(G, 2)

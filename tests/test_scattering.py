@@ -249,6 +249,27 @@ def test_roundtrip_error_tracks_level_window(r_smooth, small_cfg):
     assert sups[1] <= 0.5 * sups[0]
 
 
+def test_roundtrip_skips_split_recomputation(r_half, small_cfg, monkeypatch):
+    # only boundary errors are reported, so no rung re-solves shifted splits
+    seen = []
+    original = scattering.inverse_scattering
+
+    def recording(R, J, cfg):
+        seen.append(cfg.check_splits)
+        return original(R, J, cfg)
+
+    monkeypatch.setattr(scattering, "inverse_scattering", recording)
+    roundtrip(r_half, small_cfg.replace(check_splits=True), ladder=1)
+    assert seen == [False, False]
+
+
+def test_roundtrip_ladder_limited_by_section_cap(r_half, small_cfg):
+    # start 16, cap 128: rung 2 starts at 64 and doubles to 128, rung 3 cannot
+    assert len(roundtrip(r_half, small_cfg.replace(levels=2), ladder=2)["rungs"]) == 3
+    with pytest.raises(InputError, match="section_cap"):
+        roundtrip(r_half, small_cfg, ladder=3)
+
+
 def test_asymptotics_zero(r_zero, small_cfg):
     rep = asymptotics_check(r_zero, 0, [0, 1, 2], small_cfg)
     assert rep["max_identity_dev"] < 1e-12
