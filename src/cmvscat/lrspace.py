@@ -8,11 +8,13 @@ The space is spanned by two generator families,
 which are orthonormal within each family; the only coupling is the
 cross Gram <g'_k, g''_l> = c_{-(k+l)}, a Hankel form in the Fourier
 coefficients c_j of R. Everything here works in generator coordinates
-over a finite index window, and the defect vectors come out of plain
-Hermitian positive-definite solves against that Gram. The section size
-is decided here alone: `converged_defect_pair` reads the doubling
-policy (start, cap, certificate) from the RunConfig it is given. Inside
-a `section_memo()` block each section (R, n, m, N) is solved once; the
+over a finite index window. Per section, one Cholesky factorization of
+the frame Gram G gives both defect vectors, both residuals and `cond`,
+the condition estimate of G; a G that does not factor means aliased
+coefficients (ResolutionError), a `cond` above COND_CAP raises
+ConditioningError. `converged_defect_pair` alone decides the section
+size, from the doubling policy of the RunConfig it is given. Inside a
+`section_memo()` block each section (R, n, m, N) is solved once; the
 invariant suite opens one so that its checks share their sections.
 
 Gram orientation used throughout: G[a, b] = <s_b, s_a>, so that for
@@ -131,18 +133,15 @@ def _cross_block(R, frame):
     return carr[smax - s]
 
 
-def _gram_from_cross(cross):
+def frame_gram(R, frame):
+    """Full Gram [[I, conj(cross)], [cross^T, I]] of a frame's generators."""
     # G[a, b] = <s_b, s_a> over the ordered set [g'_k, g''_l]
-    N = cross.shape[0]
+    cross = _cross_block(R, frame)
+    N = frame.N
     G = np.eye(2 * N, dtype=complex)
     G[:N, N:] = np.conj(cross)
     G[N:, :N] = cross.T
     return G
-
-
-def frame_gram(R, frame):
-    """Full Gram [[I, conj(cross)], [cross^T, I]] of a frame's generators."""
-    return _gram_from_cross(_cross_block(R, frame))
 
 
 def _hull_frame(a, b):
@@ -226,8 +225,10 @@ class DefectPair:
 
     K spans the gap obtained by dropping g'_n, Ktilde the one obtained
     by dropping g''_{m+1}; both are normalized so the inner product with
-    the dropped generator is the positive residual norm. The two
-    residuals agree in exact arithmetic; `a0` is the K-side value.
+    the dropped generator is the positive residual norm. With H = G^-1
+    for the frame Gram G, K = H e_0 a0 and Ktilde = H e_N a0_tilde, with
+    residuals a0 = H_00^(-1/2) and a0_tilde = H_NN^(-1/2), which agree
+    in exact arithmetic. `cond` is LAPACK's 1-norm estimate for G.
     """
 
     K: LrElement
@@ -241,44 +242,18 @@ class DefectPair:
         return self.K.frame
 
 
-def _project_out(G, drop):
-    dim = G.shape[0]
-    keep = np.arange(dim) != drop
-    GS = G[np.ix_(keep, keep)]
-    b = G[keep, drop]
-    try:
-        cf = sla.cho_factor(GS, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError(f"sub-Gram not positive definite: {exc}") from exc
-    anorm = float(np.max(np.sum(np.abs(GS), axis=0)))
-    rcond, info = zpocon(cf[0], anorm, uplo="L")
-    cond = float(1.0 / max(rcond, 1e-300)) if info == 0 else np.inf
-    if cond > COND_CAP:
-        raise ConditioningError(
-            f"Gram condition estimate {cond:.3e} exceeds cap {COND_CAP:.0e}; "
-            "the margin of R is too small for this section"
-        )
-    xs = sla.cho_solve(cf, b)
-    res2 = 1.0 - float(np.real(np.conj(xs) @ b))
-    if res2 < DEGENERACY_FLOOR**2:
-        raise DegeneracyError(
-            "defect residual below 1e-12; impossible under the Szego condition, "
-            "the input data is inconsistent"
-        )
-    a0 = float(np.sqrt(res2))
-    coords = np.zeros(dim, dtype=complex)
-    coords[drop] = 1.0
-    coords[keep] = -xs
-    return coords / a0, a0, cond
-
-
 def defect_pair(R, n, m, N):
     """Defect vectors of the finite section at (n, m) with N generators per family.
 
-    Refuses R when it fails the Szego condition (DomainError) and when
-    the needed coefficients are unresolved or the cross block norm
-    exceeds 1 (ResolutionError: the full Gram has smallest eigenvalue
-    1 - ||cross|| >= 1 - sup|R|, so a larger norm means aliasing).
+    One Cholesky factorization of the frame Gram G and one solve with
+    the right-hand sides e_0 and e_N give both defect vectors and both
+    residuals (see DefectPair). G is positive definite exactly when the
+    cross block norm is below 1, so the factorization also certifies
+    that the coefficients are not aliased. Raises DomainError when R
+    fails the Szego condition; ResolutionError ("increase the grid size
+    M") when coefficients are unresolved or G does not factor;
+    ConditioningError when `cond` exceeds COND_CAP; DegeneracyError when
+    a residual falls below DEGENERACY_FLOOR.
 
     Parameters
     ----------
@@ -296,19 +271,35 @@ def defect_pair(R, n, m, N):
     """
     frame = GeneratorFrame(n, m, N)
     require_szego(R)
-    cross = _cross_block(R, frame)
-    norm = float(np.linalg.norm(cross, 2))
-    if norm > 1.0 + 1e-10:
+    G = frame_gram(R, frame)
+    anorm = float(np.max(np.sum(np.abs(G), axis=0)))
+    try:
+        cf = sla.cho_factor(G, lower=True, overwrite_a=True)
+    except np.linalg.LinAlgError as exc:
         raise ResolutionError(
-            f"cross block norm {norm:.6g} exceeds 1; coefficients are aliased, "
-            "increase the grid size M"
+            f"frame Gram not positive definite ({exc}); the cross block norm "
+            "reaches 1, so coefficients are aliased: increase the grid size M"
+        ) from exc
+    rcond, info = zpocon(cf[0], anorm, uplo="L")
+    cond = float(1.0 / max(rcond, 1e-300)) if info == 0 else np.inf
+    if cond > COND_CAP:
+        raise ConditioningError(
+            f"Gram condition estimate {cond:.3e} exceeds cap {COND_CAP:.0e}; "
+            "the margin of R is too small for this section"
         )
-    G = _gram_from_cross(cross)
-    ck, a0, cond_k = _project_out(G, 0)
-    ct, a0t, cond_t = _project_out(G, N)
+    rhs = np.zeros((2 * N, 2), dtype=complex)
+    rhs[0, 0] = rhs[N, 1] = 1.0
+    H = sla.cho_solve(cf, rhs)
+    a0, a0t = float(H[0, 0].real) ** -0.5, float(H[N, 1].real) ** -0.5
+    if min(a0, a0t) < DEGENERACY_FLOOR:
+        raise DegeneracyError(
+            "defect residual below 1e-12; impossible under the Szego condition, "
+            "the input data is inconsistent"
+        )
+    ck, ct = H[:, 0] * a0, H[:, 1] * a0t
     K = LrElement(frame, ck[:N], ck[N:], R)
     Kt = LrElement(frame, ct[:N], ct[N:], R)
-    return DefectPair(K, Kt, a0, a0t, max(cond_k, cond_t))
+    return DefectPair(K, Kt, a0, a0t, cond)
 
 
 # solved sections of the open `section_memo` block, keyed (id(R), n, m, N);

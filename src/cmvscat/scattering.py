@@ -199,7 +199,8 @@ def roundtrip(R, cfg, ladder=0):
     With ladder > 0, repeats with (J, W, depth, N) doubled that many
     times and reports the error trend. Each rung's inverse skips the
     shifted-split recomputation (`check_splits`): only the boundary
-    errors are reported here.
+    errors are reported here. The reconstruction uses the window edge
+    policy cfg.boundary.
 
     Returns
     -------
@@ -232,7 +233,8 @@ def roundtrip(R, cfg, ladder=0):
             check_splits=False,
         )
         seq = inverse_scattering(R, sub.levels, sub)
-        rec = boundary_reconstruction(seq, R.grid, sub.cmv_window, sub.depth)
+        rec = boundary_reconstruction(seq, R.grid, sub.cmv_window, sub.depth,
+                                     sub.boundary)
         err = rec - R.samples
         rungs.append(
             {

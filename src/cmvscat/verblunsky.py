@@ -107,7 +107,9 @@ def inverse_scattering(R, J, cfg):
     Returns
     -------
     VerblunskySequence
-        `diagnostics` carries {"split_dev", "rho_dev", "cond"}.
+        `diagnostics` carries "rho_dev", "cond" (the largest frame Gram
+        estimate), "split_dev" with cfg.check_splits, and "sections":
+        one {level, N, cond, a0} per level -J..J+1, N converged.
 
     Raises
     ------
@@ -130,6 +132,10 @@ def inverse_scattering(R, J, cfg):
     seq = VerblunskySequence(-J, alphas, a0s)
 
     seq.diagnostics["cond"] = max(p.cond for p in pairs.values())
+    seq.diagnostics["sections"] = [
+        {"level": j, "N": p.frame.N, "cond": p.cond, "a0": p.a0}
+        for j, p in pairs.items()
+    ]
     rhos = seq.rhos
     seq.diagnostics["rho_dev"] = float(
         np.max(np.abs(rhos - a0s[:-1] / a0s[1:]))

@@ -391,3 +391,32 @@ def test_cli_direct_boundary_follows_config(tmp_path):
     values = scattering.boundary_reconstruction(fileio.load_alphas(alphas), grid, 16, 4,
                                                 "decoupled")
     assert text["decoupled"] == fileio.save_reconstruction(grid.nodes, values, "json")
+
+
+def test_cli_roundtrip_boundary_follows_config(tmp_path):
+    args = ["roundtrip", "--family", "random,degree=4,margin=0.3,seed=5",
+            "--ladder", "0"] + FAST
+    text = {}
+    for policy in (None, "zero-tail", "decoupled"):
+        out = str(tmp_path / f"{policy}.out.json")
+        extra = []
+        if policy is not None:
+            extra = ["--config", _write(tmp_path, f"{policy}.json",
+                                        json.dumps({"boundary": policy}))]
+        assert main(args + extra + ["--out", out]) == 0
+        text[policy] = open(out).read()
+    assert text["zero-tail"] == text[None]
+    assert text["decoupled"] != text["zero-tail"]
+
+
+def test_cli_inverse_report_sections(tmp_path):
+    rep = str(tmp_path / "rep.json")
+    assert main(["inverse", "--family", "random,degree=4,margin=0.3,seed=5",
+                 "--out", str(tmp_path / "a.json"), "--report", rep] + FAST) == 0
+    report = json.loads(open(rep).read())
+    sections = report["diagnostics"]["sections"]
+    cfg = RunConfig()
+    assert [s["level"] for s in sections] == list(range(-4, 6))
+    assert all(2 * cfg.section_start <= s["N"] <= cfg.section_cap for s in sections)
+    assert report["diagnostics"]["cond"] == max(s["cond"] for s in sections)
+    assert [s["a0"] for s in sections] == report["convergence"]["a0s"]

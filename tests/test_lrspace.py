@@ -150,6 +150,44 @@ def test_gram_out_of_window_raises(grid, r_smooth):
     assert "increase the grid size" in str(err.value)
 
 
+@pytest.mark.parametrize("N", [64, 128, 256])
+@pytest.mark.parametrize("spec, n, m", [
+    ("random,degree=4,margin=0.2,seed=0", 0, 0),  # the README anchor
+    ("blaschke,r=0.75,zeros=0.3+0.2j;-0.4j", -2, -3),  # coupled below level 0
+])
+def test_defect_pair_matches_dense_inverse(spec, n, m, N):
+    # dense reference: with H = inv(G), K = H e_0 / sqrt(H_00) and
+    # Ktilde = H e_N / sqrt(H_NN); alpha = H[N, 0] / sqrt(H_00 H_NN)
+    from cmvscat import CircleGrid
+    from cmvscat.families import from_string
+    from cmvscat.verblunsky import alpha_from_defects
+
+    R = from_string(spec, CircleGrid(1024))
+    pair = defect_pair(R, n, m, N)
+    H = np.linalg.inv(frame_gram(R, pair.frame))
+    h00, hNN = H[0, 0].real, H[N, N].real
+    assert np.max(np.abs(pair.K.coords() - H[:, 0] / np.sqrt(h00))) <= 1e-13
+    assert np.max(np.abs(pair.Ktilde.coords() - H[:, N] / np.sqrt(hNN))) <= 1e-13
+    assert abs(pair.a0 - h00**-0.5) <= 1e-13
+    assert abs(pair.a0_tilde - hNN**-0.5) <= 1e-13
+    alpha = alpha_from_defects(pair)
+    assert abs(alpha - H[N, 0] / np.sqrt(h00 * hNN)) <= 1e-13
+    assert abs(alpha) > 1e-3  # the orientation is tested on a coupled section
+
+
+def test_defect_pair_refuses_aliased_cross_block(r_smooth, monkeypatch):
+    # a cross block of norm above 1 makes the frame Gram indefinite,
+    # which only aliased coefficients can do under the Szego condition
+    from cmvscat import lrspace
+    from cmvscat.errors import ResolutionError
+
+    monkeypatch.setattr(lrspace, "_cross_block",
+                        lambda R, frame: 1.01 * np.eye(frame.N, dtype=complex))
+    with pytest.raises(ResolutionError) as err:
+        defect_pair(r_smooth, 0, 0, 8)
+    assert "increase the grid size" in str(err.value)
+
+
 def test_evaluate_aliasing_raises(grid, r_half):
     from cmvscat.errors import ResolutionError
 
