@@ -3,9 +3,9 @@
 Inverse scattering takes a contractive boundary function to its
 Verblunsky coefficients through defect-vector computations in a
 weighted two-component space; direct scattering reconstructs the
-boundary function from the banded operator through a resolvent bilinear
-form. A dense-quadrature oracle and an invariant harness certify both
-directions.
+boundary function from the Krylov moments of the banded operator on its
+wandering vectors. A dense-quadrature oracle and an invariant harness
+certify both directions.
 """
 
 from .circle import (
@@ -21,7 +21,7 @@ from .circle import (
     synthesize,
     szego_check,
 )
-from .cmv import CmvMatrix, apply, apply_adjoint, build_cmv, resolvent_solve, unitarity_defect
+from .cmv import CmvMatrix, apply, apply_adjoint, build_cmv, unitarity_defect
 from .config import RunConfig
 from .lrspace import (
     DefectPair,
@@ -41,6 +41,8 @@ from .scattering import (
     asymptotics_check,
     boundary_reconstruction,
     direct_scattering,
+    moment_horizon,
+    moment_series,
     roundtrip,
     wandering_vectors,
 )

@@ -298,15 +298,20 @@ def outer_factor(w, grid):
 
 
 def harmonic_extension(f, z):
-    """Harmonic extension of a Laurent series at a point of the open disk.
+    """Harmonic extension of a Laurent series at points of the open disk.
 
-    Analytic indices contribute c_j z^j, anti-analytic ones c_j zbar^{-j}.
+    Analytic indices contribute c_j z^j, anti-analytic ones c_j zbar^{-j},
+    both summed by Horner's rule. A scalar z gives a complex, an array
+    gives an array of its shape; any |z| >= 1 (or NaN) raises DomainError.
     """
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise DomainError(f"|z| must be < 1, got |z| = {abs(z):.6g}")
-    idx = f.indices()
-    pos = idx >= 0
-    val = np.sum(f.coeffs[pos] * z ** idx[pos])
-    val += np.sum(f.coeffs[~pos] * np.conj(z) ** (-idx[~pos]))
-    return complex(val)
+    z = np.asarray(z, dtype=complex)
+    r = np.abs(z)
+    if not np.all(r < 1.0):
+        raise DomainError(f"|z| must be < 1, got |z| = {np.max(r):.6g}")
+    lo, hi = min(f.lo, 0), max(f.hi, 0)
+    c = np.zeros(hi - lo + 1, dtype=complex)
+    c[f.lo - lo : f.hi - lo + 1] = f.coeffs
+    zbar = np.conj(z)
+    # polyval takes the highest power first: c_hi..c_0, then c_lo..c_{-1}
+    val = np.polyval(c[-lo:][::-1], z) + zbar * np.polyval(c[:-lo], zbar)
+    return complex(val) if z.ndim == 0 else val

@@ -108,14 +108,11 @@ def cmd_direct(args):
     zgrid = _parse_zgrid(args, cfg)
     if zgrid is None:
         grid = CircleGrid(cfg.grid_size)
-        values = scattering.boundary_reconstruction(
-            seq, grid, cfg.cmv_window, cfg.depth, cfg.boundary
-        )
+        values = scattering.boundary_reconstruction(seq, grid, cfg.cmv_window,
+                                                    cfg.depth)
         zs = grid.nodes
     else:
-        values = scattering.direct_scattering(
-            seq, zgrid, cfg.cmv_window, cfg.depth, cfg.boundary
-        )
+        values = scattering.direct_scattering(seq, zgrid, cfg.cmv_window, cfg.depth)
         zs = zgrid
     _emit(fileio.save_reconstruction(zs, values, args.fmt), args.out)
     print(f"direct: evaluated {len(zs)} points, sup |R| = "

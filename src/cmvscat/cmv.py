@@ -14,17 +14,17 @@ given |alpha| = 1 so the finite block decouples and is exactly unitary
 (`decoupled`).
 
 U is stored as its five diagonals and applied by banded matvecs, which
-direct scattering sweeps for its moments. The banded LU `resolvent_solve`
-serves direct scattering where the sweep would cost more, and certifies
-the sweep in the tests.
+direct scattering sweeps for its moments. Only the zero-tail window gives
+exact moments: the decoupled one reflects waves at its edges, so direct
+scattering always builds zero-tail and the decoupled policy serves
+`dump-matrix` and the unitarity checks.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
-from .errors import DomainError, InputError, SolverError
+from .errors import DomainError, InputError
 
 BANDWIDTH = 2
 BOUNDARY_TAGS = ("zero-tail", "decoupled")
@@ -179,63 +179,11 @@ def apply_adjoint(U, v):
     return y
 
 
-def _shifted_bands(U, z, mode):
-    """Band storage of I - z U* (star) or I - conj(z) U (plain)."""
-    ab = np.zeros((2 * BANDWIDTH + 1, U.dim), dtype=complex)
-    ab[BANDWIDTH, :] = 1.0
-    for off, lo, hi in _diagonals(U.dim):
-        band = U.bands[BANDWIDTH + off, lo:hi]
-        if mode == "star":
-            # (U*)[j, j+off] = conj(U[j+off, j]): flip the band
-            ab[BANDWIDTH - off, lo + off : hi + off] -= z * np.conj(band)
-        else:
-            ab[BANDWIDTH + off, lo:hi] -= np.conj(z) * band
-    return ab
-
-
 def _band_matvec(ab, v):
     y = np.zeros(v.shape[0], dtype=complex)
     for off, lo, hi in _diagonals(v.shape[0]):
         y[lo + off : hi + off] += ab[BANDWIDTH + off, lo:hi] * v[lo:hi]
     return y
-
-
-def resolvent_solve(U, z, v, mode="star"):
-    """Solve (I - z U*) x = v or (I - conj(z) U) x = v by banded LU.
-
-    The per-point route of `scattering.direct_scattering`, and the
-    cross-check of its moment sweep.
-
-    Parameters
-    ----------
-    U : CmvMatrix
-    z : complex
-        Point with |z| <= 1 - 1e-6.
-    v : array
-        Right-hand side over the window.
-    mode : str
-        "star" or "plain".
-
-    Returns
-    -------
-    array
-        Solution, with residual verified below 1e-10 * ||v||.
-    """
-    z = complex(z)
-    if abs(z) > 1.0 - 1e-6:
-        raise DomainError(f"|z| = {abs(z):.8f} too close to the unit circle")
-    if mode not in ("star", "plain"):
-        raise InputError(f"mode must be 'star' or 'plain', got {mode!r}")
-    v = np.asarray(v, dtype=complex)
-    ab = _shifted_bands(U, z, mode)
-    x = sla.solve_banded((BANDWIDTH, BANDWIDTH), ab, v)
-    res = float(np.linalg.norm(_band_matvec(ab, x) - v))
-    vn = float(np.linalg.norm(v))
-    if res > 1e-10 * max(vn, 1e-300):
-        raise SolverError(
-            f"resolvent residual {res:.3e} exceeds 1e-10 * ||v|| = {1e-10 * vn:.3e}"
-        )
-    return x
 
 
 def unitarity_defect(U):

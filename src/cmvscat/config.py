@@ -25,6 +25,9 @@ class RunConfig:
     tol_roundtrip: float = 1e-3
     margin_min: float = 1e-3
     tail_tol: float = 1e-6
+    # CMV edge policy for `dump-matrix` only: direct scattering always
+    # takes the zero-tail window, the one with exact moments, and the
+    # unitarity check runs both policies
     boundary: str = "zero-tail"
     oversample: int = 4
     check_splits: bool = True

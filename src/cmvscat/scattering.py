@@ -1,27 +1,22 @@
 """Direct scattering: reconstruct boundary data from the banded operator.
 
-The two wandering vectors are reached by running the operator powers on
-far-out basis vectors. The reconstruction expands a resolvent bilinear
-form inside the disk in Krylov moments of the banded operator, taken in
-one certified sweep of matvecs for all points (or, where that sweep
-would cost more, by two banded LU solves per point), and recovers
-boundary values from two near-boundary rings by Richardson extrapolation.
+The Fourier coefficients of R are the Krylov moments of the CMV matrix
+on its wandering vectors: R_k = <U*^k e0, d> and R_{-k} = <U^k e0, d>.
+`moment_series` sweeps the moments that the coefficient window fixes
+(the moment horizon K) and returns them as one Laurent series; the
+boundary reconstruction is its inverse FFT onto the grid, and points
+of the disk take its harmonic extension. Coefficients outside the
+window are unknown, not zero, so no moment past the horizon is used.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import cmv
-from .errors import DomainError, InputError, SolverError
+from . import circle, cmv
+from .errors import DomainError, InputError
 from .lrspace import converged_defect_pair, generator, inner_product
 from .verblunsky import inverse_scattering
-
-RICHARDSON_EPS = (1e-2, 5e-3)
-MOMENT_TOL = 1e-16
-# sweep steps that cost about as much as the two LU solves of one point
-# (6.8 to 8.9 measured at W = 128 and 512, both boundary policies)
-MOMENTS_PER_POINT = 6
 
 
 @dataclass
@@ -58,88 +53,92 @@ def wandering_vectors(U, depth):
     return WanderingApprox(e0, d0, depth, 2.0 - 2.0 * tail)
 
 
-def _moment_count(e0, d, radius):
-    """Moments that certify the tail at |z| <= radius without any decay.
+def moment_horizon(seq, W, depth):
+    """Moment pairs K that the coefficient window [lo, hi] fixes exactly.
 
-    The window matrix is a contraction, so ||U*^k e0|| and ||U^k e0|| stay
-    at most ||e0|| and the bound in `_moments` is at most
-    2 ||d|| ||e0|| r^k / (1 - r). This returns the first k where that
-    falls below MOMENT_TOL, plus one spare step against rounding in the
-    norms. On an exactly unitary window (the decoupled policy) it is also
-    the count the sweep needs.
+    The series of `moment_series` holds a_k = <U*^k e0, d> = R_k and
+    b_k = <U^k e0, d> = R_{-k} for k < K, from the zero-tail window of
+    half-width W and the wandering pair of the given depth. K rests on
+    two facts.
+
+    Finite propagation: U has band 2, so a step moves support by at most
+    2 indices, and where all coefficients vanish U is the free shift
+    (U moves even indices up by 2 and odd ones down by 2, U* the
+    reverse). The window holds the levels -W-1..W, so the matrix is the
+    infinite one with the coefficients of [lo', hi], lo' = max(lo,
+    -W-1), and zeros elsewhere, as long as no wave that would come back
+    crosses an edge:
+      - e0 = U*^depth delta_{2 depth} is the wandering vector exactly
+        when no coefficient sits at a level >= 2 depth, i.e.
+        2 depth > hi (its residual is then 0);
+      - that sweep reaches level hi after depth - hi/2 steps and sends
+        odd components up for the remaining hi/2 steps, to index
+        2 hi + 1; U brings them back, so the window must hold them:
+        W >= 2 hi + 2 (d and U^{depth+1} likewise). Below lo' the free
+        shift carries everything that leaves away for good.
+    Both are tight: depth = hi/2 or W = 2 hi + 1 already spoils moments.
+
+    Verblunsky's theorem, two-sided: given the positive levels, the
+    first n moments a_0..a_{n-1} and the first n negative levels
+    alpha_{-1}..alpha_{-n} determine each other, and the b_k do not
+    depend on negative levels. So a_k is R_k for k < -lo' and a_{-lo'}
+    already needs alpha_{lo'-1}, which is unknown. Hence
+
+        K = max(0, min(-lo, W + 1))  if 2 depth > hi
+                                     and W >= 2 max(hi, 0) + 2,
+        K = 0                        otherwise,
+
+    which is J for a window [-J, J] at every shipped rung (W=128 and
+    depth 32 for J = 16, W=512 and depth 128 for J = 64).
+
+    Levels above hi are taken as zero, and nothing here can check that:
+    a window that cuts nonzero positive levels (the README `check`
+    example cut to [-16, 2], whose alpha_3 is not 0) spoils every moment
+    from k = 0.
     """
-    top = 2.0 * float(np.linalg.norm(e0) * np.linalg.norm(d)) / (1.0 - radius)
-    if top < MOMENT_TOL:
-        return 1
-    if radius == 0.0:
-        return 2
-    return int(np.log(MOMENT_TOL / top) / np.log(radius)) + 2
+    if 2 * depth <= seq.hi or W < 2 * max(seq.hi, 0) + 2:
+        return 0
+    return max(0, min(-seq.lo, W + 1))
 
 
-def _moments(U, e0, d, radius, count):
-    """Krylov moments a_k = <U*^k e0, d> and b_k = <U^k e0, d> for k < K.
+def moment_series(seq, W, depth):
+    """The Laurent series of R on [-(K-1), K-1] from K moment pairs.
 
-    The window matrix is a contraction, so ||U*^k e0|| and ||U^k e0||
-    cannot grow past k = K and the series dropped at K differ from the
-    full ones by at most ||d|| (||U*^K e0|| + ||U^K e0||) r^K / (1 - r)
-    at every |z| <= r. K is the first index where that bound falls
-    below MOMENT_TOL; a non-finite bound, or none below it within
-    `count` moments, raises SolverError.
+    K is the `moment_horizon`. One sweep of K banded apply/apply_adjoint
+    pairs on the zero-tail window gives a_k = <U*^k e0, d> (index k) and
+    b_k = <U^k e0, d> (index -k), with d the wandering vector d0 shifted
+    once by the operator; the unshifted pairing gives t R(t) instead.
+
+    Raises
+    ------
+    InputError
+        The window fixes no moment (K < 1), e.g. lo >= 0.
+    DomainError
+        The depth does not fit the window (`wandering_vectors`).
     """
-    scale = float(np.linalg.norm(d)) / (1.0 - radius)
-    star, plain = e0, e0
-    a, b = [], []
-    for k in range(count + 1):
-        bound = scale * radius**k * float(np.linalg.norm(star) + np.linalg.norm(plain))
-        if not np.isfinite(bound):
-            raise SolverError(f"moment tail bound is {bound} at k = {k}")
-        if bound < MOMENT_TOL:
-            return np.array(a, dtype=complex), np.array(b, dtype=complex)
-        a.append(np.vdot(d, star))
-        b.append(np.vdot(d, plain))
-        star = cmv.apply_adjoint(U, star)
-        plain = cmv.apply(U, plain)
-    raise SolverError(
-        f"moment tail bound {bound:.3e} still above {MOMENT_TOL:.0e} after "
-        f"{count} moments at |z| = {radius:.8f}"
-    )
+    K = moment_horizon(seq, W, depth)
+    if K < 1:
+        raise InputError(
+            f"coefficient window [{seq.lo}, {seq.hi}] fixes K = {K} moment pairs at "
+            f"window {W} and depth {depth}; direct scattering needs lo < 0, "
+            f"2 * depth > hi and window >= 2 * hi + 2"
+        )
+    U = cmv.build_cmv(seq, W, "zero-tail")
+    wa = wandering_vectors(U, depth)
+    d = cmv.apply(U, wa.d0)
+    star = plain = wa.e0
+    a = np.empty(K, dtype=complex)
+    b = np.empty(K, dtype=complex)
+    for k in range(K):
+        a[k], b[k] = np.vdot(d, star), np.vdot(d, plain)
+        star, plain = cmv.apply_adjoint(U, star), cmv.apply(U, plain)
+    return circle.LaurentSeries(1 - K, np.concatenate((b[:0:-1], a)))
 
 
-def _horner(coeffs, x):
-    """sum_k coeffs[k] x^k at every point of x."""
-    acc = np.zeros_like(x)
-    for c in coeffs[::-1]:
-        acc = acc * x + c
-    return acc
+def direct_scattering(seq, zs, W, depth):
+    """Harmonic extension of the scattering function at points of the disk.
 
-
-def _resolvent_form(U, e0, d, zs):
-    """The form at each point from two banded LU solves (residual-checked)."""
-
-    def eval_one(z):
-        x1 = cmv.resolvent_solve(U, z, e0, "star")
-        x2 = cmv.resolvent_solve(U, z, e0, "plain")
-        return complex(np.vdot(d, x1 + x2 - e0))
-
-    return np.array([eval_one(z) for z in zs], dtype=complex)
-
-
-def direct_scattering(seq, zs, W, depth, boundary="zero-tail"):
-    """Harmonic continuation of the scattering function at points of the disk.
-
-    Evaluates d*{(I - z U*)^{-1} + (I - conj(z) U)^{-1} - I} e0 where d
-    is the wandering vector shifted once by the operator; the unshifted
-    pairing reproduces the continuation of t R(t) instead of R. The form
-    equals sum_k z^k <U*^k e0, d> + sum_{k>=1} conj(z)^k <U^k e0, d>.
-
-    Two routes give the same values. One moment sweep (`_moments`,
-    certified at r = max |z|) serves all points, each evaluated by
-    Horner's rule; its length is at most `_moment_count`. Two banded LU
-    solves per point cost about as much as MOMENTS_PER_POINT sweep steps,
-    so the sweep is taken when `_moment_count` is at most
-    MOMENTS_PER_POINT times the number of points, and the solves
-    otherwise: few points, or a window that cannot certify short of the
-    circle (the decoupled policy near |z| = 1).
+    The `moment_series` evaluated by `circle.harmonic_extension`.
 
     Parameters
     ----------
@@ -156,11 +155,9 @@ def direct_scattering(seq, zs, W, depth, boundary="zero-tail"):
     Raises
     ------
     InputError
-        A point is not finite.
+        A point is not finite, or the window fixes no moment.
     DomainError
         A point lies too close to the unit circle.
-    SolverError
-        The tail bound or a solve residual cannot be certified.
     """
     zs = np.asarray(zs, dtype=complex).reshape(-1)
     if not np.all(np.isfinite(zs)):
@@ -168,29 +165,17 @@ def direct_scattering(seq, zs, W, depth, boundary="zero-tail"):
     radius = float(np.max(np.abs(zs))) if zs.size else 0.0
     if radius > 1.0 - 1e-6:
         raise DomainError(f"|z| = {radius:.8f} exceeds 1 - 1e-6")
-    U = cmv.build_cmv(seq, W, boundary)
-    wa = wandering_vectors(U, depth)
-    d = cmv.apply(U, wa.d0)
-    count = _moment_count(wa.e0, d, radius)
-    if count > MOMENTS_PER_POINT * zs.size:
-        return _resolvent_form(U, wa.e0, d, zs)
-    a, b = _moments(U, wa.e0, d, radius, count)
-    zbar = np.conj(zs)
-    return _horner(a, zs) + zbar * _horner(b[1:], zbar)
+    return circle.harmonic_extension(moment_series(seq, W, depth), zs)
 
 
-def boundary_reconstruction(seq, grid, W, depth, boundary="zero-tail"):
+def boundary_reconstruction(seq, grid, W, depth):
     """Boundary samples of the reconstructed scattering function.
 
-    Evaluates the continuation on the rings 1 - eps for the two ladder
-    radii in one `direct_scattering` call, with the window's edge policy
-    `boundary`, and extrapolates the O(eps) term away.
+    The inverse FFT of the `moment_series` onto the grid, that is
+    S_{K-1}R, the Fourier truncation of R to |k| < K. A series wider
+    than the grid raises ResolutionError rather than alias.
     """
-    e1, e2 = RICHARDSON_EPS
-    rings = np.concatenate(((1.0 - e1) * grid.nodes, (1.0 - e2) * grid.nodes))
-    ring1, ring2 = np.split(direct_scattering(seq, rings, W, depth, boundary), 2)
-    # eps1 = 2 eps2, so the linear term cancels in 2 f(eps2) - f(eps1)
-    return 2.0 * ring2 - ring1
+    return circle.synthesize(moment_series(seq, W, depth), grid)
 
 
 def roundtrip(R, cfg, ladder=0):
@@ -199,8 +184,7 @@ def roundtrip(R, cfg, ladder=0):
     With ladder > 0, repeats with (J, W, depth, N) doubled that many
     times and reports the error trend. Each rung's inverse skips the
     shifted-split recomputation (`check_splits`): only the boundary
-    errors are reported here. The reconstruction uses the window edge
-    policy cfg.boundary.
+    errors are reported here.
 
     Returns
     -------
@@ -233,8 +217,7 @@ def roundtrip(R, cfg, ladder=0):
             check_splits=False,
         )
         seq = inverse_scattering(R, sub.levels, sub)
-        rec = boundary_reconstruction(seq, R.grid, sub.cmv_window, sub.depth,
-                                     sub.boundary)
+        rec = boundary_reconstruction(seq, R.grid, sub.cmv_window, sub.depth)
         err = rec - R.samples
         rungs.append(
             {

@@ -176,6 +176,27 @@ def test_harmonic_extension_mean_at_zero(grid):
 def test_harmonic_extension_domain():
     with pytest.raises(DomainError):
         harmonic_extension(LaurentSeries(0, [1.0]), 1.0)
+    with pytest.raises(DomainError):
+        harmonic_extension(LaurentSeries(0, [1.0]), np.array([0.5, -1.0j, 0.2]))
+    with pytest.raises(DomainError):
+        harmonic_extension(LaurentSeries(0, [1.0]), np.array([0.5, complex("nan")]))
+
+
+@pytest.mark.parametrize("lo, count", [(-3, 7), (0, 4), (2, 3), (-5, 2), (-1, 1)])
+def test_harmonic_extension_vectorized_matches_scalar_loop(lo, count):
+    rng = np.random.default_rng(lo + 10)
+    f = LaurentSeries(lo, rng.standard_normal(count) + 1j * rng.standard_normal(count))
+    zs = 0.95 * rng.uniform(size=(3, 5)) * np.exp(2j * np.pi * rng.uniform(size=(3, 5)))
+
+    def term_sum(z):
+        return sum(c * (z**j if j >= 0 else np.conj(z) ** (-j))
+                   for j, c in zip(f.indices(), f.coeffs))
+
+    vals = harmonic_extension(f, zs)
+    assert vals.shape == zs.shape
+    assert np.max(np.abs(vals - np.vectorize(term_sum)(zs))) < 1e-14
+    one = harmonic_extension(f, complex(zs[1, 2]))
+    assert type(one) is complex and abs(one - vals[1, 2]) < 1e-15
 
 
 def test_require_szego_guard(grid):

@@ -20,6 +20,12 @@ def _write(tmp_path, name, text):
     return str(p)
 
 
+def _padded(alpha0):
+    # alpha_0 on the window [-2, 2], zeros around it: direct needs lo < 0
+    rows = [[0.0, 0.0]] * 2 + [[alpha0, 0.0]] + [[0.0, 0.0]] * 2
+    return json.dumps({"lo": -2, "alphas": rows})
+
+
 def test_load_scattering_coeffs(tmp_path):
     path = _write(
         tmp_path, "r.json", json.dumps({"type": "coeffs", "entries": [[-1, 0.5, 0.0]]})
@@ -135,9 +141,7 @@ def test_cli_spectrum_level_zero_is_a_level(tmp_path):
 
 
 def test_cli_direct_zero_alphas(tmp_path):
-    alphas = _write(
-        tmp_path, "a.json", json.dumps({"lo": 0, "alphas": [[0.0, 0.0]]})
-    )
+    alphas = _write(tmp_path, "a.json", _padded(0.0))
     out = str(tmp_path / "rec.json")
     code = main(["direct", "--alphas", alphas, "--out", out] + FAST)
     assert code == 0
@@ -178,10 +182,7 @@ def test_cli_direct_rejects_nonfinite_alpha(tmp_path, capsys):
 
 
 def test_cli_direct_explicit_points(tmp_path):
-    alphas = _write(
-        tmp_path, "a.json",
-        json.dumps({"lo": 0, "alphas": [[-0.5, 0.0]]}),
-    )
+    alphas = _write(tmp_path, "a.json", _padded(-0.5))
     out = str(tmp_path / "rec.json")
     code = main(["direct", "--alphas", alphas, "--z", "0.5;0.25j", "--out", out]
                 + FAST)
@@ -199,7 +200,7 @@ def test_cli_direct_explicit_points(tmp_path):
     pytest.param(["--ring-count", "-3"], id="ring-count=-3"),
 ])
 def test_cli_direct_rejects_bad_points(tmp_path, capsys, points):
-    alphas = _write(tmp_path, "a.json", '{"lo": 0, "alphas": [[-0.5, 0.0]]}')
+    alphas = _write(tmp_path, "a.json", _padded(-0.5))
     code = main(["direct", "--alphas", alphas, *points,
                  "--out", str(tmp_path / "o.json")] + FAST)
     assert code == 2
@@ -295,9 +296,7 @@ def test_cli_deterministic_output(tmp_path):
 
 
 def test_cli_direct_ring_spec(tmp_path):
-    alphas = _write(
-        tmp_path, "a.json", json.dumps({"lo": 0, "alphas": [[-0.5, 0.0]]})
-    )
+    alphas = _write(tmp_path, "a.json", _padded(-0.5))
     out = str(tmp_path / "ring.json")
     code = main(["direct", "--alphas", alphas, "--ring-radius", "0.5",
                  "--ring-count", "16", "--out", out] + FAST)
@@ -373,27 +372,31 @@ def test_cli_roundtrip_rejects_undoublable_ladder(tmp_path, capsys, monkeypatch)
 
 
 def test_cli_direct_boundary_follows_config(tmp_path):
+    # direct always takes the zero-tail window; only dump-matrix reads the policy
     from cmvscat import scattering
 
     alphas = _write(tmp_path, "a.json",
                     json.dumps({"lo": -2, "alphas": [[0.2, 0.1], [-0.3, 0.0], [0.1, -0.2],
                                                      [0.05, 0.0], [0.0, 0.1]]}))
     small = ["--grid", "64", "--window", "16", "--depth", "4"]
-    outs = {}
+    text = {}
     for policy in ("zero-tail", "decoupled"):
         cfg_path = _write(tmp_path, f"{policy}.json", json.dumps({"boundary": policy}))
-        outs[policy] = str(tmp_path / f"{policy}.json.out")
-        assert main(["direct", "--alphas", alphas, "--config", cfg_path,
-                     "--out", outs[policy]] + small) == 0
-    text = {p: open(path).read() for p, path in outs.items()}
-    assert text["decoupled"] != text["zero-tail"]
+        for command in ("direct", "dump-matrix"):
+            out = str(tmp_path / f"{policy}.{command}.out")
+            assert main([command, "--alphas", alphas, "--config", cfg_path,
+                         "--out", out] + small) == 0
+            text[policy, command] = open(out).read()
+    assert text["decoupled", "direct"] == text["zero-tail", "direct"]
+    assert text["decoupled", "dump-matrix"] != text["zero-tail", "dump-matrix"]
     grid = CircleGrid(64)
-    values = scattering.boundary_reconstruction(fileio.load_alphas(alphas), grid, 16, 4,
-                                                "decoupled")
-    assert text["decoupled"] == fileio.save_reconstruction(grid.nodes, values, "json")
+    values = scattering.boundary_reconstruction(fileio.load_alphas(alphas), grid, 16, 4)
+    assert text["zero-tail", "direct"] == fileio.save_reconstruction(grid.nodes, values,
+                                                                    "json")
 
 
 def test_cli_roundtrip_boundary_follows_config(tmp_path):
+    # the reconstruction takes the zero-tail window under either policy
     args = ["roundtrip", "--family", "random,degree=4,margin=0.3,seed=5",
             "--ladder", "0"] + FAST
     text = {}
@@ -406,7 +409,42 @@ def test_cli_roundtrip_boundary_follows_config(tmp_path):
         assert main(args + extra + ["--out", out]) == 0
         text[policy] = open(out).read()
     assert text["zero-tail"] == text[None]
-    assert text["decoupled"] != text["zero-tail"]
+    assert text["decoupled"] == text["zero-tail"]
+
+
+def test_cli_direct_refuses_window_without_moments(tmp_path, capsys):
+    # lo >= 0 leaves no negative level, so the window fixes no moment: K = 0
+    alphas = _write(tmp_path, "a.json", json.dumps({"lo": 0, "alphas": [[-0.5, 0.0]]}))
+    code = main(["direct", "--alphas", alphas, "--out", str(tmp_path / "o.json")]
+                + FAST)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "window [0, 0] fixes K = 0" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_cli_direct_refuses_series_wider_than_grid(tmp_path, capsys):
+    # K = 16 gives a series on [-15, 15], which a grid of 16 would alias
+    rng = np.random.default_rng(4)
+    seq = VerblunskySequence(-16, 0.1 * rng.standard_normal(33) + 0j)
+    alphas = _write(tmp_path, "a.json", fileio.save_alphas(seq))
+    code = main(["direct", "--alphas", alphas, "--grid", "16",
+                 "--out", str(tmp_path / "o.json")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "does not fit a grid of size 16" in err
+    assert "Traceback" not in err
+
+
+def test_cli_readme_check_example_passes(tmp_path):
+    # the README `check` example at the shipped defaults, tol_roundtrip 1e-3
+    assert RunConfig().tol_roundtrip == 1e-3
+    out = str(tmp_path / "check.json")
+    assert main(["check", "--family", "random,degree=4,margin=0.2,seed=0",
+                 "--out", out]) == 0
+    checks = {c["name"]: c for c in json.loads(open(out).read())["checks"]}
+    assert checks["roundtrip_sup_error"]["value"] <= 1e-14
 
 
 def test_cli_inverse_report_sections(tmp_path):

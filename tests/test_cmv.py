@@ -6,11 +6,10 @@ from cmvscat import (
     apply,
     apply_adjoint,
     build_cmv,
-    resolvent_solve,
     unitarity_defect,
 )
 from cmvscat.cmv import dump_entries
-from cmvscat.errors import DomainError, InputError
+from cmvscat.errors import InputError
 
 
 def _free_sequence():
@@ -145,50 +144,6 @@ def test_apply_adjoint_inverts_on_interior():
 def test_apply_zero():
     U = build_cmv(_free_sequence(), 8)
     assert np.max(np.abs(apply(U, np.zeros(U.dim, dtype=complex)))) == 0.0
-
-
-def test_resolvent_identity_at_zero():
-    seq = _random_sequence(-4, 9, seed=9)
-    U = build_cmv(seq, 12)
-    rng = np.random.default_rng(4)
-    v = rng.standard_normal(U.dim) + 1j * rng.standard_normal(U.dim)
-    assert np.max(np.abs(resolvent_solve(U, 0.0, v, "star") - v)) < 1e-13
-
-
-def test_resolvent_free_shift_geometric():
-    U = build_cmv(_free_sequence(), 16)
-    v = U.basis_vector(0)
-    x = resolvent_solve(U, 0.5, v, "star")
-    # (I - z U*)^{-1} delta_0 = sum_k z^k delta_{-2k} for the free even shift
-    expect = np.zeros(U.dim, dtype=complex)
-    k = np.arange(0, U.window // 2 + 1)
-    for kk in k:
-        expect[U.pos(-2 * kk)] = 0.5**kk
-    assert np.max(np.abs(x - expect)) < 1e-12
-
-
-def test_resolvent_matches_neumann_series():
-    seq = _random_sequence(-5, 11, seed=10)
-    U = build_cmv(seq, 20)
-    v = U.basis_vector(1)
-    for z, mode in ((0.6 - 0.3j, "star"), (0.5j, "plain")):
-        x = resolvent_solve(U, z, v, mode)
-        acc = np.zeros(U.dim, dtype=complex)
-        term = v.copy()
-        for _ in range(200):
-            acc += term
-            term = (z * apply_adjoint(U, term) if mode == "star"
-                    else np.conj(z) * apply(U, term))
-        assert np.max(np.abs(x - acc)) < 1e-9
-
-
-def test_resolvent_domain_and_validation():
-    U = build_cmv(_free_sequence(), 8)
-    v = U.basis_vector(0)
-    with pytest.raises(DomainError):
-        resolvent_solve(U, 1.0 - 1e-9, v)
-    with pytest.raises(InputError):
-        resolvent_solve(U, 0.1, v, mode="sideways")
 
 
 def test_build_rejects_bad_policy():

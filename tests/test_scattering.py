@@ -2,19 +2,28 @@ import numpy as np
 import pytest
 
 from cmvscat import (
+    CircleGrid,
+    RunConfig,
     VerblunskySequence,
+    analyze,
     apply,
+    apply_adjoint,
     asymptotics_check,
     boundary_reconstruction,
     build_cmv,
     direct_scattering,
+    harmonic_extension,
     inverse_scattering,
-    resolvent_solve,
+    moment_horizon,
+    moment_series,
     roundtrip,
     wandering_vectors,
 )
-from cmvscat import cmv, scattering
-from cmvscat.errors import DomainError, InputError, SolverError
+from cmvscat import scattering
+from cmvscat.errors import DomainError, InputError, ResolutionError
+from cmvscat.families import from_string
+
+ANCHOR = "random,degree=4,margin=0.2,seed=0"  # the README `check` example
 
 
 def test_wandering_free_case_exact():
@@ -72,7 +81,7 @@ def test_wandering_window_guard():
 
 
 def test_direct_scattering_zero_sequence():
-    seq = VerblunskySequence(0, np.array([0j]))
+    seq = VerblunskySequence(-2, np.zeros(5, dtype=complex))
     zs = [0.0, 0.3, 0.5j, -0.2 + 0.4j]
     vals = direct_scattering(seq, zs, 32, 8)
     assert np.max(np.abs(vals)) < 1e-14
@@ -94,9 +103,8 @@ def test_direct_scattering_at_zero_gives_mean_coefficient(r_smooth, small_cfg):
 
 
 def test_direct_scattering_matches_harmonic_extension(grid, small_cfg):
-    # independent evaluator: coefficient-series extension vs the
-    # resolvent bilinear form, away from the window-truncation regime
-    from cmvscat import harmonic_extension
+    # independent evaluator: the extension of R's own coefficients vs
+    # the moment series of its coefficient window
     from cmvscat.families import random_trig
 
     R = random_trig(grid, degree=1, margin=0.3, seed=23)
@@ -132,87 +140,111 @@ def test_direct_scattering_conjugate_symmetry(small_cfg):
     assert abs(vals[2].imag) < 1e-9
 
 
-def _two_solve_form(seq, zs, W, depth, boundary="zero-tail"):
-    # independent route: two banded LU solves per point
-    U = build_cmv(seq, W, boundary)
-    wa = wandering_vectors(U, depth)
-    d = apply(U, wa.d0)
-    return np.array([
-        np.vdot(d, resolvent_solve(U, z, wa.e0, "star")
-                + resolvent_solve(U, z, wa.e0, "plain") - wa.e0)
-        for z in zs
-    ])
-
-
-@pytest.fixture
-def no_solves(monkeypatch):
-    # fail if direct_scattering takes the per-point LU route
-    def refuse(*args, **kwargs):
-        raise AssertionError("resolvent_solve called")
-
-    monkeypatch.setattr(cmv, "resolvent_solve", refuse)
-
-
-def test_direct_scattering_matches_resolvent_solves(r_smooth, small_cfg, monkeypatch,
-                                                    no_solves):
-    # force the moment sweep however few the points
-    monkeypatch.setattr(scattering, "MOMENTS_PER_POINT", 10**12)
-    seq = inverse_scattering(r_smooth, small_cfg.levels, small_cfg)
-    W, depth = small_cfg.cmv_window, small_cfg.depth
-    zs = [0.0, 0.5j, 0.9 * np.exp(1j), 0.999, -0.9999]
-    vals = direct_scattering(seq, zs, W, depth)
-    assert np.max(np.abs(vals - _two_solve_form(seq, zs, W, depth))) <= 1e-12
-    zs = [0.0, 0.5j, 0.9 * np.exp(1j), -0.9, 0.3 - 0.6j]
-    vals = direct_scattering(seq, zs, W, depth, "decoupled")
-    ref = _two_solve_form(seq, zs, W, depth, "decoupled")
-    assert np.max(np.abs(vals - ref)) <= 1e-12
-
-
-def test_boundary_reconstruction_matches_resolvent_solves(no_solves):
-    from cmvscat import CircleGrid, RunConfig
-    from cmvscat.families import from_string
-    from cmvscat.scattering import RICHARDSON_EPS
-
-    cfg = RunConfig(check_splits=False)
-    grid = CircleGrid(cfg.grid_size)
-    R = from_string("random,degree=4,margin=0.2,seed=0", grid)
-    seq = inverse_scattering(R, cfg.levels, cfg)
-    W, depth = cfg.cmv_window, cfg.depth
-    rec = boundary_reconstruction(seq, grid, W, depth)
-    e1, e2 = RICHARDSON_EPS
-    ring1 = _two_solve_form(seq, (1.0 - e1) * grid.nodes, W, depth)
-    ring2 = _two_solve_form(seq, (1.0 - e2) * grid.nodes, W, depth)
-    assert np.max(np.abs(rec - (2.0 * ring2 - ring1))) <= 1e-12
-
-
-def test_direct_scattering_near_circle_uses_solves(small_cfg):
-    # the decoupled window is exactly unitary, so the moments never decay
-    # and a certified sweep near the circle would outcost the LU solves
+def test_direct_scattering_refuses_bad_points(small_cfg):
     rng = np.random.default_rng(9)
     seq = VerblunskySequence(-3, 0.3 * (rng.standard_normal(7) + 0j))
     W, depth = small_cfg.cmv_window, small_cfg.depth
-    for z in (0.999, 1.0 - 1e-6):
-        vals = direct_scattering(seq, [z, -0.5j], W, depth, "decoupled")
-        ref = _two_solve_form(seq, [z, -0.5j], W, depth, "decoupled")
-        assert np.max(np.abs(vals - ref)) <= 1e-12
+    assert np.all(np.isfinite(direct_scattering(seq, [1.0 - 1e-6, -0.5j], W, depth)))
     with pytest.raises(DomainError):
         direct_scattering(seq, [0.1, 1.0 - 1e-7], W, depth)
     with pytest.raises(InputError):
         direct_scattering(seq, [0.1, complex("nan")], W, depth)
 
 
-def test_moment_sweep_refuses_uncertified_tail():
-    # a unitary window needs about 9,000 moments at r = 0.999; 100 is too few
-    rng = np.random.default_rng(9)
-    seq = VerblunskySequence(-3, 0.3 * (rng.standard_normal(7) + 0j))
-    U = build_cmv(seq, 8, "decoupled")
-    wa = wandering_vectors(U, 2)
+@pytest.fixture(scope="module")
+def defaults_inputs():
+    # coefficients over [-32, 32] at the defaults; a level's coefficient does
+    # not depend on J, so every window inside is a cut of this one
+    cfg = RunConfig(check_splits=False)
+    grid = CircleGrid(cfg.grid_size)
+    out = {}
+    for family in (ANCHOR, "blaschke,r=0.8"):
+        R = from_string(family, grid)
+        out[family] = (R, inverse_scattering(R, 32, cfg))
+    return out
+
+
+def _cut(seq, lo, hi):
+    return VerblunskySequence(lo, seq.alphas[lo - seq.lo: hi - seq.lo + 1])
+
+
+@pytest.mark.parametrize("family", [ANCHOR, "blaschke,r=0.8"])
+@pytest.mark.parametrize("J", [16, 32])
+def test_moment_series_is_fourier_truncation(defaults_inputs, family, J):
+    # below the horizon the moments are the Fourier coefficients of R
+    R, seq = defaults_inputs[family]
+    series = moment_series(_cut(seq, -J, J), 8 * J, 2 * J)
+    assert series.lo == 1 - J and series.hi == J - 1
+    exact = analyze(R.samples, R.grid)
+    ref = exact.coeffs[series.lo - exact.lo: series.hi - exact.lo + 1]
+    assert np.max(np.abs(series.coeffs - ref)) <= 1e-14
+
+
+def _first_inexact(R, seq, W, depth, count=61):
+    # first k where <U*^k e0, d> or <U^k e0, d> leaves R_k or R_{-k} by 1e-12
+    U = build_cmv(seq, W, "zero-tail")
+    wa = wandering_vectors(U, depth)
     d = apply(U, wa.d0)
-    with pytest.raises(SolverError):
-        scattering._moments(U, wa.e0, d, 0.999, 100)
-    count = scattering._moment_count(wa.e0, d, 0.999)
-    a, _ = scattering._moments(U, wa.e0, d, 0.999, count)
-    assert len(a) <= count
+    star = plain = wa.e0
+    first = [None, None]
+    for k in range(count):
+        for side, (vec, j) in enumerate(((star, k), (plain, -k))):
+            if first[side] is None and abs(np.vdot(d, vec) - R.coefficient(j)) > 1e-12:
+                first[side] = k
+        star, plain = apply_adjoint(U, star), apply(U, plain)
+    return [count if f is None else f for f in first]
+
+
+@pytest.mark.parametrize("lo, hi, W, depth", [
+    (-16, 16, 128, 32), (-16, 16, 18, 8), (-16, 16, 16, 4), (-16, 16, 14, 6),
+    (-16, 16, 12, 5), (-16, 16, 10, 4), (-16, 16, 8, 3), (-16, 16, 6, 2),
+    (-16, 16, 12, 1), (-8, 16, 128, 32), (-16, 8, 128, 32), (0, 16, 128, 32),
+    # alpha_j = 0 for j >= 4 here, so [lo, 3] cuts no nonzero positive level
+    (-16, 3, 10, 2), (-16, 3, 8, 2), (-16, 3, 7, 2), (-16, 3, 8, 1), (-6, 3, 40, 2),
+])
+def test_moment_horizon_never_includes_an_inexact_moment(defaults_inputs, lo, hi, W,
+                                                         depth):
+    R, seq = defaults_inputs[ANCHOR]
+    cut = _cut(seq, lo, hi)
+    K = moment_horizon(cut, W, depth)
+    first_a, first_b = _first_inexact(R, cut, W, depth)
+    assert K <= min(first_a, first_b)
+    if K >= 1:  # and nothing is left out: a_K is already off
+        assert K == first_a
+
+
+@pytest.mark.parametrize("J, W, depth", [(16, 128, 32), (64, 512, 128), (4, 48, 8),
+                                         (6, 64, 16)])
+def test_moment_horizon_is_J_at_the_shipped_rungs(J, W, depth):
+    # defaults, the deep rung, the CLI tests' FAST flags and small_cfg
+    seq = VerblunskySequence(-J, np.zeros(2 * J + 1, dtype=complex))
+    assert moment_horizon(seq, W, depth) == J
+
+
+def test_moment_horizon_edges():
+    seq = VerblunskySequence(-16, np.zeros(33, dtype=complex))
+    assert moment_horizon(seq, 20, 9) == 0        # W = 20 < 2 * 16 + 2
+    assert moment_horizon(seq, 34, 9) == 16
+    assert moment_horizon(seq, 128, 8) == 0       # 2 * depth = hi
+    assert moment_horizon(VerblunskySequence(-40, np.zeros(47)), 14, 4) == 15  # W + 1
+    assert moment_horizon(_cut(seq, 0, 4), 128, 32) == 0
+    assert moment_horizon(_cut(seq, 3, 4), 128, 32) == 0
+    with pytest.raises(InputError, match=r"\[0, 4\] fixes K = 0"):
+        moment_series(_cut(seq, 0, 4), 128, 32)
+
+
+def test_direct_scattering_is_harmonic_extension_of_R(defaults_inputs):
+    # rings and points take the extension of S_{J-1}R, which is R here
+    R, seq = defaults_inputs[ANCHOR]
+    ring = 0.99 * CircleGrid(64).nodes
+    vals = direct_scattering(_cut(seq, -16, 16), ring, 128, 32)
+    assert np.max(np.abs(vals - harmonic_extension(R.coeffs, ring))) <= 1e-13
+
+
+def test_boundary_reconstruction_refuses_a_series_wider_than_the_grid(defaults_inputs):
+    _, seq = defaults_inputs[ANCHOR]
+    with pytest.raises(ResolutionError):
+        boundary_reconstruction(_cut(seq, -16, 16), CircleGrid(16), 128, 32)
 
 
 def test_boundary_reconstruction_zero(r_zero, small_cfg):

@@ -213,18 +213,17 @@ def test_convergence_report_zero(r_zero, small_cfg):
 
 
 def test_roundtrip_consistency_random_alphas(grid, small_cfg):
-    # feed a random coefficient window through direct then inverse
+    # inverse -> direct -> inverse on a polynomial of degree < J, which
+    # the reconstruction S_{J-1}R returns whole
     from cmvscat import boundary_reconstruction, ScatteringFunction
+    from cmvscat.families import random_trig
 
-    rng = np.random.default_rng(9)
-    alphas = 0.15 * (rng.standard_normal(5) + 1j * rng.standard_normal(5))
-    seq = VerblunskySequence(-2, alphas)
+    R = random_trig(grid, degree=3, margin=0.3, seed=9)
+    seq = inverse_scattering(R, small_cfg.levels, small_cfg)
     rec = boundary_reconstruction(seq, grid, small_cfg.cmv_window, small_cfg.depth)
-    R = ScatteringFunction.from_samples(rec, grid)
-    back = inverse_scattering(R, 4, small_cfg)
-    # recovery is limited by the ring-extrapolation error of the
-    # reconstruction, not by the coefficient extraction itself
-    for j in range(-2, 3):
-        assert abs(back.alpha(j) - seq.alpha(j)) < 1e-4
+    assert np.max(np.abs(rec - R.samples)) < 1e-12
+    back = inverse_scattering(ScatteringFunction.from_samples(rec, grid),
+                              small_cfg.levels, small_cfg)
+    assert np.max(np.abs(back.alphas - seq.alphas)) < 1e-10
     ratios = back.a0s[:-1] / back.a0s[1:]
     assert np.max(np.abs(back.rhos - ratios)) < 1e-6
