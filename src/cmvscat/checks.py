@@ -30,6 +30,7 @@ from .verblunsky import (
     rotation_relation_residual,
     schur_chain,
     shift_covariance_residual,
+    split_deviation,
 )
 
 
@@ -90,9 +91,8 @@ def check_verblunsky(R, seq, cfg):
     out = []
     out.append(_leq("alpha_modulus", float(np.max(np.abs(seq.alphas))
                                            if len(seq.alphas) else 0.0), 1.0 - 1e-15))
-    if "split_dev" in seq.diagnostics:
-        out.append(_leq("alpha_split_invariance", seq.diagnostics["split_dev"],
-                        cfg.tol_alg))
+    out.append(_leq("alpha_split_invariance", split_deviation(R, seq, cfg),
+                    cfg.tol_alg))
     rep = convergence_report(seq)
     out.append(_leq("rho_two_ways", rep["rho_ratio_max_dev"], 1e-7))
     out.append(_leq("telescoped_products", rep["telescoping_max_dev"], cfg.tol_alg))
@@ -220,12 +220,13 @@ def check_spectral(R, cfg, ns=(0, 1), kmax=4):
     return out
 
 
-def check_oracle(R, cfg, J=4, N=None):
+def check_oracle(R, seq, cfg, J=4, N=None):
+    """Oracle agreement of seq on [-J, J] and of generator inner products."""
     N = N or cfg.section_start
-    seq = inverse_scattering(R, J, cfg.replace(check_splits=False))
-    rep = oracle.compare_with_fast_path(R, J, N, cfg, seq)
-    out = [_leq("oracle_alpha_agreement", rep["max_alpha_dev"], cfg.tol_fun)]
+    J = min(J, -seq.lo, seq.hi)
     Q = oracle.quadrature_space(R, cfg.oversample)
+    rep = oracle.compare_with_fast_path(R, Q, J, N, cfg, seq)
+    out = [_leq("oracle_alpha_agreement", rep["max_alpha_dev"], cfg.tol_fun)]
     worst = 0.0
     frame_pairs = [("analytic", 0), ("analytic", 2), ("antianalytic", 1),
                    ("antianalytic", 3)]
@@ -265,7 +266,7 @@ def _suite(R, cfg, heavy):
     if not results[-1].passed:
         return results
     results += check_gram_structure(R, cfg)
-    seq = inverse_scattering(R, min(cfg.levels, 8), cfg)
+    seq = inverse_scattering(R, cfg.levels, cfg)
     results += check_verblunsky(R, seq, cfg)
     results += check_rotation(R, cfg)
     results += check_shift_covariance(R, cfg)
@@ -275,5 +276,5 @@ def _suite(R, cfg, heavy):
     results += check_spectral(R, cfg)
     if heavy:
         results += check_roundtrip(R, cfg)
-        results += check_oracle(R, cfg)
+        results += check_oracle(R, seq, cfg)
     return results

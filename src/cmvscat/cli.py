@@ -17,7 +17,7 @@ from .circle import CircleGrid
 from .config import RunConfig
 from .errors import INPUT_ERRORS, NUMERICAL_ERRORS, InputError
 from .families import from_string
-from .verblunsky import convergence_report, inverse_scattering
+from .verblunsky import convergence_report, inverse_scattering, split_deviation
 from .checks import run_full_suite
 
 EXIT_OK = 0
@@ -70,6 +70,7 @@ def cmd_inverse(args):
     cfg = _config_from(args)
     R = _load_input(args, cfg)
     seq = inverse_scattering(R, cfg.levels, cfg)
+    seq.diagnostics["split_dev"] = split_deviation(R, seq, cfg)
     _emit(fileio.save_alphas(seq), args.out)
     report = {"convergence": convergence_report(seq),
               "diagnostics": seq.diagnostics}
@@ -164,7 +165,7 @@ def cmd_check(args):
 def cmd_dump_matrix(args):
     cfg = _config_from(args)
     seq = fileio.load_alphas(args.alphas)
-    U = cmv.build_cmv(seq, cfg.cmv_window, cfg.boundary)
+    U = cmv.build_cmv(seq, cfg.cmv_window, args.boundary)
     _emit(fileio.save_matrix_csv(cmv.dump_entries(U)), args.out)
     return EXIT_OK
 
@@ -216,6 +217,8 @@ def build_parser():
 
     p = sub.add_parser("dump-matrix", help="CSV triplets of the banded operator")
     p.add_argument("--alphas", required=True)
+    p.add_argument("--boundary", choices=cmv.BOUNDARY_TAGS, default="zero-tail",
+                   help="edge policy of the window (default zero-tail)")
     _add_common(p)
     p.set_defaults(func=cmd_dump_matrix)
 

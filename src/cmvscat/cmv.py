@@ -20,7 +20,7 @@ scattering always builds zero-tail and the decoupled policy serves
 `dump-matrix` and the unitarity checks.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +55,6 @@ class CmvMatrix:
     window: int
     boundary: str
     bands: np.ndarray
-    seq: object = field(repr=False, default=None)
 
     @property
     def dim(self):
@@ -154,7 +153,7 @@ def build_cmv(seq, W, boundary="zero-tail"):
     for off, lo, hi in _diagonals(D):
         # U[j + off, j] is row j + off at column offset q = -off
         bands[BANDWIDTH + off, lo:hi] = rows[-off][lo + off : hi + off]
-    return CmvMatrix(W, boundary, bands, seq)
+    return CmvMatrix(W, boundary, bands)
 
 
 def _check_vector(U, v):

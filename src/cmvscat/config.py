@@ -1,7 +1,8 @@
 """Run configuration shared by the library drivers and the CLI.
 
-Numerical parameters only; where output goes and in which format are
-CLI flags (`--out`, `--format`), not fields.
+Numerical parameters only. Where output goes and in which format are
+CLI flags (`--out`, `--format`), and so is the `dump-matrix` edge
+policy (`--boundary`); no field switches a certificate of `check` off.
 """
 
 import dataclasses
@@ -25,12 +26,7 @@ class RunConfig:
     tol_roundtrip: float = 1e-3
     margin_min: float = 1e-3
     tail_tol: float = 1e-6
-    # CMV edge policy for `dump-matrix` only: direct scattering always
-    # takes the zero-tail window, the one with exact moments, and the
-    # unitarity check runs both policies
-    boundary: str = "zero-tail"
     oversample: int = 4
-    check_splits: bool = True
 
     def __post_init__(self):
         for name in ("grid_size", "levels", "section_start", "section_cap",
@@ -46,8 +42,6 @@ class RunConfig:
                 f"section_cap {self.section_cap} must be at least twice "
                 f"section_start {self.section_start}, or no section can double"
             )
-        if self.boundary not in ("zero-tail", "decoupled"):
-            raise InputError(f"unknown boundary policy {self.boundary!r}")
 
     def replace(self, **kw):
         return dataclasses.replace(self, **kw)

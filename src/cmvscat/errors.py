@@ -37,10 +37,6 @@ class ConvergenceError(CmvScatError):
     """Section doubling hit its cap without meeting the convergence certificate."""
 
 
-class SolverError(CmvScatError):
-    """A direct solve produced a residual above its guarantee."""
-
-
 class EvaluationError(CmvScatError):
     """Pointwise evaluation hit a near-zero denominator."""
 
@@ -55,6 +51,5 @@ NUMERICAL_ERRORS = (
     DegeneracyError,
     InconsistencyError,
     ConvergenceError,
-    SolverError,
     EvaluationError,
 )

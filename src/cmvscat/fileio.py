@@ -91,23 +91,6 @@ def _load_scattering_csv(path):
     return ScatteringFunction.from_samples(np.array(vals), grid)
 
 
-def save_scattering_samples(R, fmt="json"):
-    if fmt == "json":
-        return dumps(
-            {
-                "type": "samples",
-                "grid": R.grid.size,
-                "values": [_c2pair(v) for v in R.samples],
-            }
-        )
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["theta", "re", "im"])
-    for th, v in zip(R.grid.theta, R.samples):
-        w.writerow([repr(float(th)), repr(float(v.real)), repr(float(v.imag))])
-    return buf.getvalue()
-
-
 def load_alphas(path):
     with open(path) as fh:
         try:

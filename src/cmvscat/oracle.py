@@ -205,13 +205,13 @@ def oracle_verblunsky(R, J, N, Q):
     return VerblunskySequence(-J, np.array(alphas), np.array(a0s))
 
 
-def compare_with_fast_path(R, J, N, cfg, fast_seq):
+def compare_with_fast_path(R, Q, J, N, cfg, fast_seq):
     """Per-level agreement report between oracle and fast-path coefficients.
 
-    Reruns the oracle at doubled oversampling when the first pass
-    disagrees beyond tol_fun (Richardson-style escalation).
+    Q is R's quadrature space at cfg.oversample. Reruns the oracle at
+    doubled oversampling when the first pass disagrees beyond tol_fun
+    (Richardson-style escalation).
     """
-    Q = quadrature_space(R, cfg.oversample)
     osec = oracle_verblunsky(R, J, N, Q)
     devs = [abs(osec.alpha(j) - fast_seq.alpha(j)) for j in range(-J, J + 1)]
     max_dev = float(max(devs))

@@ -9,8 +9,6 @@ of the disk take its harmonic extension. Coefficients outside the
 window are unknown, not zero, so no moment past the horizon is used.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import circle, cmv
@@ -19,23 +17,13 @@ from .lrspace import converged_defect_pair, generator, inner_product
 from .verblunsky import inverse_scattering
 
 
-@dataclass
-class WanderingApprox:
-    """Finite-window approximations of the two wandering unit vectors."""
-
-    e0: np.ndarray
-    d0: np.ndarray
-    depth: int
-    residual: float
-
-
 def wandering_vectors(U, depth):
-    """Approximate the wandering pair by operator powers.
+    """Approximate the wandering pair (e0, d0) by operator powers.
 
     e0 = U^{-depth} applied to basis vector 2*depth, d0 = U^{depth}
     applied to basis vector 2*depth + 1. The squared distance to the
     true vectors is 2 - 2 prod(rho over the tail of levels >= 2*depth),
-    reported as `residual`.
+    so the pair is exact when no coefficient sits at those levels.
     """
     if depth < 0 or 2 * depth + 2 > U.window:
         raise DomainError(
@@ -46,11 +34,7 @@ def wandering_vectors(U, depth):
     for _ in range(depth):
         e0 = cmv.apply_adjoint(U, e0)
         d0 = cmv.apply(U, d0)
-    tail = 1.0
-    if U.seq is not None:
-        for j in range(max(2 * depth, U.seq.lo), U.seq.hi + 1):
-            tail *= U.seq.rho(j)
-    return WanderingApprox(e0, d0, depth, 2.0 - 2.0 * tail)
+    return e0, d0
 
 
 def moment_horizon(seq, W, depth):
@@ -70,7 +54,7 @@ def moment_horizon(seq, W, depth):
     crosses an edge:
       - e0 = U*^depth delta_{2 depth} is the wandering vector exactly
         when no coefficient sits at a level >= 2 depth, i.e.
-        2 depth > hi (its residual is then 0);
+        2 depth > hi (its distance to the true vector is then 0);
       - that sweep reaches level hi after depth - hi/2 steps and sends
         odd components up for the remaining hi/2 steps, to index
         2 hi + 1; U brings them back, so the window must hold them:
@@ -124,9 +108,9 @@ def moment_series(seq, W, depth):
             f"2 * depth > hi and window >= 2 * hi + 2"
         )
     U = cmv.build_cmv(seq, W, "zero-tail")
-    wa = wandering_vectors(U, depth)
-    d = cmv.apply(U, wa.d0)
-    star = plain = wa.e0
+    e0, d0 = wandering_vectors(U, depth)
+    d = cmv.apply(U, d0)
+    star = plain = e0
     a = np.empty(K, dtype=complex)
     b = np.empty(K, dtype=complex)
     for k in range(K):
@@ -182,9 +166,8 @@ def roundtrip(R, cfg, ladder=0):
     """Inverse scattering followed by reconstruction, with error metrics.
 
     With ladder > 0, repeats with (J, W, depth, N) doubled that many
-    times and reports the error trend. Each rung's inverse skips the
-    shifted-split recomputation (`check_splits`): only the boundary
-    errors are reported here.
+    times and reports the error trend. Only the boundary errors are
+    reported; split invariance is `check`'s (`split_deviation`).
 
     Returns
     -------
@@ -214,7 +197,6 @@ def roundtrip(R, cfg, ladder=0):
             cmv_window=W * 2**rung,
             depth=depth * 2**rung,
             section_start=start * 2**rung,
-            check_splits=False,
         )
         seq = inverse_scattering(R, sub.levels, sub)
         rec = boundary_reconstruction(seq, R.grid, sub.cmv_window, sub.depth)

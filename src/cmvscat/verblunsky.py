@@ -99,17 +99,16 @@ def inverse_scattering(R, J, cfg):
 
     Computes defect pairs for levels -J..J+1 (the extra level supplies
     the last residual ratio), extracts alpha_j = <K_j, Ktilde_j> at the
-    balanced split, and records the residual norms. With
-    cfg.check_splits the coefficients are recomputed at the shifted
-    split (n+1, m-1) and the largest deviation is reported, along with
-    the worst mismatch between the two readings of rho_j.
+    balanced split, and records the residual norms. Coefficients only:
+    their independence of the split is `split_deviation`, and the
+    residual-ratio reading of rho_j is `convergence_report`.
 
     Returns
     -------
     VerblunskySequence
-        `diagnostics` carries "rho_dev", "cond" (the largest frame Gram
-        estimate), "split_dev" with cfg.check_splits, and "sections":
-        one {level, N, cond, a0} per level -J..J+1, N converged.
+        `diagnostics` carries "cond" (the largest frame Gram estimate)
+        and "sections": one {level, N, cond, a0} per level -J..J+1,
+        N converged.
 
     Raises
     ------
@@ -136,18 +135,22 @@ def inverse_scattering(R, J, cfg):
         {"level": j, "N": p.frame.N, "cond": p.cond, "a0": p.a0}
         for j, p in pairs.items()
     ]
-    rhos = seq.rhos
-    seq.diagnostics["rho_dev"] = float(
-        np.max(np.abs(rhos - a0s[:-1] / a0s[1:]))
-    )
-    if cfg.check_splits:
-        devs = []
-        for j in range(-J, J + 1):
-            n, m = level_split(j)
-            alt = converged_defect_pair(R, n + 1, m - 1, cfg)
-            devs.append(abs(alpha_from_defects(alt) - seq.alpha(j)))
-        seq.diagnostics["split_dev"] = float(max(devs))
     return seq
+
+
+def split_deviation(R, seq, cfg):
+    """Largest |alpha_j(n+1, m-1) - alpha_j| over the levels of seq.
+
+    The coefficient at level j = n + m does not depend on how j is
+    split; this recomputes each one at the shifted split (n+1, m-1) of
+    the balanced one and compares.
+    """
+    devs = []
+    for j in range(seq.lo, seq.hi + 1):
+        n, m = level_split(j)
+        alt = converged_defect_pair(R, n + 1, m - 1, cfg)
+        devs.append(abs(alpha_from_defects(alt) - seq.alpha(j)))
+    return float(max(devs))
 
 
 def recover_omega(pair, n, m):

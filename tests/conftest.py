@@ -21,7 +21,6 @@ def small_cfg():
         section_cap=128,
         cmv_window=64,
         depth=16,
-        check_splits=False,
     )
 
 

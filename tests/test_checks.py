@@ -27,8 +27,7 @@ def solved(monkeypatch):
 
 
 def test_suite_solves_each_section_once(r_smooth, small_cfg, solved):
-    cfg = small_cfg.replace(check_splits=True)
-    results = run_full_suite(r_smooth, cfg)
+    results = run_full_suite(r_smooth, small_cfg)
     assert {r.name for r in results} >= {"alpha_split_invariance", "roundtrip_sup_error",
                                           "oracle_alpha_agreement"}
     assert len(solved) > 0
@@ -58,11 +57,17 @@ def test_memo_released_after_raise(r_smooth, small_cfg, solved, monkeypatch):
     assert len(solved) == 2 * len(set(solved))
 
 
+def test_suite_always_certifies_split_invariance(r_smooth, small_cfg):
+    # no setting removes the certificate, not even the light suite
+    names = [r.name for r in run_full_suite(r_smooth, small_cfg, heavy=False)]
+    assert names.count("alpha_split_invariance") == 1
+
+
 def test_suite_values_match_checks_run_alone(r_smooth, small_cfg):
-    cfg = small_cfg.replace(check_splits=True)
+    cfg = small_cfg
     suite = run_full_suite(r_smooth, cfg)
     R = r_smooth
-    seq = inverse_scattering(R, min(cfg.levels, 8), cfg)
+    seq = inverse_scattering(R, cfg.levels, cfg)
     alone = (
         checks.check_gram_structure(R, cfg)
         + checks.check_verblunsky(R, seq, cfg)
@@ -73,7 +78,7 @@ def test_suite_values_match_checks_run_alone(r_smooth, small_cfg):
         + checks.check_asymptotics(R, cfg)
         + checks.check_spectral(R, cfg)
         + checks.check_roundtrip(R, cfg)
-        + checks.check_oracle(R, cfg)
+        + checks.check_oracle(R, seq, cfg)
     )
     assert suite[0].name == "szego_condition"
     assert [r.as_dict() for r in suite[1:]] == [r.as_dict() for r in alone]
@@ -91,3 +96,13 @@ def test_suite_leaves_no_cycle_through_input(small_cfg):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_oracle_compares_within_a_narrow_window(r_smooth, small_cfg):
+    # below J = 4 the oracle reads only the levels the suite computed,
+    # not the zeros outside its window
+    cfg = small_cfg.replace(levels=2)
+    seq = inverse_scattering(r_smooth, cfg.levels, cfg)
+    result = checks.check_oracle(r_smooth, seq, cfg)[0]
+    assert result.name == "oracle_alpha_agreement"
+    assert result.value <= cfg.tol_fun

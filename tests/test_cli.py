@@ -236,14 +236,19 @@ def test_cli_roundtrip_rejects_negative_ladder(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("key, value", [("out", "x.json"), ("fmt", "csv")])
+@pytest.mark.parametrize("key, value", [("out", "x.json"), ("fmt", "csv"),
+                                        ("check_splits", False),
+                                        ("boundary", "decoupled")])
 def test_cli_config_rejects_output_keys(tmp_path, capsys, key, value):
-    # where output goes and its format are flags, not RunConfig fields
+    # where output goes, its format and the dump-matrix edge policy are
+    # flags, and no field can switch a certificate off
     cfg_path = _write(tmp_path, "cfg.json", json.dumps({key: value}))
     code = main(["inverse", "--family", "zero", "--config", cfg_path,
                  "--out", str(tmp_path / "a.json")] + FAST)
     assert code == 2
-    assert "unknown config keys" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unknown config keys" in err
+    assert "Traceback" not in err
 
 
 def test_cli_spectrum_csv(tmp_path):
@@ -313,7 +318,7 @@ def test_cli_numerical_failure_exit_code(tmp_path):
     # Blaschke input has an infinite coefficient tail, so tiny sections
     # at an impossible tolerance must refuse
     cfg = RunConfig(grid_size=256, levels=2, section_start=8, section_cap=16,
-                    section_tol=1e-30, check_splits=False)
+                    section_tol=1e-30)
     cfg_path = _write(tmp_path, "cfg.json", json.dumps(cfg.to_dict()))
     code = main(["inverse", "--family", "blaschke,r=0.8",
                  "--config", cfg_path, "--out", str(tmp_path / "a.json")])
@@ -372,44 +377,61 @@ def test_cli_roundtrip_rejects_undoublable_ladder(tmp_path, capsys, monkeypatch)
 
 
 def test_cli_direct_boundary_follows_config(tmp_path):
-    # direct always takes the zero-tail window; only dump-matrix reads the policy
-    from cmvscat import scattering
+    # direct always takes the zero-tail window; only dump-matrix --boundary
+    # chooses a policy
+    from cmvscat import cmv, scattering
 
-    alphas = _write(tmp_path, "a.json",
-                    json.dumps({"lo": -2, "alphas": [[0.2, 0.1], [-0.3, 0.0], [0.1, -0.2],
-                                                     [0.05, 0.0], [0.0, 0.1]]}))
+    seq = VerblunskySequence(-2, [0.2 + 0.1j, -0.3, 0.1 - 0.2j, 0.05, 0.1j])
+    alphas = _write(tmp_path, "a.json", fileio.save_alphas(seq))
     small = ["--grid", "64", "--window", "16", "--depth", "4"]
     text = {}
-    for policy in ("zero-tail", "decoupled"):
-        cfg_path = _write(tmp_path, f"{policy}.json", json.dumps({"boundary": policy}))
-        for command in ("direct", "dump-matrix"):
-            out = str(tmp_path / f"{policy}.{command}.out")
-            assert main([command, "--alphas", alphas, "--config", cfg_path,
-                         "--out", out] + small) == 0
-            text[policy, command] = open(out).read()
-    assert text["decoupled", "direct"] == text["zero-tail", "direct"]
-    assert text["decoupled", "dump-matrix"] != text["zero-tail", "dump-matrix"]
+    for policy in (None, "zero-tail", "decoupled"):
+        extra = [] if policy is None else ["--boundary", policy]
+        out = str(tmp_path / f"{policy}.csv")
+        assert main(["dump-matrix", "--alphas", alphas, "--out", out]
+                    + extra + small) == 0
+        text[policy] = open(out, newline="").read()
+    assert text[None] == text["zero-tail"]
+    for policy in cmv.BOUNDARY_TAGS:
+        U = cmv.build_cmv(seq, 16, policy)
+        assert text[policy] == fileio.save_matrix_csv(cmv.dump_entries(U))
+    assert text["decoupled"] != text["zero-tail"]
+    out = str(tmp_path / "direct.json")
+    assert main(["direct", "--alphas", alphas, "--out", out] + small) == 0
+    text["direct"] = open(out).read()
     grid = CircleGrid(64)
     values = scattering.boundary_reconstruction(fileio.load_alphas(alphas), grid, 16, 4)
-    assert text["zero-tail", "direct"] == fileio.save_reconstruction(grid.nodes, values,
-                                                                    "json")
+    assert text["direct"] == fileio.save_reconstruction(grid.nodes, values, "json")
 
 
 def test_cli_roundtrip_boundary_follows_config(tmp_path):
-    # the reconstruction takes the zero-tail window under either policy
-    args = ["roundtrip", "--family", "random,degree=4,margin=0.3,seed=5",
-            "--ladder", "0"] + FAST
-    text = {}
-    for policy in (None, "zero-tail", "decoupled"):
-        out = str(tmp_path / f"{policy}.out.json")
-        extra = []
-        if policy is not None:
-            extra = ["--config", _write(tmp_path, f"{policy}.json",
-                                        json.dumps({"boundary": policy}))]
-        assert main(args + extra + ["--out", out]) == 0
-        text[policy] = open(out).read()
-    assert text["zero-tail"] == text[None]
-    assert text["decoupled"] == text["zero-tail"]
+    # the reconstruction takes the zero-tail window, and no flag picks another
+    from cmvscat import scattering
+    from cmvscat.verblunsky import inverse_scattering
+
+    family = "random,degree=4,margin=0.3,seed=5"
+    args = ["roundtrip", "--family", family, "--ladder", "0"] + FAST
+    out = str(tmp_path / "report.json")
+    assert main(args + ["--out", out]) == 0
+    cfg = RunConfig(grid_size=256, levels=4, cmv_window=48, depth=8)
+    R = from_string(family, CircleGrid(cfg.grid_size))
+    seq = inverse_scattering(R, cfg.levels, cfg)
+    rec = scattering.boundary_reconstruction(seq, R.grid, cfg.cmv_window, cfg.depth)
+    sup = float(np.max(np.abs(rec - R.samples)))
+    assert json.loads(open(out).read())["sup_error"] == sup
+    with pytest.raises(SystemExit):
+        main(args + ["--boundary", "decoupled", "--out", out])
+
+
+@pytest.mark.parametrize("family", ["monomial,gamma=0.7447,k=8",
+                                    "random,degree=8,margin=0.2,seed=3"])
+def test_cli_check_tail_reads_configured_window(tmp_path, family):
+    # alpha_tail_square_sum reads the top quarter of [-J, J], levels 9..16 at
+    # J = 16, where a degree-8 input's positive levels (nonzero up to 7) vanish
+    out = str(tmp_path / "check.json")
+    assert main(["check", "--family", family, "--out", out]) == 0
+    checks = {c["name"]: c for c in json.loads(open(out).read())["checks"]}
+    assert checks["alpha_tail_square_sum"]["value"] <= RunConfig().tail_tol
 
 
 def test_cli_direct_refuses_window_without_moments(tmp_path, capsys):

@@ -82,7 +82,8 @@ def test_oracle_agrees_with_fast_path(small_cfg):
 
     R = random_trig(CircleGrid(small_cfg.grid_size), degree=6, margin=0.2, seed=21)
     seq = inverse_scattering(R, 4, small_cfg)
-    rep = compare_with_fast_path(R, 4, small_cfg.section_start, small_cfg, seq)
+    Q = quadrature_space(R, small_cfg.oversample)
+    rep = compare_with_fast_path(R, Q, 4, small_cfg.section_start, small_cfg, seq)
     assert rep["max_alpha_dev"] <= 1e-6
 
 

@@ -19,7 +19,7 @@ from cmvscat import (
     roundtrip,
     wandering_vectors,
 )
-from cmvscat import scattering
+from cmvscat import scattering, verblunsky
 from cmvscat.errors import DomainError, InputError, ResolutionError
 from cmvscat.families import from_string
 
@@ -30,9 +30,9 @@ def test_wandering_free_case_exact():
     seq = VerblunskySequence(0, np.array([0j]))
     U = build_cmv(seq, 32)
     for depth in (1, 3, 7):
-        wa = wandering_vectors(U, depth)
-        assert np.max(np.abs(wa.e0 - U.basis_vector(0))) < 1e-14
-        assert np.max(np.abs(wa.d0 - U.basis_vector(1))) < 1e-14
+        e0, d0 = wandering_vectors(U, depth)
+        assert np.max(np.abs(e0 - U.basis_vector(0))) < 1e-14
+        assert np.max(np.abs(d0 - U.basis_vector(1))) < 1e-14
 
 
 def test_wandering_depth_zero_any_alpha():
@@ -41,9 +41,9 @@ def test_wandering_depth_zero_any_alpha():
         -3, 0.4 * (rng.standard_normal(7) + 1j * rng.standard_normal(7))
     )
     U = build_cmv(seq, 16)
-    wa = wandering_vectors(U, 0)
-    assert np.max(np.abs(wa.e0 - U.basis_vector(0))) == 0.0
-    assert np.max(np.abs(wa.d0 - U.basis_vector(1))) == 0.0
+    e0, d0 = wandering_vectors(U, 0)
+    assert np.max(np.abs(e0 - U.basis_vector(0))) == 0.0
+    assert np.max(np.abs(d0 - U.basis_vector(1))) == 0.0
 
 
 def test_wandering_unit_norm_and_residual():
@@ -52,10 +52,9 @@ def test_wandering_unit_norm_and_residual():
         -4, 0.3 * (rng.standard_normal(9) + 1j * rng.standard_normal(9))
     )
     U = build_cmv(seq, 64)
-    wa = wandering_vectors(U, 8)
-    assert abs(np.linalg.norm(wa.e0) - 1.0) < 1e-10
-    assert abs(np.linalg.norm(wa.d0) - 1.0) < 1e-10
-    assert wa.residual >= 0.0
+    e0, d0 = wandering_vectors(U, 8)
+    assert abs(np.linalg.norm(e0) - 1.0) < 1e-10
+    assert abs(np.linalg.norm(d0) - 1.0) < 1e-10
 
 
 def test_wandering_increment_bounded_by_tail_product():
@@ -66,9 +65,9 @@ def test_wandering_increment_bounded_by_tail_product():
     )
     U = build_cmv(seq, 64)
     for depth in (1, 2, 3):
-        a = wandering_vectors(U, depth)
-        b = wandering_vectors(U, depth + 1)
-        gap2 = np.linalg.norm(a.e0 - b.e0) ** 2
+        a, _ = wandering_vectors(U, depth)
+        b, _ = wandering_vectors(U, depth + 1)
+        gap2 = np.linalg.norm(a - b) ** 2
         tail = np.prod([seq.rho(j) for j in range(2 * depth, seq.hi + 1)])
         assert gap2 <= 2.0 - 2.0 * tail + 1e-12
 
@@ -120,9 +119,9 @@ def test_direct_scattering_moment_form(r_half, small_cfg):
     # d* U^k e pairs give the negative-index coefficients, shifted by one
     seq = inverse_scattering(r_half, small_cfg.levels, small_cfg)
     U = build_cmv(seq, small_cfg.cmv_window, "zero-tail")
-    wa = wandering_vectors(U, small_cfg.depth)
-    d = apply(U, wa.d0)
-    vec = wa.e0.copy()
+    e0, d0 = wandering_vectors(U, small_cfg.depth)
+    d = apply(U, d0)
+    vec = e0.copy()
     for k in range(0, 4):
         got = np.vdot(d, vec)  # <U^k e0, d_{-1}> = c_{-k}
         assert abs(got - r_half.coefficient(-k)) < 1e-9
@@ -155,7 +154,7 @@ def test_direct_scattering_refuses_bad_points(small_cfg):
 def defaults_inputs():
     # coefficients over [-32, 32] at the defaults; a level's coefficient does
     # not depend on J, so every window inside is a cut of this one
-    cfg = RunConfig(check_splits=False)
+    cfg = RunConfig()
     grid = CircleGrid(cfg.grid_size)
     out = {}
     for family in (ANCHOR, "blaschke,r=0.8"):
@@ -183,9 +182,9 @@ def test_moment_series_is_fourier_truncation(defaults_inputs, family, J):
 def _first_inexact(R, seq, W, depth, count=61):
     # first k where <U*^k e0, d> or <U^k e0, d> leaves R_k or R_{-k} by 1e-12
     U = build_cmv(seq, W, "zero-tail")
-    wa = wandering_vectors(U, depth)
-    d = apply(U, wa.d0)
-    star = plain = wa.e0
+    e0, d0 = wandering_vectors(U, depth)
+    d = apply(U, d0)
+    star = plain = e0
     first = [None, None]
     for k in range(count):
         for side, (vec, j) in enumerate(((star, k), (plain, -k))):
@@ -283,16 +282,19 @@ def test_roundtrip_error_tracks_level_window(r_smooth, small_cfg):
 
 def test_roundtrip_skips_split_recomputation(r_half, small_cfg, monkeypatch):
     # only boundary errors are reported, so no rung re-solves shifted splits
-    seen = []
+    rungs, splits = [], []
     original = scattering.inverse_scattering
 
     def recording(R, J, cfg):
-        seen.append(cfg.check_splits)
+        rungs.append(J)
         return original(R, J, cfg)
 
     monkeypatch.setattr(scattering, "inverse_scattering", recording)
-    roundtrip(r_half, small_cfg.replace(check_splits=True), ladder=1)
-    assert seen == [False, False]
+    monkeypatch.setattr(verblunsky, "split_deviation",
+                        lambda *args: splits.append(args))
+    roundtrip(r_half, small_cfg, ladder=1)
+    assert rungs == [small_cfg.levels, 2 * small_cfg.levels]
+    assert splits == []
 
 
 def test_roundtrip_ladder_limited_by_section_cap(r_half, small_cfg):

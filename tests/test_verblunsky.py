@@ -18,6 +18,7 @@ from cmvscat.verblunsky import (
     rotation_relation_residual,
     schur_chain,
     shift_covariance_residual,
+    split_deviation,
 )
 
 RHO = np.sqrt(0.75)
@@ -92,9 +93,8 @@ def test_inverse_scattering_requires_margin(grid, small_cfg):
 
 
 def test_split_invariance(r_smooth, small_cfg):
-    cfg = small_cfg.replace(check_splits=True)
-    seq = inverse_scattering(r_smooth, 3, cfg)
-    assert seq.diagnostics["split_dev"] <= cfg.tol_alg
+    seq = inverse_scattering(r_smooth, 3, small_cfg)
+    assert split_deviation(r_smooth, seq, small_cfg) <= small_cfg.tol_alg
 
 
 def test_rho_two_computations(r_smooth, small_cfg):
