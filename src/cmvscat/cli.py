@@ -4,7 +4,8 @@ Five commands over the library pipeline: inverse, direct, roundtrip,
 spectrum, check. The CLI parses inputs, wires configuration and writes
 reports; every number it emits comes from a library call.
 
-Exit codes: 0 success, 2 input problem, 3 numerical failure.
+Exit codes: 0 success, 2 input problem (including a file that cannot
+be read or written), 3 numerical failure.
 """
 
 import argparse
@@ -70,11 +71,13 @@ def cmd_inverse(args):
     cfg = _config_from(args)
     R = _load_input(args, cfg)
     seq = inverse_scattering(R, cfg.levels, cfg)
-    seq.diagnostics["split_dev"] = split_deviation(R, seq, cfg)
     _emit(fileio.save_alphas(seq), args.out)
-    report = {"convergence": convergence_report(seq),
-              "diagnostics": seq.diagnostics}
     if args.report:
+        # split_dev re-solves every level at the shifted split, which
+        # doubles the sections; only the report reads it
+        seq.diagnostics["split_dev"] = split_deviation(R, seq, cfg)
+        report = {"convergence": convergence_report(seq),
+                  "diagnostics": seq.diagnostics}
         _emit(fileio.save_report(report), args.report)
     print(
         f"inverse: {len(seq.alphas)} coefficients over [{seq.lo}, {seq.hi}], "
@@ -229,7 +232,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except INPUT_ERRORS as exc:
+    except (*INPUT_ERRORS, OSError) as exc:
+        # OSError: a file named on the command line cannot be read or
+        # written; its message names the path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NUMERICAL_ERRORS as exc:

@@ -6,10 +6,12 @@ policy (`--boundary`); no field switches a certificate of `check` off.
 """
 
 import dataclasses
-import json
+import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import InputError
+from .fileio import load_json_object
 
 
 @dataclass(frozen=True)
@@ -29,14 +31,16 @@ class RunConfig:
     oversample: int = 4
 
     def __post_init__(self):
-        for name in ("grid_size", "levels", "section_start", "section_cap",
-                     "cmv_window", "depth", "oversample"):
-            if getattr(self, name) <= 0:
-                raise InputError(f"{name} must be positive")
-        for name in ("section_tol", "tol_alg", "tol_fun", "tol_roundtrip",
-                     "margin_min", "tail_tol"):
-            if getattr(self, name) <= 0:
-                raise InputError(f"{name} must be positive")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kind, noun = ((numbers.Integral, "an integer") if f.type is int
+                          else (numbers.Real, "a number"))
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise InputError(f"{f.name} must be {noun}, got {value!r}")
+            if value <= 0:
+                raise InputError(f"{f.name} must be positive")
+            if not math.isfinite(value):  # JSON NaN/Infinity would void a bound
+                raise InputError(f"{f.name} must be finite, got {value!r}")
         if self.section_cap < 2 * self.section_start:
             raise InputError(
                 f"section_cap {self.section_cap} must be at least twice "
@@ -48,8 +52,12 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path):
-        with open(path) as fh:
-            data = json.load(fh)
+        """RunConfig from a JSON object of field overrides.
+
+        Malformed JSON, a value that is not an object and unknown keys
+        raise InputError; an unreadable file raises OSError.
+        """
+        data = load_json_object(path)
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:

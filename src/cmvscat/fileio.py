@@ -19,6 +19,18 @@ def dumps(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def load_json_object(path):
+    """The JSON object in a file; malformed JSON or another value raises InputError."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
 def write_text(path, text):
     with open(path, "w") as fh:
         fh.write(text)
@@ -38,11 +50,7 @@ def load_scattering(path, grid_size):
     """
     if str(path).endswith(".csv"):
         return _load_scattering_csv(path)
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON ({exc})") from exc
+    data = load_json_object(path)
     kind = data.get("type")
     if kind == "coeffs":
         entries = data.get("entries")
@@ -92,11 +100,7 @@ def _load_scattering_csv(path):
 
 
 def load_alphas(path):
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON ({exc})") from exc
+    data = load_json_object(path)
     if "lo" not in data or "alphas" not in data:
         raise InputError(f"{path}: coefficient files need 'lo' and 'alphas'")
     try:

@@ -251,6 +251,49 @@ def test_cli_config_rejects_output_keys(tmp_path, capsys, key, value):
     assert "Traceback" not in err
 
 
+_BAD_FILES = [
+    ("missing config", None, "cfg.json"),
+    ("invalid JSON", "{", "cfg.json"),
+    ("not an object", "[1]", "cfg.json"),
+    ("string for int", '{"levels": "x"}', "levels"),
+    ("float for int", '{"levels": 4.5}', "levels"),
+    ("bool for int", '{"levels": true}', "levels"),
+    ("string for float", '{"section_tol": "1e-9"}', "section_tol"),
+    ("NaN tolerance", '{"section_tol": NaN}', "section_tol"),
+    ("infinite tolerance", '{"tol_alg": Infinity}', "tol_alg"),
+    ("missing input", "", "nope.json"),
+    ("input not an object", "", "list.json"),
+    ("missing alphas", "", "nope.json"),
+    ("out into missing dir", "", "nodir"),
+    ("report into missing dir", "", "nodir"),
+]
+
+
+@pytest.mark.parametrize("case, config, names", _BAD_FILES,
+                         ids=[c[0].replace(" ", "-") for c in _BAD_FILES])
+def test_cli_bad_file_or_config_exits_2(tmp_path, capsys, case, config, names):
+    # files the command line names and config values keep the CLI contract:
+    # exit 2 with a message naming the file or key, never a traceback
+    cfg_path = str(tmp_path / "cfg.json")
+    if config:
+        _write(tmp_path, "cfg.json", config)
+    nope, nodir = str(tmp_path / "nope.json"), str(tmp_path / "nodir" / "x.json")
+    out = str(tmp_path / "a.json")
+    argv = {
+        "missing input": ["inverse", "--input", nope, "--out", out],
+        "input not an object": ["inverse", "--out", out, "--input",
+                                _write(tmp_path, "list.json", "[1]")],
+        "missing alphas": ["direct", "--alphas", nope, "--out", out],
+        "out into missing dir": ["inverse", "--family", "zero", "--out", nodir],
+        "report into missing dir": ["inverse", "--family", "zero", "--out", out,
+                                    "--report", nodir],
+    }.get(case, ["inverse", "--family", "zero", "--config", cfg_path, "--out", out])
+    assert main(argv + FAST) == 2
+    err = capsys.readouterr().err
+    assert names in err
+    assert "Traceback" not in err
+
+
 def test_cli_spectrum_csv(tmp_path):
     out = str(tmp_path / "density.csv")
     rep = str(tmp_path / "moments.json")
@@ -467,6 +510,35 @@ def test_cli_readme_check_example_passes(tmp_path):
                  "--out", out]) == 0
     checks = {c["name"]: c for c in json.loads(open(out).read())["checks"]}
     assert checks["roundtrip_sup_error"]["value"] <= 1e-14
+
+
+def test_cli_inverse_solves_each_level_once(tmp_path, monkeypatch):
+    # plain inverse solves each level of [-J, J+1] once; only --report
+    # re-solves them at the shifted split for split_dev
+    from cmvscat import cli, verblunsky
+
+    calls = {"split": 0, "pair": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "split_deviation",
+                        counting("split", verblunsky.split_deviation))
+    monkeypatch.setattr(verblunsky, "converged_defect_pair",
+                        counting("pair", verblunsky.converged_defect_pair))
+    J = 4  # FAST --levels
+    out = str(tmp_path / "a.json")
+    assert main(["inverse", "--family", "random,degree=4,margin=0.3,seed=5",
+                 "--out", out] + FAST) == 0
+    assert calls == {"split": 0, "pair": 2 * J + 2}
+    rep = str(tmp_path / "rep.json")
+    assert main(["inverse", "--family", "random,degree=4,margin=0.3,seed=5",
+                 "--out", out, "--report", rep] + FAST) == 0
+    assert calls == {"split": 1, "pair": (2 * J + 2) + (4 * J + 3)}
+    assert json.loads(open(rep).read())["diagnostics"]["split_dev"] == 0.0
 
 
 def test_cli_inverse_report_sections(tmp_path):

@@ -97,6 +97,29 @@ def test_split_invariance(r_smooth, small_cfg):
     assert split_deviation(r_smooth, seq, small_cfg) <= small_cfg.tol_alg
 
 
+@pytest.mark.parametrize("spec", ["random,degree=4,margin=0.2,seed=0",  # anchor
+                                  "blaschke,r=0.8"])
+def test_shifted_split_section_is_identical(spec):
+    # the frame Gram of a split is the Hankel block c_{-(j+1+i+k)}, which
+    # depends on the level j = n + m only, so the shifted split (n+1, m-1)
+    # solves the same matrix and split_deviation reads 0.0 by construction
+    from cmvscat import CircleGrid
+    from cmvscat.config import RunConfig
+    from cmvscat.families import from_string
+
+    cfg = RunConfig()
+    R = from_string(spec, CircleGrid(cfg.grid_size))
+    for j in (-5, 0, 3):
+        n, m = level_split(j)
+        for N in (32, 128):
+            a, b = defect_pair(R, n, m, N), defect_pair(R, n + 1, m - 1, N)
+            assert np.array_equal(a.K.coords(), b.K.coords())
+            assert np.array_equal(a.Ktilde.coords(), b.Ktilde.coords())
+            assert (a.a0, a.a0_tilde, a.cond) == (b.a0, b.a0_tilde, b.cond)
+    seq = inverse_scattering(R, 16, cfg)
+    assert split_deviation(R, seq, cfg) == 0.0
+
+
 def test_rho_two_computations(r_smooth, small_cfg):
     seq = inverse_scattering(r_smooth, small_cfg.levels, small_cfg)
     ratios = seq.a0s[:-1] / seq.a0s[1:]
