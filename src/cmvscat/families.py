@@ -3,7 +3,7 @@
 import numpy as np
 
 from .circle import LaurentSeries, ScatteringFunction, synthesize
-from .errors import InputError
+from .errors import InputError, ResolutionError
 
 
 def zero(grid):
@@ -14,8 +14,8 @@ def monomial(grid, gamma=0.5, k=1):
     """R = gamma tbar^k (a single negative-index coefficient)."""
     if abs(gamma) > 1:
         raise InputError(f"|gamma| must be <= 1, got {abs(gamma):.6g}")
-    if k < 1:
-        raise InputError("k must be a positive integer")
+    if not 1 <= k <= 2**53:  # beyond 2**53 index arithmetic leaves int64
+        raise InputError(f"k must be a positive integer up to 2**53, got {k}")
     return ScatteringFunction.from_coeffs(LaurentSeries(-k, [complex(gamma)]), grid)
 
 
@@ -39,6 +39,11 @@ def random_trig(grid, degree=8, margin=0.2, seed=0):
         raise InputError("degree must be positive")
     if not 0 < margin < 1:
         raise InputError(f"margin must lie in (0, 1), got {margin}")
+    if seed < 0:
+        raise InputError(f"seed must be a nonnegative integer, got {seed}")
+    if 2 * degree >= grid.size:  # refused before drawing 2 * degree + 1 numbers
+        raise ResolutionError(f"Laurent window [{-degree}, {degree}] does not fit "
+                              f"a grid of size {grid.size}; increase M")
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal(2 * degree + 1) + 1j * rng.standard_normal(
         2 * degree + 1
@@ -49,11 +54,13 @@ def random_trig(grid, degree=8, margin=0.2, seed=0):
     return ScatteringFunction.from_coeffs(series, grid)
 
 
+# family name -> (builder, parser of each parameter's value text)
 _FAMILIES = {
-    "zero": zero,
-    "monomial": monomial,
-    "blaschke": blaschke,
-    "random": random_trig,
+    "zero": (zero, {}),
+    "monomial": (monomial, {"gamma": complex, "k": int}),
+    "blaschke": (blaschke, {"r": float, "zeros": lambda text: tuple(
+        complex(z) for z in text.split(";") if z)}),
+    "random": (random_trig, {"degree": int, "margin": float, "seed": int}),
 }
 
 
@@ -62,7 +69,7 @@ def from_string(text, grid):
 
     Format: name[,key=value,...], e.g. "monomial,gamma=0.5,k=1" or
     "random,degree=8,margin=0.2,seed=3". Complex values accept Python
-    literal syntax like 0.8j.
+    literal syntax like 0.8j. A bad value raises InputError naming its key.
     """
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts or parts[0] not in _FAMILIES:
@@ -70,19 +77,16 @@ def from_string(text, grid):
             f"unknown family {text!r}; choose from {sorted(_FAMILIES)}"
         )
     name, kwargs = parts[0], {}
+    build, parsers = _FAMILIES[name]
     for p in parts[1:]:
         if "=" not in p:
             raise InputError(f"family parameter {p!r} must be key=value")
         key, val = p.split("=", 1)
         key = key.strip()
-        if key in ("k", "degree", "seed"):
-            kwargs[key] = int(val)
-        elif key in ("r", "margin"):
-            kwargs[key] = float(val)
-        elif key == "gamma":
-            kwargs[key] = complex(val)
-        elif key == "zeros":
-            kwargs[key] = tuple(complex(z) for z in val.split(";") if z)
-        else:
+        if key not in parsers:
             raise InputError(f"unknown parameter {key!r} for family {name!r}")
-    return _FAMILIES[name](grid, **kwargs)
+        try:
+            kwargs[key] = parsers[key](val)
+        except ValueError as exc:
+            raise InputError(f"family parameter {key}={val!r}: {exc}") from exc
+    return build(grid, **kwargs)

@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from .circle import CircleGrid, LaurentSeries, ScatteringFunction
-from .errors import InputError
+from .errors import InputError, ResolutionError
 from .verblunsky import VerblunskySequence
 
 
@@ -40,61 +40,84 @@ def _c2pair(z):
     return [float(np.real(z)), float(np.imag(z))]
 
 
+def _rows(value, what, width):
+    """A JSON list of rows of `width` finite numbers as a float array."""
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{what}: {exc}") from exc
+    if arr.ndim != 2 or arr.shape[1] != width or not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} must be a list of rows of {width} finite numbers")
+    return arr
+
+
+def _integer(value, what):
+    """An integer below 2**53 in magnitude, which a float holds exactly."""
+    try:
+        if float(value) == int(value) and abs(int(value)) < 2**53:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what} {value!r} is not an integer below 2**53 in magnitude")
+
+
 def load_scattering(path, grid_size):
     """Read a scattering function from JSON or CSV.
 
     JSON: {"type": "coeffs", "entries": [[j, re, im], ...]} or
           {"type": "samples", "grid": M, "values": [[re, im], ...]}.
     CSV: columns theta, re, im over a full equispaced grid (optional
-    header row).
+    header row). A malformed value raises InputError naming the file.
     """
     if str(path).endswith(".csv"):
         return _load_scattering_csv(path)
     data = load_json_object(path)
     kind = data.get("type")
-    if kind == "coeffs":
-        entries = data.get("entries")
-        if not entries:
-            raise InputError(f"{path}: 'entries' must be a nonempty list")
-        idx = {}
-        for row in entries:
-            if len(row) != 3:
-                raise InputError(f"{path}: coefficient rows must be [j, re, im]")
-            j, re, im = int(row[0]), float(row[1]), float(row[2])
-            idx[j] = idx.get(j, 0j) + complex(re, im)
-        lo, hi = min(idx), max(idx)
-        coeffs = np.zeros(hi - lo + 1, dtype=complex)
-        for j, v in idx.items():
-            coeffs[j - lo] = v
-        grid = CircleGrid(grid_size)
-        return ScatteringFunction.from_coeffs(LaurentSeries(lo, coeffs), grid)
+    if kind not in ("coeffs", "samples"):
+        raise InputError(f"{path}: 'type' must be 'coeffs' or 'samples'")
+    try:
+        if kind == "samples":
+            M = _integer(data.get("grid", 0), "'grid'")
+            rows = _rows(data.get("values"), "'values'", 2)
+        else:
+            rows = _rows(data.get("entries"), "'entries'", 3)
+            js = [_integer(j, "index") for j in rows[:, 0].tolist()]
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    values = [complex(re, im) for re, im in rows[:, -2:]]
     if kind == "samples":
-        M = int(data.get("grid", 0))
-        values = data.get("values")
-        if not values or len(values) != M:
+        if len(values) != M:
             raise InputError(f"{path}: 'values' must be a list of length 'grid'")
-        samples = np.array([complex(v[0], v[1]) for v in values])
-        return ScatteringFunction.from_samples(samples, CircleGrid(M))
-    raise InputError(f"{path}: 'type' must be 'coeffs' or 'samples'")
+        return ScatteringFunction.from_samples(np.array(values), CircleGrid(M))
+    lo, hi = min(js), max(js)
+    grid = CircleGrid(grid_size)
+    if hi - lo >= grid.size:  # refused before allocating the window
+        raise ResolutionError(f"{path}: Laurent window [{lo}, {hi}] does not fit a "
+                              f"grid of size {grid.size}; increase M")
+    coeffs = np.zeros(hi - lo + 1, dtype=complex)
+    for j, v in zip(js, values):
+        coeffs[j - lo] += v
+    return ScatteringFunction.from_coeffs(LaurentSeries(lo, coeffs), grid)
 
 
 def _load_scattering_csv(path):
     thetas, vals = [], []
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
-            if not row:
-                continue
             try:
                 th = float(row[0])
-            except ValueError:
-                continue  # header row
+            except (IndexError, ValueError):
+                continue  # blank or header row
             if len(row) != 3:
                 raise InputError(f"{path}: CSV rows must be theta,re,im")
+            try:
+                vals.append(complex(float(row[1]), float(row[2])))
+            except ValueError as exc:
+                raise InputError(f"{path}: {exc}") from exc
             thetas.append(th)
-            vals.append(complex(float(row[1]), float(row[2])))
     M = len(vals)
     grid = CircleGrid(M)
-    if np.max(np.abs(np.array(thetas) - grid.theta)) > 1e-9:
+    if not np.all(np.abs(np.array(thetas) - grid.theta) <= 1e-9):
         raise InputError(f"{path}: theta column is not the equispaced grid 2*pi*k/{M}")
     return ScatteringFunction.from_samples(np.array(vals), grid)
 
@@ -104,13 +127,12 @@ def load_alphas(path):
     if "lo" not in data or "alphas" not in data:
         raise InputError(f"{path}: coefficient files need 'lo' and 'alphas'")
     try:
-        if any(len(a) != 2 for a in data["alphas"]):
-            raise ValueError("each entry must be an [re, im] pair")
-        alphas = np.array([complex(a[0], a[1]) for a in data["alphas"]], dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: bad 'alphas' ({exc})") from exc
-    a0s = np.array(data["a0s"], dtype=float) if "a0s" in data else None
-    return VerblunskySequence(int(data["lo"]), alphas, a0s)
+        lo = _integer(data["lo"], "'lo'")
+        alphas = [complex(re, im) for re, im in _rows(data["alphas"], "'alphas'", 2)]
+        a0s = np.array(data["a0s"], dtype=float) if "a0s" in data else None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    return VerblunskySequence(lo, alphas, a0s)
 
 
 def save_alphas(seq, include_a0s=True):

@@ -14,8 +14,8 @@ the condition estimate of G; a G that does not factor means aliased
 coefficients (ResolutionError), a `cond` above COND_CAP raises
 ConditioningError. `converged_defect_pair` alone decides the section
 size, from the doubling policy of the RunConfig it is given. Inside a
-`section_memo()` block each section (R, n, m, N) is solved once; the
-invariant suite opens one so that its checks share their sections.
+`section_memo()` block each level's section is solved once, any split
+of it served as a shift; the invariant suite opens one for its checks.
 
 Gram orientation used throughout: G[a, b] = <s_b, s_a>, so that for
 coordinate vectors u, v the inner product <u, v> is v^H G u.
@@ -65,10 +65,6 @@ class GeneratorFrame:
     @property
     def antianalytic_indices(self):
         return np.arange(self.m + 1, self.m + self.N + 1)
-
-    @property
-    def level(self):
-        return self.n + self.m
 
 
 @dataclass
@@ -302,7 +298,7 @@ def defect_pair(R, n, m, N):
     return DefectPair(K, Kt, a0, a0t, cond)
 
 
-# solved sections of the open `section_memo` block, keyed (id(R), n, m, N);
+# solved sections of the open `section_memo` block, keyed (id(R), n + m, N);
 # None outside any block. A cached pair holds R through its elements, so
 # the id cannot be reused while the entry lives, and nothing points back.
 _SECTIONS = ContextVar("cmvscat_sections", default=None)
@@ -310,7 +306,7 @@ _SECTIONS = ContextVar("cmvscat_sections", default=None)
 
 @contextmanager
 def section_memo():
-    """Solve each section at most once inside the block.
+    """Solve each level's section at most once inside the block.
 
     `section_pair` serves repeated sections from the block's memo, which
     is released when the block exits, normally or by an exception.
@@ -326,17 +322,20 @@ def section_pair(R, n, m, N):
     """`defect_pair(R, n, m, N)`, taken from the open section memo if solved there.
 
     Outside a `section_memo()` block this is a plain `defect_pair` call.
-    Inside one, every caller of a section gets the same DefectPair, so
-    callers must not modify it in place.
+    Inside one, sections are keyed by the level n + m, on which alone the
+    frame Gram depends: any split gets the solved pair moved by `shift`,
+    bit for bit a fresh solve, as a new DefectPair.
     """
     memo = _SECTIONS.get()
     if memo is None:
         return defect_pair(R, n, m, N)
-    key = (id(R), n, m, N)
+    key = (id(R), n + m, N)
     pair = memo.get(key)
     if pair is None:
         pair = memo[key] = defect_pair(R, n, m, N)
-    return pair
+    p = n - pair.frame.n
+    return DefectPair(shift(pair.K, p), shift(pair.Ktilde, p), pair.a0,
+                      pair.a0_tilde, pair.cond)
 
 
 def converged_defect_pair(R, n, m, cfg):
@@ -346,7 +345,7 @@ def converged_defect_pair(R, n, m, cfg):
     of both defect vectors change by less than cfg.section_tol between
     consecutive sizes; returns the larger section's pair. No convergence
     by N = cfg.section_cap raises ConvergenceError. Sections come from
-    `section_pair`, so an open `section_memo()` block solves each once.
+    `section_pair`, so an open `section_memo()` block solves each level once.
     """
     N, cap, tol = cfg.section_start, cfg.section_cap, cfg.section_tol
     delta = np.inf

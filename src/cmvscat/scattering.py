@@ -167,7 +167,7 @@ def roundtrip(R, cfg, ladder=0):
 
     With ladder > 0, repeats with (J, W, depth, N) doubled that many
     times and reports the error trend. Only the boundary errors are
-    reported; split invariance is `check`'s (`split_deviation`).
+    reported; no rung re-solves another split (`split_deviation`).
 
     Returns
     -------

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lrspace
 from .circle import require_szego
 from .errors import (
     CmvScatError, DomainError, EvaluationError, InconsistencyError, InputError,
@@ -100,8 +99,8 @@ def inverse_scattering(R, J, cfg):
     Computes defect pairs for levels -J..J+1 (the extra level supplies
     the last residual ratio), extracts alpha_j = <K_j, Ktilde_j> at the
     balanced split, and records the residual norms. Coefficients only:
-    their independence of the split is `split_deviation`, and the
-    residual-ratio reading of rho_j is `convergence_report`.
+    the residual-ratio reading of rho_j is `convergence_report`, and
+    another split gives the same alpha_j exactly (`split_deviation`).
 
     Returns
     -------
@@ -141,9 +140,10 @@ def inverse_scattering(R, J, cfg):
 def split_deviation(R, seq, cfg):
     """Largest |alpha_j(n+1, m-1) - alpha_j| over the levels of seq.
 
-    The coefficient at level j = n + m does not depend on how j is
-    split; this recomputes each one at the shifted split (n+1, m-1) of
-    the balanced one and compares.
+    Re-solves each level at the shifted split (n+1, m-1). The frame Gram
+    is the Hankel block c_{-(j+1+i+k)}, which depends on j = n + m alone,
+    so this reads 0.0 by construction and is no independent reading of
+    alpha_j; only `inverse --report` runs it, as `split_dev`.
     """
     devs = []
     for j in range(seq.lo, seq.hi + 1):
@@ -257,12 +257,3 @@ def rotation_relation_residual(R, n, m, cfg):
     r1 = base.K - (alpha * base.Ktilde + rho * up.K)
     r2 = right.Ktilde - (rho * base.Ktilde - np.conj(alpha) * up.K)
     return max(r1.norm(), r2.norm())
-
-
-def shift_covariance_residual(R, n, m, cfg):
-    """Norm defect of defect_pair(n+1, m-1) against the shifted pair at (n, m)."""
-    a = converged_defect_pair(R, n, m, cfg)
-    b = converged_defect_pair(R, n + 1, m - 1, cfg)
-    dk = lrspace.shift(a.K, 1) - b.K
-    dt = lrspace.shift(a.Ktilde, 1) - b.Ktilde
-    return max(dk.norm(), dt.norm())

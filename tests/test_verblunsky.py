@@ -17,7 +17,6 @@ from cmvscat.verblunsky import (
     level_split,
     rotation_relation_residual,
     schur_chain,
-    shift_covariance_residual,
     split_deviation,
 )
 
@@ -131,12 +130,6 @@ def test_rotation_relation(r_half, r_smooth, small_cfg):
         for j in (-1, 0, 1):
             n, m = level_split(j)
             assert rotation_relation_residual(R, n, m, small_cfg) < 1e-7
-
-
-def test_shift_covariance(r_smooth, small_cfg):
-    for j in (-1, 0, 2):
-        n, m = level_split(j)
-        assert shift_covariance_residual(r_smooth, n, m, small_cfg) < 1e-8
 
 
 def test_recover_omega_zero(r_zero, small_cfg):
