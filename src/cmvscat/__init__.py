@@ -37,7 +37,6 @@ from .lrspace import (
 )
 from .oracle import QuadratureSpace, oracle_inner, oracle_verblunsky, quadrature_space
 from .scattering import (
-    asymptotics_check,
     boundary_reconstruction,
     direct_scattering,
     moment_horizon,

@@ -155,7 +155,12 @@ class ScatteringFunction:
 
     @classmethod
     def from_coeffs(cls, series, grid):
-        samples = synthesize(series, grid)
+        samples = synthesize(series, grid)  # ResolutionError if wider than M
+        if series.lo < grid.coeff_lo or series.hi > grid.coeff_hi:
+            raise InputError(
+                f"coefficient indices [{series.lo}, {series.hi}] outside the window "
+                f"[{grid.coeff_lo}, {grid.coeff_hi}] of a grid of size {grid.size}"
+            )
         sup = float(np.max(np.abs(samples)))
         if sup > 1.0 + 1e-12:
             raise InputError(

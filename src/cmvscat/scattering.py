@@ -13,7 +13,6 @@ import numpy as np
 
 from . import circle, cmv
 from .errors import DomainError, InputError
-from .lrspace import converged_defect_pair, generator, inner_product
 from .verblunsky import inverse_scattering
 
 
@@ -214,25 +213,3 @@ def roundtrip(R, cfg, ladder=0):
     return {"rungs": rungs, "sup_error": rungs[0]["sup_error"],
             "l2_error": rungs[0]["l2_error"]}
 
-
-def asymptotics_check(R, n, ms, cfg):
-    """Distance identity between a shift generator and the defect vectors.
-
-    For each m, computes ||g'_n - K_{n,m}||^2 exactly in the section
-    frame and compares with 2 - 2 a0; reports the worst deviation and
-    whether the distances decay monotonically in m.
-    """
-    rows = []
-    for m in ms:
-        pair = converged_defect_pair(R, n, m, cfg)
-        g = generator(R, "analytic", n, pair.frame)
-        diff = g - pair.K
-        lhs = float(inner_product(diff, diff).real)
-        rhs = 2.0 - 2.0 * pair.a0
-        rows.append({"m": int(m), "distance_sq": lhs, "two_minus_2a0": rhs,
-                     "a0": pair.a0})
-    max_dev = max(abs(r["distance_sq"] - r["two_minus_2a0"]) for r in rows)
-    dists = [r["distance_sq"] for r in rows]
-    monotone = all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
-    return {"rows": rows, "max_identity_dev": float(max_dev),
-            "monotone_decay": bool(monotone)}

@@ -6,11 +6,15 @@ import weakref
 import numpy as np
 import pytest
 
-from cmvscat import CircleGrid, checks, lrspace
+from cmvscat import CircleGrid, checks, lrspace, spectral
 from cmvscat.checks import run_full_suite
-from cmvscat.families import random_trig
+from cmvscat.config import RunConfig
+from cmvscat.errors import DomainError
+from cmvscat.families import from_string, random_trig
 from cmvscat.lrspace import converged_defect_pair
-from cmvscat.verblunsky import inverse_scattering
+from cmvscat.verblunsky import alpha_from_defects, inverse_scattering
+
+ANCHOR = "random,degree=4,margin=0.2,seed=0"  # the README `check` example
 
 
 @pytest.fixture
@@ -87,8 +91,7 @@ def test_suite_values_match_checks_run_alone(r_smooth, small_cfg):
         + checks.check_rotation(R, cfg)
         + checks.check_schur(R, seq, cfg)
         + checks.check_cmv(R, seq, cfg)
-        + checks.check_asymptotics(R, cfg)
-        + checks.check_spectral(R, cfg)
+        + checks.check_spectral(R, seq, cfg)
         + checks.check_roundtrip(R, cfg)
         + checks.check_oracle(R, seq, cfg)
     )
@@ -118,3 +121,34 @@ def test_oracle_compares_within_a_narrow_window(r_smooth, small_cfg):
     result = checks.check_oracle(r_smooth, seq, cfg)[0]
     assert result.name == "oracle_alpha_agreement"
     assert result.value <= cfg.tol_fun
+
+
+@pytest.mark.parametrize("case", ["anchor", "narrow"])
+def test_cmv_moments_match_gram_route(r_smooth, small_cfg, case):
+    # V^H U^k V on the CMV matrix built from alpha against moment_check's
+    # inner products of the defect vectors, for both pair tags. The narrow
+    # window [-4, 4] lacks the levels -5 and 5 that the kmax = 4 moments read,
+    # so cmv_moments must solve them rather than take them as zero
+    if case == "anchor":
+        cfg = RunConfig()
+        R = from_string(ANCHOR, CircleGrid(cfg.grid_size))
+    else:
+        cfg, R = small_cfg.replace(levels=4), r_smooth
+    seq = inverse_scattering(R, cfg.levels, cfg)
+    kmax = 4
+    for n in (0, 1):
+        dens = spectral.spectral_density(R, n, cfg)
+        alpha = alpha_from_defects(converged_defect_pair(R, n, n, cfg))
+        for d in (dens, spectral.change_basis_density(dens, alpha)):
+            gram = spectral.moment_check(d, R, n, kmax, cfg)["per_k"]
+            cmv_side = checks.cmv_moments(R, seq, n, d.pair_tag, kmax, cfg)
+            assert sorted(cmv_side) == list(range(-kmax, kmax + 1))
+            for k, row in gram.items():
+                dev = np.max(np.abs(np.array(row["gram"]) - cmv_side[k]))
+                assert dev <= 1e-13, (n, d.pair_tag, k, dev)
+
+
+def test_cmv_moments_refuse_unknown_tag(r_smooth, small_cfg):
+    seq = inverse_scattering(r_smooth, small_cfg.levels, small_cfg)
+    with pytest.raises(DomainError, match="unknown pair tag"):
+        checks.cmv_moments(r_smooth, seq, 0, "K-and-K", 4, small_cfg)

@@ -199,6 +199,20 @@ def test_harmonic_extension_vectorized_matches_scalar_loop(lo, count):
     assert type(one) is complex and abs(one - vals[1, 2]) < 1e-15
 
 
+def test_from_coeffs_refuses_indices_outside_the_grid_window():
+    # the grid resolves [-M/2+1, M/2]; an index beyond it would alias onto
+    # another bin, so samples and coefficients would describe different R
+    grid = CircleGrid(256)
+    for lo, coeffs in ((-127, [0.5]), (128, [0.5]), (-5, [0.1, 0.2])):
+        ScatteringFunction.from_coeffs(LaurentSeries(lo, coeffs), grid)
+    for lo in (-5000, -128, 129):
+        with pytest.raises(InputError, match=r"outside the window \[-127, 128\]"):
+            ScatteringFunction.from_coeffs(LaurentSeries(lo, [0.5]), grid)
+    # a series wider than the grid is still a resolution failure
+    with pytest.raises(ResolutionError, match="does not fit"):
+        ScatteringFunction.from_coeffs(LaurentSeries(-200, np.zeros(401)), grid)
+
+
 def test_require_szego_guard(grid):
     R = ScatteringFunction.from_coeffs(LaurentSeries(-1, [0.5]), grid)
     assert require_szego(R, 0.4).passes

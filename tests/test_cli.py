@@ -1,12 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cmvscat
 from cmvscat import fileio
 from cmvscat.circle import CircleGrid
 from cmvscat.cli import main
@@ -634,6 +638,51 @@ def test_cli_readme_check_example_passes(tmp_path):
                  "--out", out]) == 0
     checks = {c["name"]: c for c in json.loads(open(out).read())["checks"]}
     assert checks["roundtrip_sup_error"]["value"] <= 1e-14
+
+
+@pytest.mark.parametrize("command", [["roundtrip"], ["check", "--light"]])
+def test_cli_refuses_family_outside_grid_window(tmp_path, capsys, command):
+    # k = 5000 lies outside [-127, 128] at M = 256; it used to fold onto an
+    # aliased bin, and roundtrip exited 0 with sup error 0.5
+    code = main(command + ["--family", "monomial,gamma=0.5,k=5000", "--grid", "256",
+                           "--out", str(tmp_path / "o.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "[-5000, -5000] outside the window [-127, 128]" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("entries, code, text", [
+    ([[200, 0.5, 0.0]], 2, "outside the window [-127, 128]"),
+    ([[-128, 0.1, 0.0], [0, 0.2, 0.0]], 2, "outside the window [-127, 128]"),
+    ([[-200, 0.1, 0.0], [200, 0.1, 0.0]], 3, "does not fit a grid of size 256"),
+])
+def test_cli_coeffs_file_outside_grid_window(tmp_path, capsys, entries, code, text):
+    # indices outside the grid's window are an input problem; a window wider
+    # than the grid stays a resolution failure
+    path = _write(tmp_path, "r.json", json.dumps({"type": "coeffs", "entries": entries}))
+    assert main(["inverse", "--input", path, "--out", str(tmp_path / "o.json")]
+                + FAST) == code
+    err = capsys.readouterr().err
+    assert text in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cli_check_verdict_independent_of_blas_threads(tmp_path, threads):
+    # a certify input whose old rung ratio read 1.126 at one BLAS thread (exit 3)
+    # and 1.020 at two (exit 0); the Fourier-tail entry passes at both
+    src = os.path.dirname(os.path.dirname(cmvscat.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               PYTHONPATH=src)
+    out = str(tmp_path / "check.json")
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmvscat.cli", "check", "--family",
+         "random,degree=7,margin=0.3260,seed=558555015", "--out", out],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    checks = {c["name"]: c for c in json.loads(open(out).read())["checks"]}
+    assert checks["roundtrip_within_fourier_tail"]["passed"]
 
 
 def test_cli_inverse_solves_each_level_once(tmp_path, monkeypatch):

@@ -8,7 +8,6 @@ from cmvscat import (
     analyze,
     apply,
     apply_adjoint,
-    asymptotics_check,
     boundary_reconstruction,
     build_cmv,
     direct_scattering,
@@ -303,24 +302,3 @@ def test_roundtrip_ladder_limited_by_section_cap(r_half, small_cfg):
     with pytest.raises(InputError, match="section_cap"):
         roundtrip(r_half, small_cfg, ladder=3)
 
-
-def test_asymptotics_zero(r_zero, small_cfg):
-    rep = asymptotics_check(r_zero, 0, [0, 1, 2], small_cfg)
-    assert rep["max_identity_dev"] < 1e-12
-    assert all(abs(r["distance_sq"]) < 1e-12 for r in rep["rows"])
-
-
-def test_asymptotics_monomial_values(r_half, small_cfg):
-    rep = asymptotics_check(r_half, 0, [0, 1, 2], small_cfg)
-    # level 0: 2 - 2 sqrt(0.75); levels >= 1 vanish
-    assert abs(rep["rows"][0]["distance_sq"] - (2.0 - np.sqrt(3.0))) < 1e-10
-    assert abs(rep["rows"][1]["distance_sq"]) < 1e-10
-    assert abs(rep["rows"][2]["distance_sq"]) < 1e-10
-    assert rep["max_identity_dev"] <= 1e-10
-    assert rep["monotone_decay"]
-
-
-def test_asymptotics_identity_smooth(r_smooth, small_cfg):
-    rep = asymptotics_check(r_smooth, 1, [0, 1, 2, 4], small_cfg)
-    assert rep["max_identity_dev"] <= 1e-10
-    assert rep["monotone_decay"]
