@@ -2,11 +2,12 @@
 
 Each check returns a CheckResult with the measured value and the bound
 it is held to; `run_full_suite` strings them together for one input,
-inside one `section_memo()` block so that the checks solve each
-level's section once between them. Every entry compares two routes or
-bounds a quantity; none reads a number against itself, such as a section
-against its relabelling (a split is only an index label). The CLI
-`check` command and the acceptance tests both run these.
+inside one `section_memo()` block that solves each level's section
+once, and at J >= 5 all of them before the first check. Every entry
+compares two routes or bounds a quantity; none reads a number against
+itself, such as a section against its relabelling (a split is only an
+index label). The CLI `check` command and the acceptance tests both
+run these.
 """
 
 from dataclasses import dataclass
@@ -33,7 +34,10 @@ from .verblunsky import (
     level_split,
     rotation_relation_residual,
     schur_chain,
+    solve_levels,
 )
+
+ROUNDTRIP_LADDER = 1  # doublings `check_roundtrip` runs in the heavy suite
 
 
 @dataclass
@@ -149,7 +153,7 @@ def check_cmv(R, seq, cfg, ns=(0, 1)):
     return out
 
 
-def check_roundtrip(R, cfg, ladder=1):
+def check_roundtrip(R, cfg, ladder=ROUNDTRIP_LADDER):
     """Roundtrip sup error, and its excess over the Fourier tail on every rung.
 
     Level window J reconstructs S_{J-1}R: sup error <= sum_{|k|>=J} |R_k| + M eps.
@@ -263,6 +267,11 @@ def run_full_suite(R, cfg, heavy=True):
     if not results[0].passed:
         return results
     with section_memo():
+        # solve the sections the suite reads (all of them at J >= 5) first: each
+        # later read is a memo hit, so the scipy LAPACK solves and the numpy
+        # reads each run in one block instead of alternating BLAS builds
+        for sub in scattering.ladder_configs(cfg, ROUNDTRIP_LADDER if heavy else 0):
+            solve_levels(R, sub.levels, sub)
         results += check_gram_structure(R, cfg)
         seq = inverse_scattering(R, cfg.levels, cfg)
         results += check_verblunsky(R, seq, cfg)

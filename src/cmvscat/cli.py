@@ -199,7 +199,8 @@ def build_parser():
     p.add_argument("--input", help="scattering function file")
     p.add_argument("--family", help="built-in input family spec")
     p.add_argument("--ladder", type=int, default=1,
-                   help="parameter doublings to report (default 1)")
+                   help="rungs with J, W and depth doubled, sections started at "
+                        "max(section_start, J) (default 1)")
     _add_common(p)
     p.set_defaults(func=cmd_roundtrip)
 

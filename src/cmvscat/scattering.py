@@ -161,12 +161,39 @@ def boundary_reconstruction(seq, grid, W, depth):
     return circle.synthesize(moment_series(seq, W, depth), grid)
 
 
+def ladder_configs(cfg, ladder):
+    """RunConfig of each roundtrip rung 0..ladder; rung 0 is cfg.
+
+    Rung k doubles J, W and depth k times and starts its sections at
+    max(section_start, J_k). A frame missing R's coefficient support
+    certifies an exact zero, so a start N0 leaves the levels below
+    -2 N0 - d undetected for a degree-d R; a start >= J_k keeps them J_k
+    below the rung's window. A larger start buys nothing, as
+    `converged_defect_pair` certifies N by doubling. A negative ladder,
+    or a rung starting above section_cap / 2 (it could not double),
+    raises InputError before any rung runs.
+    """
+    if ladder < 0:
+        raise InputError(f"ladder must be >= 0, got {ladder}")
+    rungs = [cfg]
+    for k in range(1, ladder + 1):
+        start = max(cfg.section_start, cfg.levels * 2**k)
+        if 2 * start > cfg.section_cap:
+            raise InputError(f"ladder {ladder} exceeds {k - 1}: rung {k} would start its "
+                             f"sections at {start}, which cannot double within "
+                             f"section_cap {cfg.section_cap}")
+        rungs.append(cfg.replace(levels=cfg.levels * 2**k, cmv_window=cfg.cmv_window * 2**k,
+                                 depth=cfg.depth * 2**k, section_start=start))
+    return rungs
+
+
 def roundtrip(R, cfg, ladder=0):
     """Inverse scattering followed by reconstruction, with error metrics.
 
-    With ladder > 0, repeats with (J, W, depth, N) doubled that many
-    times and reports the error trend. Only the boundary errors are
-    reported; no rung re-solves another split (`split_deviation`).
+    With ladder > 0, repeats on each rung of `ladder_configs` (J, W and
+    depth doubled, sections started at max(section_start, J)) and
+    reports the error trend. Only the boundary errors are reported; no
+    rung re-solves another split (`split_deviation`).
 
     Returns
     -------
@@ -175,28 +202,10 @@ def roundtrip(R, cfg, ladder=0):
     Raises
     ------
     InputError
-        A negative ladder, or one whose last rung starts its sections
-        above half of cfg.section_cap, where they cannot double.
+        A ladder that `ladder_configs` refuses, before any rung runs.
     """
-    if ladder < 0:
-        raise InputError(f"ladder must be >= 0, got {ladder}")
-    J, W, depth, start = cfg.levels, cfg.cmv_window, cfg.depth, cfg.section_start
-    # the largest k with 2 * start * 2**k <= cap
-    top = (cfg.section_cap // (2 * start)).bit_length() - 1
-    if ladder > top:
-        raise InputError(
-            f"ladder {ladder} exceeds {top}: rung {top + 1} would start its "
-            f"sections at {start * 2 ** (top + 1)}, which cannot double within "
-            f"section_cap {cfg.section_cap}"
-        )
     rungs = []
-    for rung in range(ladder + 1):
-        sub = cfg.replace(
-            levels=J * 2**rung,
-            cmv_window=W * 2**rung,
-            depth=depth * 2**rung,
-            section_start=start * 2**rung,
-        )
+    for sub in ladder_configs(cfg, ladder):
         seq = inverse_scattering(R, sub.levels, sub)
         rec = boundary_reconstruction(seq, R.grid, sub.cmv_window, sub.depth)
         err = rec - R.samples
@@ -212,4 +221,3 @@ def roundtrip(R, cfg, ladder=0):
         )
     return {"rungs": rungs, "sup_error": rungs[0]["sup_error"],
             "l2_error": rungs[0]["l2_error"]}
-

@@ -93,10 +93,21 @@ def alpha_from_defects(pair):
     return a
 
 
+def solve_levels(R, J, cfg):
+    """Converged defect pairs {j: pair} of levels -J..J+1, errors prefixed `level j:`."""
+    pairs = {}
+    for j in range(-J, J + 2):
+        try:
+            pairs[j] = converged_defect_pair(R, *level_split(j), cfg)
+        except CmvScatError as exc:
+            raise type(exc)(f"level {j}: {exc}") from exc
+    return pairs
+
+
 def inverse_scattering(R, J, cfg):
     """Verblunsky coefficients of R over the level window [-J, J].
 
-    Computes defect pairs for levels -J..J+1 (the extra level supplies
+    Solves levels -J..J+1 (`solve_levels`; the extra level supplies
     the last residual ratio), extracts alpha_j = <K_j, Ktilde_j> at the
     balanced split, and records the residual norms. Coefficients only:
     the residual-ratio reading of rho_j is `convergence_report`, and
@@ -115,18 +126,9 @@ def inverse_scattering(R, J, cfg):
         R fails the Szego guard at cfg.margin_min (`require_szego`).
     """
     require_szego(R, cfg.margin_min)
-
-    def solve(j):
-        n, m = level_split(j)
-        try:
-            return converged_defect_pair(R, n, m, cfg)
-        except CmvScatError as exc:
-            raise type(exc)(f"level {j}: {exc}") from exc
-
-    levels = range(-J, J + 2)
-    pairs = {j: solve(j) for j in levels}
+    pairs = solve_levels(R, J, cfg)
     alphas = np.array([alpha_from_defects(pairs[j]) for j in range(-J, J + 1)])
-    a0s = np.array([pairs[j].a0 for j in levels])
+    a0s = np.array([p.a0 for p in pairs.values()])
     seq = VerblunskySequence(-J, alphas, a0s)
 
     seq.diagnostics["cond"] = max(p.cond for p in pairs.values())

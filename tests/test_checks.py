@@ -40,6 +40,30 @@ def test_suite_solves_each_section_once(r_smooth, small_cfg, solved):
     assert len(solved) == len(set(solved))
 
 
+@pytest.mark.parametrize("heavy", [True, False])
+def test_suite_solves_before_it_reads(r_smooth, small_cfg, solved, monkeypatch, heavy):
+    # every section is solved in the up-front pass; the checks only read the memo
+    at_first_check = []
+    original = checks.check_gram_structure
+
+    def marking(*args, **kwargs):
+        at_first_check.append(len(solved))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "check_gram_structure", marking)
+    run_full_suite(r_smooth, small_cfg, heavy=heavy)
+    assert at_first_check == [len(solved)] and len(solved) > 0
+
+
+def test_anchor_suite_solve_count(solved):
+    # rung 1 of the roundtrip ladder starts at section_start, so it shares
+    # rung 0's sections; only 4 of the 136 distinct sections reach N = 128
+    cfg = RunConfig()
+    run_full_suite(from_string(ANCHOR, CircleGrid(cfg.grid_size)), cfg)
+    assert len(solved) == len(set(solved)) == 136
+    assert sum(N == 128 for _, N in solved) == 4
+
+
 def test_memo_released_after_return(r_smooth, small_cfg, solved):
     run_full_suite(r_smooth, small_cfg, heavy=False)
     del solved[:]

@@ -532,18 +532,33 @@ def test_cli_config_rejects_undoublable_sections(tmp_path, capsys):
 
 
 def test_cli_roundtrip_rejects_undoublable_ladder(tmp_path, capsys, monkeypatch):
-    # at the defaults (start 32, cap 512) rung 4 would start at N = 512
+    # at the default start 32, cap 512 and J = 16, rung k starts at
+    # max(32, 16 * 2**k): rung 4 at 256 still doubles, rung 5 at 512 cannot
     from cmvscat import scattering
 
     def no_inverse(*args, **kwargs):
         raise AssertionError("inverse_scattering ran before the ladder was refused")
 
     monkeypatch.setattr(scattering, "inverse_scattering", no_inverse)
-    code = main(["roundtrip", "--family", "monomial,gamma=0.5,k=1", "--ladder", "4",
-                 "--out", str(tmp_path / "report.json")] + FAST)
+    code = main(["roundtrip", "--family", "monomial,gamma=0.5,k=1", "--ladder", "5",
+                 "--grid", "256", "--out", str(tmp_path / "report.json")])
     assert code == 2
     err = capsys.readouterr().err
-    assert "ladder 4" in err
+    assert "ladder 5" in err
+    assert "Traceback" not in err
+
+
+def test_cli_roundtrip_ladder_within_cap_exits_3_on_certificate(tmp_path, capsys):
+    # the test-scale config (start 16, cap 128, J = 6): ladder 3 passes the
+    # cap rule, and level -48 of its last rung cannot converge by N = 128
+    cfg_path = _write(tmp_path, "cfg.json", json.dumps(
+        {"grid_size": 256, "levels": 6, "section_start": 16, "section_cap": 128,
+         "cmv_window": 64, "depth": 16}))
+    code = main(["roundtrip", "--family", "monomial,gamma=0.5,k=1", "--ladder", "3",
+                 "--config", cfg_path, "--out", str(tmp_path / "report.json")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "level -48:" in err
     assert "Traceback" not in err
 
 

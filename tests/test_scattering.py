@@ -19,7 +19,7 @@ from cmvscat import (
     wandering_vectors,
 )
 from cmvscat import scattering, verblunsky
-from cmvscat.errors import DomainError, InputError, ResolutionError
+from cmvscat.errors import ConvergenceError, DomainError, InputError, ResolutionError
 from cmvscat.families import from_string
 
 ANCHOR = "random,degree=4,margin=0.2,seed=0"  # the README `check` example
@@ -297,8 +297,36 @@ def test_roundtrip_skips_split_recomputation(r_half, small_cfg, monkeypatch):
 
 
 def test_roundtrip_ladder_limited_by_section_cap(r_half, small_cfg):
-    # start 16, cap 128: rung 2 starts at 64 and doubles to 128, rung 3 cannot
+    # start 16, cap 128: rung k starts at max(16, 6 * 2**k), so rung 3
+    # starts at 48 and doubles to 96, rung 4 would start at 96 and cannot
     assert len(roundtrip(r_half, small_cfg.replace(levels=2), ladder=2)["rungs"]) == 3
-    with pytest.raises(InputError, match="section_cap"):
+    with pytest.raises(InputError, match="ladder 4.*section_cap"):
+        roundtrip(r_half, small_cfg, ladder=4)
+
+
+def test_roundtrip_ladder_below_cap_meets_the_section_certificate(r_half, small_cfg):
+    # ladder 3 passes the cap rule, but level -48 of rung 3 has not
+    # converged at N = 96 and cannot double again: the section
+    # certificate refuses it, not the ladder rule
+    with pytest.raises(ConvergenceError, match="level -48:"):
         roundtrip(r_half, small_cfg, ladder=3)
 
+
+def test_ladder_configs_start_at_the_rung_window():
+    cfgs = scattering.ladder_configs(RunConfig(), 3)
+    assert [c.section_start for c in cfgs] == [32, 32, 64, 128]
+    assert [c.levels for c in cfgs] == [16, 32, 64, 128]
+    assert [(c.cmv_window, c.depth) for c in cfgs] == [(128 * 2**k, 32 * 2**k)
+                                                       for k in range(4)]
+    assert cfgs[0] == RunConfig()
+
+
+def test_ladder_rungs_within_their_fourier_tail(r_smooth, small_cfg):
+    # the check_roundtrip bound, rung by rung: sup error <= sum_{|k|>=J} |R_k| + M eps
+    c = analyze(r_smooth.samples, r_smooth.grid)
+    mag, far = np.abs(c.coeffs), np.abs(c.indices())
+    rungs = roundtrip(r_smooth, small_cfg, ladder=2)["rungs"]
+    assert [r["section_start"] for r in rungs] == [16, 16, 24]
+    for r in rungs:
+        tail = float(np.sum(mag[far >= r["levels"]]))
+        assert r["sup_error"] <= tail + r_smooth.grid.size * np.finfo(float).eps
