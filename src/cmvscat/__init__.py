@@ -35,7 +35,7 @@ from .lrspace import (
     inner_product,
     shift,
 )
-from .oracle import QuadratureSpace, oracle_inner, oracle_verblunsky, quadrature_space
+from .oracle import QuadratureSpace, oracle_verblunsky, quadrature_gram, quadrature_space
 from .scattering import (
     boundary_reconstruction,
     direct_scattering,

@@ -6,8 +6,10 @@ inside one `section_memo()` block that solves each level's section
 once, and at J >= 5 all of them before the first check. Every entry
 compares two routes or bounds a quantity; none reads a number against
 itself, such as a section against its relabelling (a split is only an
-index label). The CLI `check` command and the acceptance tests both
-run these.
+index label). The second routes are library calls: density moments
+from `spectral.moment_check` (the CMV matrix of the alpha_j), generator
+inner products from `oracle.quadrature_gram`. The CLI `check` command
+and the acceptance tests both run these.
 """
 
 from dataclasses import dataclass
@@ -16,7 +18,6 @@ import numpy as np
 
 from . import cmv, oracle, scattering, spectral
 from .circle import analyze, szego_check
-from .errors import DomainError
 from .lrspace import (
     GeneratorFrame,
     converged_defect_pair,
@@ -27,7 +28,6 @@ from .lrspace import (
     shift,
 )
 from .verblunsky import (
-    VerblunskySequence,
     alpha_from_defects,
     convergence_report,
     inverse_scattering,
@@ -82,7 +82,10 @@ def check_gram_structure(R, cfg, levels=(-2, 0, 3)):
         ortho = max(ortho, float(np.max(np.abs(vk[1:]))))
         keep = np.arange(len(vt)) != pair.frame.N
         ortho = max(ortho, float(np.max(np.abs(vt[keep]))))
-        unit = max(unit, abs(pair.K.norm() - 1.0), abs(pair.Ktilde.norm() - 1.0),
+        # ||K||^2 = K^H (G K), from the residual already in hand
+        norms = [np.sqrt(max((np.conj(v.coords()) @ gv).real, 0.0))
+                 for v, gv in ((pair.K, vk), (pair.Ktilde, vt))]
+        unit = max(unit, *(abs(x - 1.0) for x in norms),
                    abs(vk[0] - pair.a0), abs(vt[N] - pair.a0_tilde))
     return [
         _leq("gram_cross_contractive", norm_excess, 1e-10, "||cross|| - sup|R|"),
@@ -170,46 +173,8 @@ def check_roundtrip(R, cfg, ladder=ROUNDTRIP_LADDER):
     ]
 
 
-def cmv_moments(R, seq, n, tag, kmax, cfg):
-    """V^H U^k V, |k| <= kmax, for the vector pair of a density tagged `tag`.
-
-    Multiplication by t is the CMV matrix U of the alpha_j in the defect
-    basis (Simon, OPUC vol. 1, ch. 4): <t^k v_q, v_p> = (V^H U^k V)[p, q].
-    V is (e_{2n}, e_{2n+1}) for `K-and-Ktilde-next` and, by the rotation
-    relation at level 2n - 1, (e_{2n}, rho e_{2n-1} - conj(alpha) e_{2n})
-    with alpha = alpha_{2n-1} for `K-and-tKtilde`. Each factor of U = L M
-    moves support by one index and reads the levels l of the blocks
-    (l, l + 1) it meets, so, splitting its 2|k| factors in the middle, U^k
-    on V over [a, a + 1] reads the levels a - |k| .. a + |k|. Levels seq
-    lacks are solved (from the memo in the suite), and the zero-tail window
-    holds the sweep's indices a - 2 kmax .. a + 1 + 2 kmax.
-    """
-    if tag not in (spectral.PAIR_DIAGONAL, spectral.PAIR_NEXT):
-        raise DomainError(f"unknown pair tag {tag!r}")
-    a = 2 * n - 1 if tag == spectral.PAIR_DIAGONAL else 2 * n
-    lo, hi = min(a - kmax, seq.lo), max(a + kmax, seq.hi)
-    seq = VerblunskySequence(lo, [
-        seq.alpha(j) if seq.lo <= j <= seq.hi
-        else alpha_from_defects(converged_defect_pair(R, *level_split(j), cfg))
-        for j in range(lo, hi + 1)])
-    U = cmv.build_cmv(seq, max(2, 2 * kmax - a, a + 1 + 2 * kmax), "zero-tail")
-    V = np.zeros((U.dim, 2), dtype=complex)
-    V[U.pos(2 * n), 0] = 1.0
-    if tag == spectral.PAIR_DIAGONAL:
-        V[U.pos(a), 1], V[U.pos(2 * n), 1] = seq.rho(a), -np.conj(seq.alpha(a))
-    else:
-        V[U.pos(a + 1), 1] = 1.0
-    out = {0: V.conj().T @ V}
-    up = down = V
-    for k in range(1, kmax + 1):
-        up = np.column_stack([cmv.apply(U, v) for v in up.T])
-        down = np.column_stack([cmv.apply_adjoint(U, v) for v in down.T])
-        out[k], out[-k] = V.conj().T @ up, V.conj().T @ down
-    return out
-
-
-def check_spectral(R, seq, cfg, ns=(0, 1), kmax=4):
-    """Quadrature moments of the densities against `cmv_moments`; sigma recursion."""
+def check_spectral(R, cfg, ns=(0, 1), kmax=4):
+    """Density moments by `spectral.moment_check`; sigma recursion."""
     moment_dev = 0.0
     for n in ns:
         dens = spectral.spectral_density(R, n, cfg)
@@ -218,10 +183,8 @@ def check_spectral(R, seq, cfg, ns=(0, 1), kmax=4):
             alpha = alpha_from_defects(converged_defect_pair(R, n, n, cfg))
             tagged.append(spectral.change_basis_density(dens, alpha))
         for d in tagged:
-            quad = spectral.density_moments(d, kmax)
-            exact = cmv_moments(R, seq, n, d.pair_tag, kmax, cfg)
-            moment_dev = max(moment_dev, max(float(np.max(np.abs(quad[k] - exact[k])))
-                                             for k in quad))
+            moment_dev = max(moment_dev,
+                             spectral.moment_check(d, R, kmax, cfg)["max_abs_dev"])
     rec_dev = max(spectral.sigma_recursion_check(R, j, cfg) for j in (0, 1))
     return [
         _leq("spectral_moments_match_cmv", moment_dev, cfg.tol_fun),
@@ -236,21 +199,13 @@ def check_oracle(R, seq, cfg, J=4, N=None):
     Q = oracle.quadrature_space(R, cfg.oversample)
     rep = oracle.compare_with_fast_path(R, Q, J, N, cfg, seq)
     out = [_leq("oracle_alpha_agreement", rep["max_alpha_dev"], cfg.tol_fun)]
-    worst = 0.0
-    frame_pairs = [("analytic", 0), ("analytic", 2), ("antianalytic", 1),
-                   ("antianalytic", 3)]
-    for kind_a, ia in frame_pairs:
-        for kind_b, ib in frame_pairs:
-            ua = oracle.generator_samples(Q, kind_a, ia)
-            ub = oracle.generator_samples(Q, kind_b, ib)
-            quad = oracle.oracle_inner(ua, ub, Q)
-            if kind_a == kind_b:
-                exact = 1.0 if ia == ib else 0.0
-            elif kind_a == "analytic":
-                exact = R.coefficient(-(ia + ib))
-            else:
-                exact = np.conj(R.coefficient(-(ia + ib)))
-            worst = max(worst, abs(quad - exact))
+    # quadrature Gram of g'_0, g'_2, g''_1, g''_3: identity within each family,
+    # cross entries <g'_k, g''_l> = c_{-(k+l)}
+    ks, ls = (0, 2), (1, 3)
+    cross = np.array([[R.coefficient(-(k + l)) for l in ls] for k in ks])
+    exact = np.eye(4, dtype=complex)
+    exact[2:, :2], exact[:2, 2:] = cross.T, np.conj(cross)
+    worst = float(np.max(np.abs(oracle.quadrature_gram(Q, ks, ls) - exact)))
     out.append(_leq("oracle_inner_products", worst, 1e-7))
     return out
 
@@ -269,8 +224,10 @@ def run_full_suite(R, cfg, heavy=True):
     with section_memo():
         # solve the sections the suite reads (all of them at J >= 5) first: each
         # later read is a memo hit, so the scipy LAPACK solves and the numpy
-        # reads each run in one block instead of alternating BLAS builds
-        for sub in scattering.ladder_configs(cfg, ROUNDTRIP_LADDER if heavy else 0):
+        # reads each run in one block instead of alternating BLAS builds. The
+        # top rung goes first, so a rung that cannot converge fails at once
+        rungs = scattering.ladder_configs(cfg, ROUNDTRIP_LADDER if heavy else 0)
+        for sub in reversed(rungs):
             solve_levels(R, sub.levels, sub)
         results += check_gram_structure(R, cfg)
         seq = inverse_scattering(R, cfg.levels, cfg)
@@ -278,7 +235,7 @@ def run_full_suite(R, cfg, heavy=True):
         results += check_rotation(R, cfg)
         results += check_schur(R, seq, cfg)
         results += check_cmv(R, seq, cfg)
-        results += check_spectral(R, seq, cfg)
+        results += check_spectral(R, cfg)
         if heavy:
             results += check_roundtrip(R, cfg)
             results += check_oracle(R, seq, cfg)

@@ -140,7 +140,7 @@ def cmd_spectrum(args):
     R = _load_input(args, cfg)
     dens = spectral.spectral_density(R, n, cfg)
     _emit(fileio.save_density_csv(dens), args.out)
-    rep = spectral.moment_check(dens, R, n, kmax=4, cfg=cfg)
+    rep = spectral.moment_check(dens, R, kmax=4, cfg=cfg)
     rep["log_det"] = spectral.log_det_diagnostic(dens)
     if args.report:
         _emit(fileio.save_report(rep), args.report)

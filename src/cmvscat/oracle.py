@@ -64,38 +64,13 @@ def quadrature_space(R, oversample=4, weight_via="outer"):
     return QuadratureSpace(qgrid, weight, rq)
 
 
-def oracle_inner(u, v, Q):
-    """Trapezoidal quadrature of <W u, v> for two-component samples.
+def quadrature_gram(Q, ks, ls):
+    """Quadrature Gram of g'_k for k in ks, then g''_l for l in ls.
 
-    Parameters
-    ----------
-    u, v : (2, Mq) arrays
-        Component samples on the quadrature grid.
-    Q : QuadratureSpace
+    G[a, b] = <v_b, v_a>, the orientation of `lrspace.frame_gram`: the 2x2
+    weight applied node by node, then one product summing over nodes and
+    components together.
     """
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if u.shape != (2, Q.grid.size) or v.shape != (2, Q.grid.size):
-        raise InputError("sample arrays must have shape (2, quadrature size)")
-    wu0 = Q.weight[:, 0, 0] * u[0] + Q.weight[:, 0, 1] * u[1]
-    wu1 = Q.weight[:, 1, 0] * u[0] + Q.weight[:, 1, 1] * u[1]
-    return complex(np.mean(np.conj(v[0]) * wu0 + np.conj(v[1]) * wu1))
-
-
-def generator_samples(Q, kind, index):
-    """Samples of a single generator on the quadrature grid."""
-    t = Q.grid.nodes
-    if kind == "analytic":
-        base = t ** index
-        return np.stack([base, Q.r_samples * base])
-    if kind == "antianalytic":
-        base = t ** (-index)
-        return np.stack([np.conj(Q.r_samples) * base, base])
-    raise InputError(f"unknown generator kind {kind!r}")
-
-
-def _generator_block(Q, ks, ls):
-    """Samples of g'_k for k in ks, then of g''_l for l in ls."""
     t = Q.grid.nodes
     vecs = np.empty((len(ks) + len(ls), 2, Q.grid.size), dtype=complex)
     for i, k in enumerate(ks):
@@ -106,14 +81,8 @@ def _generator_block(Q, ks, ls):
         base = t ** (-l)
         vecs[i, 0] = np.conj(Q.r_samples) * base
         vecs[i, 1] = base
-    return vecs
-
-
-def _quadrature_gram(vecs, Q):
-    # G[a, b] = <v_b, v_a>: the 2x2 weight applied node by node, then one
-    # product summing over nodes and components together. It is taken as
-    # conj(V conj(WV)^T) with WV built and conjugated in place, so that
-    # the samples are never copied whole.
+    # taken as conj(V conj(WV)^T) with WV built and conjugated in place, so
+    # that the samples are never copied whole
     w = Q.weight
     wv = np.empty_like(vecs)
     for c in (0, 1):
@@ -189,7 +158,7 @@ def oracle_verblunsky(R, J, N, Q):
     n1, m1 = level_split(J + 1)
     ks = np.arange(n0, n1 + N)
     ls = np.arange(m0 + 1, m1 + N + 1)
-    G_all = _quadrature_gram(_generator_block(Q, ks, ls), Q)
+    G_all = quadrature_gram(Q, ks, ls)
     span = np.arange(N)
     alphas = []
     a0s = []

@@ -192,8 +192,11 @@ def roundtrip(R, cfg, ladder=0):
 
     With ladder > 0, repeats on each rung of `ladder_configs` (J, W and
     depth doubled, sections started at max(section_start, J)) and
-    reports the error trend. Only the boundary errors are reported; no
-    rung re-solves another split (`split_deviation`).
+    reports the error trend, rung 0 first. The rungs run top-down: the
+    top rung's sections are the likeliest to exceed section_cap, and its
+    ConvergenceError then comes before any other rung runs. Only the
+    boundary errors are reported; no rung re-solves another split
+    (`split_deviation`).
 
     Returns
     -------
@@ -205,7 +208,7 @@ def roundtrip(R, cfg, ladder=0):
         A ladder that `ladder_configs` refuses, before any rung runs.
     """
     rungs = []
-    for sub in ladder_configs(cfg, ladder):
+    for sub in reversed(ladder_configs(cfg, ladder)):
         seq = inverse_scattering(R, sub.levels, sub)
         rec = boundary_reconstruction(seq, R.grid, sub.cmv_window, sub.depth)
         err = rec - R.samples
@@ -219,5 +222,6 @@ def roundtrip(R, cfg, ladder=0):
                 "l2_error": float(np.sqrt(np.mean(np.abs(err) ** 2))),
             }
         )
+    rungs.reverse()
     return {"rungs": rungs, "sup_error": rungs[0]["sup_error"],
             "l2_error": rungs[0]["l2_error"]}

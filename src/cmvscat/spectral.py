@@ -3,17 +3,20 @@
 All blocks are grid-sampled (M, 2, 2) arrays. The density with respect
 to the diagonal-level pair comes out of the cross blocks through a
 Schur-complement identity, so it is Hermitian nonnegative by
-construction up to rounding.
+construction up to rounding. Its exact moments are entries of powers of
+the CMV matrix built from the alpha_j (`moment_check`), which ties the
+spectral representation to the coefficients.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import cmv
 from .circle import require_szego
 from .errors import ConditioningError, DomainError, InconsistencyError
-from .lrspace import converged_defect_pair, evaluate, inner_product, shift
-from .verblunsky import alpha_from_defects, level_split, recover_omega
+from .lrspace import converged_defect_pair, evaluate
+from .verblunsky import VerblunskySequence, alpha_from_defects, level_split, recover_omega
 
 PAIR_DIAGONAL = "K-and-tKtilde"
 PAIR_NEXT = "K-and-Ktilde-next"
@@ -162,36 +165,58 @@ def density_moments(density, kmax):
     return out
 
 
-def moment_check(density, R, n, kmax, cfg):
-    """Cross-validate quadrature moments against exact section inner products.
+def moment_check(density, R, kmax, cfg):
+    """Quadrature moments of a density against V^H U^k V, |k| <= kmax.
 
-    The Gram side evaluates <U^k v_q, v_p> through index shifts; the
-    vectors v_1, v_2 follow the density's pair tag.
+    Multiplication by t is the CMV matrix U of the alpha_j in the defect
+    basis (Simon, OPUC vol. 1, ch. 4): <t^k v_q, v_p> = (V^H U^k V)[p, q].
+    With n = density.level, V is (e_{2n}, e_{2n+1}) for
+    `K-and-Ktilde-next` and, by the rotation relation at level 2n - 1,
+    (e_{2n}, rho e_{2n-1} - conj(alpha) e_{2n}) with alpha = alpha_{2n-1}
+    for `K-and-tKtilde`. Each factor of U = L M moves support by one index
+    and reads the levels l of the blocks (l, l + 1) it meets, so, splitting
+    its 2|k| factors in the middle, U^k on V over [a, a + 1] reads the
+    levels a - |k| .. a + |k|. Those levels are solved in one pass before
+    any alpha is read, and the zero-tail window holds the sweep's indices
+    a - 2 kmax .. a + 1 + 2 kmax.
 
     Returns
     -------
-    dict with the worst entrywise deviation and the per-k table.
+    dict with the worst entrywise deviation and the per-k table of both
+    sides ("quadrature", "cmv").
+
+    Raises
+    ------
+    DomainError
+        The density carries an unknown pair tag.
     """
-    pair = converged_defect_pair(R, n, n, cfg)
-    v1 = pair.K
-    if density.pair_tag == PAIR_DIAGONAL:
-        v2 = shift(pair.Ktilde, 1)
-    elif density.pair_tag == PAIR_NEXT:
-        v2 = converged_defect_pair(R, n + 1, n, cfg).Ktilde
+    n, tag = density.level, density.pair_tag
+    if tag not in (PAIR_DIAGONAL, PAIR_NEXT):
+        raise DomainError(f"unknown pair tag {tag!r}")
+    a = 2 * n - 1 if tag == PAIR_DIAGONAL else 2 * n
+    pairs = [converged_defect_pair(R, *level_split(j), cfg)
+             for j in range(a - kmax, a + kmax + 1)]
+    seq = VerblunskySequence(a - kmax, [alpha_from_defects(p) for p in pairs])
+    U = cmv.build_cmv(seq, max(2, 2 * kmax - a, a + 1 + 2 * kmax), "zero-tail")
+    V = np.zeros((U.dim, 2), dtype=complex)
+    V[U.pos(2 * n), 0] = 1.0
+    if tag == PAIR_DIAGONAL:
+        V[U.pos(a), 1], V[U.pos(2 * n), 1] = seq.rho(a), -np.conj(seq.alpha(a))
     else:
-        raise DomainError(f"unknown pair tag {density.pair_tag!r}")
-    vs = (v1, v2)
+        V[U.pos(a + 1), 1] = 1.0
+    exact = {0: V.conj().T @ V}
+    up = down = V
+    for k in range(1, kmax + 1):
+        up = np.column_stack([cmv.apply(U, v) for v in up.T])
+        down = np.column_stack([cmv.apply_adjoint(U, v) for v in down.T])
+        exact[k], exact[-k] = V.conj().T @ up, V.conj().T @ down
     quad = density_moments(density, kmax)
     table = {}
     worst = 0.0
     for k in range(-kmax, kmax + 1):
-        gram = np.empty((2, 2), dtype=complex)
-        for p in range(2):
-            for q in range(2):
-                gram[p, q] = inner_product(shift(vs[q], k), vs[p])
-        dev = float(np.max(np.abs(quad[k] - gram)))
+        dev = float(np.max(np.abs(quad[k] - exact[k])))
         worst = max(worst, dev)
-        table[k] = {"quadrature": quad[k].tolist(), "gram": gram.tolist(),
+        table[k] = {"quadrature": quad[k].tolist(), "cmv": exact[k].tolist(),
                     "max_abs_dev": dev}
     return {"max_abs_dev": worst, "per_k": table}
 

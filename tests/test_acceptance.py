@@ -250,7 +250,7 @@ def test_criterion_7_spectral_moments():
               random_trig(GRID, degree=4, margin=0.2, seed=5)):
         for n in (0, 1, 2):
             dens = spectral_density(R, n, CFG)
-            rep = moment_check(dens, R, n, 8, CFG)
+            rep = moment_check(dens, R, 8, CFG)
             worst_mom = max(worst_mom, rep["max_abs_dev"])
         for j in (0, 1, 2):
             worst_rec = max(worst_rec, sigma_recursion_check(R, j, CFG))

@@ -9,7 +9,6 @@ import pytest
 from cmvscat import CircleGrid, checks, lrspace, spectral
 from cmvscat.checks import run_full_suite
 from cmvscat.config import RunConfig
-from cmvscat.errors import DomainError
 from cmvscat.families import from_string, random_trig
 from cmvscat.lrspace import converged_defect_pair
 from cmvscat.verblunsky import alpha_from_defects, inverse_scattering
@@ -32,8 +31,10 @@ def solved(monkeypatch):
 
 
 def test_suite_solves_each_section_once(r_smooth, small_cfg, solved):
-    # each level's section reaches defect_pair once, whatever split asks for it
+    # each level's section reaches defect_pair once, whatever split asks for it;
+    # the solve pass starts at the bottom level of the top ladder rung
     results = run_full_suite(r_smooth, small_cfg)
+    assert solved[0] == (-2 * small_cfg.levels, small_cfg.section_start)
     assert {r.name for r in results} >= {"rotation_relation", "roundtrip_sup_error",
                                           "oracle_alpha_agreement"}
     assert len(solved) > 0
@@ -115,7 +116,7 @@ def test_suite_values_match_checks_run_alone(r_smooth, small_cfg):
         + checks.check_rotation(R, cfg)
         + checks.check_schur(R, seq, cfg)
         + checks.check_cmv(R, seq, cfg)
-        + checks.check_spectral(R, seq, cfg)
+        + checks.check_spectral(R, cfg)
         + checks.check_roundtrip(R, cfg)
         + checks.check_oracle(R, seq, cfg)
     )
@@ -147,32 +148,14 @@ def test_oracle_compares_within_a_narrow_window(r_smooth, small_cfg):
     assert result.value <= cfg.tol_fun
 
 
-@pytest.mark.parametrize("case", ["anchor", "narrow"])
-def test_cmv_moments_match_gram_route(r_smooth, small_cfg, case):
-    # V^H U^k V on the CMV matrix built from alpha against moment_check's
-    # inner products of the defect vectors, for both pair tags. The narrow
-    # window [-4, 4] lacks the levels -5 and 5 that the kmax = 4 moments read,
-    # so cmv_moments must solve them rather than take them as zero
-    if case == "anchor":
-        cfg = RunConfig()
-        R = from_string(ANCHOR, CircleGrid(cfg.grid_size))
-    else:
-        cfg, R = small_cfg.replace(levels=4), r_smooth
-    seq = inverse_scattering(R, cfg.levels, cfg)
-    kmax = 4
-    for n in (0, 1):
-        dens = spectral.spectral_density(R, n, cfg)
-        alpha = alpha_from_defects(converged_defect_pair(R, n, n, cfg))
-        for d in (dens, spectral.change_basis_density(dens, alpha)):
-            gram = spectral.moment_check(d, R, n, kmax, cfg)["per_k"]
-            cmv_side = checks.cmv_moments(R, seq, n, d.pair_tag, kmax, cfg)
-            assert sorted(cmv_side) == list(range(-kmax, kmax + 1))
-            for k, row in gram.items():
-                dev = np.max(np.abs(np.array(row["gram"]) - cmv_side[k]))
-                assert dev <= 1e-13, (n, d.pair_tag, k, dev)
-
-
-def test_cmv_moments_refuse_unknown_tag(r_smooth, small_cfg):
-    seq = inverse_scattering(r_smooth, small_cfg.levels, small_cfg)
-    with pytest.raises(DomainError, match="unknown pair tag"):
-        checks.cmv_moments(r_smooth, seq, 0, "K-and-K", 4, small_cfg)
+def test_spectral_entry_is_the_worst_moment_check(r_smooth, small_cfg):
+    # the suite's entry is moment_check's deviation, maximized over the
+    # densities check_spectral reads: both tags at level 0, the diagonal at 1
+    suite = {r.name: r.value for r in run_full_suite(r_smooth, small_cfg, heavy=False)}
+    cfg, R = small_cfg, r_smooth
+    dens0 = spectral.spectral_density(R, 0, cfg)
+    alpha = alpha_from_defects(converged_defect_pair(R, 0, 0, cfg))
+    densities = (dens0, spectral.change_basis_density(dens0, alpha),
+                 spectral.spectral_density(R, 1, cfg))
+    worst = max(spectral.moment_check(d, R, 4, cfg)["max_abs_dev"] for d in densities)
+    assert suite["spectral_moments_match_cmv"] == worst

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -740,3 +742,27 @@ def test_cli_inverse_report_sections(tmp_path):
     assert all(2 * cfg.section_start <= s["N"] <= cfg.section_cap for s in sections)
     assert report["diagnostics"]["cond"] == max(s["cond"] for s in sections)
     assert [s["a0"] for s in sections] == report["convergence"]["a0s"]
+
+
+def _readme_cli_examples():
+    """The README CLI block as argv lists, continuation lines joined."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        text = fh.read()
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("cmvscat ")]
+
+
+def test_readme_cli_examples_exit_0(tmp_path, monkeypatch):
+    # the documented examples, in order, at the defaults; R.json is R = 0.5 tbar
+    # in the coefficient format the README documents
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, "R.json", json.dumps({"type": "coeffs", "entries": [[-1, 0.5, 0.0]]}))
+    examples = _readme_cli_examples()
+    assert [argv[0] for argv in examples] == ["inverse", "direct", "direct", "direct",
+                                              "roundtrip", "spectrum", "check",
+                                              "dump-matrix"]
+    for argv in examples:
+        assert main(argv) == 0, argv
+    assert json.loads((tmp_path / "moments.json").read_text())["max_abs_dev"] <= 1e-6

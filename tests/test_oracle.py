@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from cmvscat import inverse_scattering, oracle_inner, oracle_verblunsky
-from cmvscat.errors import InputError, ResolutionError
+from cmvscat import inverse_scattering, oracle_verblunsky
+from cmvscat.errors import ResolutionError
 from cmvscat.families import random_trig
 from cmvscat.oracle import (
     _cgs2_defect,
-    _generator_block,
-    _quadrature_gram,
     compare_with_fast_path,
-    generator_samples,
+    quadrature_gram,
     quadrature_space,
 )
 
@@ -32,31 +30,22 @@ def test_weight_outer_path_matches_pointwise_inverse(r_smooth):
     assert np.max(np.abs(Qo.weight - Qi.weight)) < 1e-9
 
 
-def test_oracle_generator_norms(r_smooth, r_half, r_zero):
-    for R in (r_smooth, r_half, r_zero):
-        Q = quadrature_space(R)
-        g = generator_samples(Q, "analytic", 0)
-        assert abs(oracle_inner(g, g, Q) - 1.0) < 1e-8
-
-
-def test_oracle_cross_zero(r_zero):
-    Q = quadrature_space(r_zero)
-    g = generator_samples(Q, "analytic", 2)
-    h = generator_samples(Q, "antianalytic", 1)
-    assert abs(oracle_inner(g, h, Q)) < 1e-12
-
-
-def test_oracle_cross_monomial(r_half):
-    Q = quadrature_space(r_half)
-    g0 = generator_samples(Q, "analytic", 0)
-    h1 = generator_samples(Q, "antianalytic", 1)
-    assert abs(oracle_inner(g0, h1, Q) - 0.5) < 1e-8
-
-
-def test_oracle_inner_shape_guard(r_zero):
-    Q = quadrature_space(r_zero)
-    with pytest.raises(InputError):
-        oracle_inner(np.ones((2, 4)), np.ones((2, 4)), Q)
+@pytest.mark.parametrize("families, ks, ls, tol", [
+    (("r_smooth", "r_half", "r_zero"), (0,), (), 1e-8),
+    (("r_zero",), (2,), (1,), 1e-12),
+    (("r_half",), (0,), (1,), 1e-8),
+    (("r_smooth",), (-1, 0, 2), (0, 1, 3), 1e-7),
+], ids=["unit-norms", "cross-zero", "cross-monomial", "cross-hankel"])
+def test_quadrature_gram_entries(request, families, ks, ls, tol):
+    # identity within each family; the cross entries <g'_k, g''_l> = c_{-(k+l)}
+    # of the Hankel fast path (0.5 for the monomial, 0 for R = 0)
+    for name in families:
+        R = request.getfixturevalue(name)
+        cross = np.array([[R.coefficient(-(k + l)) for l in ls] for k in ks])
+        exact = np.eye(len(ks) + len(ls), dtype=complex)
+        exact[len(ks):, :len(ks)], exact[:len(ks), len(ks):] = cross.T, np.conj(cross)
+        G = quadrature_gram(quadrature_space(R), ks, ls)
+        assert np.max(np.abs(G - exact)) < tol, name
 
 
 def test_oracle_zero_function(r_zero):
@@ -87,24 +76,10 @@ def test_oracle_agrees_with_fast_path(small_cfg):
     assert rep["max_alpha_dev"] <= 1e-6
 
 
-def test_oracle_inner_against_gram_entries(r_smooth):
-    # generator pairwise inner products match the coefficient lookups
-    Q = quadrature_space(r_smooth)
-    worst = 0.0
-    for k in (-1, 0, 2):
-        for l in (0, 1, 3):
-            g = generator_samples(Q, "analytic", k)
-            h = generator_samples(Q, "antianalytic", l)
-            got = oracle_inner(g, h, Q)
-            worst = max(worst, abs(got - r_smooth.coefficient(-(k + l))))
-    assert worst < 1e-7
-
-
 def _frame_gram(R, n, m, N):
     # quadrature Gram of the frame at (n, m) with N generators per family
-    Q = quadrature_space(R)
-    vecs = _generator_block(Q, np.arange(n, n + N), np.arange(m + 1, m + N + 1))
-    return _quadrature_gram(vecs, Q)
+    return quadrature_gram(quadrature_space(R), np.arange(n, n + N),
+                           np.arange(m + 1, m + N + 1))
 
 
 @pytest.mark.parametrize("drop", [0, 8])

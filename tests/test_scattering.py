@@ -280,7 +280,8 @@ def test_roundtrip_error_tracks_level_window(r_smooth, small_cfg):
 
 
 def test_roundtrip_skips_split_recomputation(r_half, small_cfg, monkeypatch):
-    # only boundary errors are reported, so no rung re-solves shifted splits
+    # only boundary errors are reported, so no rung re-solves shifted splits;
+    # one inverse per rung, top rung first
     rungs, splits = [], []
     original = scattering.inverse_scattering
 
@@ -292,7 +293,7 @@ def test_roundtrip_skips_split_recomputation(r_half, small_cfg, monkeypatch):
     monkeypatch.setattr(verblunsky, "split_deviation",
                         lambda *args: splits.append(args))
     roundtrip(r_half, small_cfg, ladder=1)
-    assert rungs == [small_cfg.levels, 2 * small_cfg.levels]
+    assert rungs == [2 * small_cfg.levels, small_cfg.levels]
     assert splits == []
 
 
@@ -304,12 +305,18 @@ def test_roundtrip_ladder_limited_by_section_cap(r_half, small_cfg):
         roundtrip(r_half, small_cfg, ladder=4)
 
 
-def test_roundtrip_ladder_below_cap_meets_the_section_certificate(r_half, small_cfg):
+def test_roundtrip_ladder_below_cap_meets_the_section_certificate(r_half, small_cfg,
+                                                                 monkeypatch):
     # ladder 3 passes the cap rule, but level -48 of rung 3 has not
     # converged at N = 96 and cannot double again: the section
-    # certificate refuses it, not the ladder rule
+    # certificate refuses it, not the ladder rule, and the rungs run
+    # top-down, so no rung is reconstructed before the refusal
+    built = []
+    monkeypatch.setattr(scattering, "boundary_reconstruction",
+                        lambda *args: built.append(args))
     with pytest.raises(ConvergenceError, match="level -48:"):
         roundtrip(r_half, small_cfg, ladder=3)
+    assert built == []
 
 
 def test_ladder_configs_start_at_the_rung_window():

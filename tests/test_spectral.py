@@ -14,6 +14,7 @@ from cmvscat.errors import DomainError
 from cmvscat.spectral import (
     PAIR_DIAGONAL,
     PAIR_NEXT,
+    SpectralDensity,
     _hermitian_min_eig,
     density_moments,
     log_det_diagnostic,
@@ -85,17 +86,38 @@ def test_density_hermitian_nonnegative(r_smooth, small_cfg):
 def test_moment_check_monomial(r_half, small_cfg):
     for n in (0, 1):
         dens = spectral_density(r_half, n, small_cfg)
-        rep = moment_check(dens, r_half, n, 4, small_cfg)
+        rep = moment_check(dens, r_half, 4, small_cfg)
         assert rep["max_abs_dev"] <= 1e-6
-        k0 = np.array(rep["per_k"][0]["gram"])
+        k0 = np.array(rep["per_k"][0]["cmv"])
         assert abs(k0[0, 0] - 1.0) < 1e-10
         assert abs(k0[1, 1] - 1.0) < 1e-10
 
 
 def test_moment_check_smooth(r_smooth, small_cfg):
     dens = spectral_density(r_smooth, 0, small_cfg)
-    rep = moment_check(dens, r_smooth, 0, 4, small_cfg)
+    rep = moment_check(dens, r_smooth, 4, small_cfg)
     assert rep["max_abs_dev"] <= 1e-6
+
+
+def test_moment_check_reads_levels_outside_the_window(r_smooth, small_cfg):
+    # the kmax = 4 moments read the levels a - 4 .. a + 4, a = 2n - 1 or 2n,
+    # out to -5 and 6, past the level window [-4, 4]: moment_check solves
+    # them rather than take them as zero
+    cfg = small_cfg.replace(levels=4)
+    for n in (0, 1):
+        dens = spectral_density(r_smooth, n, cfg)
+        alpha = alpha_from_defects(converged_defect_pair(r_smooth, n, n, cfg))
+        for d in (dens, change_basis_density(dens, alpha)):
+            rep = moment_check(d, r_smooth, 4, cfg)
+            assert sorted(rep["per_k"]) == list(range(-4, 5))
+            assert rep["max_abs_dev"] <= cfg.tol_fun, (n, d.pair_tag)
+
+
+def test_moment_check_refuses_unknown_tag(r_smooth, small_cfg):
+    dens = spectral_density(r_smooth, 0, small_cfg)
+    tagged = SpectralDensity(dens.grid, dens.values, "K-and-K", dens.level)
+    with pytest.raises(DomainError, match="unknown pair tag"):
+        moment_check(tagged, r_smooth, 4, small_cfg)
 
 
 def test_change_basis_alpha_zero_twists_offdiagonal(r_zero, small_cfg):
@@ -131,12 +153,11 @@ def test_change_basis_moments_against_gram(r_half, small_cfg):
     dens = spectral_density(r_half, 0, small_cfg)
     pair = converged_defect_pair(r_half, 0, 0, small_cfg)
     changed = change_basis_density(dens, alpha_from_defects(pair))
-    rep = moment_check(changed, r_half, 0, 3, small_cfg)
+    rep = moment_check(changed, r_half, 3, small_cfg)
     assert rep["max_abs_dev"] <= 1e-6
 
 
 def test_change_basis_domain():
-    from cmvscat.spectral import SpectralDensity
     from cmvscat import CircleGrid
 
     g = CircleGrid(8)
