@@ -18,6 +18,7 @@ from .circle import CircleGrid
 from .config import RunConfig
 from .errors import INPUT_ERRORS, NUMERICAL_ERRORS, InputError
 from .families import from_string
+from .lrspace import section_memo
 from .verblunsky import convergence_report, inverse_scattering, split_deviation
 from .checks import run_full_suite
 
@@ -138,9 +139,10 @@ def cmd_spectrum(args):
     n = args.level
     cfg = _config_from(args)
     R = _load_input(args, cfg)
-    dens = spectral.spectral_density(R, n, cfg)
-    _emit(fileio.save_density_csv(dens), args.out)
-    rep = spectral.moment_check(dens, R, kmax=4, cfg=cfg)
+    with section_memo():  # moment_check reads the density level's section again
+        dens = spectral.spectral_density(R, n, cfg)
+        _emit(fileio.save_density_csv(dens), args.out)
+        rep = spectral.moment_check(dens, R, kmax=4, cfg=cfg)
     rep["log_det"] = spectral.log_det_diagnostic(dens)
     if args.report:
         _emit(fileio.save_report(rep), args.report)

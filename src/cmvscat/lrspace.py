@@ -15,7 +15,8 @@ coefficients (ResolutionError), a `cond` above COND_CAP raises
 ConditioningError. `converged_defect_pair` alone decides the section
 size, from the doubling policy of the RunConfig it is given. Inside a
 `section_memo()` block each level's section is solved once, any split
-of it served as a shift; the invariant suite opens one for its checks.
+of it served as a shift that shares the values read off the section;
+the invariant suite opens one for its checks.
 
 Gram orientation used throughout: G[a, b] = <s_b, s_a>, so that for
 coordinate vectors u, v the inner product <u, v> is v^H G u.
@@ -23,7 +24,7 @@ coordinate vectors u, v the inner product <u, v> is v^H G u.
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -225,6 +226,8 @@ class DefectPair:
     for the frame Gram G, K = H e_0 a0 and Ktilde = H e_N a0_tilde, with
     residuals a0 = H_00^(-1/2) and a0_tilde = H_NN^(-1/2), which agree
     in exact arithmetic. `cond` is LAPACK's 1-norm estimate for G.
+    `shared` holds values read off the section, such as alpha, for every
+    split a `section_memo()` block serves.
     """
 
     K: LrElement
@@ -232,6 +235,7 @@ class DefectPair:
     a0: float
     a0_tilde: float
     cond: float
+    shared: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def frame(self):
@@ -270,7 +274,8 @@ def defect_pair(R, n, m, N):
     G = frame_gram(R, frame)
     anorm = float(np.max(np.sum(np.abs(G), axis=0)))
     try:
-        cf = sla.cho_factor(G, lower=True, overwrite_a=True)
+        # require_szego has refused non-finite samples, so G is finite
+        cf = sla.cho_factor(G, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise ResolutionError(
             f"frame Gram not positive definite ({exc}); the cross block norm "
@@ -285,7 +290,7 @@ def defect_pair(R, n, m, N):
         )
     rhs = np.zeros((2 * N, 2), dtype=complex)
     rhs[0, 0] = rhs[N, 1] = 1.0
-    H = sla.cho_solve(cf, rhs)
+    H = sla.cho_solve(cf, rhs, check_finite=False)
     a0, a0t = float(H[0, 0].real) ** -0.5, float(H[N, 1].real) ** -0.5
     if min(a0, a0t) < DEGENERACY_FLOOR:
         raise DegeneracyError(
@@ -324,7 +329,8 @@ def section_pair(R, n, m, N):
     Outside a `section_memo()` block this is a plain `defect_pair` call.
     Inside one, sections are keyed by the level n + m, on which alone the
     frame Gram depends: any split gets the solved pair moved by `shift`,
-    bit for bit a fresh solve, as a new DefectPair.
+    bit for bit a fresh solve, as a new DefectPair sharing the solved
+    pair's `shared` values.
     """
     memo = _SECTIONS.get()
     if memo is None:
@@ -335,7 +341,7 @@ def section_pair(R, n, m, N):
         pair = memo[key] = defect_pair(R, n, m, N)
     p = n - pair.frame.n
     return DefectPair(shift(pair.K, p), shift(pair.Ktilde, p), pair.a0,
-                      pair.a0_tilde, pair.cond)
+                      pair.a0_tilde, pair.cond, pair.shared)
 
 
 def converged_defect_pair(R, n, m, cfg):
@@ -363,7 +369,9 @@ def converged_defect_pair(R, n, m, cfg):
 
 
 def _pair_delta(a, b):
-    big = b.frame
-    da = embed(a.K, big).coords() - b.K.coords()
-    db = embed(a.Ktilde, big).coords() - b.Ktilde.coords()
-    return float(max(np.max(np.abs(da)), np.max(np.abs(db))))
+    # a's frame is the leading block of b's (same offsets, b larger): a's
+    # coordinates meet b's in place, b's further ones meet zero
+    N = a.frame.N
+    return float(max(max(np.max(np.abs(s - t[:N])), np.max(np.abs(t[N:])))
+                     for u, v in ((a.K, b.K), (a.Ktilde, b.Ktilde))
+                     for s, t in ((u.x, v.x), (u.y, v.y))))

@@ -3,8 +3,11 @@
 Everything here goes through dense trapezoidal quadrature of the 2x2
 weight and re-orthogonalized classical Gram-Schmidt (CGS2), sharing
 nothing with the Hankel fast path beyond grid construction and the
-outer factorization used to express the weight. Slow on purpose; it
-exists to certify the fast path, not to compete with it.
+outer factorization used to express the weight. A level's two defects
+drop g'_n and g''_{m+1} from one frame, so one CGS2 basis of the 2N - 2
+generators they share, extended by g''_{m+1} for K and by g'_n for
+Ktilde, gives both in 2N + 2 projections. Slow on purpose; it exists to
+certify the fast path, not to compete with it.
 """
 
 from dataclasses import dataclass
@@ -93,30 +96,28 @@ def quadrature_gram(Q, ks, ls):
     return np.conj(vecs.reshape(dim, -1) @ wv.reshape(dim, -1).T) / Q.grid.size
 
 
-def _cgs2_defect(G, drop):
-    """Defect coordinates by classical Gram-Schmidt, run twice, in the Gram G.
+def _project_out(w, basis, g_basis):
+    # w less its G-projection on the basis columns, taken twice ("twice is
+    # enough"); the coefficient on column q is <w, q> = q^H G w = (G q)^H w
+    for _ in range(2):
+        w = w - basis @ (np.conj(g_basis.T) @ w)
+    return w
 
-    Orthonormalizes the generators other than `drop` in order. Each one
-    is projected against the whole basis built so far as one product
-    with the stored basis, then once more against it (re-orthogonalized
-    CGS, "twice is enough"), and normalized. The dropped generator is
-    projected out the same way; returns its normalized residual
-    coordinates and its norm.
+
+def _cgs2_defects(G, a, b):
+    """Defect coordinates of generators a and b by CGS2 in the Gram G.
+
+    The generators other than a and b are orthonormalized once, in order;
+    that basis extended by b takes a's residual, extended by a, b's.
+    Returns [(r_a, norm_a), (r_b, norm_b)], each r normalized.
     """
     dim = G.shape[0]
     basis = np.zeros((dim, dim - 1), dtype=complex)  # G-orthonormal columns
     g_basis = np.zeros_like(basis)  # G times each basis column
-
-    def project_out(w, k):
-        # the coefficient on column q is <w, q> = q^H G w = (G q)^H w
-        for _ in range(2):
-            w = w - basis[:, :k] @ (np.conj(g_basis[:, :k].T) @ w)
-        return w
-
     unit = np.eye(dim, dtype=complex)
-    order = [i for i in range(dim) if i != drop]
-    for k, i in enumerate(order):
-        w = project_out(unit[i], k)
+
+    def extend(k, i):
+        w = _project_out(unit[i], basis[:, :k], g_basis[:, :k])
         gw = G @ w
         nrm2 = float(np.real(np.conj(w) @ gw))
         if nrm2 <= -1e-8:
@@ -129,13 +130,20 @@ def _cgs2_defect(G, drop):
             )
         basis[:, k] = w / np.sqrt(nrm2)
         g_basis[:, k] = gw / np.sqrt(nrm2)
-    r = project_out(unit[drop], dim - 1)
-    a0 = np.sqrt(max(float(np.real(np.conj(r) @ (G @ r))), 0.0))
-    if a0 == 0.0:
-        raise ResolutionError(
-            "defect residual vanished in quadrature; raise the oversampling factor"
-        )
-    return r / a0, float(a0)
+
+    for k, i in enumerate(i for i in range(dim) if i not in (a, b)):
+        extend(k, i)
+    out = []
+    for drop, keep in ((a, b), (b, a)):
+        extend(dim - 2, keep)
+        r = _project_out(unit[drop], basis, g_basis)
+        a0 = np.sqrt(max(float(np.real(np.conj(r) @ (G @ r))), 0.0))
+        if a0 == 0.0:
+            raise ResolutionError(
+                "defect residual vanished in quadrature; raise the oversampling factor"
+            )
+        out.append((r / a0, float(a0)))
+    return out
 
 
 def oracle_verblunsky(R, J, N, Q):
@@ -144,7 +152,7 @@ def oracle_verblunsky(R, J, N, Q):
     Same mathematics as the fast path, independent numerics: the Gram
     comes from pointwise quadrature of the weight (no Hankel lookups),
     the defect vectors from classical Gram-Schmidt run twice (no Cholesky
-    solves).
+    solves), both of a level from one basis of the generators they share.
 
     The frames of all levels lie in one window of generator indices, so
     one quadrature Gram over that window serves every level.
@@ -166,8 +174,7 @@ def oracle_verblunsky(R, J, N, Q):
         n, m = level_split(j)
         idx = np.concatenate([n - n0 + span, len(ks) + m - m0 + span])
         G = G_all[np.ix_(idx, idx)]
-        ck, a0 = _cgs2_defect(G, 0)
-        ct, _ = _cgs2_defect(G, N)
+        (ck, a0), (ct, _) = _cgs2_defects(G, 0, N)
         a0s.append(a0)
         if j <= J:
             alphas.append(complex(np.conj(ct) @ (G @ ck)))

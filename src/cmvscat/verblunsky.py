@@ -84,8 +84,11 @@ class SchurFunction:
 
 
 def alpha_from_defects(pair):
-    """Verblunsky coefficient <K, Ktilde> of a defect pair."""
-    a = inner_product(pair.K, pair.Ktilde)
+    """Verblunsky coefficient <K, Ktilde> of a defect pair, once per solved
+    section: every split a `section_memo()` block serves reads that complex."""
+    a = pair.shared.get("alpha")
+    if a is None:
+        a = pair.shared["alpha"] = inner_product(pair.K, pair.Ktilde)
     if abs(a) >= 1.0:
         raise InconsistencyError(
             f"|alpha| = {abs(a):.6g} >= 1; section not converged or input invalid"

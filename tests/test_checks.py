@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from cmvscat import CircleGrid, checks, lrspace, spectral
+from cmvscat import CircleGrid, checks, lrspace, oracle, spectral, verblunsky
 from cmvscat.checks import run_full_suite
 from cmvscat.config import RunConfig
 from cmvscat.families import from_string, random_trig
@@ -56,13 +56,48 @@ def test_suite_solves_before_it_reads(r_smooth, small_cfg, solved, monkeypatch, 
     assert at_first_check == [len(solved)] and len(solved) > 0
 
 
-def test_anchor_suite_solve_count(solved):
-    # rung 1 of the roundtrip ladder starts at section_start, so it shares
-    # rung 0's sections; only 4 of the 136 distinct sections reach N = 128
+@pytest.fixture
+def alpha_reads(monkeypatch):
+    """Sections (level, N) whose <K, Ktilde> alpha_from_defects computes."""
+    keys = []
+    original = verblunsky.inner_product
+
+    def counting(u, v):
+        keys.append((u.frame.n + u.frame.m, u.frame.N))
+        return original(u, v)
+
+    monkeypatch.setattr(verblunsky, "inner_product", counting)
+    return keys
+
+
+def test_suite_reads_each_alpha_once(r_smooth, small_cfg, alpha_reads):
+    # every split of a solved level shares one alpha, whichever check asks
+    run_full_suite(r_smooth, small_cfg)
+    assert len(alpha_reads) > 2 * small_cfg.levels
+    assert len(alpha_reads) == len({level for level, _ in alpha_reads})
+
+
+def test_anchor_suite_solve_count(solved, monkeypatch):
+    # the deterministic work of the anchor suite at the defaults: sections
+    # solved, inner products taken and oracle CGS2 projections (10 levels,
+    # 2N + 2 each at N = 32); a re-solve or a re-read moves a count. Rung 1
+    # of the roundtrip ladder starts at section_start, so it shares rung 0's
+    # sections; only 4 of the 136 distinct sections reach N = 128
+    inner, projections = [], []
+    for mod in (lrspace, checks, verblunsky):
+        def counting(u, v, original=mod.inner_product):
+            inner.append(1)
+            return original(u, v)
+
+        monkeypatch.setattr(mod, "inner_product", counting)
+    original = oracle._project_out
+    monkeypatch.setattr(oracle, "_project_out",
+                        lambda *a: projections.append(1) or original(*a))
     cfg = RunConfig()
     run_full_suite(from_string(ANCHOR, CircleGrid(cfg.grid_size)), cfg)
     assert len(solved) == len(set(solved)) == 136
     assert sum(N == 128 for _, N in solved) == 4
+    assert (len(inner), len(projections)) == (87, 660)
 
 
 def test_memo_released_after_return(r_smooth, small_cfg, solved):
@@ -93,7 +128,7 @@ def test_shifted_split_served_from_the_level_memo(r_smooth, solved):
     # bit for bit what a fresh solve at that split returns
     n, m, N = 1, 2, 32
     with lrspace.section_memo():
-        lrspace.section_pair(r_smooth, n, m, N)
+        alpha = alpha_from_defects(lrspace.section_pair(r_smooth, n, m, N))
         moved = lrspace.section_pair(r_smooth, n + 1, m - 1, N)
     assert solved == [(n + m, N)]
     fresh = lrspace.defect_pair(r_smooth, n + 1, m - 1, N)
@@ -103,6 +138,9 @@ def test_shifted_split_served_from_the_level_memo(r_smooth, solved):
     assert np.array_equal(moved.Ktilde.coords(), fresh.Ktilde.coords())
     assert (moved.a0, moved.a0_tilde, moved.cond) == (fresh.a0, fresh.a0_tilde,
                                                       fresh.cond)
+    # its alpha is the one read off the solved split, bit for bit a fresh one
+    assert moved.shared["alpha"] is alpha
+    assert alpha_from_defects(moved) == alpha_from_defects(fresh)
 
 
 def test_suite_values_match_checks_run_alone(r_smooth, small_cfg):

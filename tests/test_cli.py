@@ -439,6 +439,25 @@ def test_cli_spectrum_csv(tmp_path):
     assert moments["max_abs_dev"] <= 1e-6
 
 
+def test_cli_spectrum_solves_each_section_once(tmp_path, monkeypatch):
+    # moment_check reads the density level's section again; the command's
+    # section memo serves it, so each of the 18 sections is solved once
+    from cmvscat import lrspace
+
+    solved = []
+    original = lrspace.defect_pair
+
+    def counting(R, n, m, N):
+        solved.append((n + m, N))
+        return original(R, n, m, N)
+
+    monkeypatch.setattr(lrspace, "defect_pair", counting)
+    code = main(["spectrum", "--family", "monomial,gamma=0.5,k=1", "--levels", "1",
+                 "--out", str(tmp_path / "d.csv"), "--report", str(tmp_path / "m.json")])
+    assert code == 0
+    assert len(solved) == len(set(solved)) == 18
+
+
 def test_cli_check_passes(tmp_path):
     out = str(tmp_path / "check.json")
     code = main(

@@ -114,6 +114,22 @@ def test_unitarity_defects():
     assert unitarity_defect(build_cmv(_free_sequence(), 16, "zero-tail")) == 0.0
 
 
+@pytest.mark.parametrize("boundary", ["zero-tail", "decoupled"])
+@pytest.mark.parametrize("W", [2, 3, 16, 128])
+def test_banded_unitarity_defect_matches_dense(W, boundary):
+    # the nine diagonals read off the bands give the max-norm of the dense
+    # U^H U - I over the same interior; zero-tail at W <= 3 has none
+    U = build_cmv(_random_sequence(-W - 2, 2 * W + 5, scale=0.9, seed=W), W, boundary)
+    dense = U.dense()
+    E = dense.conj().T @ dense - np.eye(U.dim)
+    skip = 4 if boundary == "zero-tail" else 0
+    E = E[skip : U.dim - skip, skip : U.dim - skip]
+    if E.size == 0:
+        assert unitarity_defect(U) == 0.0
+    else:
+        assert abs(unitarity_defect(U) - np.max(np.abs(E))) <= 1e-15
+
+
 def test_decoupled_spectrum_on_circle():
     seq = _random_sequence(-6, 13, seed=8)
     U = build_cmv(seq, 16, "decoupled")

@@ -5,7 +5,7 @@ from cmvscat import inverse_scattering, oracle_verblunsky
 from cmvscat.errors import ResolutionError
 from cmvscat.families import random_trig
 from cmvscat.oracle import (
-    _cgs2_defect,
+    _cgs2_defects,
     compare_with_fast_path,
     quadrature_gram,
     quadrature_space,
@@ -82,10 +82,16 @@ def _frame_gram(R, n, m, N):
                            np.arange(m + 1, m + N + 1))
 
 
+def _defect(G, drop):
+    # both defects of a level from one shared basis, as the oracle takes them:
+    # g'_n (index 0) after extending by g''_{m+1} (index 8), then the reverse
+    return dict(zip((0, 8), _cgs2_defects(G, 0, 8)))[drop]
+
+
 @pytest.mark.parametrize("drop", [0, 8])
 def test_gram_schmidt_residual_is_orthogonal(r_smooth, drop):
     G = _frame_gram(r_smooth, 1, 0, 8)
-    r, a0 = _cgs2_defect(G, drop)
+    r, a0 = _defect(G, drop)
     Gr = G @ r
     keep = np.arange(G.shape[0]) != drop
     assert np.max(np.abs(Gr[keep])) <= 1e-12
@@ -96,7 +102,7 @@ def test_gram_schmidt_residual_is_orthogonal(r_smooth, drop):
 def test_gram_schmidt_residual_norm_matches_dense_solve(r_smooth, drop):
     # the residual of e_d against the other generators has norm (G^-1)_dd^(-1/2)
     G = _frame_gram(r_smooth, 0, -1, 8)
-    _, a0 = _cgs2_defect(G, drop)
+    _, a0 = _defect(G, drop)
     unit = np.zeros(G.shape[0])
     unit[drop] = 1.0
     inv_dd = np.linalg.solve(G, unit)[drop].real
@@ -104,18 +110,20 @@ def test_gram_schmidt_residual_norm_matches_dense_solve(r_smooth, drop):
 
 
 def test_gram_schmidt_refuses_indefinite_gram():
+    # generator 1 extends the shared basis {0} before 2 is projected
     with pytest.raises(ResolutionError, match="indefinite"):
-        _cgs2_defect(np.diag([1.0, -1.0, 1.0]).astype(complex), 2)
+        _cgs2_defects(np.diag([1.0, -1.0, 1.0]).astype(complex), 2, 1)
 
 
 def test_gram_schmidt_refuses_singular_gram():
     G = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
     with pytest.raises(ResolutionError, match="numerically singular"):
-        _cgs2_defect(G, 2)
+        _cgs2_defects(G, 2, 1)
 
 
 def test_gram_schmidt_refuses_vanished_residual():
     # the dropped generator equals the first kept one in this Gram
     G = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]], dtype=complex)
     with pytest.raises(ResolutionError, match="vanished"):
-        _cgs2_defect(G, 2)
+        _cgs2_defects(G, 2, 1)
+
