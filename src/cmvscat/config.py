@@ -41,6 +41,8 @@ class RunConfig:
                 raise InputError(f"{f.name} must be positive")
             if not math.isfinite(value):  # JSON NaN/Infinity would void a bound
                 raise InputError(f"{f.name} must be finite, got {value!r}")
+        if self.oversample & (self.oversample - 1):  # the oracle grid is M * oversample
+            raise InputError(f"oversample must be a power of two, got {self.oversample}")
         if self.section_cap < 2 * self.section_start:
             raise InputError(
                 f"section_cap {self.section_cap} must be at least twice "

@@ -79,10 +79,11 @@ def test_suite_reads_each_alpha_once(r_smooth, small_cfg, alpha_reads):
 
 def test_anchor_suite_solve_count(solved, monkeypatch):
     # the deterministic work of the anchor suite at the defaults: sections
-    # solved, inner products taken and oracle CGS2 projections (10 levels,
-    # 2N + 2 each at N = 32); a re-solve or a re-read moves a count. Rung 1
-    # of the roundtrip ladder starts at section_start, so it shares rung 0's
-    # sections; only 4 of the 136 distinct sections reach N = 128
+    # solved, inner products taken and oracle CGS2 projections (2N + 2 at
+    # N = 32, each batched over the 10 levels); a re-solve or a re-read
+    # moves a count. Rung 1 of the roundtrip ladder starts at section_start,
+    # so it shares rung 0's sections; only 4 of the 136 distinct sections
+    # reach N = 128
     inner, projections = [], []
     for mod in (lrspace, checks, verblunsky):
         def counting(u, v, original=mod.inner_product):
@@ -97,7 +98,7 @@ def test_anchor_suite_solve_count(solved, monkeypatch):
     run_full_suite(from_string(ANCHOR, CircleGrid(cfg.grid_size)), cfg)
     assert len(solved) == len(set(solved)) == 136
     assert sum(N == 128 for _, N in solved) == 4
-    assert (len(inner), len(projections)) == (87, 660)
+    assert (len(inner), len(projections)) == (87, 66)
 
 
 def test_memo_released_after_return(r_smooth, small_cfg, solved):

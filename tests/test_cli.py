@@ -271,6 +271,7 @@ _BAD_FILES = [
     ("string for float", '{"section_tol": "1e-9"}', "section_tol"),
     ("NaN tolerance", '{"section_tol": NaN}', "section_tol"),
     ("infinite tolerance", '{"tol_alg": Infinity}', "tol_alg"),
+    ("oversample not a power of two", '{"oversample": 3}', "oversample"),
     ("missing input", "", "nope.json"),
     ("input not an object", "", "list.json"),
     ("missing alphas", "", "nope.json"),
@@ -550,6 +551,22 @@ def test_cli_config_rejects_undoublable_sections(tmp_path, capsys):
     assert "Traceback" not in err
     with pytest.raises(InputError):
         RunConfig(section_start=64, section_cap=127)
+
+
+@pytest.mark.parametrize("command", [["check"], ["check", "--light"], ["inverse"]])
+def test_cli_config_rejects_oversample_off_power_of_two(tmp_path, capsys, command):
+    # the quadrature grid is M * oversample: the key is refused by name
+    # before any command reads it, not as a grid size the user never set
+    cfg_path = _write(tmp_path, "cfg.json", json.dumps({"oversample": 3}))
+    code = main(command + ["--family", "zero", "--config", cfg_path,
+                           "--out", str(tmp_path / "a.json")] + FAST)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "oversample must be a power of two, got 3" in err
+    assert "grid size" not in err
+    assert "Traceback" not in err
+    for value in (1, 2, 8):
+        assert RunConfig(oversample=value).oversample == value
 
 
 def test_cli_roundtrip_rejects_undoublable_ladder(tmp_path, capsys, monkeypatch):

@@ -1,15 +1,25 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cmvscat import inverse_scattering, oracle_verblunsky
+from cmvscat import (
+    CircleGrid,
+    VerblunskySequence,
+    inverse_scattering,
+    oracle,
+    oracle_verblunsky,
+)
 from cmvscat.errors import ResolutionError
-from cmvscat.families import random_trig
+from cmvscat.families import from_string, random_trig
 from cmvscat.oracle import (
     _cgs2_defects,
     compare_with_fast_path,
     quadrature_gram,
     quadrature_space,
 )
+
+ANCHOR = "random,degree=4,margin=0.2,seed=0"  # the README `check` example
 
 
 def test_weight_is_hermitian_positive(r_smooth):
@@ -48,6 +58,63 @@ def test_quadrature_gram_entries(request, families, ks, ls, tol):
         assert np.max(np.abs(G - exact)) < tol, name
 
 
+def _dense_gram(Q, ks, ls):
+    # the reference: every generator sampled on the grid, the 2x2 weight
+    # applied node by node, then one product summing over nodes and
+    # components together, conj(V conj(WV)^T) / Mq
+    t = Q.grid.nodes
+    vecs = np.empty((len(ks) + len(ls), 2, Q.grid.size), dtype=complex)
+    for i, k in enumerate(ks):
+        vecs[i] = t**k, Q.r_samples * t**k
+    for i, l in enumerate(ls, start=len(ks)):
+        vecs[i] = np.conj(Q.r_samples) * t ** (-l), t ** (-l)
+    wv = np.einsum("xcd,adx->acx", Q.weight, vecs)
+    shape = (vecs.shape[0], 2 * Q.grid.size)
+    return np.conj(vecs.reshape(shape) @ np.conj(wv.reshape(shape)).T) / Q.grid.size
+
+
+@pytest.fixture(scope="module")
+def readme_inputs():
+    grid = CircleGrid(1024)
+    return {name: from_string(name, grid)
+            for name in (ANCHOR, "blaschke,r=0.8", "monomial,gamma=0.5,k=1")}
+
+
+@pytest.mark.parametrize("oversample", [4, 8])
+@pytest.mark.parametrize("name", [ANCHOR, "blaschke,r=0.8", "monomial,gamma=0.5,k=1"])
+def test_quadrature_gram_matches_dense_product(readme_inputs, name, oversample):
+    # the FFT lookup evaluates the same trapezoidal sums as the dense
+    # product, over the window `check` reads (J = 4, N = 32)
+    Q = quadrature_space(readme_inputs[name], oversample)
+    ks, ls = np.arange(-2, 35), np.arange(-1, 35)
+    dev = np.max(np.abs(quadrature_gram(Q, ks, ls) - _dense_gram(Q, ks, ls)))
+    assert dev <= 1e-15
+
+
+@pytest.mark.parametrize("ks, ls", [((0,), ()), ((), (1,)), ((), ()), ((-3, 2), ())],
+                         ids=["no-ls", "no-ks", "neither", "two-ks"])
+def test_quadrature_gram_with_one_family_empty(r_smooth, ks, ls):
+    Q = quadrature_space(r_smooth)
+    G = quadrature_gram(Q, ks, ls)
+    assert G.shape == (len(ks) + len(ls),) * 2
+    assert np.max(np.abs(G - _dense_gram(Q, ks, ls)), initial=0.0) <= 1e-15
+
+
+@pytest.mark.parametrize("oversample", [4, 8])
+def test_oracle_keeps_no_sample_matrix(readme_inputs, oversample):
+    # a dense sample matrix of the 73 generators is 2 x 73 x Mq complex
+    # values: 9.6 MB at oversample 4, plus its weighted copy
+    R = readme_inputs[ANCHOR]
+    Q = quadrature_space(R, oversample)
+    tracemalloc.start()
+    try:
+        oracle_verblunsky(R, 4, 32, Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+
+
 def test_oracle_zero_function(r_zero):
     Q = quadrature_space(r_zero)
     seq = oracle_verblunsky(r_zero, 3, 8, Q)
@@ -76,6 +143,26 @@ def test_oracle_agrees_with_fast_path(small_cfg):
     assert rep["max_alpha_dev"] <= 1e-6
 
 
+def test_disagreement_escalates_oversampling(small_cfg, monkeypatch):
+    # one fast alpha moved by 1e-3: the first pass disagrees beyond tol_fun,
+    # so the oracle reruns at twice the oversampling and still reports it
+    R = random_trig(CircleGrid(small_cfg.grid_size), degree=6, margin=0.2, seed=21)
+    seq = inverse_scattering(R, 4, small_cfg)
+    alphas = seq.alphas.copy()
+    alphas[4 - seq.lo] += 1e-3
+    moved = VerblunskySequence(seq.lo, alphas, seq.a0s)
+    grids = []
+    monkeypatch.setattr(oracle, "quadrature_space",
+                        lambda R, oversample: grids.append(oversample)
+                        or quadrature_space(R, oversample))
+    rep = compare_with_fast_path(R, quadrature_space(R, small_cfg.oversample), 4,
+                                 small_cfg.section_start, small_cfg, moved)
+    assert rep["escalated_oversampling"] is True
+    assert grids == [2 * small_cfg.oversample]
+    assert abs(rep["max_alpha_dev"] - 1e-3) <= 1e-12
+    assert rep["per_level"][4] == rep["max_alpha_dev"]
+
+
 def _frame_gram(R, n, m, N):
     # quadrature Gram of the frame at (n, m) with N generators per family
     return quadrature_gram(quadrature_space(R), np.arange(n, n + N),
@@ -84,8 +171,10 @@ def _frame_gram(R, n, m, N):
 
 def _defect(G, drop):
     # both defects of a level from one shared basis, as the oracle takes them:
-    # g'_n (index 0) after extending by g''_{m+1} (index 8), then the reverse
-    return dict(zip((0, 8), _cgs2_defects(G, 0, 8)))[drop]
+    # g'_n (index 0) after extending by g''_{m+1} (index 8), then the reverse;
+    # the sweep is fed a one-level stack
+    r, a0 = dict(zip((0, 8), _cgs2_defects(G[None], 0, 8, [0])))[drop]
+    return r[0], a0[0]
 
 
 @pytest.mark.parametrize("drop", [0, 8])
@@ -109,21 +198,39 @@ def test_gram_schmidt_residual_norm_matches_dense_solve(r_smooth, drop):
     assert abs(a0 - inv_dd ** -0.5) <= 1e-12
 
 
+def test_gram_schmidt_sweep_matches_one_level_at_a_time(r_smooth):
+    # each level of a stack comes out as it does alone
+    G = np.stack([_frame_gram(r_smooth, 1, 0, 8), _frame_gram(r_smooth, 0, -1, 8)])
+    swept = _cgs2_defects(G, 0, 8, [1, -1])
+    for i in range(2):
+        for (r, a0), (r1, a01) in zip(swept, _cgs2_defects(G[i:i + 1], 0, 8, [0])):
+            assert np.max(np.abs(r[i] - r1[0])) <= 1e-15
+            assert abs(a0[i] - a01[0]) <= 1e-15
+
+
 def test_gram_schmidt_refuses_indefinite_gram():
     # generator 1 extends the shared basis {0} before 2 is projected
     with pytest.raises(ResolutionError, match="indefinite"):
-        _cgs2_defects(np.diag([1.0, -1.0, 1.0]).astype(complex), 2, 1)
+        _cgs2_defects(np.diag([1.0, -1.0, 1.0]).astype(complex)[None], 2, 1, [0])
+
+
+def test_gram_schmidt_refusal_names_the_level():
+    # one sweep over a stack: the level whose Gram fails is the one named
+    good = np.eye(3, dtype=complex)
+    G = np.stack([good, np.diag([1.0, -1.0, 1.0]).astype(complex), good])
+    with pytest.raises(ResolutionError, match="indefinite at level 6;"):
+        _cgs2_defects(G, 2, 1, [5, 6, 7])
 
 
 def test_gram_schmidt_refuses_singular_gram():
     G = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
     with pytest.raises(ResolutionError, match="numerically singular"):
-        _cgs2_defects(G, 2, 1)
+        _cgs2_defects(G[None], 2, 1, [0])
 
 
 def test_gram_schmidt_refuses_vanished_residual():
     # the dropped generator equals the first kept one in this Gram
     G = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]], dtype=complex)
     with pytest.raises(ResolutionError, match="vanished"):
-        _cgs2_defects(G, 2, 1)
+        _cgs2_defects(G[None], 2, 1, [0])
 
