@@ -61,6 +61,7 @@ from .verblunsky import (
     inverse_scattering,
     recover_omega,
     schur_step,
+    union_verblunsky,
 )
 
 __version__ = "0.1.0"

@@ -2,14 +2,16 @@
 
 Each check returns a CheckResult with the measured value and the bound
 it is held to; `run_full_suite` strings them together for one input,
-inside one `section_memo()` block that solves each level's section
-once, and at J >= 5 all of them before the first check. Every entry
-compares two routes or bounds a quantity; none reads a number against
-itself, such as a section against its relabelling (a split is only an
-index label). The second routes are library calls: density moments
-from `spectral.moment_check` (the CMV matrix of the alpha_j), generator
-inner products from `oracle.quadrature_gram`. The CLI `check` command
-and the acceptance tests both run these.
+inside one `section_memo()` block that factors each union frame and
+solves each level's section once, and at J >= 5 all of them before the
+first check. Every entry compares two routes or bounds a quantity; none
+reads a number against itself, such as a section against its
+relabelling (a split is only an index label). The second routes are
+library calls: the window's coefficients from one union-frame Cholesky
+factor (`verblunsky.union_verblunsky`, which also serves the roundtrip),
+density moments from `spectral.moment_check` (the CMV matrix of the
+alpha_j), generator inner products from `oracle.quadrature_gram`. The
+CLI `check` command and the acceptance tests both run these.
 """
 
 from dataclasses import dataclass
@@ -35,6 +37,7 @@ from .verblunsky import (
     rotation_relation_residual,
     schur_chain,
     solve_levels,
+    union_verblunsky,
 )
 
 ROUNDTRIP_LADDER = 1  # doublings `check_roundtrip` runs in the heavy suite
@@ -107,6 +110,15 @@ def check_verblunsky(R, seq, cfg):
         _leq("a0_nondecreasing_in_level",
              float(np.max(np.maximum(a0s[:-1] - a0s[1:], 0.0))), 5e-13),
     ]
+
+
+def check_union(R, seq, cfg):
+    """The per-level coefficients of seq against the union-frame route on its window."""
+    union = union_verblunsky(R, seq.hi, cfg)
+    dev = max(np.max(np.abs(union.alphas - seq.alphas)),
+              np.max(np.abs(union.a0s - seq.a0s)))
+    return [_leq("alpha_union_matches_per_level", dev, cfg.tol_alg,
+                 "max |d alpha|, |d a0| over [-J, J]")]
 
 
 def check_rotation(R, cfg, levels=(-1, 0, 1)):
@@ -214,7 +226,11 @@ def run_full_suite(R, cfg, heavy=True):
     """All invariant checks for one input; returns a list of CheckResult.
 
     The checks share one `section_memo()` block, released on return or
-    raise, so each level's section (n + m, N) is solved once per suite.
+    raise, so each union frame (J, N) is factored and each level's
+    section (n + m, N) solved once per suite. Both are done before the
+    first check: the union frames of every roundtrip rung, top rung
+    first, then the per-level sections of rung 0's window only, since
+    the roundtrip reads its rungs off the union frames.
     """
     rep = szego_check(R)
     results = [CheckResult("szego_condition", rep.passes and rep.margin >= cfg.margin_min,
@@ -222,16 +238,20 @@ def run_full_suite(R, cfg, heavy=True):
     if not results[0].passed:
         return results
     with section_memo():
-        # solve the sections the suite reads (all of them at J >= 5) first: each
-        # later read is a memo hit, so the scipy LAPACK solves and the numpy
-        # reads each run in one block instead of alternating BLAS builds. The
-        # top rung goes first, so a rung that cannot converge fails at once
+        # solve everything the suite reads first: each later read is a memo hit,
+        # so the scipy LAPACK factorizations and the numpy reads each run in
+        # one block instead of alternating BLAS builds. The union frames of
+        # every roundtrip rung go top rung first, so a rung that cannot
+        # converge fails at once; the per-level sections only for rung 0's
+        # window, which check_verblunsky and the checks near level 0 read
         rungs = scattering.ladder_configs(cfg, ROUNDTRIP_LADDER if heavy else 0)
         for sub in reversed(rungs):
-            solve_levels(R, sub.levels, sub)
+            union_verblunsky(R, sub.levels, sub)
+        solve_levels(R, cfg.levels, cfg)
         results += check_gram_structure(R, cfg)
         seq = inverse_scattering(R, cfg.levels, cfg)
         results += check_verblunsky(R, seq, cfg)
+        results += check_union(R, seq, cfg)
         results += check_rotation(R, cfg)
         results += check_schur(R, seq, cfg)
         results += check_cmv(R, seq, cfg)

@@ -15,8 +15,10 @@ coefficients (ResolutionError), a `cond` above COND_CAP raises
 ConditioningError. `converged_defect_pair` alone decides the section
 size, from the doubling policy of the RunConfig it is given. Inside a
 `section_memo()` block each level's section is solved once, any split
-of it served as a shift that shares the values read off the section;
-the invariant suite opens one for its checks.
+of it served as a shift that shares the values read off the section,
+and `_memoized` serves other solves, such as the union-frame factors of
+`verblunsky.union_verblunsky`, the same way; the invariant suite opens
+one for its checks.
 
 Gram orientation used throughout: G[a, b] = <s_b, s_a>, so that for
 coordinate vectors u, v the inner product <u, v> is v^H G u.
@@ -303,24 +305,39 @@ def defect_pair(R, n, m, N):
     return DefectPair(K, Kt, a0, a0t, cond)
 
 
-# solved sections of the open `section_memo` block, keyed (id(R), n + m, N);
-# None outside any block. A cached pair holds R through its elements, so
-# the id cannot be reused while the entry lives, and nothing points back.
+# values solved in the open `section_memo` block, keyed (id(R), *key) and
+# stored with R; None outside any block. An entry holds R, so the id cannot
+# be reused while the entry lives, and nothing points back from R.
 _SECTIONS = ContextVar("cmvscat_sections", default=None)
 
 
 @contextmanager
 def section_memo():
-    """Solve each level's section at most once inside the block.
+    """Solve each level's section, and each union frame, at most once inside the block.
 
-    `section_pair` serves repeated sections from the block's memo, which
-    is released when the block exits, normally or by an exception.
+    `section_pair` and `_memoized` serve repeated solves from the block's
+    memo, which is released when the block exits, normally or by an exception.
     """
     token = _SECTIONS.set({})
     try:
         yield
     finally:
         _SECTIONS.reset(token)
+
+
+def _memoized(R, key, solve):
+    """`solve()`, taken from the open section memo under (id(R), *key) if solved there.
+
+    Outside a `section_memo()` block this is a plain `solve()` call.
+    """
+    memo = _SECTIONS.get()
+    if memo is None:
+        return solve()
+    key = (id(R),) + key
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo[key] = (R, solve())
+    return entry[1]
 
 
 def section_pair(R, n, m, N):
@@ -332,13 +349,7 @@ def section_pair(R, n, m, N):
     bit for bit a fresh solve, as a new DefectPair sharing the solved
     pair's `shared` values.
     """
-    memo = _SECTIONS.get()
-    if memo is None:
-        return defect_pair(R, n, m, N)
-    key = (id(R), n + m, N)
-    pair = memo.get(key)
-    if pair is None:
-        pair = memo[key] = defect_pair(R, n, m, N)
+    pair = _memoized(R, (n + m, N), lambda: defect_pair(R, n, m, N))
     p = n - pair.frame.n
     return DefectPair(shift(pair.K, p), shift(pair.Ktilde, p), pair.a0,
                       pair.a0_tilde, pair.cond, pair.shared)

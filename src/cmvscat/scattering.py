@@ -13,7 +13,7 @@ import numpy as np
 
 from . import circle, cmv
 from .errors import DomainError, InputError
-from .verblunsky import inverse_scattering
+from .verblunsky import union_verblunsky
 
 
 def wandering_vectors(U, depth):
@@ -190,13 +190,13 @@ def ladder_configs(cfg, ladder):
 def roundtrip(R, cfg, ladder=0):
     """Inverse scattering followed by reconstruction, with error metrics.
 
-    With ladder > 0, repeats on each rung of `ladder_configs` (J, W and
-    depth doubled, sections started at max(section_start, J)) and
-    reports the error trend, rung 0 first. The rungs run top-down: the
-    top rung's sections are the likeliest to exceed section_cap, and its
-    ConvergenceError then comes before any other rung runs. Only the
-    boundary errors are reported; no rung re-solves another split
-    (`split_deviation`).
+    Each rung's coefficients come from `union_verblunsky`, one Cholesky
+    factor of the union frame per section size. With ladder > 0, repeats
+    on each rung of `ladder_configs` (J, W and depth doubled, sections
+    started at max(section_start, J)) and reports the error trend, rung
+    0 first. The rungs run top-down: the top rung is the likeliest to
+    exceed section_cap, and its ConvergenceError then comes before any
+    other rung runs. Only the boundary errors are reported.
 
     Returns
     -------
@@ -209,7 +209,7 @@ def roundtrip(R, cfg, ladder=0):
     """
     rungs = []
     for sub in reversed(ladder_configs(cfg, ladder)):
-        seq = inverse_scattering(R, sub.levels, sub)
+        seq = union_verblunsky(R, sub.levels, sub)
         rec = boundary_reconstruction(seq, R.grid, sub.cmv_window, sub.depth)
         err = rec - R.samples
         rungs.append(

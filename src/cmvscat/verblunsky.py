@@ -3,18 +3,25 @@
 The coefficient at level j = n + m is the inner product of the two
 defect vectors of that level; the associated Schur functions are read
 off pointwise from the defect vector components and obey a Moebius
-recursion that links consecutive levels.
+recursion that links consecutive levels. A second route,
+`union_verblunsky`, reads every level of a window off one Cholesky
+factor of the union of the levels' frames.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg.lapack import zpotrf
 
 from .circle import require_szego
 from .errors import (
-    CmvScatError, DomainError, EvaluationError, InconsistencyError, InputError,
+    CmvScatError, ConvergenceError, DegeneracyError, DomainError, EvaluationError,
+    InconsistencyError, InputError, ResolutionError,
 )
-from .lrspace import converged_defect_pair, evaluate, inner_product
+from .lrspace import (
+    DEGENERACY_FLOOR, _memoized, converged_defect_pair, evaluate, inner_product,
+)
 
 
 def level_split(j):
@@ -140,6 +147,96 @@ def inverse_scattering(R, J, cfg):
         for j, p in pairs.items()
     ]
     return seq
+
+
+def union_factor(R, J, N):
+    """alpha_j and a0_j of levels -J..J+1 off one Cholesky factor of the union frame.
+
+    The frame [g''_N .. g''_2, g'_{J+1+N} .. g'_{-J}, g''_1] holds the
+    split-(j, 0) section of every level j, with N anti-analytic and at
+    least N + 1 analytic generators. Its Gram G = L L^H: the diagonal
+    entry L_pp at g'_j's position p is the distance from g'_j to the
+    generators before it. With l the last row of L off its diagonal and
+    s_p = sum_{i<p} |l_i|^2, adding g''_1, the last generator, gives
+
+        alpha_j = -l_p / sqrt(1 - s_p),  a0_j = L_pp sqrt(1 - |alpha_j|^2).
+
+    Only the lower triangle of G is written, in Fortran order, and LAPACK
+    factors it in place. Raises ResolutionError when a Hankel index lies
+    outside R's resolved window or G does not factor, DegeneracyError
+    when a residual falls below DEGENERACY_FLOOR.
+    """
+    P = 2 * J + 2 + N  # analytic members
+    n = P + N
+    # c_{-(k+l)} over every pair: -(J+1+2N) .. J-1
+    carr = R.coeff_range(-(J + 1 + 2 * N), J - 1)
+    G = np.zeros((n, n), dtype=complex, order="F")
+    np.fill_diagonal(G, 1.0)
+    # row g'_k, column g''_l (at position N - l): <g''_l, g'_k> = conj(c_{-(k+l)});
+    # with k descending, column l reads carr from offset N - l on
+    np.conjugate(sliding_window_view(carr, P)[:N - 1].T, out=G[N - 1:n - 1, :N - 1])
+    G[n - 1, N - 1:n - 1] = carr[N - 1:N - 1 + P]  # <g'_k, g''_1> = c_{-(k+1)}
+    L, info = zpotrf(G, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        raise ResolutionError(
+            f"union frame Gram not positive definite (zpotrf info {info}); the cross "
+            "block norm reaches 1, so coefficients are aliased: increase the grid size M"
+        )
+    ell = L[n - 1, :n - 1]
+    s = np.concatenate(([0.0], np.cumsum(np.abs(ell) ** 2)))
+    pos = N - 1 + (J + 1 + N) - np.arange(-J, J + 2)  # g'_j's position
+    alphas = -ell[pos] / np.sqrt(1.0 - s[pos])
+    a0s = L[pos, pos].real * np.sqrt(1.0 - np.abs(alphas) ** 2)
+    if np.min(a0s) < DEGENERACY_FLOOR:
+        raise DegeneracyError(
+            "defect residual below 1e-12; impossible under the Szego condition, "
+            "the input data is inconsistent"
+        )
+    return alphas, a0s
+
+
+def union_verblunsky(R, J, cfg):
+    """Verblunsky coefficients of R over [-J, J] by the union frame (`union_factor`).
+
+    Doubles N from cfg.section_start until every alpha_j (levels -J..J)
+    and a0_j (levels -J..J+1) changes by less than cfg.section_tol, and
+    returns the larger frame's readout. Inside a `section_memo()` block
+    each (J, N) frame is factored once.
+
+    Returns
+    -------
+    VerblunskySequence
+        a0s on -J..J+1; `diagnostics` carries "N", the frame size reached.
+
+    Raises
+    ------
+    DomainError
+        R fails the Szego guard at cfg.margin_min (`require_szego`).
+    ConvergenceError
+        No convergence by N = cfg.section_cap; the message starts with
+        `level j:`, the level of the largest last change.
+    """
+    require_szego(R, cfg.margin_min)
+
+    def readout(N):
+        return _memoized(R, ("union", J, N), lambda: union_factor(R, J, N))
+
+    N, cap, tol = cfg.section_start, cfg.section_cap, cfg.section_tol
+    change = np.full(2 * J + 2, np.inf)
+    prev = readout(N)
+    while 2 * N <= cap:
+        N *= 2
+        cur = readout(N)
+        change = np.abs(cur[1] - prev[1])
+        change[:-1] = np.maximum(change[:-1], np.abs(cur[0][:-1] - prev[0][:-1]))
+        if np.max(change) < tol:
+            return VerblunskySequence(-J, cur[0][:-1], cur[1], {"N": N})
+        prev = cur
+    worst = int(np.argmax(change))
+    raise ConvergenceError(
+        f"level {worst - J}: union frame over [{-J}, {J}] did not converge by "
+        f"section size {cap} (last change {change[worst]:.3e} > {tol:.1e})"
+    )
 
 
 def split_deviation(R, seq, cfg):

@@ -30,11 +30,31 @@ def solved(monkeypatch):
     return keys
 
 
-def test_suite_solves_each_section_once(r_smooth, small_cfg, solved):
+@pytest.fixture
+def unions(monkeypatch):
+    """Union frames (J, N) in the order they reach union_factor."""
+    keys = []
+    original = verblunsky.union_factor
+
+    def counting(R, J, N):
+        keys.append((J, N))
+        return original(R, J, N)
+
+    monkeypatch.setattr(verblunsky, "union_factor", counting)
+    return keys
+
+
+def test_suite_solves_each_section_once(r_smooth, small_cfg, solved, unions):
     # each level's section reaches defect_pair once, whatever split asks for it;
-    # the solve pass starts at the bottom level of the top ladder rung
+    # the union frames go first, top ladder rung first, then the per-level
+    # pass starts at the bottom level of rung 0, the only rung it solves
     results = run_full_suite(r_smooth, small_cfg)
-    assert solved[0] == (-2 * small_cfg.levels, small_cfg.section_start)
+    assert unions[0] == (2 * small_cfg.levels, small_cfg.section_start)
+    assert len(unions) == len(set(unions))
+    assert {J for J, _ in unions} == {small_cfg.levels, 2 * small_cfg.levels}
+    assert solved[0] == (-small_cfg.levels, small_cfg.section_start)
+    assert {level for level, _ in solved} <= set(range(-small_cfg.levels,
+                                                       small_cfg.levels + 2))
     assert {r.name for r in results} >= {"rotation_relation", "roundtrip_sup_error",
                                           "oracle_alpha_agreement"}
     assert len(solved) > 0
@@ -42,18 +62,21 @@ def test_suite_solves_each_section_once(r_smooth, small_cfg, solved):
 
 
 @pytest.mark.parametrize("heavy", [True, False])
-def test_suite_solves_before_it_reads(r_smooth, small_cfg, solved, monkeypatch, heavy):
-    # every section is solved in the up-front pass; the checks only read the memo
+def test_suite_solves_before_it_reads(r_smooth, small_cfg, solved, unions, monkeypatch,
+                                     heavy):
+    # every section is solved and every union frame factored in the up-front
+    # pass; the checks only read the memo
     at_first_check = []
     original = checks.check_gram_structure
 
     def marking(*args, **kwargs):
-        at_first_check.append(len(solved))
+        at_first_check.append((len(solved), len(unions)))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(checks, "check_gram_structure", marking)
     run_full_suite(r_smooth, small_cfg, heavy=heavy)
-    assert at_first_check == [len(solved)] and len(solved) > 0
+    assert at_first_check == [(len(solved), len(unions))]
+    assert len(solved) > 0 and len(unions) > 0
 
 
 @pytest.fixture
@@ -77,13 +100,14 @@ def test_suite_reads_each_alpha_once(r_smooth, small_cfg, alpha_reads):
     assert len(alpha_reads) == len({level for level, _ in alpha_reads})
 
 
-def test_anchor_suite_solve_count(solved, monkeypatch):
+def test_anchor_suite_solve_count(solved, unions, monkeypatch):
     # the deterministic work of the anchor suite at the defaults: sections
-    # solved, inner products taken and oracle CGS2 projections (2N + 2 at
-    # N = 32, each batched over the 10 levels); a re-solve or a re-read
-    # moves a count. Rung 1 of the roundtrip ladder starts at section_start,
-    # so it shares rung 0's sections; only 4 of the 136 distinct sections
-    # reach N = 128
+    # solved, union frames factored, inner products taken and oracle CGS2
+    # projections (2N + 2 at N = 32, each batched over the 10 levels); a
+    # re-solve or a re-read moves a count. The per-level sections cover
+    # rung 0's window only (68 of them, none past N = 64); the roundtrip
+    # reads both rungs off union frames, rung 1 (J = 32) at N = 32, 64, 128
+    # and rung 0 (J = 16) at N = 32, 64
     inner, projections = [], []
     for mod in (lrspace, checks, verblunsky):
         def counting(u, v, original=mod.inner_product):
@@ -96,9 +120,10 @@ def test_anchor_suite_solve_count(solved, monkeypatch):
                         lambda *a: projections.append(1) or original(*a))
     cfg = RunConfig()
     run_full_suite(from_string(ANCHOR, CircleGrid(cfg.grid_size)), cfg)
-    assert len(solved) == len(set(solved)) == 136
-    assert sum(N == 128 for _, N in solved) == 4
-    assert (len(inner), len(projections)) == (87, 66)
+    assert len(solved) == len(set(solved)) == 68
+    assert max(N for _, N in solved) == 64
+    assert unions == [(32, 32), (32, 64), (32, 128), (16, 32), (16, 64)]
+    assert (len(inner), len(projections)) == (55, 66)
 
 
 def test_memo_released_after_return(r_smooth, small_cfg, solved):
@@ -152,6 +177,7 @@ def test_suite_values_match_checks_run_alone(r_smooth, small_cfg):
     alone = (
         checks.check_gram_structure(R, cfg)
         + checks.check_verblunsky(R, seq, cfg)
+        + checks.check_union(R, seq, cfg)
         + checks.check_rotation(R, cfg)
         + checks.check_schur(R, seq, cfg)
         + checks.check_cmv(R, seq, cfg)

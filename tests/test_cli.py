@@ -575,9 +575,9 @@ def test_cli_roundtrip_rejects_undoublable_ladder(tmp_path, capsys, monkeypatch)
     from cmvscat import scattering
 
     def no_inverse(*args, **kwargs):
-        raise AssertionError("inverse_scattering ran before the ladder was refused")
+        raise AssertionError("union_verblunsky ran before the ladder was refused")
 
-    monkeypatch.setattr(scattering, "inverse_scattering", no_inverse)
+    monkeypatch.setattr(scattering, "union_verblunsky", no_inverse)
     code = main(["roundtrip", "--family", "monomial,gamma=0.5,k=1", "--ladder", "5",
                  "--grid", "256", "--out", str(tmp_path / "report.json")])
     assert code == 2
@@ -588,7 +588,8 @@ def test_cli_roundtrip_rejects_undoublable_ladder(tmp_path, capsys, monkeypatch)
 
 def test_cli_roundtrip_ladder_within_cap_exits_3_on_certificate(tmp_path, capsys):
     # the test-scale config (start 16, cap 128, J = 6): ladder 3 passes the
-    # cap rule, and level -48 of its last rung cannot converge by N = 128
+    # cap rule, and its last rung's union frame (J = 48) cannot converge by
+    # N = 128: a0 at level -48 still moves by 1.34e-1 between N = 48 and 96
     cfg_path = _write(tmp_path, "cfg.json", json.dumps(
         {"grid_size": 256, "levels": 6, "section_start": 16, "section_cap": 128,
          "cmv_window": 64, "depth": 16}))
@@ -596,8 +597,22 @@ def test_cli_roundtrip_ladder_within_cap_exits_3_on_certificate(tmp_path, capsys
                  "--config", cfg_path, "--out", str(tmp_path / "report.json")])
     assert code == 3
     err = capsys.readouterr().err
-    assert "level -48:" in err
+    assert "level -48: union frame over [-48, 48] did not converge" in err
     assert "Traceback" not in err
+
+
+def test_cli_check_light_flags_decoupled_levels(tmp_path):
+    # finding A's input: at section_start 8 the per-level route certifies
+    # alpha = 0 at levels -24..-21, 5.0e-4 off; the union route does not
+    cfg_path = _write(tmp_path, "cfg.json", json.dumps(
+        {"grid_size": 256, "levels": 24, "section_start": 8, "section_cap": 128}))
+    out = str(tmp_path / "check.json")
+    code = main(["check", "--light", "--family", "random,degree=4,margin=0.2,seed=0",
+                 "--config", cfg_path, "--out", out])
+    assert code == 3
+    checks = {c["name"]: c for c in json.loads(open(out).read())["checks"]}
+    union = checks["alpha_union_matches_per_level"]
+    assert not union["passed"] and union["value"] > 1e-4
 
 
 def test_cli_direct_boundary_follows_config(tmp_path):
@@ -629,9 +644,10 @@ def test_cli_direct_boundary_follows_config(tmp_path):
 
 
 def test_cli_roundtrip_boundary_follows_config(tmp_path):
-    # the reconstruction takes the zero-tail window, and no flag picks another
+    # the reconstruction takes the zero-tail window of the union-frame
+    # coefficients, and no flag picks another
     from cmvscat import scattering
-    from cmvscat.verblunsky import inverse_scattering
+    from cmvscat.verblunsky import union_verblunsky
 
     family = "random,degree=4,margin=0.3,seed=5"
     args = ["roundtrip", "--family", family, "--ladder", "0"] + FAST
@@ -639,7 +655,7 @@ def test_cli_roundtrip_boundary_follows_config(tmp_path):
     assert main(args + ["--out", out]) == 0
     cfg = RunConfig(grid_size=256, levels=4, cmv_window=48, depth=8)
     R = from_string(family, CircleGrid(cfg.grid_size))
-    seq = inverse_scattering(R, cfg.levels, cfg)
+    seq = union_verblunsky(R, cfg.levels, cfg)
     rec = scattering.boundary_reconstruction(seq, R.grid, cfg.cmv_window, cfg.depth)
     sup = float(np.max(np.abs(rec - R.samples)))
     assert json.loads(open(out).read())["sup_error"] == sup

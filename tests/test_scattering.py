@@ -289,15 +289,20 @@ def test_roundtrip_error_tracks_level_window(r_smooth, small_cfg):
 
 def test_roundtrip_skips_split_recomputation(r_half, small_cfg, monkeypatch):
     # only boundary errors are reported, so no rung re-solves shifted splits;
-    # one inverse per rung, top rung first
+    # one union-frame inverse per rung, top rung first, and no per-level one
     rungs, splits = [], []
-    original = scattering.inverse_scattering
+    original = scattering.union_verblunsky
 
     def recording(R, J, cfg):
         rungs.append(J)
         return original(R, J, cfg)
 
-    monkeypatch.setattr(scattering, "inverse_scattering", recording)
+    def per_level(*args):
+        raise AssertionError("roundtrip ran the per-level route")
+
+    monkeypatch.setattr(scattering, "union_verblunsky", recording)
+    monkeypatch.setattr(verblunsky, "inverse_scattering", per_level)
+    monkeypatch.setattr(verblunsky, "converged_defect_pair", per_level)
     monkeypatch.setattr(verblunsky, "split_deviation",
                         lambda *args: splits.append(args))
     roundtrip(r_half, small_cfg, ladder=1)
@@ -315,14 +320,17 @@ def test_roundtrip_ladder_limited_by_section_cap(r_half, small_cfg):
 
 def test_roundtrip_ladder_below_cap_meets_the_section_certificate(r_half, small_cfg,
                                                                  monkeypatch):
-    # ladder 3 passes the cap rule, but level -48 of rung 3 has not
-    # converged at N = 96 and cannot double again: the section
-    # certificate refuses it, not the ladder rule, and the rungs run
-    # top-down, so no rung is reconstructed before the refusal
+    # ladder 3 passes the cap rule, but rung 3's union frame (J = 48) has
+    # not converged at N = 96 and cannot double again: level -48 pairs
+    # with g''_49, which enters between N = 48 and 96 and moves a0_{-48}
+    # by 1 - sqrt(0.75) = 1.34e-1. The section certificate refuses it, not
+    # the ladder rule, and the rungs run top-down, so no rung is
+    # reconstructed before the refusal
     built = []
     monkeypatch.setattr(scattering, "boundary_reconstruction",
                         lambda *args: built.append(args))
-    with pytest.raises(ConvergenceError, match="level -48:"):
+    with pytest.raises(ConvergenceError,
+                       match=r"level -48: union frame .*\(last change 1\.340e-01"):
         roundtrip(r_half, small_cfg, ladder=3)
     assert built == []
 

@@ -10,7 +10,9 @@ from cmvscat import (
     recover_omega,
     schur_step,
 )
-from cmvscat.errors import DomainError, InputError
+from cmvscat import CircleGrid, RunConfig, oracle_verblunsky, quadrature_space
+from cmvscat.errors import ConvergenceError, DomainError, InputError, ResolutionError
+from cmvscat.families import from_string
 from cmvscat.lrspace import converged_defect_pair
 from cmvscat.verblunsky import (
     SchurFunction,
@@ -18,6 +20,7 @@ from cmvscat.verblunsky import (
     rotation_relation_residual,
     schur_chain,
     split_deviation,
+    union_verblunsky,
 )
 
 RHO = np.sqrt(0.75)
@@ -243,3 +246,85 @@ def test_roundtrip_consistency_random_alphas(grid, small_cfg):
     assert np.max(np.abs(back.alphas - seq.alphas)) < 1e-10
     ratios = back.a0s[:-1] / back.a0s[1:]
     assert np.max(np.abs(back.rhos - ratios)) < 1e-6
+
+
+# finding A: at section_start 8 the per-level frames of levels -24..-21
+# miss R's support, decouple and certify alpha = 0, 5.0e-4 off
+FINDING_A = RunConfig(grid_size=256, levels=24, section_start=8, section_cap=128)
+
+
+def test_union_route_matches_the_oracle_where_per_level_decouples():
+    cfg = FINDING_A
+    R = from_string("random,degree=4,margin=0.2,seed=0", CircleGrid(cfg.grid_size))
+    union = union_verblunsky(R, cfg.levels, cfg)
+    oracle = oracle_verblunsky(R, cfg.levels, 51, quadrature_space(R, cfg.oversample))
+    assert np.max(np.abs(union.alphas - oracle.alphas)) <= 1e-15
+    assert np.max(np.abs(union.a0s - oracle.a0s)) <= 1e-15
+    per_level = inverse_scattering(R, cfg.levels, cfg)
+    assert np.max(np.abs(per_level.alphas - oracle.alphas)) > 1e-4
+
+
+@pytest.mark.parametrize("spec", ["random,degree=4,margin=0.2,seed=0", "blaschke,r=0.8",
+                                  "monomial,gamma=0.5,k=1",
+                                  "random,degree=8,margin=0.2,seed=3"])
+def test_union_route_matches_per_level(spec):
+    # a level's per-level coefficient does not depend on the window, so one
+    # per-level run at J = 32 serves both windows
+    cfg = RunConfig()
+    R = from_string(spec, CircleGrid(cfg.grid_size))
+    per_level = inverse_scattering(R, 32, cfg)
+    for J in (16, 32):
+        union = union_verblunsky(R, J, cfg)
+        assert (union.lo, union.hi, len(union.a0s)) == (-J, J, 2 * J + 2)
+        inner = slice(32 - J, 32 + J + 1)
+        assert np.max(np.abs(union.alphas - per_level.alphas[inner])) <= 1e-15, J
+        assert np.max(np.abs(union.a0s - per_level.a0s[32 - J:32 + J + 2])) <= 1e-15, J
+
+
+def test_union_route_at_the_window_edge():
+    # R = 0.5 tbar couples g'_k with g''_{1-k} alone, so a0_j = sqrt(0.75) for
+    # every j <= 0. The union frame reaches g''_65 and meets rho_j =
+    # a0_j / a0_{j+1} to rounding; the per-level doubling at level -64
+    # stops on two decoupled sections and reads a0 = 1.0 there
+    cfg = RunConfig()
+    R = from_string("monomial,gamma=0.5,k=1", CircleGrid(cfg.grid_size))
+    union = union_verblunsky(R, 64, cfg)
+    assert convergence_report(union)["rho_ratio_max_dev"] <= 1e-15
+    assert np.max(np.abs(union.a0s[:65] - RHO)) <= 1e-15
+
+
+def test_union_convergence_error_names_the_level(r_half):
+    # at J = 20, g''_21 enters level -20's frame between N = 16 and 32 and
+    # moves a0 by 1 - sqrt(0.75); the cap stops the doubling there
+    cfg = RunConfig(grid_size=256, section_start=16, section_cap=32)
+    with pytest.raises(ConvergenceError, match=r"^level -20: .*last change 1\.340e-01"):
+        union_verblunsky(r_half, 20, cfg)
+
+
+def test_union_route_refuses_an_index_off_the_grid():
+    # a sampled R resolves [-31, 32] at M = 64; J = 4, N = 16 reads c_{-37}
+    cfg = RunConfig(grid_size=64, section_start=16, section_cap=32)
+    R = from_string("blaschke,r=0.5", CircleGrid(cfg.grid_size))
+    with pytest.raises(ResolutionError, match="increase the grid size M"):
+        union_verblunsky(R, 4, cfg)
+
+
+def test_union_factor_keeps_one_matrix():
+    # the Gram is written once, in Fortran order, and factored in place: the
+    # peak is one n x n complex matrix (n = 642 here) plus O(n) work, not the
+    # copies a C-order factor or np.abs(G) would add
+    import tracemalloc
+
+    from cmvscat.verblunsky import union_factor
+
+    R = from_string("random,degree=4,margin=0.2,seed=0", CircleGrid(1024))
+    J, N = 64, 256
+    union_factor(R, J, N)
+    tracemalloc.start()
+    try:
+        union_factor(R, J, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = 2 * J + 2 + 2 * N
+    assert peak <= 1.25 * 16 * n * n
