@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmv, oracle, scattering, spectral
-from .circle import analyze, szego_check
+from .circle import analyze
 from .lrspace import (
     GeneratorFrame,
     converged_defect_pair,
@@ -232,7 +232,7 @@ def run_full_suite(R, cfg, heavy=True):
     first, then the per-level sections of rung 0's window only, since
     the roundtrip reads its rungs off the union frames.
     """
-    rep = szego_check(R)
+    rep = R.szego
     results = [CheckResult("szego_condition", rep.passes and rep.margin >= cfg.margin_min,
                            rep.margin, cfg.margin_min, "margin vs margin_min")]
     if not results[0].passed:

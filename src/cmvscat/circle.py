@@ -130,7 +130,8 @@ class ScatteringFunction:
 
     `exact_coeffs` records whether R was defined by a finite coefficient
     list (so coefficients outside the stored window are exactly zero)
-    or sampled (so they are unresolved at this grid size).
+    or sampled (so they are unresolved at this grid size). `szego`, the
+    Szego report of the samples, is computed once, like `margin`.
     """
 
     grid: CircleGrid
@@ -168,6 +169,10 @@ class ScatteringFunction:
             )
         return cls(grid, samples, series, 1.0 - sup, exact_coeffs=True)
 
+    @cached_property
+    def szego(self):
+        return szego_check(self)
+
     def coefficient(self, j):
         if self.coeffs.lo <= j <= self.coeffs.hi:
             return complex(self.coeffs.coeffs[j - self.coeffs.lo])
@@ -203,7 +208,7 @@ class ScatteringFunction:
         return synthesize(self.coeffs, grid)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SzegoReport:
     sup_modulus: float
     log_integral: float
@@ -227,12 +232,12 @@ def szego_check(R):
 
 
 def require_szego(R, margin_min=0.0):
-    """The Szego check as a guard: its report, or DomainError.
+    """The Szego check as a guard: R's report (`R.szego`), or DomainError.
 
     Refuses R when the Szego condition fails on the grid or when the
     contractivity margin 1 - sup |R| is below `margin_min`.
     """
-    rep = szego_check(R)
+    rep = R.szego
     if not rep.passes:
         raise DomainError(
             f"Szego condition fails: sup |R| = {rep.sup_modulus:.6g}, "

@@ -8,9 +8,11 @@ The space is spanned by two generator families,
 which are orthonormal within each family; the only coupling is the
 cross Gram <g'_k, g''_l> = c_{-(k+l)}, a Hankel form in the Fourier
 coefficients c_j of R. Everything here works in generator coordinates
-over a finite index window. Per section, one Cholesky factorization of
-the frame Gram G gives both defect vectors, both residuals and `cond`,
-the condition estimate of G; a G that does not factor means aliased
+over a finite index window. A section's frame Gram G = [[I, B], [B^H, I]],
+B the conjugate of its cross block, has the Schur complement
+S = I - B B^H, half its size. Per section, one Cholesky factorization
+of S gives both defect vectors, both residuals and `cond`, the
+condition estimate of S; an S that does not factor means aliased
 coefficients (ResolutionError), a `cond` above COND_CAP raises
 ConditioningError. `converged_defect_pair` alone decides the section
 size, from the doubling policy of the RunConfig it is given. Inside a
@@ -29,8 +31,8 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.lapack import zpocon
+from scipy.linalg.blas import zgemm, zherk
+from scipy.linalg.lapack import zpocon, zpotrf, zpotrs
 
 from .circle import LaurentSeries, require_szego, synthesize
 from .errors import (
@@ -60,14 +62,6 @@ class GeneratorFrame:
     def __post_init__(self):
         if self.N < 1:
             raise InputError(f"section size must be positive, got {self.N}")
-
-    @property
-    def analytic_indices(self):
-        return np.arange(self.n, self.n + self.N)
-
-    @property
-    def antianalytic_indices(self):
-        return np.arange(self.m + 1, self.m + self.N + 1)
 
 
 @dataclass
@@ -123,13 +117,11 @@ def generator(R, kind, index, frame):
 
 
 def _cross_block(R, frame):
-    # cross[i, j] = <g'_{n+i}, g''_{m+1+j}> = c_{-(n+m+1+i+j)}; Hankel in i + j
-    ks, ls = frame.analytic_indices, frame.antianalytic_indices
-    smin = int(ks[0] + ls[0])
-    smax = int(ks[-1] + ls[-1])
-    carr = R.coeff_range(-smax, -smin)  # indices -smax .. -smin
-    s = ks[:, None] + ls[None, :]
-    return carr[smax - s]
+    # cross[i, j] = <g'_{n+i}, g''_{m+1+j}> = c_{-(n+m+1+i+j)}; Hankel in i + j,
+    # read as one read-only window view of c_{-(n+m+1)} .. c_{-(n+m+2N-1)}
+    s0 = frame.n + frame.m + 1
+    carr = R.coeff_range(-(s0 + 2 * frame.N - 2), -s0)[::-1]
+    return np.lib.stride_tricks.sliding_window_view(carr, frame.N)
 
 
 def frame_gram(R, frame):
@@ -204,8 +196,7 @@ def evaluate(u, grid):
                     R sum x_k t^k + sum y_l tbar^l).
     """
     f = u.frame
-    lo = min(int(f.analytic_indices[0]), -int(f.antianalytic_indices[-1]))
-    hi = max(int(f.analytic_indices[-1]), -int(f.antianalytic_indices[0]))
+    lo, hi = min(f.n, -(f.m + f.N)), max(f.n + f.N - 1, -(f.m + 1))
     if lo < grid.coeff_lo or hi > grid.coeff_hi:
         raise ResolutionError(
             f"frame monomial indices [{lo}, {hi}] alias on a grid of size {grid.size}"
@@ -227,7 +218,10 @@ class DefectPair:
     the dropped generator is the positive residual norm. With H = G^-1
     for the frame Gram G, K = H e_0 a0 and Ktilde = H e_N a0_tilde, with
     residuals a0 = H_00^(-1/2) and a0_tilde = H_NN^(-1/2), which agree
-    in exact arithmetic. `cond` is LAPACK's 1-norm estimate for G.
+    in exact arithmetic; `defect_pair` reads both columns off the Schur
+    complement S = I - B B^H of G. `cond` is LAPACK's 1-norm estimate for
+    S, whose spectrum lies in [margin (2 - margin), 1] (B is the cross
+    block, of norm at most sup |R|), so cond_2(S) <= 1 / (margin (2 - margin)).
     `shared` holds values read off the section, such as alpha, for every
     split a `section_memo()` block serves.
     """
@@ -247,15 +241,19 @@ class DefectPair:
 def defect_pair(R, n, m, N):
     """Defect vectors of the finite section at (n, m) with N generators per family.
 
-    One Cholesky factorization of the frame Gram G and one solve with
-    the right-hand sides e_0 and e_N give both defect vectors and both
-    residuals (see DefectPair). G is positive definite exactly when the
-    cross block norm is below 1, so the factorization also certifies
-    that the coefficients are not aliased. Raises DomainError when R
-    fails the Szego condition; ResolutionError ("increase the grid size
-    M") when coefficients are unresolved or G does not factor;
-    ConditioningError when `cond` exceeds COND_CAP; DegeneracyError when
-    a residual falls below DEGENERACY_FLOOR.
+    The frame Gram is G = [[I, B], [B^H, I]] with B = conj(cross), and
+    everything read off G^-1 lives in the Schur complement S = I - B B^H,
+    half G's size. One Cholesky factorization of S and one solve with the
+    right-hand sides e_0 and B e_0 give x = S^-1 e_0 and z = S^-1 B e_0;
+    then H e_0 = [x; -B^H x] and H e_N = [-z; e_0 + B^H z] give both
+    defect vectors and both residuals (see DefectPair). G is positive
+    definite exactly when S is, that is when the cross block norm is below
+    1, so the factorization also certifies that the coefficients are not
+    aliased. Raises DomainError when R fails the Szego condition;
+    ResolutionError ("increase the grid size M") when coefficients are
+    unresolved or S does not factor; ConditioningError when `cond`
+    exceeds COND_CAP; DegeneracyError when a residual falls below
+    DEGENERACY_FLOOR.
 
     Parameters
     ----------
@@ -273,35 +271,40 @@ def defect_pair(R, n, m, N):
     """
     frame = GeneratorFrame(n, m, N)
     require_szego(R)
-    G = frame_gram(R, frame)
-    anorm = float(np.max(np.sum(np.abs(G), axis=0)))
-    try:
-        # require_szego has refused non-finite samples, so G is finite
-        cf = sla.cho_factor(G, lower=True, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
+    # the cross block is Hankel, hence symmetric: B^H = cross and B B^H = cross^H cross
+    C = np.asfortranarray(_cross_block(R, frame))
+    # require_szego has refused non-finite samples, so S is finite; only its
+    # lower triangle is written, the strict upper one stays 0
+    S = zherk(-1.0, C, 1.0, np.eye(N, dtype=complex, order="F"), trans=2, lower=1,
+              overwrite_c=1)
+    absS = np.abs(S)  # 1-norm of the Hermitian S: lower column sums plus row sums
+    anorm = float(np.max(absS.sum(axis=0) + absS.sum(axis=1) - absS.diagonal()))
+    L, info = zpotrf(S, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
         raise ResolutionError(
-            f"frame Gram not positive definite ({exc}); the cross block norm "
-            "reaches 1, so coefficients are aliased: increase the grid size M"
-        ) from exc
-    rcond, info = zpocon(cf[0], anorm, uplo="L")
+            f"frame Gram not positive definite (Schur complement zpotrf info {info}); the "
+            "cross block norm reaches 1, so coefficients are aliased: increase the grid size M"
+        )
+    rcond, info = zpocon(L, anorm, uplo="L")
     cond = float(1.0 / max(rcond, 1e-300)) if info == 0 else np.inf
     if cond > COND_CAP:
         raise ConditioningError(
             f"Gram condition estimate {cond:.3e} exceeds cap {COND_CAP:.0e}; "
             "the margin of R is too small for this section"
         )
-    rhs = np.zeros((2 * N, 2), dtype=complex)
-    rhs[0, 0] = rhs[N, 1] = 1.0
-    H = sla.cho_solve(cf, rhs, check_finite=False)
-    a0, a0t = float(H[0, 0].real) ** -0.5, float(H[N, 1].real) ** -0.5
+    rhs = np.zeros((N, 2), dtype=complex, order="F")
+    rhs[0, 0], rhs[:, 1] = 1.0, np.conj(C[:, 0])  # [e_0, B e_0]
+    X, _ = zpotrs(L, rhs, lower=1, overwrite_b=1)  # [x, z]
+    Y = zgemm(1.0, C, X)
+    Y[0, 1] += 1.0  # [B^H x, e_0 + B^H z]: H e_0 = [x; -B^H x], H e_N = [-z; e_0 + B^H z]
+    a0, a0t = float(X[0, 0].real) ** -0.5, float(Y[0, 1].real) ** -0.5
     if min(a0, a0t) < DEGENERACY_FLOOR:
         raise DegeneracyError(
             "defect residual below 1e-12; impossible under the Szego condition, "
             "the input data is inconsistent"
         )
-    ck, ct = H[:, 0] * a0, H[:, 1] * a0t
-    K = LrElement(frame, ck[:N], ck[N:], R)
-    Kt = LrElement(frame, ct[:N], ct[N:], R)
+    K = LrElement(frame, X[:, 0] * a0, Y[:, 0] * -a0, R)
+    Kt = LrElement(frame, X[:, 1] * -a0t, Y[:, 1] * a0t, R)
     return DefectPair(K, Kt, a0, a0t, cond)
 
 

@@ -126,7 +126,7 @@ def inverse_scattering(R, J, cfg):
     Returns
     -------
     VerblunskySequence
-        `diagnostics` carries "cond" (the largest frame Gram estimate)
+        `diagnostics` carries "cond" (the largest section condition estimate)
         and "sections": one {level, N, cond, a0} per level -J..J+1,
         N converged.
 

@@ -154,10 +154,13 @@ def test_gram_out_of_window_raises(grid, r_smooth):
 @pytest.mark.parametrize("spec, n, m", [
     ("random,degree=4,margin=0.2,seed=0", 0, 0),  # the README anchor
     ("blaschke,r=0.75,zeros=0.3+0.2j;-0.4j", -2, -3),  # coupled below level 0
+    ("random,degree=6,margin=0.01,seed=5", -1, -1),  # the smallest margin
 ])
 def test_defect_pair_matches_dense_inverse(spec, n, m, N):
     # dense reference: with H = inv(G), K = H e_0 / sqrt(H_00) and
-    # Ktilde = H e_N / sqrt(H_NN); alpha = H[N, 0] / sqrt(H_00 H_NN)
+    # Ktilde = H e_N / sqrt(H_NN); alpha = H[N, 0] / sqrt(H_00 H_NN).
+    # cond estimates the 1-norm condition of S = I - B B^H, whose spectrum
+    # lies in [margin (2 - margin), 1], so it is at most N / (margin (2 - margin))
     from cmvscat import CircleGrid
     from cmvscat.families import from_string
     from cmvscat.verblunsky import alpha_from_defects
@@ -173,6 +176,38 @@ def test_defect_pair_matches_dense_inverse(spec, n, m, N):
     alpha = alpha_from_defects(pair)
     assert abs(alpha - H[N, 0] / np.sqrt(h00 * hNN)) <= 1e-13
     assert abs(alpha) > 1e-3  # the orientation is tested on a coupled section
+    assert pair.cond <= N / (R.margin * (2.0 - R.margin))
+
+
+def test_defect_pair_memory_is_a_few_section_blocks():
+    # only the N x N Schur complement and one copy of the cross block are
+    # held, never the 2N x 2N frame Gram (8 N^2 complex with its factor)
+    import tracemalloc
+
+    from cmvscat import CircleGrid
+    from cmvscat.families import from_string
+
+    R = from_string("random,degree=4,margin=0.2,seed=0", CircleGrid(1024))
+    N = 256
+    defect_pair(R, -3, 0, N)
+    tracemalloc.start()
+    try:
+        defect_pair(R, -3, 0, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 16 * N * N
+
+
+def test_szego_report_computed_once_per_function(r_smooth, monkeypatch):
+    from cmvscat import circle
+
+    calls = []
+    real = circle.szego_check
+    monkeypatch.setattr(circle, "szego_check", lambda R: calls.append(R) or real(R))
+    for N in (4, 8, 16):
+        defect_pair(r_smooth, 0, 0, N)
+    assert calls == [r_smooth]
 
 
 def test_defect_pair_refuses_aliased_cross_block(r_smooth, monkeypatch):
