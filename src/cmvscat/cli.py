@@ -38,7 +38,6 @@ def _add_common(p, level_window=True):
     p.add_argument("--window", type=int, help="basis half-window W")
     p.add_argument("--depth", type=int, help="wandering-vector depth")
     p.add_argument("--out", help="output path ('-' for stdout)")
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
 
 
 # CLI flag -> RunConfig field
@@ -194,6 +193,8 @@ def build_parser():
     p.add_argument("--z", help="explicit points, e.g. '0.5;0.2+0.1j'")
     p.add_argument("--ring-radius", type=float, help="evaluation ring radius")
     p.add_argument("--ring-count", type=int, help="points on the ring")
+    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json",
+                   help="output format (default json)")
     _add_common(p)
     p.set_defaults(func=cmd_direct)
 

@@ -9,11 +9,11 @@ each Gram entry is the sum over nodes of t^(e_b - e_a) times a form
 product: one FFT of each of the four products evaluates every such sum
 at once. These are the same node sums the dense rule adds, read from R's
 samples alone; the Hankel route reads R's Fourier coefficients instead.
-A level's two defects drop g'_n and g''_{m+1} from one frame, so one
-CGS2 basis of the 2N - 2 generators they share, extended by g''_{m+1}
-for K and by g'_n for Ktilde, gives both in 2N + 2 projections, and one
-sweep takes every level's frame at once. Slow on purpose; it exists to
-certify the fast path, not to compete with it.
+The union frame of a level window holds every level's section, so one
+CGS2 sweep over its generators, in order, gives one triangular factor of
+its Gram, and every coefficient of the window is read off that factor.
+Slow on purpose; it exists to certify the fast path, not to compete
+with it.
 """
 
 from dataclasses import dataclass
@@ -22,7 +22,7 @@ import numpy as np
 
 from .circle import CircleGrid, outer_factor, require_szego, synthesize
 from .errors import DomainError, InputError, ResolutionError
-from .verblunsky import VerblunskySequence, level_split
+from .verblunsky import VerblunskySequence
 
 
 @dataclass
@@ -92,57 +92,43 @@ def quadrature_gram(Q, ks, ls):
     return Q.spectra[form[:, None], form, (e[:, None] - e) % Q.grid.size]
 
 
-def _project_out(w, basis, g_rows):
-    # w less its G-projection on the basis columns, taken twice ("twice is
-    # enough"); the coefficient on column q is <w, q> = q^H G w = (G q)^H w,
-    # and g_rows holds the rows (G q)^H. Leading axes run over levels
+def _project_out(w, basis, L):
+    # w less its G-projection on the basis columns q_k, taken twice ("twice is
+    # enough"); the coefficient on q_k is <w, q_k> = q_k^H G w = (G q_k)^H w,
+    # and G q_k is column k of L
     for _ in range(2):
-        w = w - basis @ (g_rows @ w)
+        w = w - basis @ np.conj(np.conj(w) @ L)
     return w
 
 
-def _cgs2_defects(G, a, b, levels):
-    """Defect coordinates of generators a and b by CGS2 in each Gram of G.
+def _gram_schmidt(G, names):
+    """Lower-triangular L with G = L L^H, by CGS2 over G's generators in order.
 
-    G stacks one Gram per entry of `levels` and one sweep runs them all.
-    The generators other than a and b are orthonormalized once, in order;
-    that basis extended by b takes a's residual, extended by a, b's.
-    Returns [(r_a, norm_a), (r_b, norm_b)], r of shape (L, dim) and
-    normalized, norm of shape (L,). A refusal names the first failing level.
+    Generator i is orthogonalized against the G-orthonormal basis q_0 ..
+    q_{i-1} of those before it. Column i of L is G q_i, so row i holds
+    generator i's projection coefficients <e_i, q_k>, conjugated, and
+    L_ii is its distance from the generators before it. A refusal names
+    the generator, names[i], at which the sweep failed.
     """
-    count, dim, _ = G.shape
-    basis = np.zeros((count, dim, dim - 1), dtype=complex)  # G-orthonormal columns
-    g_rows = np.zeros((count, dim - 1, dim), dtype=complex)  # (G q)^H per column q
-    unit = np.eye(dim, dtype=complex)
-
-    def refuse(failed, what):
-        if np.any(failed):
-            level = levels[int(np.argmax(failed))]
+    n = len(G)
+    basis = np.zeros((n, n), dtype=complex)  # q_k in generator coordinates
+    L = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        # generators past i do not enter q_0 .. q_i: work in the first i + 1
+        w = np.zeros(i + 1, dtype=complex)
+        w[i] = 1.0
+        w = _project_out(w, basis[:i + 1, :i], L[:i + 1, :i])
+        gw = G[:, :i + 1] @ w
+        nrm2 = np.vdot(w, gw[:i + 1]).real
+        if nrm2 <= 0.0:
+            what = "indefinite" if nrm2 <= -1e-8 else "numerically singular"
             raise ResolutionError(
-                f"{what} at level {level}; raise the oversampling factor"
-            )
-
-    def extend(k, i):
-        w = _project_out(unit[:, i:i + 1], basis[:, :, :k], g_rows[:, :k])
-        gw = G @ w
-        nrm2 = np.real(np.sum(np.conj(w) * gw, axis=(1, 2)))
-        refuse(nrm2 <= -1e-8, "quadrature Gram indefinite")
-        refuse(nrm2 <= 0.0, "quadrature Gram numerically singular")
-        scale = 1.0 / np.sqrt(nrm2)[:, None]
-        basis[:, :, k] = w[:, :, 0] * scale
-        g_rows[:, k] = np.conj(gw[:, :, 0]) * scale
-
-    for k, i in enumerate(i for i in range(dim) if i not in (a, b)):
-        extend(k, i)
-    out = []
-    for drop, keep in ((a, b), (b, a)):
-        extend(dim - 2, keep)
-        r = _project_out(unit[:, drop:drop + 1], basis, g_rows)
-        nrm2 = np.real(np.sum(np.conj(r) * (G @ r), axis=(1, 2)))
-        a0 = np.sqrt(np.maximum(nrm2, 0.0))
-        refuse(a0 == 0.0, "defect residual vanished in quadrature")
-        out.append((r[:, :, 0] / a0[:, None], a0))
-    return out
+                f"quadrature Gram {what} at {names[i]}; raise the oversampling factor")
+        norm = np.sqrt(nrm2)
+        basis[:i + 1, i] = w / norm
+        L[i + 1:, i] = gw[i + 1:] / norm  # rows above i are 0 by orthogonality
+        L[i, i] = norm
+    return L
 
 
 def oracle_verblunsky(R, J, N, Q):
@@ -150,33 +136,46 @@ def oracle_verblunsky(R, J, N, Q):
 
     Same mathematics as the fast path, independent numerics: the Gram
     comes from trapezoidal quadrature of the weight's samples (no Hankel
-    lookups), the defect vectors from classical Gram-Schmidt run twice
-    (no Cholesky solves), both of a level from one basis of the
-    generators they share.
+    lookups), the triangular factor from classical Gram-Schmidt run
+    twice (no Cholesky).
 
-    The frames of all levels lie in one window of generator indices, so
-    one quadrature Gram over that window serves every level, and one
-    CGS2 sweep takes the stack of their frame Grams.
+    The union frame [g''_N .. g''_2, g'_{J+1+N} .. g'_{-J}, g''_1] holds
+    the section of every level j of the window: g''_1 .. g''_N and the
+    analytic generators down to g'_{j+1}. One sweep over it in that order
+    gives G = L L^H. With l the last row of L off its diagonal and
+    s_p = sum_{i<p} |l_i|^2, the level whose g'_j sits at position p reads
+
+        alpha_j = -l_p / sqrt(1 - s_p),  a0_j = L_pp sqrt(1 - |alpha_j|^2).
 
     Returns
     -------
-    VerblunskySequence with residual norms attached.
+    VerblunskySequence with residual norms attached, a0s on -J..J+1.
+
+    Raises
+    ------
+    ResolutionError
+        The sweep meets an indefinite or singular Gram, or a level's
+        residual vanishes; the message names the generator.
     """
-    # n and m = j - n both grow with j, so the end levels bound every frame
-    n0, m0 = level_split(-J)
-    n1, m1 = level_split(J + 1)
-    ks = np.arange(n0, n1 + N)
-    ls = np.arange(m0 + 1, m1 + N + 1)
-    G_all = quadrature_gram(Q, ks, ls)
-    levels = np.arange(-J, J + 2)
-    n, m = level_split(levels)
-    span = np.arange(N)
-    idx = np.concatenate([(n - n0)[:, None] + span,
-                          len(ks) + (m - m0)[:, None] + span], axis=1)
-    G = G_all[idx[:, :, None], idx[:, None, :]]
-    (ck, a0s), (ct, _) = _cgs2_defects(G, 0, N, levels)
-    alphas = (np.conj(ct[:-1, None, :]) @ (G[:-1] @ ck[:-1, :, None]))[:, 0, 0]
-    return VerblunskySequence(-J, alphas, a0s)
+    ks = np.arange(J + 1 + N, -J - 1, -1)
+    ls = np.arange(N, 0, -1)
+    G = quadrature_gram(Q, ks, ls)  # [g'_ks, g''_ls]: move g''_N .. g''_2 first
+    P = len(ks)
+    order = np.concatenate([np.arange(P, P + N - 1), np.arange(P), [P + N - 1]])
+    names = [f"g''_{l}" for l in ls[:-1]] + [f"g'_{k}" for k in ks] + ["g''_1"]
+    L = _gram_schmidt(G[np.ix_(order, order)], names)
+    ell = L[-1, :-1]
+    s = np.concatenate(([0.0], np.cumsum(np.abs(ell) ** 2)))
+    pos = N - 1 + (J + 1 + N) - np.arange(-J, J + 2)  # g'_j's position
+    # a0_j vanishes when g''_1 lies in the span of g'_j and those before it;
+    # the refusal names the first such g'_j of the sweep
+    vanished = pos[s[pos + 1] >= 1.0]
+    if vanished.size:
+        raise ResolutionError(f"defect residual vanished in quadrature at "
+                              f"{names[vanished.min()]}; raise the oversampling factor")
+    alphas = -ell[pos] / np.sqrt(1.0 - s[pos])
+    a0s = L[pos, pos].real * np.sqrt(1.0 - np.abs(alphas) ** 2)
+    return VerblunskySequence(-J, alphas[:-1], a0s)
 
 
 def compare_with_fast_path(R, Q, J, N, cfg, fast_seq):
@@ -200,5 +199,4 @@ def compare_with_fast_path(R, Q, J, N, cfg, fast_seq):
         "max_alpha_dev": max_dev,
         "per_level": {j: float(d) for j, d in zip(range(-J, J + 1), devs)},
         "escalated_oversampling": escalated,
-        "oracle_alphas": osec.alphas.tolist(),
     }

@@ -103,11 +103,11 @@ def test_suite_reads_each_alpha_once(r_smooth, small_cfg, alpha_reads):
 def test_anchor_suite_solve_count(solved, unions, monkeypatch):
     # the deterministic work of the anchor suite at the defaults: sections
     # solved, union frames factored, inner products taken and oracle CGS2
-    # projections (2N + 2 at N = 32, each batched over the 10 levels); a
-    # re-solve or a re-read moves a count. The per-level sections cover
-    # rung 0's window only (68 of them, none past N = 64); the roundtrip
-    # reads both rungs off union frames, rung 1 (J = 32) at N = 32, 64, 128
-    # and rung 0 (J = 16) at N = 32, 64
+    # projections (one per generator of the oracle's union frame, 2J + 2 + 2N
+    # at J = 4, N = 32); a re-solve or a re-read moves a count. The per-level
+    # sections cover rung 0's window only (68 of them, none past N = 64); the
+    # roundtrip reads both rungs off union frames, rung 1 (J = 32) at N = 32,
+    # 64, 128 and rung 0 (J = 16) at N = 32, 64
     inner, projections = [], []
     for mod in (lrspace, checks, verblunsky):
         def counting(u, v, original=mod.inner_product):
@@ -123,7 +123,7 @@ def test_anchor_suite_solve_count(solved, unions, monkeypatch):
     assert len(solved) == len(set(solved)) == 68
     assert max(N for _, N in solved) == 64
     assert unions == [(32, 32), (32, 64), (32, 128), (16, 32), (16, 64)]
-    assert (len(inner), len(projections)) == (55, 66)
+    assert (len(inner), len(projections)) == (55, 74)
 
 
 def test_memo_released_after_return(r_smooth, small_cfg, solved):

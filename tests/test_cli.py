@@ -191,6 +191,30 @@ def test_cli_direct_rejects_nonfinite_alpha(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_cli_direct_csv_format(tmp_path):
+    # one header row, then one row per grid point (M = 256 here)
+    alphas = _write(tmp_path, "a.json", _padded(-0.5))
+    out = str(tmp_path / "rec.csv")
+    assert main(["direct", "--alphas", alphas, "--format", "csv", "--out", out] + FAST) == 0
+    rows = open(out).read().splitlines()
+    assert rows[0] == "z_re,z_im,R_re,R_im"
+    assert len(rows) == 1 + 256
+    assert all(len(row.split(",")) == 4 for row in rows[1:])
+
+
+@pytest.mark.parametrize("command", [["inverse", "--family", "zero"],
+                                     ["dump-matrix", "--alphas", "a.json"]])
+def test_cli_format_only_on_direct(tmp_path, capsys, command):
+    # only direct writes two formats; elsewhere the flag is refused, not ignored
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--format", "csv", "--out", str(tmp_path / "o")] + FAST)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--format" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_direct_explicit_points(tmp_path):
     alphas = _write(tmp_path, "a.json", _padded(-0.5))
     out = str(tmp_path / "rec.json")

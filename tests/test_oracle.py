@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -5,15 +7,17 @@ import pytest
 
 from cmvscat import (
     CircleGrid,
+    RunConfig,
     VerblunskySequence,
     inverse_scattering,
     oracle,
     oracle_verblunsky,
+    union_verblunsky,
 )
 from cmvscat.errors import ResolutionError
 from cmvscat.families import from_string, random_trig
 from cmvscat.oracle import (
-    _cgs2_defects,
+    _gram_schmidt,
     compare_with_fast_path,
     quadrature_gram,
     quadrature_space,
@@ -163,74 +167,127 @@ def test_disagreement_escalates_oversampling(small_cfg, monkeypatch):
     assert rep["per_level"][4] == rep["max_alpha_dev"]
 
 
-def _frame_gram(R, n, m, N):
-    # quadrature Gram of the frame at (n, m) with N generators per family
-    return quadrature_gram(quadrature_space(R), np.arange(n, n + N),
-                           np.arange(m + 1, m + N + 1))
+def _union_gram(R, J, N=8):
+    # quadrature Gram of g'_{-J} .. g'_{J+1+N}, then g''_1 .. g''_N
+    return quadrature_gram(quadrature_space(R), np.arange(-J, J + 2 + N),
+                           np.arange(1, N + 1))
 
 
-def _defect(G, drop):
-    # both defects of a level from one shared basis, as the oracle takes them:
-    # g'_n (index 0) after extending by g''_{m+1} (index 8), then the reverse;
-    # the sweep is fed a one-level stack
-    r, a0 = dict(zip((0, 8), _cgs2_defects(G[None], 0, 8, [0])))[drop]
-    return r[0], a0[0]
+def _names(G):
+    return [f"v{i}" for i in range(len(G))]
 
 
-@pytest.mark.parametrize("drop", [0, 8])
-def test_gram_schmidt_residual_is_orthogonal(r_smooth, drop):
-    G = _frame_gram(r_smooth, 1, 0, 8)
-    r, a0 = _defect(G, drop)
-    Gr = G @ r
-    keep = np.arange(G.shape[0]) != drop
-    assert np.max(np.abs(Gr[keep])) <= 1e-12
-    assert abs(np.conj(r) @ Gr - 1.0) <= 1e-12
+@pytest.mark.parametrize("J", [0, 8])
+def test_gram_schmidt_residual_is_orthogonal(r_smooth, J):
+    # L L^H = G says that each generator's residual is G-orthogonal to the
+    # generators before it, with L lower triangular and its diagonal the norms
+    G = _union_gram(r_smooth, J)
+    L = _gram_schmidt(G, _names(G))
+    assert np.array_equal(L, np.tril(L))
+    assert np.all(np.diag(L).imag == 0.0) and np.min(np.diag(L).real) > 0.0
+    assert np.max(np.abs(L @ np.conj(L.T) - G)) <= 1e-14
 
 
-@pytest.mark.parametrize("drop", [0, 8])
-def test_gram_schmidt_residual_norm_matches_dense_solve(r_smooth, drop):
-    # the residual of e_d against the other generators has norm (G^-1)_dd^(-1/2)
-    G = _frame_gram(r_smooth, 0, -1, 8)
-    _, a0 = _defect(G, drop)
-    unit = np.zeros(G.shape[0])
-    unit[drop] = 1.0
-    inv_dd = np.linalg.solve(G, unit)[drop].real
-    assert abs(a0 - inv_dd ** -0.5) <= 1e-12
-
-
-def test_gram_schmidt_sweep_matches_one_level_at_a_time(r_smooth):
-    # each level of a stack comes out as it does alone
-    G = np.stack([_frame_gram(r_smooth, 1, 0, 8), _frame_gram(r_smooth, 0, -1, 8)])
-    swept = _cgs2_defects(G, 0, 8, [1, -1])
-    for i in range(2):
-        for (r, a0), (r1, a01) in zip(swept, _cgs2_defects(G[i:i + 1], 0, 8, [0])):
-            assert np.max(np.abs(r[i] - r1[0])) <= 1e-15
-            assert abs(a0[i] - a01[0]) <= 1e-15
+@pytest.mark.parametrize("J", [0, 8])
+def test_gram_schmidt_residual_norm_matches_dense_solve(r_smooth, J):
+    # generator i's distance from those before it is (G_i^-1)_ii^(-1/2), G_i
+    # the leading (i + 1) x (i + 1) block
+    G = _union_gram(r_smooth, J)
+    L = _gram_schmidt(G, _names(G))
+    dense = [np.linalg.solve(G[:i + 1, :i + 1], np.eye(i + 1)[i])[i].real ** -0.5
+             for i in range(len(G))]
+    assert np.max(np.abs(np.diag(L).real - dense)) <= 1e-12
 
 
 def test_gram_schmidt_refuses_indefinite_gram():
-    # generator 1 extends the shared basis {0} before 2 is projected
-    with pytest.raises(ResolutionError, match="indefinite"):
-        _cgs2_defects(np.diag([1.0, -1.0, 1.0]).astype(complex)[None], 2, 1, [0])
-
-
-def test_gram_schmidt_refusal_names_the_level():
-    # one sweep over a stack: the level whose Gram fails is the one named
-    good = np.eye(3, dtype=complex)
-    G = np.stack([good, np.diag([1.0, -1.0, 1.0]).astype(complex), good])
-    with pytest.raises(ResolutionError, match="indefinite at level 6;"):
-        _cgs2_defects(G, 2, 1, [5, 6, 7])
+    with pytest.raises(ResolutionError, match="indefinite at g'_5;"):
+        _gram_schmidt(np.diag([1.0, -1.0, 1.0]).astype(complex), ["g'_4", "g'_5", "g''_1"])
 
 
 def test_gram_schmidt_refuses_singular_gram():
+    # the second generator equals the first
     G = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
-    with pytest.raises(ResolutionError, match="numerically singular"):
-        _cgs2_defects(G[None], 2, 1, [0])
+    with pytest.raises(ResolutionError, match="numerically singular at g'_5;"):
+        _gram_schmidt(G, ["g'_4", "g'_5", "g''_1"])
 
 
-def test_gram_schmidt_refuses_vanished_residual():
-    # the dropped generator equals the first kept one in this Gram
-    G = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]], dtype=complex)
-    with pytest.raises(ResolutionError, match="vanished"):
-        _cgs2_defects(G[None], 2, 1, [0])
+def test_gram_schmidt_refuses_vanished_residual(monkeypatch):
+    # at J = 0, N = 1 the oracle sweeps [g'_2, g'_1, g'_0, g''_1]. Here g''_1 has
+    # squared norm 2 and <g''_1, g'_1> = 1: the sweep leaves it a residual of
+    # norm 1, but the readout, which takes g''_1 at unit norm, finds it inside
+    # the span of g'_2, g'_1, so levels 1 and 0 lose their residuals
+    G = np.eye(4, dtype=complex)
+    G[3, 3], G[1, 3], G[3, 1] = 2.0, 1.0, 1.0
+    monkeypatch.setattr(oracle, "quadrature_gram", lambda Q, ks, ls: G)
+    with pytest.raises(ResolutionError, match="vanished in quadrature at g'_1;"):
+        oracle_verblunsky(None, 0, 1, None)
 
+
+# the deep rung: the fast path's window at `inverse --levels 64`, with a
+# frame large enough that the union route converges on these inputs
+DEEP = [ANCHOR, "random,degree=8,margin=0.2,seed=3", "monomial,gamma=0.5,k=1",
+        "blaschke,r=0.8"]
+
+
+@pytest.fixture(scope="module")
+def deep_oracle():
+    # (R, oracle over [-64, 64] at N = 128, its tracemalloc peak) per input
+    runs = {}
+
+    def run(spec):
+        if spec not in runs:
+            R = from_string(spec, CircleGrid(1024))
+            Q = quadrature_space(R, RunConfig().oversample)
+            tracemalloc.start()
+            try:
+                seq = oracle_verblunsky(R, 64, 128, Q)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            runs[spec] = R, seq, peak
+        return runs[spec]
+
+    return run
+
+
+@pytest.mark.parametrize("spec", DEEP)
+def test_oracle_certifies_the_deep_window(deep_oracle, spec):
+    # one sweep over the 386 generators of the union frame; a stack of the
+    # 130 levels' 256 x 256 frame Grams would hold about 130 MiB
+    R, seq, peak = deep_oracle(spec)
+    union = union_verblunsky(R, 64, RunConfig())
+    assert np.max(np.abs(seq.alphas - union.alphas)) <= 1e-15
+    assert np.max(np.abs(seq.a0s - union.a0s)) <= 1e-15
+    assert peak <= 16 * 2**20
+
+
+def test_per_level_route_misses_the_deep_residual(deep_oracle):
+    # `inverse --levels 64` on the monomial writes a0_{-64} = 1.0: level -64
+    # couples only to g''_65, and the per-level doubling stops at N = 64 on two
+    # decoupled sections (finding A at the deep rung). A section certificate
+    # that cannot certify a decoupled frame (ROADMAP item 2) flips the last
+    # assertion
+    R, seq, _ = deep_oracle("monomial,gamma=0.5,k=1")
+    assert abs(seq.a0s[0] - np.sqrt(0.75)) <= 1e-15
+    per_level = inverse_scattering(R, 64, RunConfig())
+    assert abs(per_level.a0s[0] - seq.a0s[0]) > 0.1
+
+
+def test_oracle_shares_no_numerics_with_the_fast_path():
+    # the oracle certifies the fast path only while it takes nothing of it:
+    # no import from lrspace, nothing from verblunsky but the result type,
+    # no Hankel lookup and no Cholesky
+    tree = ast.parse(pathlib.Path(oracle.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [f"{node.module or ''}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            names = []
+        for name in names:
+            assert "lrspace" not in name, name
+            assert "verblunsky" not in name or name == "verblunsky.VerblunskySequence", name
+        if isinstance(node, ast.Attribute):
+            assert node.attr not in ("coeff_range", "coefficient", "cholesky", "cho_factor",
+                                     "zpotrf"), node.attr
