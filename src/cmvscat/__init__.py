@@ -11,12 +11,10 @@ certify both directions.
 from .circle import (
     CircleGrid,
     LaurentSeries,
-    OuterFunction,
     ScatteringFunction,
     SzegoReport,
     analyze,
     harmonic_extension,
-    outer_factor,
     require_szego,
     synthesize,
     szego_check,

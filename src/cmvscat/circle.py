@@ -2,8 +2,7 @@
 
 Equispaced power-of-two grids, finite Laurent series, contractive
 boundary data, the Szego integrability check and the one guard that
-refuses inputs failing it, outer factorization via the circular Hilbert
-transform, and harmonic extension into the disk.
+refuses inputs failing it, and harmonic extension into the disk.
 
 All integrals over the circle use normalized Lebesgue measure, so the
 trapezoidal rule on an equispaced grid is a plain mean over the nodes.
@@ -201,12 +200,6 @@ class ScatteringFunction:
             ]
         return out
 
-    def on_grid(self, grid):
-        """Samples of R on another grid (band-limited resynthesis)."""
-        if grid.size == self.grid.size:
-            return self.samples
-        return synthesize(self.coeffs, grid)
-
 
 @dataclass(frozen=True)
 class SzegoReport:
@@ -249,62 +242,6 @@ def require_szego(R, margin_min=0.0):
             f"{margin_min:.1e}"
         )
     return rep
-
-
-def hilbert_conjugate(u, grid):
-    """Circular conjugate function of real grid data.
-
-    Fourier multiplier -i sign(j), zero at j = 0 and at the Nyquist
-    index, so the result is real with zero mean.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (grid.size,):
-        raise InputError("sample count does not match grid size")
-    bins = np.fft.fft(u)
-    j = np.fft.fftfreq(grid.size, d=1.0 / grid.size)
-    mult = -1j * np.sign(j)
-    mult[grid.size // 2] = 0.0
-    return np.real(np.fft.ifft(bins * mult))
-
-
-@dataclass
-class OuterFunction:
-    """Boundary values of an outer function, normalized positive at 0."""
-
-    grid: CircleGrid
-    boundary_samples: np.ndarray
-    value_at_zero: float
-
-
-def outer_factor(w, grid):
-    """Outer function T with |T|^2 = w on the grid and T(0) > 0.
-
-    Parameters
-    ----------
-    w : array_like
-        Strictly positive density samples.
-    grid : CircleGrid
-
-    Returns
-    -------
-    OuterFunction
-        T = exp((log w + i H[log w]) / 2) where H is the zero-mean
-        circular Hilbert transform; T(0) = exp(mean(log w) / 2).
-    """
-    w = np.asarray(w, dtype=float)
-    if w.shape != (grid.size,):
-        raise InputError("density sample count does not match grid size")
-    bad = np.flatnonzero(w <= 0.0)
-    if bad.size:
-        k = int(bad[0])
-        raise DomainError(
-            f"density must be strictly positive; w = {w[k]:.6g} at node "
-            f"{k} (theta = {grid.theta[k]:.6g})"
-        )
-    logw = np.log(w)
-    phase = hilbert_conjugate(logw, grid)
-    boundary = np.exp(0.5 * (logw + 1j * phase))
-    return OuterFunction(grid, boundary, float(np.exp(0.5 * np.mean(logw))))
 
 
 def harmonic_extension(f, z):

@@ -27,27 +27,25 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
-def _add_common(p, level_window=True):
+# CLI flag -> (RunConfig field, help)
+_FLAGS = {"grid": ("grid_size", "grid size M (power of two)"),
+          "levels": ("levels", "level half-window J"),
+          "window": ("cmv_window", "basis half-window W"),
+          "depth": ("depth", "wandering-vector depth")}
+
+
+def _add_common(p, *flags):
+    # each command registers only the RunConfig flags its computation reads,
+    # so a flag it would ignore is refused by argparse
     p.add_argument("--config", help="JSON file with RunConfig overrides")
-    p.add_argument("--grid", type=int, help="grid size M (power of two)")
-    if level_window:
-        p.add_argument("--levels", type=int, help="level half-window J")
-    else:  # spectrum: the density level, which may be zero or negative
-        p.add_argument("--levels", dest="level", type=int, default=0,
-                       help="the density level n (default 0)")
-    p.add_argument("--window", type=int, help="basis half-window W")
-    p.add_argument("--depth", type=int, help="wandering-vector depth")
+    for flag in flags:
+        p.add_argument(f"--{flag}", type=int, help=_FLAGS[flag][1])
     p.add_argument("--out", help="output path ('-' for stdout)")
-
-
-# CLI flag -> RunConfig field
-_OVERRIDES = (("grid", "grid_size"), ("levels", "levels"),
-              ("window", "cmv_window"), ("depth", "depth"))
 
 
 def _config_from(args):
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    over = {field: getattr(args, flag) for flag, field in _OVERRIDES
+    over = {field: getattr(args, flag) for flag, (field, _) in _FLAGS.items()
             if getattr(args, flag, None) is not None}
     return cfg.replace(**over)
 
@@ -185,7 +183,7 @@ def build_parser():
     p.add_argument("--input", help="scattering function file (JSON or CSV)")
     p.add_argument("--family", help="built-in input family spec")
     p.add_argument("--report", help="write a diagnostics report here")
-    _add_common(p)
+    _add_common(p, "grid", "levels")
     p.set_defaults(func=cmd_inverse)
 
     p = sub.add_parser("direct", help="coefficients -> scattering function")
@@ -195,7 +193,7 @@ def build_parser():
     p.add_argument("--ring-count", type=int, help="points on the ring")
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json",
                    help="output format (default json)")
-    _add_common(p)
+    _add_common(p, "grid", "window", "depth")
     p.set_defaults(func=cmd_direct)
 
     p = sub.add_parser("roundtrip", help="inverse then direct, with error report")
@@ -204,14 +202,17 @@ def build_parser():
     p.add_argument("--ladder", type=int, default=1,
                    help="rungs with J, W and depth doubled, sections started at "
                         "max(section_start, J) (default 1)")
-    _add_common(p)
+    _add_common(p, *_FLAGS)
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("spectrum", help="spectral density at a level")
     p.add_argument("--input", help="scattering function file")
     p.add_argument("--family", help="built-in input family spec")
     p.add_argument("--report", help="write the moments report here")
-    _add_common(p, level_window=False)
+    # the density level, which may be zero or negative
+    p.add_argument("--levels", dest="level", type=int, default=0,
+                   help="the density level n (default 0)")
+    _add_common(p, "grid")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("check", help="full invariant suite and oracle comparison")
@@ -219,14 +220,14 @@ def build_parser():
     p.add_argument("--family", help="built-in input family spec")
     p.add_argument("--light", action="store_true",
                    help="skip the roundtrip and oracle comparisons")
-    _add_common(p)
+    _add_common(p, *_FLAGS)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("dump-matrix", help="CSV triplets of the banded operator")
     p.add_argument("--alphas", required=True)
     p.add_argument("--boundary", choices=cmv.BOUNDARY_TAGS, default="zero-tail",
                    help="edge policy of the window (default zero-tail)")
-    _add_common(p)
+    _add_common(p, "window")
     p.set_defaults(func=cmd_dump_matrix)
 
     return ap

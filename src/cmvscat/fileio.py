@@ -135,9 +135,9 @@ def load_alphas(path):
     return VerblunskySequence(lo, alphas, a0s)
 
 
-def save_alphas(seq, include_a0s=True):
+def save_alphas(seq):
     data = {"lo": int(seq.lo), "alphas": [_c2pair(a) for a in seq.alphas]}
-    if include_a0s and seq.a0s is not None:
+    if seq.a0s is not None:
         data["a0s"] = [float(a) for a in seq.a0s]
     return dumps(data)
 

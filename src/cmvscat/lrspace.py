@@ -189,19 +189,19 @@ def shift(u, p):
     )
 
 
-def evaluate(u, grid):
-    """Sample the two component functions of u on a grid.
+def evaluate(u):
+    """Sample the two component functions of u on the grid of its R.
 
     Components are (sum x_k t^k + Rbar sum y_l tbar^l,
                     R sum x_k t^k + sum y_l tbar^l).
     """
-    f = u.frame
+    f, grid = u.frame, u.scattering.grid
     lo, hi = min(f.n, -(f.m + f.N)), max(f.n + f.N - 1, -(f.m + 1))
     if lo < grid.coeff_lo or hi > grid.coeff_hi:
         raise ResolutionError(
             f"frame monomial indices [{lo}, {hi}] alias on a grid of size {grid.size}"
         )
-    Rs = u.scattering.on_grid(grid)
+    Rs = u.scattering.samples
     ana = synthesize(LaurentSeries(f.n, u.x), grid)
     anti = synthesize(LaurentSeries(-(f.m + f.N), u.y[::-1]), grid)
     comp1 = ana + np.conj(Rs) * anti

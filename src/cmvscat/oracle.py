@@ -2,13 +2,16 @@
 
 Everything here goes through trapezoidal quadrature of the 2x2 weight
 on the oversampled grid and re-orthogonalized classical Gram-Schmidt
-(CGS2), sharing nothing with the Hankel fast path beyond grid
-construction and the outer factorization used to express the weight.
+(CGS2). Its independence from the Hankel fast path lies in what each
+route computes and how it factors: the oracle samples R on the
+oversampled grid, sets the weight node by node there and orthogonalizes
+by CGS2, while the fast path never forms the weight, reads R's Fourier
+coefficients into Hankel blocks and factors them by Cholesky. The two
+share R's coefficients and grid construction, nothing else.
 A generator is t^e times one of two pointwise forms, so the sum behind
 each Gram entry is the sum over nodes of t^(e_b - e_a) times a form
 product: one FFT of each of the four products evaluates every such sum
-at once. These are the same node sums the dense rule adds, read from R's
-samples alone; the Hankel route reads R's Fourier coefficients instead.
+at once. These are the same node sums the dense rule adds.
 The union frame of a level window holds every level's section, so one
 CGS2 sweep over its generators, in order, gives one triangular factor of
 its Gram, and every coefficient of the window is read off that factor.
@@ -20,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import CircleGrid, outer_factor, require_szego, synthesize
-from .errors import DomainError, InputError, ResolutionError
+from .circle import CircleGrid, require_szego, synthesize
+from .errors import DomainError, ResolutionError
 from .verblunsky import VerblunskySequence
 
 
@@ -29,8 +32,8 @@ from .verblunsky import VerblunskySequence
 class QuadratureSpace:
     """Oversampled grid together with pointwise 2x2 weight samples.
 
-    The weight is (1/|T|^2) [[1, -Rbar], [-R, 1]] with T the outer
-    factor of 1 - |R|^2, Hermitian positive definite at every node for
+    The weight is (1/(1 - |R|^2)) [[1, -Rbar], [-R, 1]], the inverse of
+    [[1, Rbar], [R, 1]], Hermitian positive definite at every node for
     contractive R. spectra[p, q] is fft(phi_p^H W phi_q) / Mq for the
     forms phi_0 = [1; R] of g'_k = t^k phi_0 and phi_1 = [Rbar; 1] of
     g''_l = t^-l phi_1.
@@ -42,18 +45,19 @@ class QuadratureSpace:
     spectra: np.ndarray
 
 
-def quadrature_space(R, oversample=4, weight_via="outer"):
+def quadrature_space(R, oversample=4):
     """Build the dense quadrature realization of the weighted space.
+
+    The weight is set node by node, 1/(1 - |R|^2) times [[1, -Rbar],
+    [-R, 1]] at each sample of R on the oversampled grid. This is where
+    the oracle parts from the fast path, which never forms the weight and
+    reads R's Fourier coefficients straight into Hankel blocks.
 
     Parameters
     ----------
     R : ScatteringFunction
     oversample : int
         Quadrature grid size relative to R's own grid.
-    weight_via : str
-        "outer" evaluates 1/(1 - |R|^2) through the outer factor so the
-        formula path differs from pointwise algebra; "inverse" inverts
-        the 2x2 matrix [[1, Rbar], [R, 1]] directly (cross-check path).
     """
     require_szego(R)
     qgrid = CircleGrid(R.grid.size * oversample)
@@ -61,13 +65,7 @@ def quadrature_space(R, oversample=4, weight_via="outer"):
     density = 1.0 - np.abs(rq) ** 2
     if np.min(density) <= 0.0:
         raise DomainError("1 - |R|^2 is not strictly positive on the quadrature grid")
-    if weight_via == "outer":
-        T = outer_factor(density, qgrid)
-        scale = 1.0 / np.abs(T.boundary_samples) ** 2
-    elif weight_via == "inverse":
-        scale = 1.0 / density
-    else:
-        raise InputError(f"unknown weight path {weight_via!r}")
+    scale = 1.0 / density
     weight = np.empty((qgrid.size, 2, 2), dtype=complex)
     weight[:, 0, 0] = scale
     weight[:, 0, 1] = -scale * np.conj(rq)

@@ -70,7 +70,7 @@ def sigma21_prime(pair, n, m):
     """Renormalized cross block diag(Abar, A) [[1, wbar], [w, 1]] and its pieces."""
     R = pair.K.scattering
     grid = R.grid
-    k1, _ = evaluate(pair.K, grid)
+    k1, _ = evaluate(pair.K)
     A = np.conj(grid.nodes ** (-n) * k1)
     omega = recover_omega(pair, n, m)
     w = omega.samples

@@ -263,7 +263,7 @@ def recover_omega(pair, n, m):
     """
     R = pair.K.scattering
     grid = R.grid
-    k1, k2 = evaluate(pair.K, grid)
+    k1, k2 = evaluate(pair.K)
     nodes = grid.nodes
     denom = np.conj(nodes ** (-n) * k1)
     small = np.flatnonzero(np.abs(denom) < 1e-8)

@@ -7,7 +7,6 @@ from cmvscat import (
     ScatteringFunction,
     analyze,
     harmonic_extension,
-    outer_factor,
     require_szego,
     synthesize,
     szego_check,
@@ -107,53 +106,6 @@ def test_coefficient_outside_window(grid, r_half, r_smooth):
     sampled = ScatteringFunction.from_samples(r_smooth.samples, grid)
     with pytest.raises(ResolutionError):
         sampled.coefficient(grid.size)
-
-
-def test_outer_constant_one(grid):
-    T = outer_factor(np.ones(grid.size), grid)
-    assert np.max(np.abs(T.boundary_samples - 1.0)) < 1e-13
-    assert abs(T.value_at_zero - 1.0) < 1e-13
-
-
-def test_outer_constant_density(grid):
-    T = outer_factor(np.full(grid.size, 0.75), grid)
-    assert np.max(np.abs(T.boundary_samples - np.sqrt(0.75))) < 1e-12
-    assert abs(T.value_at_zero - np.sqrt(0.75)) < 1e-12
-
-
-def test_outer_polynomial_density(grid):
-    # |1 - 0.5 t|^2 has the outer factor 1 - 0.5 t (root outside the disk)
-    f = 1.0 - 0.5 * grid.nodes
-    T = outer_factor(np.abs(f) ** 2, grid)
-    assert np.max(np.abs(T.boundary_samples - f)) < 1e-10
-    assert abs(T.value_at_zero - 1.0) < 1e-12
-
-
-def test_outer_modulus_reproduces_density(grid):
-    rng = np.random.default_rng(3)
-    w = 1.5 + np.cos(grid.theta) + 0.2 * rng.standard_normal(1)[0]
-    T = outer_factor(w, grid)
-    rel = np.abs(np.abs(T.boundary_samples) ** 2 - w) / w
-    assert np.max(rel) < 1e-10
-
-
-def test_outer_multiplicativity(grid):
-    w1 = 1.0 + 0.5 * np.cos(grid.theta)
-    w2 = np.abs(1.0 - 0.3 * grid.nodes) ** 2
-    T12 = outer_factor(w1 * w2, grid)
-    T1 = outer_factor(w1, grid)
-    T2 = outer_factor(w2, grid)
-    assert np.max(
-        np.abs(T12.boundary_samples - T1.boundary_samples * T2.boundary_samples)
-    ) < 1e-9
-
-
-def test_outer_rejects_nonpositive(grid):
-    w = np.ones(grid.size)
-    w[17] = 0.0
-    with pytest.raises(DomainError) as err:
-        outer_factor(w, grid)
-    assert "17" in str(err.value)
 
 
 def test_harmonic_extension_examples():

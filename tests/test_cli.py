@@ -21,7 +21,22 @@ from cmvscat.errors import InputError
 from cmvscat.families import from_string
 from cmvscat.verblunsky import VerblunskySequence
 
-FAST = ["--grid", "256", "--levels", "4", "--window", "48", "--depth", "8"]
+# the RunConfig flags each command registers; spectrum's --levels is its
+# density level, not the level window
+ACCEPTS = {"inverse": ("grid", "levels"), "direct": ("grid", "window", "depth"),
+           "roundtrip": ("grid", "levels", "window", "depth"),
+           "spectrum": ("grid", "levels"),
+           "check": ("grid", "levels", "window", "depth"), "dump-matrix": ("window",)}
+
+
+def _scale(command, grid=256, levels=4, window=48, depth=8):
+    """The flags `command` registers, at the given values."""
+    values = {"grid": grid, "levels": levels, "window": window, "depth": depth}
+    return [arg for flag in ACCEPTS[command] for arg in (f"--{flag}", str(values[flag]))]
+
+
+FAST_FOR = {command: _scale(command) for command in ACCEPTS}
+FAST = FAST_FOR["inverse"]  # most tests here run inverse
 
 
 def _write(tmp_path, name, text):
@@ -110,7 +125,8 @@ def test_cli_inverse_rejects_unimodular_sample(tmp_path, capsys, command):
     data = {"type": "samples", "grid": 64,
             "values": [[v.real, v.imag] for v in vals]}
     inp = _write(tmp_path, "r.json", json.dumps(data))
-    code = main([command, "--input", inp, "--out", str(tmp_path / "a.json")] + FAST)
+    code = main([command, "--input", inp, "--out", str(tmp_path / "a.json")]
+                + FAST_FOR[command])
     assert code == 2
     err = capsys.readouterr().err
     assert "Szego condition fails" in err
@@ -129,8 +145,9 @@ def test_cli_spectrum_rejects_margin_below_floor(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag", ["--grid", "--levels", "--window", "--depth"])
 def test_cli_rejects_zero_override(tmp_path, capsys, flag):
-    args = ["inverse", "--family", "monomial,gamma=0.5,k=1",
-            "--out", str(tmp_path / "a.json")] + FAST
+    # roundtrip registers all four flags
+    args = ["roundtrip", "--family", "monomial,gamma=0.5,k=1",
+            "--out", str(tmp_path / "a.json")] + FAST_FOR["roundtrip"]
     args[args.index(flag) + 1] = "0"
     code = main(args)
     assert code == 2
@@ -153,7 +170,7 @@ def test_cli_spectrum_level_zero_is_a_level(tmp_path):
 def test_cli_direct_zero_alphas(tmp_path):
     alphas = _write(tmp_path, "a.json", _padded(0.0))
     out = str(tmp_path / "rec.json")
-    code = main(["direct", "--alphas", alphas, "--out", out] + FAST)
+    code = main(["direct", "--alphas", alphas, "--out", out] + FAST_FOR["direct"])
     assert code == 0
     data = json.loads(open(out).read())
     sup = max(abs(complex(re, im)) for re, im in data["R"])
@@ -167,7 +184,7 @@ def test_cli_direct_roundtrip_monomial(tmp_path):
     alphas = str(tmp_path / "a.json")
     assert main(["inverse", "--input", inp, "--out", alphas] + FAST) == 0
     out = str(tmp_path / "rec.json")
-    assert main(["direct", "--alphas", alphas, "--out", out] + FAST) == 0
+    assert main(["direct", "--alphas", alphas, "--out", out] + FAST_FOR["direct"]) == 0
     data = json.loads(open(out).read())
     grid = CircleGrid(256)
     rec = np.array([complex(re, im) for re, im in data["R"]])
@@ -179,14 +196,14 @@ def test_cli_direct_rejects_large_alpha(tmp_path):
         tmp_path, "a.json", json.dumps({"lo": 0, "alphas": [[1.0, 0.0]]})
     )
     code = main(["direct", "--alphas", alphas, "--out", str(tmp_path / "o.json")]
-                + FAST)
+                + FAST_FOR["direct"])
     assert code == 2
 
 
 def test_cli_direct_rejects_nonfinite_alpha(tmp_path, capsys):
     alphas = _write(tmp_path, "a.json", '{"lo": 0, "alphas": [[0.1, 0.0], [NaN, 0.0]]}')
     code = main(["direct", "--alphas", alphas, "--out", str(tmp_path / "o.json")]
-                + FAST)
+                + FAST_FOR["direct"])
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
 
@@ -195,7 +212,8 @@ def test_cli_direct_csv_format(tmp_path):
     # one header row, then one row per grid point (M = 256 here)
     alphas = _write(tmp_path, "a.json", _padded(-0.5))
     out = str(tmp_path / "rec.csv")
-    assert main(["direct", "--alphas", alphas, "--format", "csv", "--out", out] + FAST) == 0
+    assert main(["direct", "--alphas", alphas, "--format", "csv", "--out", out]
+                + FAST_FOR["direct"]) == 0
     rows = open(out).read().splitlines()
     assert rows[0] == "z_re,z_im,R_re,R_im"
     assert len(rows) == 1 + 256
@@ -207,10 +225,82 @@ def test_cli_direct_csv_format(tmp_path):
 def test_cli_format_only_on_direct(tmp_path, capsys, command):
     # only direct writes two formats; elsewhere the flag is refused, not ignored
     with pytest.raises(SystemExit) as exc:
-        main(command + ["--format", "csv", "--out", str(tmp_path / "o")] + FAST)
+        main(command + ["--format", "csv", "--out", str(tmp_path / "o")]
+             + FAST_FOR[command[0]])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--format" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+_GUARD_FAMILY = "random,degree=4,margin=0.3,seed=5"
+_GUARD_INPUT = {"inverse": ["--family", _GUARD_FAMILY],
+                "roundtrip": ["--family", _GUARD_FAMILY, "--ladder", "0"],
+                "spectrum": ["--family", _GUARD_FAMILY],
+                "check": ["--family", _GUARD_FAMILY],
+                "direct": ["--alphas", "a.json"], "dump-matrix": ["--alphas", "a.json"]}
+# a value per registered flag that moves the result off the default run.
+# window and depth enter direct and check only through the moment horizon
+# K, whose moments are exact at every value it accepts: direct --window 70
+# cuts K from 80 to 71 on the window [-80, 2] of a.json, while direct
+# --depth 1 and check --window 20 and --depth 8 fix K = 0 and are refused
+_GUARD_VALUES = {("inverse", "grid"): 512, ("inverse", "levels"): 3,
+                 ("direct", "grid"): 512, ("direct", "window"): 70,
+                 ("direct", "depth"): 1,
+                 ("roundtrip", "grid"): 512, ("roundtrip", "levels"): 3,
+                 ("roundtrip", "window"): 96, ("roundtrip", "depth"): 24,
+                 ("spectrum", "grid"): 512, ("spectrum", "levels"): 1,
+                 ("check", "grid"): 512, ("check", "levels"): 3,
+                 ("check", "window"): 20, ("check", "depth"): 8,
+                 ("dump-matrix", "window"): 8}
+_DROPPED = [(command, flag) for command in ACCEPTS
+            for flag in ("grid", "levels", "window", "depth")
+            if flag not in ACCEPTS[command]]
+
+
+@pytest.fixture(scope="module")
+def guard_runs(tmp_path_factory):
+    """(exit code, output bytes or None) of a command and flags, run once each."""
+    path = tmp_path_factory.mktemp("guard")
+    seq = VerblunskySequence(-80, 0.1 * np.cos(np.arange(83)) + 0.05j)
+    alphas = _write(path, "a.json", fileio.save_alphas(seq))
+    out, seen = path / "o", {}
+
+    def run(command, flags):
+        key = (command, *flags)
+        if key not in seen:
+            inputs = [alphas if arg == "a.json" else arg for arg in _GUARD_INPUT[command]]
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = main([command, *inputs, *flags, "--out", str(out)])
+            seen[key] = code, out.read_bytes() if out.exists() else None
+            out.unlink(missing_ok=True)
+        return seen[key]
+
+    return run
+
+
+@pytest.mark.parametrize("command, flag", list(_GUARD_VALUES))
+def test_cli_registered_flag_reaches_output(guard_runs, command, flag):
+    # a flag a command registers is one its computation reads: setting it
+    # moves the exit code or the output bytes off the default run at grid 256
+    grid = ["--grid", "256"] if "grid" in ACCEPTS[command] else []
+    set_flag = [f"--{flag}", str(_GUARD_VALUES[command, flag])]
+    default = guard_runs(command, grid)
+    assert default[0] == 0 and default[1]
+    assert guard_runs(command, set_flag if flag == "grid" else grid + set_flag) != default
+
+
+@pytest.mark.parametrize("command, flag", _DROPPED)
+def test_cli_unread_flag_exits_2(tmp_path, capsys, command, flag):
+    # a flag the command's computation would ignore is not registered
+    argv = [command] + _GUARD_INPUT[command] + [f"--{flag}", "3",
+                                                "--out", str(tmp_path / "o")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: --{flag} 3" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
@@ -219,7 +309,7 @@ def test_cli_direct_explicit_points(tmp_path):
     alphas = _write(tmp_path, "a.json", _padded(-0.5))
     out = str(tmp_path / "rec.json")
     code = main(["direct", "--alphas", alphas, "--z", "0.5;0.25j", "--out", out]
-                + FAST)
+                + FAST_FOR["direct"])
     assert code == 0
     data = json.loads(open(out).read())
     val = complex(*data["R"][0])
@@ -236,7 +326,7 @@ def test_cli_direct_explicit_points(tmp_path):
 def test_cli_direct_rejects_bad_points(tmp_path, capsys, points):
     alphas = _write(tmp_path, "a.json", _padded(-0.5))
     code = main(["direct", "--alphas", alphas, *points,
-                 "--out", str(tmp_path / "o.json")] + FAST)
+                 "--out", str(tmp_path / "o.json")] + FAST_FOR["direct"])
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
 
@@ -245,7 +335,7 @@ def test_cli_direct_rejects_bad_points(tmp_path, capsys, points):
 def test_cli_direct_rejects_malformed_alphas(tmp_path, capsys, rows):
     alphas = _write(tmp_path, "a.json", '{"lo": 0, "alphas": %s}' % rows)
     code = main(["direct", "--alphas", alphas, "--out", str(tmp_path / "o.json")]
-                + FAST)
+                + FAST_FOR["direct"])
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
 
@@ -254,7 +344,7 @@ def test_cli_roundtrip_report(tmp_path):
     out = str(tmp_path / "report.json")
     code = main(
         ["roundtrip", "--family", "monomial,gamma=0.5,k=1", "--ladder", "0",
-         "--out", out] + FAST
+         "--out", out] + FAST_FOR["roundtrip"]
     )
     assert code == 0
     rep = json.loads(open(out).read())
@@ -263,7 +353,7 @@ def test_cli_roundtrip_report(tmp_path):
 
 def test_cli_roundtrip_rejects_negative_ladder(tmp_path, capsys):
     code = main(["roundtrip", "--family", "monomial,gamma=0.5,k=1", "--ladder", "-1",
-                 "--out", str(tmp_path / "report.json")] + FAST)
+                 "--out", str(tmp_path / "report.json")] + FAST_FOR["roundtrip"])
     assert code == 2
     err = capsys.readouterr().err
     assert "ladder" in err
@@ -323,7 +413,7 @@ def test_cli_bad_file_or_config_exits_2(tmp_path, capsys, case, config, names):
         "report into missing dir": ["inverse", "--family", "zero", "--out", out,
                                     "--report", nodir],
     }.get(case, ["inverse", "--family", "zero", "--config", cfg_path, "--out", out])
-    assert main(argv + FAST) == 2
+    assert main(argv + FAST_FOR[argv[0]]) == 2
     err = capsys.readouterr().err
     assert names in err
     assert "Traceback" not in err
@@ -365,7 +455,7 @@ def test_cli_bad_value_exits_2(tmp_path, capsys, case, kind, text, name):
         argv = ["direct", "--alphas", _write(tmp_path, kind, text), "--out", out]
     else:
         argv = ["inverse", "--input", _write(tmp_path, kind, text), "--out", out]
-    assert main(argv + FAST) == 2
+    assert main(argv + FAST_FOR[argv[0]]) == 2
     err = capsys.readouterr().err
     assert name in err
     assert "Traceback" not in err
@@ -422,9 +512,9 @@ def fuzz_dir(tmp_path_factory):
 def _contract_exit(fuzz_dir, argv):
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main(argv + ["--out", str(fuzz_dir / "o.json"), "--grid", "64",
-                            "--levels", "2", "--window", "16", "--depth", "4",
-                            "--config", str(fuzz_dir / "cfg.json")])
+        code = main(argv + ["--out", str(fuzz_dir / "o.json"),
+                            "--config", str(fuzz_dir / "cfg.json")]
+                    + _scale(argv[0], grid=64, levels=2, window=16, depth=4))
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
 
@@ -487,7 +577,7 @@ def test_cli_check_passes(tmp_path):
     out = str(tmp_path / "check.json")
     code = main(
         ["check", "--family", "monomial,gamma=0.5,k=1", "--light", "--out", out]
-        + FAST
+        + FAST_FOR["check"]
     )
     assert code == 0
     rep = json.loads(open(out).read())
@@ -521,7 +611,7 @@ def test_cli_direct_ring_spec(tmp_path):
     alphas = _write(tmp_path, "a.json", _padded(-0.5))
     out = str(tmp_path / "ring.json")
     code = main(["direct", "--alphas", alphas, "--ring-radius", "0.5",
-                 "--ring-count", "16", "--out", out] + FAST)
+                 "--ring-count", "16", "--out", out] + FAST_FOR["direct"])
     assert code == 0
     data = json.loads(open(out).read())
     assert len(data["z"]) == 16
@@ -583,7 +673,7 @@ def test_cli_config_rejects_oversample_off_power_of_two(tmp_path, capsys, comman
     # before any command reads it, not as a grid size the user never set
     cfg_path = _write(tmp_path, "cfg.json", json.dumps({"oversample": 3}))
     code = main(command + ["--family", "zero", "--config", cfg_path,
-                           "--out", str(tmp_path / "a.json")] + FAST)
+                           "--out", str(tmp_path / "a.json")] + FAST_FOR[command[0]])
     assert code == 2
     err = capsys.readouterr().err
     assert "oversample must be a power of two, got 3" in err
@@ -646,13 +736,13 @@ def test_cli_direct_boundary_follows_config(tmp_path):
 
     seq = VerblunskySequence(-2, [0.2 + 0.1j, -0.3, 0.1 - 0.2j, 0.05, 0.1j])
     alphas = _write(tmp_path, "a.json", fileio.save_alphas(seq))
-    small = ["--grid", "64", "--window", "16", "--depth", "4"]
+    small = dict(grid=64, window=16, depth=4)
     text = {}
     for policy in (None, "zero-tail", "decoupled"):
         extra = [] if policy is None else ["--boundary", policy]
         out = str(tmp_path / f"{policy}.csv")
         assert main(["dump-matrix", "--alphas", alphas, "--out", out]
-                    + extra + small) == 0
+                    + extra + _scale("dump-matrix", **small)) == 0
         text[policy] = open(out, newline="").read()
     assert text[None] == text["zero-tail"]
     for policy in cmv.BOUNDARY_TAGS:
@@ -660,7 +750,8 @@ def test_cli_direct_boundary_follows_config(tmp_path):
         assert text[policy] == fileio.save_matrix_csv(cmv.dump_entries(U))
     assert text["decoupled"] != text["zero-tail"]
     out = str(tmp_path / "direct.json")
-    assert main(["direct", "--alphas", alphas, "--out", out] + small) == 0
+    assert main(["direct", "--alphas", alphas, "--out", out]
+                + _scale("direct", **small)) == 0
     text["direct"] = open(out).read()
     grid = CircleGrid(64)
     values = scattering.boundary_reconstruction(fileio.load_alphas(alphas), grid, 16, 4)
@@ -674,7 +765,7 @@ def test_cli_roundtrip_boundary_follows_config(tmp_path):
     from cmvscat.verblunsky import union_verblunsky
 
     family = "random,degree=4,margin=0.3,seed=5"
-    args = ["roundtrip", "--family", family, "--ladder", "0"] + FAST
+    args = ["roundtrip", "--family", family, "--ladder", "0"] + FAST_FOR["roundtrip"]
     out = str(tmp_path / "report.json")
     assert main(args + ["--out", out]) == 0
     cfg = RunConfig(grid_size=256, levels=4, cmv_window=48, depth=8)
@@ -702,7 +793,7 @@ def test_cli_direct_refuses_window_without_moments(tmp_path, capsys):
     # lo >= 0 leaves no negative level, so the window fixes no moment: K = 0
     alphas = _write(tmp_path, "a.json", json.dumps({"lo": 0, "alphas": [[-0.5, 0.0]]}))
     code = main(["direct", "--alphas", alphas, "--out", str(tmp_path / "o.json")]
-                + FAST)
+                + FAST_FOR["direct"])
     assert code == 2
     err = capsys.readouterr().err
     assert "window [0, 0] fixes K = 0" in err

@@ -229,7 +229,7 @@ def test_evaluate_aliasing_raises(grid, r_half):
     big = GeneratorFrame(grid.size // 2, 0, 4)
     u = generator(r_half, "analytic", grid.size // 2, big)
     with pytest.raises(ResolutionError):
-        evaluate(u, grid)
+        evaluate(u)
 
 
 def test_inner_product_examples(r_half):
@@ -273,22 +273,22 @@ def test_shift_preserves_norm(r_smooth):
 
 def test_evaluate_generator(grid, r_half):
     f = GeneratorFrame(0, 0, 4)
-    c1, c2 = evaluate(generator(r_half, "analytic", 0, f), grid)
+    c1, c2 = evaluate(generator(r_half, "analytic", 0, f))
     assert np.max(np.abs(c1 - 1.0)) < 1e-12
     assert np.max(np.abs(c2 - 0.5 * np.conj(grid.nodes))) < 1e-12
 
 
-def test_evaluate_defect_constant_components(grid, r_half):
+def test_evaluate_defect_constant_components(r_half):
     pair = defect_pair(r_half, 0, 0, 8)
-    c1, c2 = evaluate(pair.K, grid)
+    c1, c2 = evaluate(pair.K)
     assert np.max(np.abs(c1 - RHO)) < 1e-12
     assert np.max(np.abs(c2)) < 1e-12
 
 
-def test_evaluate_zero_element(grid, r_half):
+def test_evaluate_zero_element(r_half):
     f = GeneratorFrame(0, 0, 4)
     z = LrElement(f, np.zeros(4), np.zeros(4), r_half)
-    c1, c2 = evaluate(z, grid)
+    c1, c2 = evaluate(z)
     assert np.max(np.abs(c1)) == 0.0
     assert np.max(np.abs(c2)) == 0.0
 
@@ -309,7 +309,7 @@ def test_embed_rejects_noncontaining_frame(r_smooth):
         embed(u, GeneratorFrame(1, 0, 4))
 
 
-def test_inner_product_agrees_with_pointwise_quadrature(grid, r_smooth):
+def test_inner_product_agrees_with_pointwise_quadrature(r_smooth):
     # dual route for a general cross inner product: Gram coordinates vs
     # quadrature of the evaluated components against the 2x2 weight
     rng = np.random.default_rng(29)
@@ -319,8 +319,8 @@ def test_inner_product_agrees_with_pointwise_quadrature(grid, r_smooth):
                   rng.standard_normal(6) + 1j * rng.standard_normal(6), r_smooth)
     v = LrElement(f2, rng.standard_normal(8) + 1j * rng.standard_normal(8),
                   rng.standard_normal(8) + 1j * rng.standard_normal(8), r_smooth)
-    u1, u2 = evaluate(u, grid)
-    v1, v2 = evaluate(v, grid)
+    u1, u2 = evaluate(u)
+    v1, v2 = evaluate(v)
     rs = r_smooth.samples
     w = 1.0 - np.abs(rs) ** 2
     integrand = (
@@ -329,11 +329,11 @@ def test_inner_product_agrees_with_pointwise_quadrature(grid, r_smooth):
     assert abs(np.mean(integrand) - inner_product(u, v)) < 1e-7
 
 
-def test_evaluate_agrees_with_gram_norm(grid, r_smooth):
+def test_evaluate_agrees_with_gram_norm(r_smooth):
     # quadrature of the two components against the pointwise weight
     # reproduces the coordinate Gram norm
     pair = defect_pair(r_smooth, 0, 0, 16)
-    c1, c2 = evaluate(pair.K, grid)
+    c1, c2 = evaluate(pair.K)
     w = 1.0 - np.abs(r_smooth.samples) ** 2
     rs = r_smooth.samples
     integrand = (

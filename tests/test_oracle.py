@@ -36,14 +36,6 @@ def test_weight_is_hermitian_positive(r_smooth):
     assert np.min(mineig) > 0.0
 
 
-def test_weight_outer_path_matches_pointwise_inverse(r_smooth):
-    # the outer-factor route and the direct 2x2 inversion are distinct
-    # formula paths for the same weight
-    Qo = quadrature_space(r_smooth, weight_via="outer")
-    Qi = quadrature_space(r_smooth, weight_via="inverse")
-    assert np.max(np.abs(Qo.weight - Qi.weight)) < 1e-9
-
-
 @pytest.mark.parametrize("families, ks, ls, tol", [
     (("r_smooth", "r_half", "r_zero"), (0,), (), 1e-8),
     (("r_zero",), (2,), (1,), 1e-12),
