@@ -43,11 +43,10 @@ from .scattering import (
     wandering_vectors,
 )
 from .spectral import (
-    SigmaBlocks,
     SpectralDensity,
     change_basis_density,
+    defect_samples,
     moment_check,
-    sigma_blocks,
     sigma_recursion_check,
     spectral_density,
 )

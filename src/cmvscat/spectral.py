@@ -1,11 +1,14 @@
 """Pointwise 2x2 spectral data of the shift in the defect basis.
 
-All blocks are grid-sampled (M, 2, 2) arrays. The density with respect
-to the diagonal-level pair comes out of the cross blocks through a
-Schur-complement identity, so it is Hermitian nonnegative by
-construction up to rounding. Its exact moments are entries of powers of
-the CMV matrix built from the alpha_j (`moment_check`), which ties the
-spectral representation to the coefficients.
+All blocks are grid-sampled (M, 2, 2) arrays. One evaluation of a
+defect pair's K gives its cross block V (`defect_samples`), and the
+density with respect to the diagonal-level pair is Sigma = V^H W V, with
+W = (1 / (1 - |R|^2)) [[1, -conj R], [-R, 1]] the two-component weight.
+So it is Hermitian nonnegative by construction up to rounding, and
+det Sigma = |det V|^2 det W = 1 - |R|^2 pointwise. Its exact moments are
+entries of powers of the CMV matrix built from the alpha_j
+(`moment_check`), which ties the spectral representation to the
+coefficients.
 """
 
 from dataclasses import dataclass
@@ -16,7 +19,7 @@ from . import cmv
 from .circle import require_szego
 from .errors import ConditioningError, DomainError, InconsistencyError
 from .lrspace import converged_defect_pair, evaluate
-from .verblunsky import VerblunskySequence, alpha_from_defects, level_split, recover_omega
+from .verblunsky import VerblunskySequence, alpha_from_defects, level_split
 
 PAIR_DIAGONAL = "K-and-tKtilde"
 PAIR_NEXT = "K-and-Ktilde-next"
@@ -41,22 +44,6 @@ def _hermitian_min_eig(block):
 
 
 @dataclass
-class SigmaBlocks:
-    """Sampled block data of the scattering density at offsets (n, m)."""
-
-    grid: object
-    n: int
-    m: int
-    A: np.ndarray
-    omega: object
-    s21_prime: np.ndarray
-    s21: np.ndarray
-    s12: np.ndarray
-    s22: np.ndarray
-    s11: np.ndarray
-
-
-@dataclass
 class SpectralDensity:
     """Hermitian nonnegative 2x2 density samples for a tagged vector pair."""
 
@@ -66,35 +53,32 @@ class SpectralDensity:
     level: int
 
 
-def sigma21_prime(pair, n, m):
-    """Renormalized cross block diag(Abar, A) [[1, wbar], [w, 1]] and its pieces."""
-    R = pair.K.scattering
-    grid = R.grid
-    k1, _ = evaluate(pair.K)
-    A = np.conj(grid.nodes ** (-n) * k1)
-    omega = recover_omega(pair, n, m)
-    w = omega.samples
-    block = _mat2(grid, np.conj(A), np.conj(A) * np.conj(w), A * w, A)
-    return A, omega, block
+def defect_samples(pair):
+    """Cross block V = [K, t^(n-m) (conj k2, conj k1)] of a defect pair, (M, 2, 2).
 
-
-def sigma_blocks(pair, R, n, m):
-    """All sampled blocks at offsets (n, m).
-
-    The diagonal-corner block follows from the cross blocks by the
-    Schur-complement identity s11 = s12 s22^{-1} s21, which keeps it
-    Hermitian nonnegative pointwise.
+    (k1, k2) are the components of K on R's grid and (n, m) the pair's
+    split. In terms of the Schur function omega of level n + m and
+    A = t^n conj(k1), V = diag(t^n, t^-m) [[conj A, conj(A omega)], [A omega, A]].
     """
-    grid = R.grid
-    A, omega, s21p = sigma21_prime(pair, n, m)
-    tn = grid.nodes**n
-    tmb = grid.nodes ** (-m)
-    s21 = s21p.copy()
-    s21[:, 0, :] *= tn[:, None]
-    s21[:, 1, :] *= tmb[:, None]
-    s12 = np.conj(np.swapaxes(s21, 1, 2))
+    f, grid = pair.frame, pair.K.scattering.grid
+    k1, k2 = evaluate(pair.K)
+    tw = grid.nodes ** (f.n - f.m)
+    return _mat2(grid, k1, tw * np.conj(k2), k2, tw * np.conj(k1))
+
+
+def spectral_density(R, n, cfg):
+    """Density V^H W V of the shift with respect to the diagonal-level pair at n.
+
+    V = `defect_samples` of the pair at offsets (n, n) and W the 2x2 weight
+    (1 / (1 - |R|^2)) [[1, -conj R], [-R, 1]]; tagged `K-and-tKtilde`.
+    Hermitian nonnegativity is verified pointwise (eigenvalues above
+    -1e-9). R must pass the Szego guard at cfg.margin_min
+    (`require_szego`, DomainError otherwise); a node with
+    1 - |R|^2 < 1e-12 raises ConditioningError.
+    """
+    require_szego(R, cfg.margin_min)
+    V = defect_samples(converged_defect_pair(R, n, n, cfg))
     Rs = R.samples
-    s22 = _mat2(grid, np.ones(grid.size), np.conj(Rs), Rs, np.ones(grid.size))
     det = 1.0 - np.abs(Rs) ** 2
     if np.min(det) < 1e-12:
         k = int(np.argmin(det))
@@ -102,24 +86,9 @@ def sigma_blocks(pair, R, n, m):
             f"1 - |R|^2 = {det[k]:.3e} at node {k}; the 2x2 weight is numerically "
             "singular there"
         )
-    s22inv = _mat2(grid, np.ones(grid.size), -np.conj(Rs), -Rs, np.ones(grid.size))
-    s22inv /= det[:, None, None]
-    s11 = np.matmul(s12, np.matmul(s22inv, s21))
-    return SigmaBlocks(grid, n, m, A, omega, s21p, s21, s12, s22, s11)
-
-
-def spectral_density(R, n, cfg):
-    """Density of the shift with respect to the diagonal-level pair at n.
-
-    Returns the corner block at offsets (n, n), tagged `K-and-tKtilde`;
-    Hermitian nonnegativity is verified pointwise (eigenvalues above
-    -1e-9). R must pass the Szego guard at cfg.margin_min
-    (`require_szego`, DomainError otherwise).
-    """
-    require_szego(R, cfg.margin_min)
-    pair = converged_defect_pair(R, n, n, cfg)
-    blocks = sigma_blocks(pair, R, n, n)
-    dens = SpectralDensity(R.grid, blocks.s11, PAIR_DIAGONAL, n)
+    W = _mat2(R.grid, 1.0, -np.conj(Rs), -Rs, 1.0) / det[:, None, None]
+    values = np.matmul(np.conj(np.swapaxes(V, 1, 2)), np.matmul(W, V))
+    dens = SpectralDensity(R.grid, values, PAIR_DIAGONAL, n)
     _check_nonnegative(dens)
     return dens
 
@@ -221,29 +190,30 @@ def moment_check(density, R, kmax, cfg):
     return {"max_abs_dev": worst, "per_k": table}
 
 
+def _renormalized(R, j, cfg):
+    """Pair of level j at its balanced split (n, m) and S'_j = diag(t^-n, t^m) V_j."""
+    n, m = level_split(j)
+    pair = converged_defect_pair(R, n, m, cfg)
+    t = R.grid.nodes
+    return pair, np.stack([t**-n, t**m], axis=1)[:, :, None] * defect_samples(pair)
+
+
 def sigma_recursion_check(R, j, cfg):
     """Sup-norm residual of the one-step recursion between renormalized blocks.
 
     Evaluates rho_j diag(1, tbar) S'_{j+1} - S'_j diag(1, tbar)
     [[1, -conj(alpha_j)], [-alpha_j, 1]] over the grid.
     """
-    n0, m0 = level_split(j)
-    n1, m1 = level_split(j + 1)
-    pair0 = converged_defect_pair(R, n0, m0, cfg)
-    pair1 = converged_defect_pair(R, n1, m1, cfg)
-    _, _, s0 = sigma21_prime(pair0, n0, m0)
-    _, _, s1 = sigma21_prime(pair1, n1, m1)
+    pair0, s0 = _renormalized(R, j, cfg)
+    _, s1 = _renormalized(R, j + 1, cfg)
     alpha = alpha_from_defects(pair0)
     rho = float(np.sqrt(1.0 - abs(alpha) ** 2))
     tbar = np.conj(R.grid.nodes)
-    dleft = s1.copy()
-    dleft[:, 1, :] *= tbar[:, None]
-    dleft *= rho
+    s1[:, 1, :] *= tbar[:, None]
+    s1 *= rho
     mix = np.array([[1.0, -np.conj(alpha)], [-alpha, 1.0]], dtype=complex)
-    dright = s0.copy()
-    dright[:, :, 1] *= tbar[:, None]
-    dright = np.matmul(dright, mix)
-    return float(np.max(np.abs(dleft - dright)))
+    s0[:, :, 1] *= tbar[:, None]
+    return float(np.max(np.abs(s1 - np.matmul(s0, mix))))
 
 
 def log_det_diagnostic(density):

@@ -255,14 +255,14 @@ def split_deviation(R, seq, cfg):
     return float(max(devs))
 
 
-def recover_omega(pair, n, m):
-    """Schur function of level n + m read off the defect vector K.
+def recover_omega(pair):
+    """Schur function of level n + m read off the defect vector K, (n, m) its split.
 
     The first component of K is t^n times a function bounded away from
     zero; the ratio t^m K2 / conj(tbar^n K1) gives the Schur samples.
     """
-    R = pair.K.scattering
-    grid = R.grid
+    n, m = pair.frame.n, pair.frame.m
+    grid = pair.K.scattering.grid
     k1, k2 = evaluate(pair.K)
     nodes = grid.nodes
     denom = np.conj(nodes ** (-n) * k1)
@@ -330,9 +330,7 @@ def schur_chain(R, seq, cfg, levels=None):
         levels = range(seq.lo, seq.hi)
     omegas = {}
     for j in list(levels) + [max(levels) + 1]:
-        n, m = level_split(j)
-        pair = converged_defect_pair(R, n, m, cfg)
-        omegas[j] = recover_omega(pair, n, m)
+        omegas[j] = recover_omega(converged_defect_pair(R, *level_split(j), cfg))
     step_dev = 0.0
     zero_dev = 0.0
     for j in levels:

@@ -140,8 +140,7 @@ def test_criterion_4_schur_chain():
     seq = inverse_scattering(R, 8, CFG)
     omegas = {}
     for j in range(-3, 9):
-        n, m = level_split(j)
-        omegas[j] = recover_omega(_pair(R, n, m), n, m)
+        omegas[j] = recover_omega(_pair(R, *level_split(j)))
         if j >= 1:
             expect = 0.5 * GRID.nodes ** (j - 1)
             worst_mono = max(worst_mono, float(np.max(np.abs(
@@ -156,8 +155,7 @@ def test_criterion_4_schur_chain():
     seq2 = inverse_scattering(R2, 5, CFG)
     om = {}
     for j in range(-5, 6):
-        n, m = level_split(j)
-        om[j] = recover_omega(_pair(R2, n, m), n, m)
+        om[j] = recover_omega(_pair(R2, *level_split(j)))
     for j in range(-5, 5):
         stepped = schur_step(om[j], seq2.alpha(j))
         worst_chain = max(worst_chain, float(np.max(np.abs(

@@ -143,6 +143,29 @@ def test_cli_spectrum_rejects_margin_below_floor(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("level, messages", [
+    pytest.param("0", ["Gram condition estimate 4.998e+12 exceeds cap"], id="cond_cap"),
+    pytest.param("100", ["1 - |R|^2 = 1.992e-13", "numerically singular"],
+                 id="weight"),
+])
+def test_cli_spectrum_conditioning_error_exits_3(tmp_path, capsys, level, messages):
+    # margin_min 1e-15 lets sup |R| = 1 - 1e-13 past the Szego guard. At
+    # level 0 the section's condition estimate passes COND_CAP in
+    # defect_pair; at level 100 the section decouples and the 2x2 weight
+    # guard of spectral_density refuses instead
+    cfg_path = _write(tmp_path, "cfg.json", json.dumps({"margin_min": 1e-15}))
+    out = tmp_path / "d.csv"
+    code = main(["spectrum", "--config", cfg_path, "--family",
+                 "monomial,gamma=0.9999999999999,k=1", "--levels", level,
+                 "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    for message in messages:
+        assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--grid", "--levels", "--window", "--depth"])
 def test_cli_rejects_zero_override(tmp_path, capsys, flag):
     # roundtrip registers all four flags

@@ -5,64 +5,67 @@ from cmvscat import (
     alpha_from_defects,
     change_basis_density,
     converged_defect_pair,
+    defect_samples,
+    evaluate,
     moment_check,
-    sigma_blocks,
+    recover_omega,
     sigma_recursion_check,
     spectral_density,
 )
 from cmvscat.errors import DomainError
+from cmvscat.families import from_string
 from cmvscat.spectral import (
     PAIR_DIAGONAL,
     PAIR_NEXT,
     SpectralDensity,
     _hermitian_min_eig,
+    _mat2,
     density_moments,
     log_det_diagnostic,
 )
 
 
-def test_sigma_blocks_zero_function(r_zero, small_cfg):
-    n = 2
-    pair = converged_defect_pair(r_zero, n, n, small_cfg)
-    blocks = sigma_blocks(pair, r_zero, n, n)
-    t = r_zero.grid.nodes
-    assert np.max(np.abs(blocks.A - 1.0)) < 1e-12
-    assert np.max(np.abs(blocks.omega.samples)) < 1e-12
-    assert np.max(np.abs(blocks.s21[:, 0, 0] - t**n)) < 1e-12
-    assert np.max(np.abs(blocks.s21[:, 1, 1] - t ** (-n))) < 1e-12
-    assert np.max(np.abs(blocks.s21[:, 0, 1])) < 1e-12
-    eye = np.broadcast_to(np.eye(2), blocks.s11.shape)
-    assert np.max(np.abs(blocks.s22 - eye)) < 1e-12
-    assert np.max(np.abs(blocks.s11 - eye)) < 1e-12
+def _det(density):
+    v = density.values
+    return v[:, 0, 0] * v[:, 1, 1] - v[:, 0, 1] * v[:, 1, 0]
 
 
-def test_sigma_blocks_monomial_level_one(r_half, small_cfg):
-    pair = converged_defect_pair(r_half, 1, 0, small_cfg)
-    blocks = sigma_blocks(pair, r_half, 1, 0)
-    assert np.max(np.abs(blocks.A - 1.0)) < 1e-10
-    assert np.max(np.abs(blocks.omega.samples - 0.5)) < 1e-10
-    expect = np.empty_like(blocks.s21_prime)
-    expect[:, 0, 0] = 1.0
-    expect[:, 0, 1] = 0.5
-    expect[:, 1, 0] = 0.5
-    expect[:, 1, 1] = 1.0
-    assert np.max(np.abs(blocks.s21_prime - expect)) < 1e-10
+@pytest.mark.parametrize("case, n, m, known", [
+    pytest.param("r_zero", 2, 1, (1.0, 0.0), id="r_zero-2-1"),  # V = diag(t^n, t^-m)
+    pytest.param("r_half", 1, 0, (1.0, 0.5), id="r_half-1-0"),
+    pytest.param("r_smooth", 1, 1, None, id="r_smooth-1-1"),
+    pytest.param("r_smooth", 2, 1, None, id="r_smooth-2-1"),
+])
+def test_defect_samples_schur_form(request, small_cfg, case, n, m, known):
+    # V = diag(t^n, t^-m) [[conj A, conj(A omega)], [A omega, A]] with
+    # A = t^n conj(k1) and omega the Schur function of level n + m
+    R = request.getfixturevalue(case)
+    pair = converged_defect_pair(R, n, m, small_cfg)
+    t = R.grid.nodes
+    A = t**n * np.conj(evaluate(pair.K)[0])
+    w = recover_omega(pair).samples
+    form = _mat2(R.grid, t**n * np.conj(A), t**n * np.conj(A * w),
+                 t**-m * A * w, t**-m * A)
+    assert np.max(np.abs(defect_samples(pair) - form)) < 1e-13
+    if known is not None:
+        assert np.max(np.abs(A - known[0])) < 1e-10
+        assert np.max(np.abs(w - known[1])) < 1e-10
 
 
-def test_sigma22_determinant(r_smooth, small_cfg):
-    pair = converged_defect_pair(r_smooth, 0, 0, small_cfg)
-    blocks = sigma_blocks(pair, r_smooth, 0, 0)
-    det = (
-        blocks.s22[:, 0, 0] * blocks.s22[:, 1, 1]
-        - blocks.s22[:, 0, 1] * blocks.s22[:, 1, 0]
-    )
-    assert np.max(np.abs(det - (1.0 - np.abs(r_smooth.samples) ** 2))) < 1e-13
-
-
-def test_sigma12_is_adjoint_of_sigma21(r_smooth, small_cfg):
-    pair = converged_defect_pair(r_smooth, 1, 1, small_cfg)
-    blocks = sigma_blocks(pair, r_smooth, 1, 1)
-    assert np.max(np.abs(blocks.s12 - np.conj(np.swapaxes(blocks.s21, 1, 2)))) == 0.0
+@pytest.mark.parametrize("spec", ["random,degree=4,margin=0.2,seed=0",  # anchor
+                                  "blaschke,r=0.8", "monomial,gamma=0.5,k=1",
+                                  "random,degree=8,margin=0.2,seed=3"])
+@pytest.mark.parametrize("n", [-2, 0, 1])
+def test_density_determinant_is_one_minus_r_squared(grid, small_cfg, spec, n):
+    # det V^H W V = |det V|^2 / (1 - |R|^2) with |det V| = |k1|^2 - |k2|^2
+    # = 1 - |R|^2; the basis change scales the determinant by 1 / rho_2n^2
+    R = from_string(spec, grid)
+    gap = 1.0 - np.abs(R.samples) ** 2
+    dens = spectral_density(R, n, small_cfg)
+    assert np.max(np.abs(_det(dens) - gap)) < 1e-13
+    alpha = alpha_from_defects(converged_defect_pair(R, n, n, small_cfg))
+    changed = change_basis_density(dens, alpha)
+    assert np.max(np.abs(_det(changed) - gap / (1.0 - abs(alpha) ** 2))) < 1e-13
 
 
 def test_density_zero_function_is_identity(r_zero, small_cfg):

@@ -27,8 +27,7 @@ RHO = np.sqrt(0.75)
 
 
 def _pair(R, j, cfg):
-    n, m = level_split(j)
-    return converged_defect_pair(R, n, m, cfg), n, m
+    return converged_defect_pair(R, *level_split(j), cfg)
 
 
 def test_sequence_rejects_large_alpha():
@@ -48,9 +47,9 @@ def test_alpha_zero_function(r_zero):
 
 
 def test_alpha_monomial_levels(r_half, small_cfg):
-    pair0, _, _ = _pair(r_half, 0, small_cfg)
+    pair0 = _pair(r_half, 0, small_cfg)
     assert abs(alpha_from_defects(pair0) + 0.5) < 1e-12
-    pair1, _, _ = _pair(r_half, 1, small_cfg)
+    pair1 = _pair(r_half, 1, small_cfg)
     assert abs(alpha_from_defects(pair1)) < 1e-12
 
 
@@ -136,8 +135,8 @@ def test_rotation_relation(r_half, r_smooth, small_cfg):
 
 
 def test_recover_omega_zero(r_zero, small_cfg):
-    pair, n, m = _pair(r_zero, 0, small_cfg)
-    om = recover_omega(pair, n, m)
+    pair = _pair(r_zero, 0, small_cfg)
+    om = recover_omega(pair)
     assert np.max(np.abs(om.samples)) < 1e-12
 
 
@@ -151,7 +150,7 @@ def test_recover_omega_vanishing_component_raises(r_zero):
     g = generator(r_zero, "antianalytic", 1, f)
     fake = DefectPair(g, g, 1.0, 1.0, 1.0)
     with pytest.raises(EvaluationError):
-        recover_omega(fake, 0, 0)
+        recover_omega(fake)
 
 
 def test_alpha_from_defects_rejects_unimodular():
@@ -172,11 +171,11 @@ def test_alpha_from_defects_rejects_unimodular():
 def test_recover_omega_monomial_levels(r_half, small_cfg):
     nodes = r_half.grid.nodes
     for j in (1, 2, 3):
-        pair, n, m = _pair(r_half, j, small_cfg)
-        om = recover_omega(pair, n, m)
+        pair = _pair(r_half, j, small_cfg)
+        om = recover_omega(pair)
         assert np.max(np.abs(om.samples - 0.5 * nodes ** (j - 1))) < 1e-7
-    pair0, n, m = _pair(r_half, 0, small_cfg)
-    assert np.max(np.abs(recover_omega(pair0, n, m).samples)) < 1e-12
+    pair0 = _pair(r_half, 0, small_cfg)
+    assert np.max(np.abs(recover_omega(pair0).samples)) < 1e-12
 
 
 def test_schur_step_examples(grid):
@@ -209,9 +208,9 @@ def test_schur_chain_and_zero_values(r_smooth, small_cfg):
 
 
 def test_omega_zero_equals_minus_alpha(r_half, small_cfg):
-    pair, n, m = _pair(r_half, 1, small_cfg)
-    om = recover_omega(pair, n, m)
-    pair0, _, _ = _pair(r_half, 0, small_cfg)
+    pair = _pair(r_half, 1, small_cfg)
+    om = recover_omega(pair)
+    pair0 = _pair(r_half, 0, small_cfg)
     assert abs(om.value_at_zero + alpha_from_defects(pair0)) < 1e-8
 
 
