@@ -147,8 +147,8 @@ def check_cmv(R, seq, cfg, ns=(0, 1)):
     4, so ||E||_2 <= 9 max|E_ij| <= 9e-12, and an eigenpair U x = lambda x,
     ||x|| = 1, has ||lambda| - 1| <= ||lambda|^2 - 1| = |x* E x| <= 9e-12.
     """
-    U0 = cmv.build_cmv(seq, cfg.cmv_window, "zero-tail")
-    U1 = cmv.build_cmv(seq, cfg.cmv_window, "decoupled")
+    U0 = cmv.build_cmv(seq, scattering.minimal_window(seq)[0], "zero-tail")
+    U1 = cmv.build_cmv(seq, U0.window, "decoupled")
     out = [_leq("cmv_unitarity_zero_tail_interior", cmv.unitarity_defect(U0), 1e-12),
            _leq("cmv_unitarity_decoupled", cmv.unitarity_defect(U1), 1e-12)]
 

@@ -29,9 +29,7 @@ EXIT_NUMERICAL = 3
 
 # CLI flag -> (RunConfig field, help)
 _FLAGS = {"grid": ("grid_size", "grid size M (power of two)"),
-          "levels": ("levels", "level half-window J"),
-          "window": ("cmv_window", "basis half-window W"),
-          "depth": ("depth", "wandering-vector depth")}
+          "levels": ("levels", "level half-window J")}
 
 
 def _add_common(p, *flags):
@@ -110,11 +108,10 @@ def cmd_direct(args):
     zgrid = _parse_zgrid(args, cfg)
     if zgrid is None:
         grid = CircleGrid(cfg.grid_size)
-        values = scattering.boundary_reconstruction(seq, grid, cfg.cmv_window,
-                                                    cfg.depth)
+        values = scattering.boundary_reconstruction(seq, grid, args.window, args.depth)
         zs = grid.nodes
     else:
-        values = scattering.direct_scattering(seq, zgrid, cfg.cmv_window, cfg.depth)
+        values = scattering.direct_scattering(seq, zgrid, args.window, args.depth)
         zs = zgrid
     _emit(fileio.save_reconstruction(zs, values, args.fmt), args.out)
     print(f"direct: evaluated {len(zs)} points, sup |R| = "
@@ -165,9 +162,9 @@ def cmd_check(args):
 
 
 def cmd_dump_matrix(args):
-    cfg = _config_from(args)
     seq = fileio.load_alphas(args.alphas)
-    U = cmv.build_cmv(seq, cfg.cmv_window, args.boundary)
+    W = scattering.minimal_window(seq)[0] if args.window is None else args.window
+    U = cmv.build_cmv(seq, W, args.boundary)
     _emit(fileio.save_matrix_csv(cmv.dump_entries(U)), args.out)
     return EXIT_OK
 
@@ -193,14 +190,17 @@ def build_parser():
     p.add_argument("--ring-count", type=int, help="points on the ring")
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json",
                    help="output format (default json)")
-    _add_common(p, "grid", "window", "depth")
+    # W and depth default to scattering.minimal_window of the coefficient file
+    p.add_argument("--window", type=int, help="basis half-window W (default: minimal)")
+    p.add_argument("--depth", type=int, help="wandering-vector depth (default: minimal)")
+    _add_common(p, "grid")
     p.set_defaults(func=cmd_direct)
 
     p = sub.add_parser("roundtrip", help="inverse then direct, with error report")
     p.add_argument("--input", help="scattering function file")
     p.add_argument("--family", help="built-in input family spec")
     p.add_argument("--ladder", type=int, default=1,
-                   help="rungs with J, W and depth doubled, sections started at "
+                   help="rungs with J doubled, sections started at "
                         "max(section_start, J) (default 1)")
     _add_common(p, *_FLAGS)
     p.set_defaults(func=cmd_roundtrip)
@@ -227,7 +227,9 @@ def build_parser():
     p.add_argument("--alphas", required=True)
     p.add_argument("--boundary", choices=cmv.BOUNDARY_TAGS, default="zero-tail",
                    help="edge policy of the window (default zero-tail)")
-    _add_common(p, "window")
+    # reads no RunConfig field, so it takes no --config
+    p.add_argument("--window", type=int, help="basis half-window W (default: minimal)")
+    p.add_argument("--out", help="output path ('-' for stdout)")
     p.set_defaults(func=cmd_dump_matrix)
 
     return ap
@@ -237,9 +239,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (*INPUT_ERRORS, OSError) as exc:
+    except (*INPUT_ERRORS, OSError, MemoryError) as exc:
         # OSError: a file named on the command line cannot be read or
-        # written; its message names the path
+        # written; its message names the path. MemoryError: an input
+        # (a grid or a level window) asks for more memory than there is,
+        # and numpy's message names the allocation
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NUMERICAL_ERRORS as exc:

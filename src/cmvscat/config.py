@@ -3,6 +3,8 @@
 Numerical parameters only. Where output goes and in which format are
 CLI flags (`--out`, `--format`), and so is the `dump-matrix` edge
 policy (`--boundary`); no field switches a certificate of `check` off.
+The matrix window W and the wandering depth are no fields either: they
+follow from the coefficient window (`scattering.minimal_window`).
 """
 
 import dataclasses
@@ -21,8 +23,6 @@ class RunConfig:
     section_start: int = 32      # N doubling start
     section_cap: int = 512
     section_tol: float = 1e-9
-    cmv_window: int = 128        # W: basis window [-W, W]
-    depth: int = 32
     tol_alg: float = 1e-8
     tol_fun: float = 1e-6
     tol_roundtrip: float = 1e-3

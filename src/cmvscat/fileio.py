@@ -40,24 +40,30 @@ def _c2pair(z):
     return [float(np.real(z)), float(np.imag(z))]
 
 
-def _rows(value, what, width):
-    """A JSON list of rows of `width` finite numbers as a float array."""
+def _rows(value, what, width=None):
+    """A JSON list of finite numbers as a float array: rows of `width` of them,
+    or a flat list when width is None.
+
+    JSON's true and false are no numbers, though numpy reads them as 1 and
+    0, and neither is a string that numpy would parse.
+    """
     try:
         arr = np.array(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{what}: {exc}") from exc
-    if arr.ndim != 2 or arr.shape[1] != width or not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} must be a list of rows of {width} finite numbers")
+    shaped = arr.ndim == 2 and arr.shape[1] == width if width else arr.ndim == 1
+    if (not shaped or not np.all(np.isfinite(arr))
+            or not all(type(x) in (int, float) for x in np.array(value, dtype=object).flat)):
+        rows = f"rows of {width} " if width else ""
+        raise ValueError(f"{what} must be a list of {rows}finite numbers")
     return arr
 
 
 def _integer(value, what):
-    """An integer below 2**53 in magnitude, which a float holds exactly."""
-    try:
-        if float(value) == int(value) and abs(int(value)) < 2**53:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
+    """A JSON number that is an integer below 2**53 in magnitude, which a
+    float holds exactly; a boolean or a string is none."""
+    if type(value) in (int, float) and abs(value) < 2**53 and value == int(value):
+        return int(value)
     raise ValueError(f"{what} {value!r} is not an integer below 2**53 in magnitude")
 
 
@@ -129,7 +135,7 @@ def load_alphas(path):
     try:
         lo = _integer(data["lo"], "'lo'")
         alphas = [complex(re, im) for re, im in _rows(data["alphas"], "'alphas'", 2)]
-        a0s = np.array(data["a0s"], dtype=float) if "a0s" in data else None
+        a0s = _rows(data["a0s"], "'a0s'") if "a0s" in data else None
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: {exc}") from exc
     return VerblunskySequence(lo, alphas, a0s)

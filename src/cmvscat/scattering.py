@@ -3,10 +3,12 @@
 The Fourier coefficients of R are the Krylov moments of the CMV matrix
 on its wandering vectors: R_k = <U*^k e0, d> and R_{-k} = <U^k e0, d>.
 `moment_series` sweeps the moments that the coefficient window fixes
-(the moment horizon K) and returns them as one Laurent series; the
-boundary reconstruction is its inverse FFT onto the grid, and points
-of the disk take its harmonic extension. Coefficients outside the
-window are unknown, not zero, so no moment past the horizon is used.
+(the moment horizon K), by default at the smallest basis window and
+wandering depth that fix all of them (`minimal_window`), and returns
+them as one Laurent series; the boundary reconstruction is its inverse
+FFT onto the grid, and points of the disk take its harmonic extension.
+Coefficients outside the window are unknown, not zero, so no moment
+past the horizon is used.
 """
 
 import numpy as np
@@ -60,6 +62,8 @@ def moment_horizon(seq, W, depth):
         W >= 2 hi + 2 (d and U^{depth+1} likewise). Below lo' the free
         shift carries everything that leaves away for good.
     Both are tight: depth = hi/2 or W = 2 hi + 1 already spoils moments.
+    The window must also hold the pair's start, 2 depth + 2 <= W
+    (`wandering_vectors`), or no moment can be swept at all.
 
     Verblunsky's theorem, two-sided: given the positive levels, the
     first n moments a_0..a_{n-1} and the first n negative levels
@@ -68,43 +72,61 @@ def moment_horizon(seq, W, depth):
     already needs alpha_{lo'-1}, which is unknown. Hence
 
         K = max(0, min(-lo, W + 1))  if 2 depth > hi
-                                     and W >= 2 max(hi, 0) + 2,
+                                     and W >= 2 max(hi, depth, 0) + 2,
         K = 0                        otherwise,
 
-    which is J for a window [-J, J] at every shipped rung (W=128 and
-    depth 32 for J = 16, W=512 and depth 128 for J = 64).
+    which is J for a window [-J, J] from `minimal_window` on: (34, 9) for
+    J = 16, (130, 33) for J = 64.
 
     Levels above hi are taken as zero, and nothing here can check that:
     a window that cuts nonzero positive levels (the README `check`
     example cut to [-16, 2], whose alpha_3 is not 0) spoils every moment
     from k = 0.
     """
-    if 2 * depth <= seq.hi or W < 2 * max(seq.hi, 0) + 2:
+    if 2 * depth <= seq.hi or W < 2 * max(seq.hi, depth, 0) + 2:
         return 0
     return max(0, min(-seq.lo, W + 1))
 
 
-def moment_series(seq, W, depth):
-    """The Laurent series of R on [-(K-1), K-1] from K moment pairs.
+def minimal_window(seq, depth=0):
+    """The least (W, depth'), depth' >= depth, whose `moment_horizon` is -lo.
 
-    K is the `moment_horizon`. One sweep of K banded apply/apply_adjoint
-    pairs on the zero-tail window gives a_k = <U*^k e0, d> (index k) and
+    depth' is the least depth' >= max(depth, 0) with 2 depth' > hi, and W the
+    least window that holds the wandering pair (2 depth' + 2 <= W, so
+    W >= 2), the waves that come back (W >= 2 hi + 2) and the -lo moment
+    pairs (W + 1 >= -lo): (34, 9) for the window [-16, 16], (130, 33) for
+    [-64, 64], and (82, 40) for [-16, 16] from depth 40 on. Either one
+    less fixes fewer than -lo pairs.
+    """
+    depth = max(depth, seq.hi // 2 + 1, 0)
+    return max(2 * max(seq.hi, depth) + 2, -seq.lo - 1), depth
+
+
+def moment_series(seq, W=None, depth=None):
+    """The Laurent series of R on [-(K-1), K-1] from K = -lo moment pairs.
+
+    depth defaults to the least of `minimal_window` and W to the least
+    at that depth. One sweep of K banded apply/apply_adjoint pairs on
+    the zero-tail window gives a_k = <U*^k e0, d> (index k) and
     b_k = <U^k e0, d> (index -k), with d the wandering vector d0 shifted
     once by the operator; the unshifted pairing gives t R(t) instead.
 
     Raises
     ------
     InputError
-        The window fixes no moment (K < 1), e.g. lo >= 0.
-    DomainError
-        The depth does not fit the window (`wandering_vectors`).
+        The window fixes no moment (lo >= 0), or W and depth fix fewer
+        than its -lo moment pairs (`moment_horizon`); the message names
+        the least pair at or above the depth.
     """
+    least = minimal_window(seq, depth or 0)
+    W = least[0] if W is None else W
+    depth = least[1] if depth is None else depth
     K = moment_horizon(seq, W, depth)
-    if K < 1:
+    if K < max(-seq.lo, 1):
         raise InputError(
-            f"coefficient window [{seq.lo}, {seq.hi}] fixes K = {K} moment pairs at "
-            f"window {W} and depth {depth}; direct scattering needs lo < 0, "
-            f"2 * depth > hi and window >= 2 * hi + 2"
+            f"coefficient window [{seq.lo}, {seq.hi}] fixes K = {K} of its {max(-seq.lo, 0)} "
+            f"moment pairs at window {W} and depth {depth}; direct scattering needs lo < 0, "
+            f"and the minimum with depth >= {depth} is window {least[0]} and depth {least[1]}"
         )
     U = cmv.build_cmv(seq, W, "zero-tail")
     e0, d0 = wandering_vectors(U, depth)
@@ -118,7 +140,7 @@ def moment_series(seq, W, depth):
     return circle.LaurentSeries(1 - K, np.concatenate((b[:0:-1], a)))
 
 
-def direct_scattering(seq, zs, W, depth):
+def direct_scattering(seq, zs, W=None, depth=None):
     """Harmonic extension of the scattering function at points of the disk.
 
     The `moment_series` evaluated by `circle.harmonic_extension`.
@@ -128,8 +150,9 @@ def direct_scattering(seq, zs, W, depth):
     seq : VerblunskySequence
     zs : iterable of complex
         Finite points with |z| <= 1 - 1e-6.
-    W, depth : int
-        Window half-width and wandering-vector depth.
+    W, depth : int, optional
+        Window half-width and wandering-vector depth; `minimal_window`
+        by default.
 
     Returns
     -------
@@ -138,7 +161,8 @@ def direct_scattering(seq, zs, W, depth):
     Raises
     ------
     InputError
-        A point is not finite, or the window fixes no moment.
+        A point is not finite, or W and depth do not fix the window's
+        moments (`moment_series`).
     DomainError
         A point lies too close to the unit circle.
     """
@@ -151,7 +175,7 @@ def direct_scattering(seq, zs, W, depth):
     return circle.harmonic_extension(moment_series(seq, W, depth), zs)
 
 
-def boundary_reconstruction(seq, grid, W, depth):
+def boundary_reconstruction(seq, grid, W=None, depth=None):
     """Boundary samples of the reconstructed scattering function.
 
     The inverse FFT of the `moment_series` onto the grid, that is
@@ -164,7 +188,7 @@ def boundary_reconstruction(seq, grid, W, depth):
 def ladder_configs(cfg, ladder):
     """RunConfig of each roundtrip rung 0..ladder; rung 0 is cfg.
 
-    Rung k doubles J, W and depth k times and starts its sections at
+    Rung k doubles J k times and starts its sections at
     max(section_start, J_k). A frame missing R's coefficient support
     certifies an exact zero, so a start N0 leaves the levels below
     -2 N0 - d undetected for a degree-d R; a start >= J_k keeps them J_k
@@ -182,8 +206,7 @@ def ladder_configs(cfg, ladder):
             raise InputError(f"ladder {ladder} exceeds {k - 1}: rung {k} would start its "
                              f"sections at {start}, which cannot double within "
                              f"section_cap {cfg.section_cap}")
-        rungs.append(cfg.replace(levels=cfg.levels * 2**k, cmv_window=cfg.cmv_window * 2**k,
-                                 depth=cfg.depth * 2**k, section_start=start))
+        rungs.append(cfg.replace(levels=cfg.levels * 2**k, section_start=start))
     return rungs
 
 
@@ -192,11 +215,12 @@ def roundtrip(R, cfg, ladder=0):
 
     Each rung's coefficients come from `union_verblunsky`, one Cholesky
     factor of the union frame per section size. With ladder > 0, repeats
-    on each rung of `ladder_configs` (J, W and depth doubled, sections
-    started at max(section_start, J)) and reports the error trend, rung
+    on each rung of `ladder_configs` (J doubled, sections started at
+    max(section_start, J)) and reports the error trend, rung
     0 first. The rungs run top-down: the top rung is the likeliest to
     exceed section_cap, and its ConvergenceError then comes before any
-    other rung runs. Only the boundary errors are reported.
+    other rung runs. Each rung reconstructs at its `minimal_window`,
+    which its J fixes. Only the boundary errors are reported.
 
     Returns
     -------
@@ -210,13 +234,10 @@ def roundtrip(R, cfg, ladder=0):
     rungs = []
     for sub in reversed(ladder_configs(cfg, ladder)):
         seq = union_verblunsky(R, sub.levels, sub)
-        rec = boundary_reconstruction(seq, R.grid, sub.cmv_window, sub.depth)
-        err = rec - R.samples
+        err = boundary_reconstruction(seq, R.grid) - R.samples
         rungs.append(
             {
                 "levels": sub.levels,
-                "window": sub.cmv_window,
-                "depth": sub.depth,
                 "section_start": sub.section_start,
                 "sup_error": float(np.max(np.abs(err))),
                 "l2_error": float(np.sqrt(np.mean(np.abs(err) ** 2))),

@@ -19,8 +19,6 @@ def small_cfg():
         levels=6,
         section_start=16,
         section_cap=128,
-        cmv_window=64,
-        depth=16,
     )
 
 

@@ -28,6 +28,7 @@ from cmvscat.config import RunConfig
 from cmvscat.families import monomial, random_trig, zero
 from cmvscat.lrspace import generator
 from cmvscat.oracle import oracle_verblunsky, quadrature_space
+from cmvscat.scattering import minimal_window
 from cmvscat.spectral import density_moments
 from cmvscat.verblunsky import (
     convergence_report,
@@ -35,7 +36,7 @@ from cmvscat.verblunsky import (
     rotation_relation_residual,
 )
 
-CFG = RunConfig()  # shipped defaults: M=1024, J=16, W=128, depth=32
+CFG = RunConfig()  # shipped defaults: M=1024, J=16
 GRID = CircleGrid(CFG.grid_size)
 GAMMAS = (0.3, 0.5, 0.8j)
 
@@ -174,8 +175,9 @@ def test_criterion_4_schur_chain():
 def test_criterion_5_cmv_structure():
     R = random_trig(GRID, degree=8, margin=0.2, seed=3)
     seq = inverse_scattering(R, CFG.levels, CFG)
-    U0 = build_cmv(seq, CFG.cmv_window, "zero-tail")
-    U1 = build_cmv(seq, CFG.cmv_window, "decoupled")
+    W, _ = minimal_window(seq)
+    U0 = build_cmv(seq, W, "zero-tail")
+    U1 = build_cmv(seq, W, "decoupled")
     ud0 = unitarity_defect(U0)
     ud1 = unitarity_defect(U1)
     assert ud0 < 1e-12

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -21,12 +22,16 @@ from cmvscat.errors import InputError
 from cmvscat.families import from_string
 from cmvscat.verblunsky import VerblunskySequence
 
-# the RunConfig flags each command registers; spectrum's --levels is its
-# density level, not the level window
+# the numeric flags each command registers; spectrum's --levels is its
+# density level, not the level window. --window and --depth are no
+# RunConfig fields: they default to the smallest pair that fixes every
+# moment of the coefficient file, and only direct (both) and dump-matrix
+# (--window) take them. dump-matrix reads no RunConfig field, so it takes
+# no --config either
 ACCEPTS = {"inverse": ("grid", "levels"), "direct": ("grid", "window", "depth"),
-           "roundtrip": ("grid", "levels", "window", "depth"),
-           "spectrum": ("grid", "levels"),
-           "check": ("grid", "levels", "window", "depth"), "dump-matrix": ("window",)}
+           "roundtrip": ("grid", "levels"), "spectrum": ("grid", "levels"),
+           "check": ("grid", "levels"), "dump-matrix": ("window",)}
+TAKES_CONFIG = set(ACCEPTS) - {"dump-matrix"}
 
 
 def _scale(command, grid=256, levels=4, window=48, depth=8):
@@ -168,14 +173,20 @@ def test_cli_spectrum_conditioning_error_exits_3(tmp_path, capsys, level, messag
 
 @pytest.mark.parametrize("flag", ["--grid", "--levels", "--window", "--depth"])
 def test_cli_rejects_zero_override(tmp_path, capsys, flag):
-    # roundtrip registers all four flags
-    args = ["roundtrip", "--family", "monomial,gamma=0.5,k=1",
-            "--out", str(tmp_path / "a.json")] + FAST_FOR["roundtrip"]
+    # roundtrip registers --grid and --levels, RunConfig fields; direct
+    # registers --window and --depth, which its moment sweep checks
+    if flag[2:] in ACCEPTS["roundtrip"]:
+        command = ["roundtrip", "--family", "monomial,gamma=0.5,k=1"]
+        expect = "must be positive"
+    else:
+        command = ["direct", "--alphas", _write(tmp_path, "al.json", _padded(0.1))]
+        expect = "the minimum with depth >= "
+    args = command + ["--out", str(tmp_path / "a.json")] + FAST_FOR[command[0]]
     args[args.index(flag) + 1] = "0"
     code = main(args)
     assert code == 2
     err = capsys.readouterr().err
-    assert "must be positive" in err
+    assert expect in err
     assert "Traceback" not in err
     assert not (tmp_path / "a.json").exists()
 
@@ -264,22 +275,20 @@ _GUARD_INPUT = {"inverse": ["--family", _GUARD_FAMILY],
                 "check": ["--family", _GUARD_FAMILY],
                 "direct": ["--alphas", "a.json"], "dump-matrix": ["--alphas", "a.json"]}
 # a value per registered flag that moves the result off the default run.
-# window and depth enter direct and check only through the moment horizon
-# K, whose moments are exact at every value it accepts: direct --window 70
-# cuts K from 80 to 71 on the window [-80, 2] of a.json, while direct
-# --depth 1 and check --window 20 and --depth 8 fix K = 0 and are refused
+# direct's window and depth enter only through the moment horizon K, whose
+# moments are exact at every pair that keeps all of them, so the evidence
+# that direct reads them is its refusal below the minimum (79, 2) of the
+# window [-80, 2] of a.json: --window 70 or --depth 1 exits 2
 _GUARD_VALUES = {("inverse", "grid"): 512, ("inverse", "levels"): 3,
                  ("direct", "grid"): 512, ("direct", "window"): 70,
                  ("direct", "depth"): 1,
                  ("roundtrip", "grid"): 512, ("roundtrip", "levels"): 3,
-                 ("roundtrip", "window"): 96, ("roundtrip", "depth"): 24,
                  ("spectrum", "grid"): 512, ("spectrum", "levels"): 1,
                  ("check", "grid"): 512, ("check", "levels"): 3,
-                 ("check", "window"): 20, ("check", "depth"): 8,
                  ("dump-matrix", "window"): 8}
 _DROPPED = [(command, flag) for command in ACCEPTS
             for flag in ("grid", "levels", "window", "depth")
-            if flag not in ACCEPTS[command]]
+            if flag not in ACCEPTS[command]] + [("dump-matrix", "config")]
 
 
 @pytest.fixture(scope="module")
@@ -385,10 +394,12 @@ def test_cli_roundtrip_rejects_negative_ladder(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [("out", "x.json"), ("fmt", "csv"),
                                         ("check_splits", False),
-                                        ("boundary", "decoupled")])
+                                        ("boundary", "decoupled"),
+                                        ("cmv_window", 128), ("depth", 32)])
 def test_cli_config_rejects_output_keys(tmp_path, capsys, key, value):
     # where output goes, its format and the dump-matrix edge policy are
-    # flags, and no field can switch a certificate off
+    # flags, no field can switch a certificate off, and the matrix window
+    # and wandering depth follow from the coefficient window
     cfg_path = _write(tmp_path, "cfg.json", json.dumps({key: value}))
     code = main(["inverse", "--family", "zero", "--config", cfg_path,
                  "--out", str(tmp_path / "a.json")] + FAST)
@@ -463,6 +474,26 @@ _BAD_VALUES = [
     ("lo not an integer", "a.json", '{"lo": "x", "alphas": [[0, 0]]}', "a.json"),
     ("a0s not numbers", "a.json",
      '{"lo": -1, "alphas": [[0, 0], [0.1, 0]], "a0s": ["q"]}', "a.json"),
+    # JSON booleans are no numbers, though numpy reads them as 1 and 0
+    ("boolean index", "r.json",
+     '{"type": "coeffs", "entries": [[true, 0.5, 0.0]]}', "r.json"),
+    ("boolean coefficient", "r.json",
+     '{"type": "coeffs", "entries": [[-1, true, 0.0]]}', "r.json"),
+    ("boolean grid", "r.json",
+     '{"type": "samples", "grid": true, "values": [[0, 0]]}', "r.json"),
+    ("boolean lo", "a.json", '{"lo": true, "alphas": [[0, 0]]}', "a.json"),
+    ("boolean alpha", "a.json", '{"lo": -1, "alphas": [[0, 0], [false, 0]]}', "a.json"),
+    ("a0s NaN", "a.json",
+     '{"lo": -1, "alphas": [[0, 0], [0.1, 0]], "a0s": [NaN, 1, 1]}', "a.json"),
+    ("a0s boolean", "a.json",
+     '{"lo": -1, "alphas": [[0, 0], [0.1, 0]], "a0s": [true, 1, 1]}', "a.json"),
+    ("a0s not a list", "a.json",
+     '{"lo": -1, "alphas": [[0, 0], [0.1, 0]], "a0s": 0.5}', "a.json"),
+    # nor are strings that numpy would parse as numbers
+    ("numeric string coefficient", "r.json",
+     '{"type": "coeffs", "entries": [[-1, "0.5", 0]]}', "r.json"),
+    ("numeric string grid", "r.json",
+     '{"type": "samples", "grid": "8", "values": [[0, 0]]}', "r.json"),
 ]
 
 
@@ -535,8 +566,8 @@ def fuzz_dir(tmp_path_factory):
 def _contract_exit(fuzz_dir, argv):
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main(argv + ["--out", str(fuzz_dir / "o.json"),
-                            "--config", str(fuzz_dir / "cfg.json")]
+        config = ["--config", str(fuzz_dir / "cfg.json")] if argv[0] in TAKES_CONFIG else []
+        code = main(argv + ["--out", str(fuzz_dir / "o.json"), *config]
                     + _scale(argv[0], grid=64, levels=2, window=16, depth=4))
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
@@ -665,6 +696,21 @@ def test_family_spec_parsing():
         from_string("monomial,bad=1", g)
 
 
+def test_every_config_field_is_read():
+    # a RunConfig field that no module reads is a knob that does nothing:
+    # each must be read as an attribute somewhere in the package outside config.py
+    import ast
+    import pathlib
+
+    package = pathlib.Path(cmvscat.__file__).parent
+    read = {node.attr for path in package.glob("*.py") if path.name != "config.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = [f.name for f in dataclasses.fields(RunConfig)]
+    assert len(fields) == 11
+    assert [name for name in fields if name not in read] == []
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg = RunConfig(levels=4, grid_size=128)
     path = tmp_path / "cfg.json"
@@ -728,8 +774,7 @@ def test_cli_roundtrip_ladder_within_cap_exits_3_on_certificate(tmp_path, capsys
     # cap rule, and its last rung's union frame (J = 48) cannot converge by
     # N = 128: a0 at level -48 still moves by 1.34e-1 between N = 48 and 96
     cfg_path = _write(tmp_path, "cfg.json", json.dumps(
-        {"grid_size": 256, "levels": 6, "section_start": 16, "section_cap": 128,
-         "cmv_window": 64, "depth": 16}))
+        {"grid_size": 256, "levels": 6, "section_start": 16, "section_cap": 128}))
     code = main(["roundtrip", "--family", "monomial,gamma=0.5,k=1", "--ladder", "3",
                  "--config", cfg_path, "--out", str(tmp_path / "report.json")])
     assert code == 3
@@ -791,10 +836,10 @@ def test_cli_roundtrip_boundary_follows_config(tmp_path):
     args = ["roundtrip", "--family", family, "--ladder", "0"] + FAST_FOR["roundtrip"]
     out = str(tmp_path / "report.json")
     assert main(args + ["--out", out]) == 0
-    cfg = RunConfig(grid_size=256, levels=4, cmv_window=48, depth=8)
+    cfg = RunConfig(grid_size=256, levels=4)
     R = from_string(family, CircleGrid(cfg.grid_size))
     seq = union_verblunsky(R, cfg.levels, cfg)
-    rec = scattering.boundary_reconstruction(seq, R.grid, cfg.cmv_window, cfg.depth)
+    rec = scattering.boundary_reconstruction(seq, R.grid)
     sup = float(np.max(np.abs(rec - R.samples)))
     assert json.loads(open(out).read())["sup_error"] == sup
     with pytest.raises(SystemExit):
@@ -822,6 +867,66 @@ def test_cli_direct_refuses_window_without_moments(tmp_path, capsys):
     assert "window [0, 0] fixes K = 0" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("flags", [["--window", "78"], ["--depth", "1"],
+                                   ["--window", "79", "--depth", "1"]])
+def test_cli_direct_refuses_flags_below_the_minimum(tmp_path, capsys, flags):
+    # the window [-80, 2] fixes 80 moment pairs from W + 1 >= 80 and
+    # 2 depth > 2 on: one less of either exits 2 and names the minimum
+    seq = VerblunskySequence(-80, 0.1 * np.cos(np.arange(83)) + 0.05j)
+    alphas = _write(tmp_path, "a.json", fileio.save_alphas(seq))
+    out = tmp_path / "o.json"
+    assert main(["direct", "--alphas", alphas, "--grid", "256", *flags,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "window [-80, 2] fixes K = " in err
+    assert "of its 80 moment pairs" in err
+    assert "is window 79 and depth 2" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_direct_depth_alone_takes_the_least_window_at_that_depth(tmp_path, capsys):
+    # --depth 40 on a file over [-16, 16] runs at W = 82, not at the
+    # default pair's W = 34, and fixes the same 16 moment pairs; a window
+    # below 82 at that depth exits 2 and names it
+    seq = VerblunskySequence(-16, 0.1 * np.cos(np.arange(33)) + 0.05j)
+    alphas = _write(tmp_path, "a.json", fileio.save_alphas(seq))
+    runs = {}
+    for name, flags in (("default", []), ("depth", ["--depth", "40"])):
+        out = tmp_path / f"{name}.json"
+        assert main(["direct", "--alphas", alphas, "--grid", "256", *flags,
+                     "--out", str(out)]) == 0
+        runs[name] = np.array(json.loads(out.read_text())["R"])
+    assert np.max(np.abs(runs["depth"] - runs["default"])) <= 1e-15
+    capsys.readouterr()
+    assert main(["direct", "--alphas", alphas, "--grid", "256", "--depth", "40",
+                 "--window", "81", "--out", str(tmp_path / "o.json")]) == 2
+    err = capsys.readouterr().err
+    assert ("fixes K = 0 of its 16 moment pairs at window 81 and depth 40; direct "
+            "scattering needs lo < 0, and the minimum with depth >= 40 is window 82 "
+            "and depth 40") in err
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_cli_memory_error_exits_2(tmp_path, capsys, monkeypatch):
+    # a grid or level window past the machine's memory keeps the contract;
+    # the allocation is made to fail here, never tried
+    from cmvscat import circle
+
+    message = "Unable to allocate 16.0 TiB for an array with shape (1099511627776,)"
+
+    def unable(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(circle, "synthesize", unable)
+    out = tmp_path / "a.json"
+    assert main(["inverse", "--family", "zero", "--out", str(out)] + FAST) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_direct_refuses_series_wider_than_grid(tmp_path, capsys):

@@ -21,6 +21,7 @@ from cmvscat import (
 from cmvscat import scattering, verblunsky
 from cmvscat.errors import ConvergenceError, DomainError, InputError, ResolutionError
 from cmvscat.families import from_string
+from cmvscat.scattering import minimal_window
 
 ANCHOR = "random,degree=4,margin=0.2,seed=0"  # the README `check` example
 
@@ -88,7 +89,7 @@ def test_direct_scattering_zero_sequence():
 def test_direct_scattering_monomial_harmonic_extension(r_half, small_cfg):
     seq = inverse_scattering(r_half, small_cfg.levels, small_cfg)
     zs = [0.5, 0.25j, -0.1 + 0.2j]
-    vals = direct_scattering(seq, zs, small_cfg.cmv_window, small_cfg.depth)
+    vals = direct_scattering(seq, zs)
     # extension of 0.5 tbar is 0.5 conj(z)
     expect = 0.5 * np.conj(np.array(zs))
     assert np.max(np.abs(vals - expect)) < 1e-10
@@ -96,7 +97,7 @@ def test_direct_scattering_monomial_harmonic_extension(r_half, small_cfg):
 
 def test_direct_scattering_at_zero_gives_mean_coefficient(r_smooth, small_cfg):
     seq = inverse_scattering(r_smooth, small_cfg.levels, small_cfg)
-    val = direct_scattering(seq, [0.0], small_cfg.cmv_window, small_cfg.depth)[0]
+    val = direct_scattering(seq, [0.0])[0]
     assert abs(val - r_smooth.coefficient(0)) < 1e-6
 
 
@@ -106,10 +107,10 @@ def test_direct_scattering_matches_harmonic_extension(grid, small_cfg):
     from cmvscat.families import random_trig
 
     R = random_trig(grid, degree=1, margin=0.3, seed=23)
-    cfg = small_cfg.replace(levels=10, depth=12)
+    cfg = small_cfg.replace(levels=10)
     seq = inverse_scattering(R, cfg.levels, cfg)
     zs = [0.3, 0.5j, -0.4 + 0.2j, 0.7, 0.0]
-    vals = direct_scattering(seq, zs, cfg.cmv_window, cfg.depth)
+    vals = direct_scattering(seq, zs)
     expect = np.array([harmonic_extension(R.coeffs, z) for z in zs])
     assert np.max(np.abs(vals - expect)) < 1e-6
 
@@ -117,8 +118,9 @@ def test_direct_scattering_matches_harmonic_extension(grid, small_cfg):
 def test_direct_scattering_moment_form(r_half, small_cfg):
     # d* U^k e pairs give the negative-index coefficients, shifted by one
     seq = inverse_scattering(r_half, small_cfg.levels, small_cfg)
-    U = build_cmv(seq, small_cfg.cmv_window, "zero-tail")
-    e0, d0 = wandering_vectors(U, small_cfg.depth)
+    W, depth = minimal_window(seq)
+    U = build_cmv(seq, W, "zero-tail")
+    e0, d0 = wandering_vectors(U, depth)
     d = apply(U, d0)
     vec = e0.copy()
     for k in range(0, 4):
@@ -132,21 +134,20 @@ def test_direct_scattering_conjugate_symmetry(small_cfg):
     rng = np.random.default_rng(5)
     seq = VerblunskySequence(-2, 0.3 * rng.standard_normal(5) + 0j)
     zs = np.array([0.4 + 0.3j, 0.4 - 0.3j, 0.2, -0.5j, 0.5j])
-    vals = direct_scattering(seq, zs, small_cfg.cmv_window, small_cfg.depth)
+    vals = direct_scattering(seq, zs)
     assert abs(vals[0] - np.conj(vals[1])) < 1e-9
     assert abs(vals[3] - np.conj(vals[4])) < 1e-9
     assert abs(vals[2].imag) < 1e-9
 
 
-def test_direct_scattering_refuses_bad_points(small_cfg):
+def test_direct_scattering_refuses_bad_points():
     rng = np.random.default_rng(9)
     seq = VerblunskySequence(-3, 0.3 * (rng.standard_normal(7) + 0j))
-    W, depth = small_cfg.cmv_window, small_cfg.depth
-    assert np.all(np.isfinite(direct_scattering(seq, [1.0 - 1e-6, -0.5j], W, depth)))
+    assert np.all(np.isfinite(direct_scattering(seq, [1.0 - 1e-6, -0.5j])))
     with pytest.raises(DomainError):
-        direct_scattering(seq, [0.1, 1.0 - 1e-7], W, depth)
+        direct_scattering(seq, [0.1, 1.0 - 1e-7])
     with pytest.raises(InputError):
-        direct_scattering(seq, [0.1, complex("nan")], W, depth)
+        direct_scattering(seq, [0.1, complex("nan")])
 
 
 @pytest.fixture(scope="module")
@@ -214,7 +215,9 @@ def test_moment_horizon_never_includes_an_inexact_moment(defaults_inputs, lo, hi
 @pytest.mark.parametrize("J, W, depth", [(16, 128, 32), (64, 512, 128), (4, 48, 8),
                                          (6, 64, 16)])
 def test_moment_horizon_is_J_at_the_shipped_rungs(J, W, depth):
-    # defaults, the deep rung, the CLI tests' FAST flags and small_cfg
+    # pairs above `minimal_window` keep K = J: the deep workload's explicit
+    # `direct --window 512 --depth 128`, the CLI tests' direct flags, and
+    # two more at J = 16 and J = 6
     seq = VerblunskySequence(-J, np.zeros(2 * J + 1, dtype=complex))
     assert moment_horizon(seq, W, depth) == J
 
@@ -229,6 +232,25 @@ def test_moment_horizon_edges():
     assert moment_horizon(_cut(seq, 3, 4), 128, 32) == 0
     with pytest.raises(InputError, match=r"\[0, 4\] fixes K = 0"):
         moment_series(_cut(seq, 0, 4), 128, 32)
+
+
+@pytest.mark.parametrize("lo, hi, minimal", [(-16, 16, (34, 9)), (-64, 64, (130, 33)),
+                                             (-80, 2, (79, 2)), (-2, 0, (4, 1))])
+def test_minimal_window_is_tight(lo, hi, minimal):
+    # the derived pair fixes all K = -lo moment pairs, and one less of either
+    # is refused with the minimum named: (-2, 0) is held by the wandering
+    # pair (2 depth + 2 <= W), (-80, 2) by W + 1 >= -lo, the others by
+    # W >= 2 hi + 2 and 2 depth > hi
+    seq = VerblunskySequence(lo, 0.1 * np.cos(np.arange(hi - lo + 1)) + 0.05j)
+    W, depth = minimal_window(seq)
+    assert (W, depth) == minimal
+    assert moment_horizon(seq, W, depth) == -lo
+    series = moment_series(seq)
+    assert (series.lo, series.hi) == (1 + lo, -1 - lo)
+    assert np.array_equal(series.coeffs, moment_series(seq, W, depth).coeffs)
+    for fewer in ((W - 1, depth), (W, depth - 1)):
+        with pytest.raises(InputError, match=f"is window {W} and depth {depth}$"):
+            moment_series(seq, *fewer)
 
 
 def test_direct_scattering_is_harmonic_extension_of_R(defaults_inputs):
@@ -247,9 +269,7 @@ def test_boundary_reconstruction_refuses_a_series_wider_than_the_grid(defaults_i
 
 def test_boundary_reconstruction_zero(r_zero, small_cfg):
     seq = inverse_scattering(r_zero, 4, small_cfg)
-    rec = boundary_reconstruction(
-        seq, r_zero.grid, small_cfg.cmv_window, small_cfg.depth
-    )
+    rec = boundary_reconstruction(seq, r_zero.grid)
     assert np.max(np.abs(rec)) < 1e-12
 
 
@@ -264,7 +284,7 @@ def test_roundtrip_smooth_with_ladder(grid, small_cfg):
     # back to rounding at both rungs (3.5e-16); the Blaschke product's rung
     # errors are its Fourier tails (1.4e-4, then 9.3e-9), so there the
     # ratio compares truncations, not rounding
-    cfg = small_cfg.replace(levels=8, depth=12)
+    cfg = small_cfg.replace(levels=8)
     for spec in ("random,degree=1,margin=0.3,seed=3", "blaschke,r=0.5,zeros=0.3"):
         R = from_string(spec, grid)
         rep = roundtrip(R, cfg, ladder=1)
@@ -339,8 +359,10 @@ def test_ladder_configs_start_at_the_rung_window():
     cfgs = scattering.ladder_configs(RunConfig(), 3)
     assert [c.section_start for c in cfgs] == [32, 32, 64, 128]
     assert [c.levels for c in cfgs] == [16, 32, 64, 128]
-    assert [(c.cmv_window, c.depth) for c in cfgs] == [(128 * 2**k, 32 * 2**k)
-                                                       for k in range(4)]
+    # a rung moves J and the section start only; W and depth follow from
+    # each rung's coefficient window
+    assert cfgs == [RunConfig(levels=c.levels, section_start=c.section_start)
+                    for c in cfgs]
     assert cfgs[0] == RunConfig()
 
 

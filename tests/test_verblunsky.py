@@ -238,7 +238,7 @@ def test_roundtrip_consistency_random_alphas(grid, small_cfg):
 
     R = random_trig(grid, degree=3, margin=0.3, seed=9)
     seq = inverse_scattering(R, small_cfg.levels, small_cfg)
-    rec = boundary_reconstruction(seq, grid, small_cfg.cmv_window, small_cfg.depth)
+    rec = boundary_reconstruction(seq, grid)
     assert np.max(np.abs(rec - R.samples)) < 1e-12
     back = inverse_scattering(ScatteringFunction.from_samples(rec, grid),
                               small_cfg.levels, small_cfg)
