@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmv, oracle, scattering, spectral
-from .circle import analyze
 from .lrspace import (
     GeneratorFrame,
     converged_defect_pair,
@@ -39,8 +38,6 @@ from .verblunsky import (
     solve_levels,
     union_verblunsky,
 )
-
-ROUNDTRIP_LADDER = 1  # doublings `check_roundtrip` runs in the heavy suite
 
 
 @dataclass
@@ -168,16 +165,14 @@ def check_cmv(R, seq, cfg, ns=(0, 1)):
     return out
 
 
-def check_roundtrip(R, cfg, ladder=ROUNDTRIP_LADDER):
-    """Roundtrip sup error, and its excess over the Fourier tail on every rung.
+def check_roundtrip(R, cfg):
+    """Roundtrip sup error of the top rung, and its excess over the Fourier tail on every rung.
 
-    Level window J reconstructs S_{J-1}R: sup error <= sum_{|k|>=J} |R_k| + M eps.
+    Level window J reconstructs S_{J-1}R: sup error <= sum_{|k|>=J} |R_k| + M eps,
+    the tail each rung records (`ScatteringFunction.fourier_tail`).
     """
-    rep = scattering.roundtrip(R, cfg, ladder=ladder)
-    c = analyze(R.samples, R.grid)
-    mag, far = np.abs(c.coeffs), np.abs(c.indices())
-    excess = max(r["sup_error"] - float(np.sum(mag[far >= r["levels"]]))
-                 for r in rep["rungs"])
+    rep = scattering.roundtrip(R, cfg)
+    excess = max(r["sup_error"] - r["fourier_tail"] for r in rep["rungs"])
     return [
         _leq("roundtrip_sup_error", rep["sup_error"], cfg.tol_roundtrip),
         _leq("roundtrip_within_fourier_tail", excess,
@@ -204,12 +199,11 @@ def check_spectral(R, cfg, ns=(0, 1), kmax=4):
     ]
 
 
-def check_oracle(R, seq, cfg, J=4, N=None):
-    """Oracle agreement of seq on [-J, J] and of generator inner products."""
-    N = N or cfg.section_start
-    J = min(J, -seq.lo, seq.hi)
+def check_oracle(R, seq, cfg):
+    """Oracle agreement of seq on its whole window [-J, J] and of generator inner products."""
+    J = min(-seq.lo, seq.hi)
     Q = oracle.quadrature_space(R, cfg.oversample)
-    rep = oracle.compare_with_fast_path(R, Q, J, N, cfg, seq)
+    rep = oracle.compare_with_fast_path(R, Q, J, cfg.section_start, cfg, seq)
     out = [_leq("oracle_alpha_agreement", rep["max_alpha_dev"], cfg.tol_fun)]
     # quadrature Gram of g'_0, g'_2, g''_1, g''_3: identity within each family,
     # cross entries <g'_k, g''_l> = c_{-(k+l)}
@@ -228,9 +222,11 @@ def run_full_suite(R, cfg, heavy=True):
     The checks share one `section_memo()` block, released on return or
     raise, so each union frame (J, N) is factored and each level's
     section (n + m, N) solved once per suite. Both are done before the
-    first check: the union frames of every roundtrip rung, top rung
-    first, then the per-level sections of rung 0's window only, since
-    the roundtrip reads its rungs off the union frames.
+    first check: the union frames of every roundtrip rung that R's
+    Fourier tail picks (`scattering.rung_sequences`), top rung first, or
+    of cfg.levels alone in the light suite, then the per-level sections
+    of cfg.levels' window only, since the roundtrip reads its rungs off
+    the union frames.
     """
     rep = R.szego
     results = [CheckResult("szego_condition", rep.passes and rep.margin >= cfg.margin_min,
@@ -242,11 +238,12 @@ def run_full_suite(R, cfg, heavy=True):
         # so the scipy LAPACK factorizations and the numpy reads each run in
         # one block instead of alternating BLAS builds. The union frames of
         # every roundtrip rung go top rung first, so a rung that cannot
-        # converge fails at once; the per-level sections only for rung 0's
+        # converge fails at once; the per-level sections only for cfg.levels'
         # window, which check_verblunsky and the checks near level 0 read
-        rungs = scattering.ladder_configs(cfg, ROUNDTRIP_LADDER if heavy else 0)
-        for sub in reversed(rungs):
-            union_verblunsky(R, sub.levels, sub)
+        if heavy:
+            scattering.rung_sequences(R, cfg)
+        else:
+            union_verblunsky(R, cfg.levels, cfg)
         solve_levels(R, cfg.levels, cfg)
         results += check_gram_structure(R, cfg)
         seq = inverse_scattering(R, cfg.levels, cfg)

@@ -1,8 +1,9 @@
 """Fourier analysis on the unit circle.
 
 Equispaced power-of-two grids, finite Laurent series, contractive
-boundary data, the Szego integrability check and the one guard that
-refuses inputs failing it, and harmonic extension into the disk.
+boundary data with its Fourier tails, the Szego integrability check and
+the one guard that refuses inputs failing it or too close to |R| = 1,
+and harmonic extension into the disk.
 
 All integrals over the circle use normalized Lebesgue measure, so the
 trapezoidal rule on an equispaced grid is a plain mean over the nodes.
@@ -13,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, InputError, ResolutionError
+from .errors import ConditioningError, DomainError, InputError, ResolutionError
 
 
 def _is_power_of_two(n):
@@ -130,7 +131,8 @@ class ScatteringFunction:
     `exact_coeffs` records whether R was defined by a finite coefficient
     list (so coefficients outside the stored window are exactly zero)
     or sampled (so they are unresolved at this grid size). `szego`, the
-    Szego report of the samples, is computed once, like `margin`.
+    Szego report of the samples, and `fourier_tails` are computed once,
+    like `margin`.
     """
 
     grid: CircleGrid
@@ -171,6 +173,21 @@ class ScatteringFunction:
     @cached_property
     def szego(self):
         return szego_check(self)
+
+    @cached_property
+    def fourier_tails(self):
+        """tails[J] = sum_{|k| >= J} |R_k| over the coefficients R holds, J = 0 .. K + 1.
+
+        K is the largest |k| held, so the last entry is 0. The array is
+        nonincreasing: it sums nonnegative terms from the top down.
+        """
+        mass = np.bincount(np.abs(self.coeffs.indices()), weights=np.abs(self.coeffs.coeffs))
+        return np.append(np.cumsum(mass[::-1])[::-1], 0.0)
+
+    def fourier_tail(self, J):
+        """sum_{|k| >= J} |R_k|, 0 past the coefficients R holds (`fourier_tails`)."""
+        tails = self.fourier_tails
+        return float(tails[min(max(J, 0), len(tails) - 1)])
 
     def coefficient(self, j):
         if self.coeffs.lo <= j <= self.coeffs.hi:
@@ -225,10 +242,15 @@ def szego_check(R):
 
 
 def require_szego(R, margin_min=0.0):
-    """The Szego check as a guard: R's report (`R.szego`), or DomainError.
+    """The Szego check as a guard: R's report (`R.szego`), or an error.
 
-    Refuses R when the Szego condition fails on the grid or when the
-    contractivity margin 1 - sup |R| is below `margin_min`.
+    Refuses R with DomainError when the Szego condition fails on the grid
+    or when the contractivity margin 1 - sup |R| is below `margin_min`,
+    and with ConditioningError when 1 - sup |R|^2 < 1e-12. That floor
+    keeps the 2x2 weight (1 / (1 - |R|^2)) [[1, -conj R], [-R, 1]]
+    finite, and every section Schur complement S = I - B B^H, whose cross
+    block B has norm at most sup |R|, within cond_2(S) <= 1 / (1 - sup |R|^2)
+    <= 1e12.
     """
     rep = R.szego
     if not rep.passes:
@@ -240,6 +262,12 @@ def require_szego(R, margin_min=0.0):
         raise DomainError(
             f"contractivity margin {rep.margin:.3e} below margin_min "
             f"{margin_min:.1e}"
+        )
+    gap = 1.0 - rep.sup_modulus**2
+    if gap < 1e-12:
+        raise ConditioningError(
+            f"1 - sup |R|^2 = {gap:.3e} < 1e-12: the 2x2 weight is numerically "
+            "singular and the section condition bound 1 / (1 - sup |R|^2) exceeds 1e12"
         )
     return rep
 

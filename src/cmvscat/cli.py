@@ -122,9 +122,9 @@ def cmd_direct(args):
 def cmd_roundtrip(args):
     cfg = _config_from(args)
     R = _load_input(args, cfg)
-    rep = scattering.roundtrip(R, cfg, ladder=args.ladder)
+    rep = scattering.roundtrip(R, cfg)
     _emit(fileio.save_report(rep), args.out)
-    print(f"roundtrip: sup error = {rep['sup_error']:.3e}, "
+    print(f"roundtrip: J = {rep['levels']}, sup error = {rep['sup_error']:.3e}, "
           f"l2 error = {rep['l2_error']:.3e}", file=sys.stderr)
     return EXIT_OK
 
@@ -196,12 +196,10 @@ def build_parser():
     _add_common(p, "grid")
     p.set_defaults(func=cmd_direct)
 
+    # J doubles from --levels until R's Fourier tail is below tol_roundtrip
     p = sub.add_parser("roundtrip", help="inverse then direct, with error report")
     p.add_argument("--input", help="scattering function file")
     p.add_argument("--family", help="built-in input family spec")
-    p.add_argument("--ladder", type=int, default=1,
-                   help="rungs with J doubled, sections started at "
-                        "max(section_start, J) (default 1)")
     _add_common(p, *_FLAGS)
     p.set_defaults(func=cmd_roundtrip)
 

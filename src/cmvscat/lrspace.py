@@ -11,10 +11,10 @@ coefficients c_j of R. Everything here works in generator coordinates
 over a finite index window. A section's frame Gram G = [[I, B], [B^H, I]],
 B the conjugate of its cross block, has the Schur complement
 S = I - B B^H, half its size. Per section, one Cholesky factorization
-of S gives both defect vectors, both residuals and `cond`, the
-condition estimate of S; an S that does not factor means aliased
-coefficients (ResolutionError), a `cond` above COND_CAP raises
-ConditioningError. `converged_defect_pair` alone decides the section
+of S gives both defect vectors and both residuals; an S that does not
+factor means aliased coefficients (ResolutionError). The Szego guard
+(`circle.require_szego`) bounds cond_2(S) <= 1 / (1 - sup |R|^2) <= 1e12
+before any factorization. `converged_defect_pair` alone decides the section
 size, from the doubling policy of the RunConfig it is given. Inside a
 `section_memo()` block each level's section is solved once, any split
 of it served as a shift that shares the values read off the section,
@@ -32,18 +32,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.blas import zgemm, zherk
-from scipy.linalg.lapack import zpocon, zpotrf, zpotrs
+from scipy.linalg.lapack import zpotrf, zpotrs
 
 from .circle import LaurentSeries, require_szego, synthesize
-from .errors import (
-    ConditioningError,
-    ConvergenceError,
-    DegeneracyError,
-    InputError,
-    ResolutionError,
-)
+from .errors import ConvergenceError, DegeneracyError, InputError, ResolutionError
 
-COND_CAP = 1e12
 DEGENERACY_FLOOR = 1e-12
 
 
@@ -219,9 +212,8 @@ class DefectPair:
     for the frame Gram G, K = H e_0 a0 and Ktilde = H e_N a0_tilde, with
     residuals a0 = H_00^(-1/2) and a0_tilde = H_NN^(-1/2), which agree
     in exact arithmetic; `defect_pair` reads both columns off the Schur
-    complement S = I - B B^H of G. `cond` is LAPACK's 1-norm estimate for
-    S, whose spectrum lies in [margin (2 - margin), 1] (B is the cross
-    block, of norm at most sup |R|), so cond_2(S) <= 1 / (margin (2 - margin)).
+    complement S = I - B B^H of G, whose spectrum lies in
+    [1 - sup |R|^2, 1] (B is the cross block, of norm at most sup |R|).
     `shared` holds values read off the section, such as alpha, for every
     split a `section_memo()` block serves.
     """
@@ -230,7 +222,6 @@ class DefectPair:
     Ktilde: LrElement
     a0: float
     a0_tilde: float
-    cond: float
     shared: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -249,11 +240,10 @@ def defect_pair(R, n, m, N):
     defect vectors and both residuals (see DefectPair). G is positive
     definite exactly when S is, that is when the cross block norm is below
     1, so the factorization also certifies that the coefficients are not
-    aliased. Raises DomainError when R fails the Szego condition;
-    ResolutionError ("increase the grid size M") when coefficients are
-    unresolved or S does not factor; ConditioningError when `cond`
-    exceeds COND_CAP; DegeneracyError when a residual falls below
-    DEGENERACY_FLOOR.
+    aliased. Raises what the Szego guard raises (`require_szego`: DomainError,
+    or ConditioningError when 1 - sup |R|^2 < 1e-12); ResolutionError
+    ("increase the grid size M") when coefficients are unresolved or S does
+    not factor; DegeneracyError when a residual falls below DEGENERACY_FLOOR.
 
     Parameters
     ----------
@@ -277,20 +267,11 @@ def defect_pair(R, n, m, N):
     # lower triangle is written, the strict upper one stays 0
     S = zherk(-1.0, C, 1.0, np.eye(N, dtype=complex, order="F"), trans=2, lower=1,
               overwrite_c=1)
-    absS = np.abs(S)  # 1-norm of the Hermitian S: lower column sums plus row sums
-    anorm = float(np.max(absS.sum(axis=0) + absS.sum(axis=1) - absS.diagonal()))
     L, info = zpotrf(S, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         raise ResolutionError(
             f"frame Gram not positive definite (Schur complement zpotrf info {info}); the "
             "cross block norm reaches 1, so coefficients are aliased: increase the grid size M"
-        )
-    rcond, info = zpocon(L, anorm, uplo="L")
-    cond = float(1.0 / max(rcond, 1e-300)) if info == 0 else np.inf
-    if cond > COND_CAP:
-        raise ConditioningError(
-            f"Gram condition estimate {cond:.3e} exceeds cap {COND_CAP:.0e}; "
-            "the margin of R is too small for this section"
         )
     rhs = np.zeros((N, 2), dtype=complex, order="F")
     rhs[0, 0], rhs[:, 1] = 1.0, np.conj(C[:, 0])  # [e_0, B e_0]
@@ -305,7 +286,7 @@ def defect_pair(R, n, m, N):
         )
     K = LrElement(frame, X[:, 0] * a0, Y[:, 0] * -a0, R)
     Kt = LrElement(frame, X[:, 1] * -a0t, Y[:, 1] * a0t, R)
-    return DefectPair(K, Kt, a0, a0t, cond)
+    return DefectPair(K, Kt, a0, a0t)
 
 
 # values solved in the open `section_memo` block, keyed (id(R), *key) and
@@ -355,7 +336,7 @@ def section_pair(R, n, m, N):
     pair = _memoized(R, (n + m, N), lambda: defect_pair(R, n, m, N))
     p = n - pair.frame.n
     return DefectPair(shift(pair.K, p), shift(pair.Ktilde, p), pair.a0,
-                      pair.a0_tilde, pair.cond, pair.shared)
+                      pair.a0_tilde, pair.shared)
 
 
 def converged_defect_pair(R, n, m, cfg):

@@ -177,7 +177,7 @@ def oracle_verblunsky(R, J, N, Q):
 
 
 def compare_with_fast_path(R, Q, J, N, cfg, fast_seq):
-    """Per-level agreement report between oracle and fast-path coefficients.
+    """Agreement report between oracle and fast-path coefficients on [-J, J].
 
     Q is R's quadrature space at cfg.oversample. Reruns the oracle at
     doubled oversampling when the first pass disagrees beyond tol_fun
@@ -193,8 +193,4 @@ def compare_with_fast_path(R, Q, J, N, cfg, fast_seq):
         devs = [abs(osec.alpha(j) - fast_seq.alpha(j)) for j in range(-J, J + 1)]
         max_dev = float(max(devs))
         escalated = True
-    return {
-        "max_alpha_dev": max_dev,
-        "per_level": {j: float(d) for j, d in zip(range(-J, J + 1), devs)},
-        "escalated_oversampling": escalated,
-    }
+    return {"max_alpha_dev": max_dev, "escalated_oversampling": escalated}

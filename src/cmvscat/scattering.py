@@ -14,7 +14,7 @@ past the horizon is used.
 import numpy as np
 
 from . import circle, cmv
-from .errors import DomainError, InputError
+from .errors import ConvergenceError, DomainError, InputError, ResolutionError
 from .verblunsky import union_verblunsky
 
 
@@ -185,64 +185,51 @@ def boundary_reconstruction(seq, grid, W=None, depth=None):
     return circle.synthesize(moment_series(seq, W, depth), grid)
 
 
-def ladder_configs(cfg, ladder):
-    """RunConfig of each roundtrip rung 0..ladder; rung 0 is cfg.
+def rung_sequences(R, cfg):
+    """Union-frame coefficients (J, seq) of every roundtrip rung, top rung first.
 
-    Rung k doubles J k times and starts its sections at
-    max(section_start, J_k). A frame missing R's coefficient support
-    certifies an exact zero, so a start N0 leaves the levels below
-    -2 N0 - d undetected for a degree-d R; a start >= J_k keeps them J_k
-    below the rung's window. A larger start buys nothing, as
-    `converged_defect_pair` certifies N by doubling. A negative ladder,
-    or a rung starting above section_cap / 2 (it could not double),
-    raises InputError before any rung runs.
+    J doubles from cfg.levels until R's Fourier tail sum_{|k| >= J} |R_k|
+    (`fourier_tail`) falls below cfg.tol_roundtrip, since rung J
+    reconstructs S_{J-1}R, whose sup error is at most that tail. Every
+    coefficient R holds lies inside the grid window, so the loop ends by
+    J = M/2 + 1. The top rung is factored first: it is the likeliest to
+    exceed section_cap, and its refusal then comes before any other rung
+    runs. A ResolutionError or ConvergenceError names the rung's J and tail.
     """
-    if ladder < 0:
-        raise InputError(f"ladder must be >= 0, got {ladder}")
-    rungs = [cfg]
-    for k in range(1, ladder + 1):
-        start = max(cfg.section_start, cfg.levels * 2**k)
-        if 2 * start > cfg.section_cap:
-            raise InputError(f"ladder {ladder} exceeds {k - 1}: rung {k} would start its "
-                             f"sections at {start}, which cannot double within "
-                             f"section_cap {cfg.section_cap}")
-        rungs.append(cfg.replace(levels=cfg.levels * 2**k, section_start=start))
-    return rungs
+    levels = [cfg.levels]
+    while R.fourier_tail(levels[-1]) >= cfg.tol_roundtrip:
+        levels.append(min(2 * levels[-1], R.grid.coeff_hi + 1))
+    out = []
+    for J in reversed(levels):
+        try:
+            out.append((J, union_verblunsky(R, J, cfg)))
+        except (ResolutionError, ConvergenceError) as exc:
+            raise type(exc)(f"roundtrip rung J = {J} (Fourier tail "
+                            f"{R.fourier_tail(J):.3e}): {exc}") from exc
+    return out
 
 
-def roundtrip(R, cfg, ladder=0):
+def roundtrip(R, cfg):
     """Inverse scattering followed by reconstruction, with error metrics.
 
-    Each rung's coefficients come from `union_verblunsky`, one Cholesky
-    factor of the union frame per section size. With ladder > 0, repeats
-    on each rung of `ladder_configs` (J doubled, sections started at
-    max(section_start, J)) and reports the error trend, rung
-    0 first. The rungs run top-down: the top rung is the likeliest to
-    exceed section_cap, and its ConvergenceError then comes before any
-    other rung runs. Each rung reconstructs at its `minimal_window`,
+    Runs every rung of `rung_sequences`, whose coefficients come from
+    `union_verblunsky`, and reconstructs each at its `minimal_window`,
     which its J fixes. Only the boundary errors are reported.
 
     Returns
     -------
-    dict with sup/L2 boundary errors per rung.
-
-    Raises
-    ------
-    InputError
-        A ladder that `ladder_configs` refuses, before any rung runs.
+    dict
+        "rungs", one {levels, fourier_tail, sup_error, l2_error} per rung,
+        J ascending; "levels", "sup_error" and "l2_error" of the top rung,
+        the one whose Fourier tail is below cfg.tol_roundtrip.
     """
     rungs = []
-    for sub in reversed(ladder_configs(cfg, ladder)):
-        seq = union_verblunsky(R, sub.levels, sub)
+    for J, seq in rung_sequences(R, cfg):
         err = boundary_reconstruction(seq, R.grid) - R.samples
-        rungs.append(
-            {
-                "levels": sub.levels,
-                "section_start": sub.section_start,
-                "sup_error": float(np.max(np.abs(err))),
-                "l2_error": float(np.sqrt(np.mean(np.abs(err) ** 2))),
-            }
-        )
+        rungs.append({"levels": J, "fourier_tail": R.fourier_tail(J),
+                      "sup_error": float(np.max(np.abs(err))),
+                      "l2_error": float(np.sqrt(np.mean(np.abs(err) ** 2)))})
     rungs.reverse()
-    return {"rungs": rungs, "sup_error": rungs[0]["sup_error"],
-            "l2_error": rungs[0]["l2_error"]}
+    top = rungs[-1]
+    return {"rungs": rungs, "levels": top["levels"], "sup_error": top["sup_error"],
+            "l2_error": top["l2_error"]}

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import cmv
 from .circle import require_szego
-from .errors import ConditioningError, DomainError, InconsistencyError
+from .errors import DomainError, InconsistencyError
 from .lrspace import converged_defect_pair, evaluate
 from .verblunsky import VerblunskySequence, alpha_from_defects, level_split
 
@@ -73,20 +73,13 @@ def spectral_density(R, n, cfg):
     (1 / (1 - |R|^2)) [[1, -conj R], [-R, 1]]; tagged `K-and-tKtilde`.
     Hermitian nonnegativity is verified pointwise (eigenvalues above
     -1e-9). R must pass the Szego guard at cfg.margin_min
-    (`require_szego`, DomainError otherwise); a node with
-    1 - |R|^2 < 1e-12 raises ConditioningError.
+    (`require_szego`), which also keeps 1 - |R|^2 >= 1e-12 at every node,
+    so W is finite.
     """
     require_szego(R, cfg.margin_min)
     V = defect_samples(converged_defect_pair(R, n, n, cfg))
     Rs = R.samples
-    det = 1.0 - np.abs(Rs) ** 2
-    if np.min(det) < 1e-12:
-        k = int(np.argmin(det))
-        raise ConditioningError(
-            f"1 - |R|^2 = {det[k]:.3e} at node {k}; the 2x2 weight is numerically "
-            "singular there"
-        )
-    W = _mat2(R.grid, 1.0, -np.conj(Rs), -Rs, 1.0) / det[:, None, None]
+    W = _mat2(R.grid, 1.0, -np.conj(Rs), -Rs, 1.0) / (1.0 - np.abs(Rs) ** 2)[:, None, None]
     values = np.matmul(np.conj(np.swapaxes(V, 1, 2)), np.matmul(W, V))
     dens = SpectralDensity(R.grid, values, PAIR_DIAGONAL, n)
     _check_nonnegative(dens)

@@ -126,25 +126,24 @@ def inverse_scattering(R, J, cfg):
     Returns
     -------
     VerblunskySequence
-        `diagnostics` carries "cond" (the largest section condition estimate)
-        and "sections": one {level, N, cond, a0} per level -J..J+1,
-        N converged.
+        `diagnostics` carries "cond", the a priori bound 1 / (1 - sup |R|^2)
+        on the condition number of every section (`require_szego`), and
+        "sections": one {level, N, a0} per level -J..J+1, N converged.
 
     Raises
     ------
-    DomainError
+    DomainError, ConditioningError
         R fails the Szego guard at cfg.margin_min (`require_szego`).
     """
-    require_szego(R, cfg.margin_min)
+    rep = require_szego(R, cfg.margin_min)
     pairs = solve_levels(R, J, cfg)
     alphas = np.array([alpha_from_defects(pairs[j]) for j in range(-J, J + 1)])
     a0s = np.array([p.a0 for p in pairs.values()])
     seq = VerblunskySequence(-J, alphas, a0s)
 
-    seq.diagnostics["cond"] = max(p.cond for p in pairs.values())
+    seq.diagnostics["cond"] = 1.0 / (1.0 - rep.sup_modulus**2)
     seq.diagnostics["sections"] = [
-        {"level": j, "N": p.frame.N, "cond": p.cond, "a0": p.a0}
-        for j, p in pairs.items()
+        {"level": j, "N": p.frame.N, "a0": p.a0} for j, p in pairs.items()
     ]
     return seq
 
@@ -198,30 +197,45 @@ def union_factor(R, J, N):
 def union_verblunsky(R, J, cfg):
     """Verblunsky coefficients of R over [-J, J] by the union frame (`union_factor`).
 
-    Doubles N from cfg.section_start until every alpha_j (levels -J..J)
-    and a0_j (levels -J..J+1) changes by less than cfg.section_tol, and
-    returns the larger frame's readout. Inside a `section_memo()` block
-    each (J, N) frame is factored once.
+    Doubles N from N0 = max(cfg.section_start, J + d) until every alpha_j
+    (levels -J..J) and a0_j (levels -J..J+1) changes by less than
+    cfg.section_tol, and returns the larger frame's readout. d, R's
+    Fourier reach, is the largest |k| with sum_{|i| >= |k|} |R_i| >=
+    cfg.section_tol (`fourier_tails`): level -J pairs with g''_l up to
+    about l = J + d, so a smaller frame misses the coupling, decouples
+    and reads an exact alpha = 0 that the doubling cannot tell from a
+    converged one. Inside a `section_memo()` block each (J, N) frame is
+    factored once.
 
     Returns
     -------
     VerblunskySequence
-        a0s on -J..J+1; `diagnostics` carries "N", the frame size reached.
+        a0s on -J..J+1; `diagnostics` carries "N", the frame size reached,
+        next to "d" and "N0".
 
     Raises
     ------
-    DomainError
+    DomainError, ConditioningError
         R fails the Szego guard at cfg.margin_min (`require_szego`).
     ConvergenceError
-        No convergence by N = cfg.section_cap; the message starts with
-        `level j:`, the level of the largest last change.
+        2 N0 > cfg.section_cap, before any factorization; or no convergence
+        by N = cfg.section_cap, and the message starts with `level j:`,
+        the level of the largest last change.
     """
     require_szego(R, cfg.margin_min)
 
     def readout(N):
         return _memoized(R, ("union", J, N), lambda: union_factor(R, J, N))
 
-    N, cap, tol = cfg.section_start, cfg.section_cap, cfg.section_tol
+    cap, tol = cfg.section_cap, cfg.section_tol
+    d = max(int(np.count_nonzero(R.fourier_tails >= tol)) - 1, 0)
+    N0 = N = max(cfg.section_start, J + d)
+    if 2 * N0 > cap:
+        raise ConvergenceError(
+            f"union frame over [{-J}, {J}] needs section size {2 * N0} > section_cap "
+            f"{cap}: R's Fourier reach d = {d} (tail >= {tol:.1e}) starts the "
+            f"doubling at N0 = J + d = {N0}"
+        )
     change = np.full(2 * J + 2, np.inf)
     prev = readout(N)
     while 2 * N <= cap:
@@ -230,7 +244,7 @@ def union_verblunsky(R, J, cfg):
         change = np.abs(cur[1] - prev[1])
         change[:-1] = np.maximum(change[:-1], np.abs(cur[0][:-1] - prev[0][:-1]))
         if np.max(change) < tol:
-            return VerblunskySequence(-J, cur[0][:-1], cur[1], {"N": N})
+            return VerblunskySequence(-J, cur[0][:-1], cur[1], {"N": N, "d": d, "N0": N0})
         prev = cur
     worst = int(np.argmax(change))
     raise ConvergenceError(

@@ -11,7 +11,7 @@ from cmvscat import (
     synthesize,
     szego_check,
 )
-from cmvscat.errors import DomainError, InputError, ResolutionError
+from cmvscat.errors import ConditioningError, DomainError, InputError, ResolutionError
 
 
 def test_grid_requires_power_of_two():
@@ -174,3 +174,46 @@ def test_require_szego_guard(grid):
     samples[0] = 1.0
     with pytest.raises(DomainError, match="sup \\|R\\| = 1"):
         require_szego(ScatteringFunction.from_samples(samples, grid))
+
+
+def test_require_szego_conditioning_floor(grid):
+    # 1 - sup |R|^2 below 1e-12 is refused a priori, whatever margin_min allows;
+    # the 2x2 weight and the section condition bound 1 / (1 - sup |R|^2) would
+    # pass 1e12 there
+    for gamma, refused in ((1 - 1e-13, True), (1 - 4.9e-13, True), (1 - 5.1e-13, False)):
+        R = ScatteringFunction.from_coeffs(LaurentSeries(-1, [gamma]), grid)
+        if refused:
+            with pytest.raises(ConditioningError, match=r"1 - sup \|R\|\^2 = .* < 1e-12"):
+                require_szego(R, 1e-15)
+        else:
+            assert require_szego(R, 1e-15).margin < 1e-12
+
+
+@pytest.mark.parametrize("lo, coeffs", [(-1, [0.5]), (-3, [0.1, 0.2j, 0.0, -0.3, 0.05]),
+                                        (2, [0.25, 0.125]), (0, [0j])])
+def test_fourier_tails_of_exact_coefficients(grid, lo, coeffs):
+    # tails[J] = sum_{|k| >= J} |R_k|, J = 0 .. K + 1, and 0 past the coefficients
+    R = ScatteringFunction.from_coeffs(LaurentSeries(lo, coeffs), grid)
+    k = np.arange(lo, lo + len(coeffs))
+    K = int(np.max(np.abs(k)))
+    tails = R.fourier_tails
+    assert len(tails) == K + 2 and tails[-1] == 0.0
+    assert np.all(np.diff(tails) <= 0.0)
+    for J in range(K + 4):
+        expect = float(np.sum(np.abs(coeffs)[np.abs(k) >= J]))
+        assert abs(R.fourier_tail(J) - expect) <= 1e-15
+    assert R.fourier_tail(-3) == R.fourier_tail(0)
+    assert R.fourier_tails is tails  # computed once per R, like R.szego
+
+
+def test_fourier_tails_of_samples_span_the_grid_window(grid):
+    # a sampled R holds the coefficients of [-M/2 + 1, M/2], so its tail is 0
+    # from J = M/2 + 1 on
+    t = grid.nodes
+    R = ScatteringFunction.from_samples(0.5 * (t - 0.3) / (1 - 0.3 * t), grid)
+    c = analyze(R.samples, grid)
+    assert len(R.fourier_tails) == grid.size // 2 + 2
+    for J in (0, 1, 5, 40, grid.size // 2):
+        expect = float(np.sum(np.abs(c.coeffs)[np.abs(c.indices()) >= J]))
+        assert abs(R.fourier_tail(J) - expect) <= grid.size * np.finfo(float).eps
+    assert R.fourier_tail(grid.size // 2 + 1) == 0.0

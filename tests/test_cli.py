@@ -148,16 +148,19 @@ def test_cli_spectrum_rejects_margin_below_floor(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+_SINGULAR = ["1 - sup |R|^2 = 1.992e-13 < 1e-12", "numerically singular",
+             "section condition bound 1 / (1 - sup |R|^2) exceeds 1e12"]
+
+
 @pytest.mark.parametrize("level, messages", [
-    pytest.param("0", ["Gram condition estimate 4.998e+12 exceeds cap"], id="cond_cap"),
-    pytest.param("100", ["1 - |R|^2 = 1.992e-13", "numerically singular"],
-                 id="weight"),
+    pytest.param("0", _SINGULAR, id="cond_cap"),
+    pytest.param("100", _SINGULAR, id="weight"),
 ])
 def test_cli_spectrum_conditioning_error_exits_3(tmp_path, capsys, level, messages):
-    # margin_min 1e-15 lets sup |R| = 1 - 1e-13 past the Szego guard. At
-    # level 0 the section's condition estimate passes COND_CAP in
-    # defect_pair; at level 100 the section decouples and the 2x2 weight
-    # guard of spectral_density refuses instead
+    # margin_min 1e-15 lets sup |R| = 1 - 1e-13 past the margin floor, and
+    # the Szego guard's conditioning floor refuses it a priori at every
+    # level: at level 0, whose section would be near singular, and at level
+    # 100, whose section decouples but whose 2x2 weight is near singular
     cfg_path = _write(tmp_path, "cfg.json", json.dumps({"margin_min": 1e-15}))
     out = tmp_path / "d.csv"
     code = main(["spectrum", "--config", cfg_path, "--family",
@@ -270,7 +273,7 @@ def test_cli_format_only_on_direct(tmp_path, capsys, command):
 
 _GUARD_FAMILY = "random,degree=4,margin=0.3,seed=5"
 _GUARD_INPUT = {"inverse": ["--family", _GUARD_FAMILY],
-                "roundtrip": ["--family", _GUARD_FAMILY, "--ladder", "0"],
+                "roundtrip": ["--family", _GUARD_FAMILY],
                 "spectrum": ["--family", _GUARD_FAMILY],
                 "check": ["--family", _GUARD_FAMILY],
                 "direct": ["--alphas", "a.json"], "dump-matrix": ["--alphas", "a.json"]}
@@ -375,21 +378,15 @@ def test_cli_direct_rejects_malformed_alphas(tmp_path, capsys, rows):
 def test_cli_roundtrip_report(tmp_path):
     out = str(tmp_path / "report.json")
     code = main(
-        ["roundtrip", "--family", "monomial,gamma=0.5,k=1", "--ladder", "0",
+        ["roundtrip", "--family", "monomial,gamma=0.5,k=1",
          "--out", out] + FAST_FOR["roundtrip"]
     )
     assert code == 0
     rep = json.loads(open(out).read())
     assert rep["sup_error"] <= 1e-3
-
-
-def test_cli_roundtrip_rejects_negative_ladder(tmp_path, capsys):
-    code = main(["roundtrip", "--family", "monomial,gamma=0.5,k=1", "--ladder", "-1",
-                 "--out", str(tmp_path / "report.json")] + FAST_FOR["roundtrip"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "ladder" in err
-    assert "Traceback" not in err
+    assert rep["levels"] == 4
+    assert rep["rungs"] == [{"levels": 4, "fourier_tail": 0.0, "sup_error": rep["sup_error"],
+                             "l2_error": rep["l2_error"]}]
 
 
 @pytest.mark.parametrize("key, value", [("out", "x.json"), ("fmt", "csv"),
@@ -752,35 +749,100 @@ def test_cli_config_rejects_oversample_off_power_of_two(tmp_path, capsys, comman
         assert RunConfig(oversample=value).oversample == value
 
 
+def test_cli_roundtrip_rejects_negative_ladder(tmp_path, capsys):
+    # the rungs follow from R's Fourier tail, so roundtrip takes no --ladder
+    # at any value
+    out = tmp_path / "report.json"
+    for value in ("1", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["roundtrip", "--family", "monomial,gamma=0.5,k=1", "--ladder", value,
+                  "--out", str(out)] + FAST_FOR["roundtrip"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: --ladder {value}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 def test_cli_roundtrip_rejects_undoublable_ladder(tmp_path, capsys, monkeypatch):
-    # at the default start 32, cap 512 and J = 16, rung k starts at
-    # max(32, 16 * 2**k): rung 4 at 256 still doubles, rung 5 at 512 cannot
-    from cmvscat import scattering
+    # R = 0.5 tbar^300 at the defaults: the tail stays 0.5 below J = 301, so
+    # J doubles from 16 to 512, whose union frame would start at N0 =
+    # J + d = 812 and cannot double within section_cap 512. That top rung
+    # runs first and is refused before any factorization
+    from cmvscat import verblunsky
 
-    def no_inverse(*args, **kwargs):
-        raise AssertionError("union_verblunsky ran before the ladder was refused")
+    def no_factor(*args):
+        raise AssertionError("a union frame was factored before the refusal")
 
-    monkeypatch.setattr(scattering, "union_verblunsky", no_inverse)
-    code = main(["roundtrip", "--family", "monomial,gamma=0.5,k=1", "--ladder", "5",
-                 "--grid", "256", "--out", str(tmp_path / "report.json")])
-    assert code == 2
+    monkeypatch.setattr(verblunsky, "union_factor", no_factor)
+    out = tmp_path / "report.json"
+    code = main(["roundtrip", "--family", "monomial,gamma=0.5,k=300", "--out", str(out)])
+    assert code == 3
     err = capsys.readouterr().err
-    assert "ladder 5" in err
+    assert ("roundtrip rung J = 512 (Fourier tail 0.000e+00): union frame over "
+            "[-512, 512] needs section size 1624 > section_cap 512: R's Fourier reach "
+            "d = 300") in err
     assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_roundtrip_ladder_within_cap_exits_3_on_certificate(tmp_path, capsys):
-    # the test-scale config (start 16, cap 128, J = 6): ladder 3 passes the
-    # cap rule, and its last rung's union frame (J = 48) cannot converge by
-    # N = 128: a0 at level -48 still moves by 1.34e-1 between N = 48 and 96
+    # a section tolerance below rounding: the top rung (J = 12, from J = 6 on
+    # a degree-6 input) doubles its union frame from N0 = 18 to the cap and
+    # refuses, since its last change is rounding, not 0
     cfg_path = _write(tmp_path, "cfg.json", json.dumps(
-        {"grid_size": 256, "levels": 6, "section_start": 16, "section_cap": 128}))
-    code = main(["roundtrip", "--family", "monomial,gamma=0.5,k=1", "--ladder", "3",
+        {"grid_size": 256, "levels": 6, "section_start": 16, "section_cap": 128,
+         "section_tol": 1e-30}))
+    code = main(["roundtrip", "--family", "random,degree=6,margin=0.25,seed=7",
                  "--config", cfg_path, "--out", str(tmp_path / "report.json")])
     assert code == 3
     err = capsys.readouterr().err
-    assert "level -48: union frame over [-48, 48] did not converge" in err
+    assert re.search(r"roundtrip rung J = 12 \(Fourier tail 0\.000e\+00\): level -?\d+: "
+                     r"union frame over \[-12, 12\] did not converge by section size 128", err)
     assert "Traceback" not in err
+
+
+def test_cli_check_flags_the_per_level_route_past_its_reach(tmp_path):
+    # R = 0.5 tbar^100 at the defaults: level -16 couples only with g''_117.
+    # The union route starts at N0 = J + d = 116 and reads a0 = sqrt(0.75);
+    # the per-level route still stops on two decoupled sections at N = 64
+    # and reads a0 = 1.0, and that entry alone fails
+    out = str(tmp_path / "check.json")
+    code = main(["check", "--family", "monomial,gamma=0.5,k=100", "--out", out])
+    assert code == 3
+    checks = {c["name"]: c for c in json.loads(open(out).read())["checks"]}
+    assert [name for name, c in checks.items() if not c["passed"]] == [
+        "alpha_union_matches_per_level"]
+    assert abs(checks["alpha_union_matches_per_level"]["value"]
+               - (1.0 - np.sqrt(0.75))) <= 1e-15
+
+
+def test_cli_check_chooses_its_roundtrip_window(tmp_path):
+    # at --levels 1 the Fourier tail of R = 0.5 tbar is 0.5, past tol_roundtrip;
+    # the roundtrip doubles J to 2, where it is 0, and the suite passes
+    out = str(tmp_path / "check.json")
+    code = main(["check", "--family", "monomial,gamma=0.5,k=1", "--levels", "1",
+                 "--out", out])
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(open(out).read())["checks"]}
+    assert checks["roundtrip_sup_error"]["value"] <= 1e-15
+
+
+@pytest.mark.parametrize("command", [["inverse"], ["spectrum", "--levels", "0"],
+                                     ["spectrum", "--levels", "100"], ["check", "--light"],
+                                     ["check"], ["roundtrip"]])
+def test_cli_conditioning_floor_refuses_every_command(tmp_path, capsys, command):
+    # finding G's input, sup |R| = 1 - 1e-13 let past margin_min 1e-15: the
+    # Szego guard refuses it before any section is factored
+    cfg_path = _write(tmp_path, "cfg.json", json.dumps({"margin_min": 1e-15}))
+    out = tmp_path / "o"
+    code = main(command + ["--config", cfg_path, "--family",
+                           "monomial,gamma=0.9999999999999,k=1", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert all(message in err for message in _SINGULAR)
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_check_light_flags_decoupled_levels(tmp_path):
@@ -833,15 +895,17 @@ def test_cli_roundtrip_boundary_follows_config(tmp_path):
     from cmvscat.verblunsky import union_verblunsky
 
     family = "random,degree=4,margin=0.3,seed=5"
-    args = ["roundtrip", "--family", family, "--ladder", "0"] + FAST_FOR["roundtrip"]
+    args = ["roundtrip", "--family", family] + FAST_FOR["roundtrip"]
     out = str(tmp_path / "report.json")
     assert main(args + ["--out", out]) == 0
-    cfg = RunConfig(grid_size=256, levels=4)
-    R = from_string(family, CircleGrid(cfg.grid_size))
-    seq = union_verblunsky(R, cfg.levels, cfg)
-    rec = scattering.boundary_reconstruction(seq, R.grid)
-    sup = float(np.max(np.abs(rec - R.samples)))
-    assert json.loads(open(out).read())["sup_error"] == sup
+    rungs = json.loads(open(out).read())["rungs"]
+    assert [r["levels"] for r in rungs] == [4, 8]  # the degree-4 tail vanishes at 8
+    R = from_string(family, CircleGrid(256))
+    for rung in rungs:
+        cfg = RunConfig(grid_size=256, levels=rung["levels"])
+        seq = union_verblunsky(R, cfg.levels, cfg)
+        rec = scattering.boundary_reconstruction(seq, R.grid)
+        assert rung["sup_error"] == float(np.max(np.abs(rec - R.samples)))
     with pytest.raises(SystemExit):
         main(args + ["--boundary", "decoupled", "--out", out])
 
@@ -1035,7 +1099,11 @@ def test_cli_inverse_report_sections(tmp_path):
     cfg = RunConfig()
     assert [s["level"] for s in sections] == list(range(-4, 6))
     assert all(2 * cfg.section_start <= s["N"] <= cfg.section_cap for s in sections)
-    assert report["diagnostics"]["cond"] == max(s["cond"] for s in sections)
+    assert all(set(s) == {"level", "N", "a0"} for s in sections)
+    # one cond, the a priori bound 1 / (1 - sup |R|^2) = 1 / (margin (2 - margin))
+    R = from_string("random,degree=4,margin=0.3,seed=5", CircleGrid(256))
+    assert report["diagnostics"]["cond"] == 1.0 / (1.0 - R.szego.sup_modulus**2)
+    assert abs(report["diagnostics"]["cond"] - 1.0 / (0.3 * 1.7)) <= 1e-12
     assert [s["a0"] for s in sections] == report["convergence"]["a0s"]
 
 

@@ -159,8 +159,8 @@ def test_gram_out_of_window_raises(grid, r_smooth):
 def test_defect_pair_matches_dense_inverse(spec, n, m, N):
     # dense reference: with H = inv(G), K = H e_0 / sqrt(H_00) and
     # Ktilde = H e_N / sqrt(H_NN); alpha = H[N, 0] / sqrt(H_00 H_NN).
-    # cond estimates the 1-norm condition of S = I - B B^H, whose spectrum
-    # lies in [margin (2 - margin), 1], so it is at most N / (margin (2 - margin))
+    # S = I - B B^H has its spectrum in [1 - sup |R|^2, 1], so cond_2(S) is at
+    # most 1 / (1 - sup |R|^2), the bound the Szego guard holds below 1e12
     from cmvscat import CircleGrid
     from cmvscat.families import from_string
     from cmvscat.verblunsky import alpha_from_defects
@@ -176,7 +176,9 @@ def test_defect_pair_matches_dense_inverse(spec, n, m, N):
     alpha = alpha_from_defects(pair)
     assert abs(alpha - H[N, 0] / np.sqrt(h00 * hNN)) <= 1e-13
     assert abs(alpha) > 1e-3  # the orientation is tested on a coupled section
-    assert pair.cond <= N / (R.margin * (2.0 - R.margin))
+    G = frame_gram(R, pair.frame)
+    S = np.eye(N) - G[:N, N:] @ G[N:, :N]
+    assert np.linalg.cond(S) <= (1.0 + 1e-12) / (1.0 - R.szego.sup_modulus**2)
 
 
 def test_defect_pair_memory_is_a_few_section_blocks():

@@ -279,37 +279,72 @@ def test_roundtrip_monomial(r_half, small_cfg):
 
 
 def test_roundtrip_smooth_with_ladder(grid, small_cfg):
-    # low degree keeps the level-window truncation below the roundtrip
-    # tolerance at the scaled-down test parameters. The degree-1 input comes
-    # back to rounding at both rungs (3.5e-16); the Blaschke product's rung
-    # errors are its Fourier tails (1.4e-4, then 9.3e-9), so there the
-    # ratio compares truncations, not rounding
-    cfg = small_cfg.replace(levels=8)
-    for spec in ("random,degree=1,margin=0.3,seed=3", "blaschke,r=0.5,zeros=0.3"):
+    # rung J reconstructs S_{J-1}R: sup error <= sum_{|k|>=J} |R_k| + M eps.
+    # J doubles from cfg.levels while that tail misses tol_roundtrip, so
+    # every rung but the top one misses it and the top one meets it. The
+    # degree-1 input comes back to rounding at J = 2; the Blaschke product's
+    # rung errors are its Fourier tails (2.0e-1, 1.8e-2, then 1.4e-4)
+    for spec, J0, levels in (("random,degree=1,margin=0.3,seed=3", 1, [1, 2]),
+                             ("blaschke,r=0.5,zeros=0.3", 2, [2, 4, 8]),
+                             ("random,degree=6,margin=0.25,seed=7", 6, [6, 12])):
         R = from_string(spec, grid)
-        rep = roundtrip(R, cfg, ladder=1)
-        sups = [r["sup_error"] for r in rep["rungs"]]
-        assert sups[0] <= cfg.tol_roundtrip, spec
-        assert sups[1] <= 1.1 * sups[0], spec
-        # rung J reconstructs S_{J-1}R: sup error <= sum_{|k|>=J} |R_k| + M eps
-        c = analyze(R.samples, R.grid)
-        mag, far = np.abs(c.coeffs), np.abs(c.indices())
-        for r in rep["rungs"]:
-            tail = float(np.sum(mag[far >= r["levels"]]))
-            assert r["sup_error"] <= tail + R.grid.size * np.finfo(float).eps, spec
+        cfg = small_cfg.replace(levels=J0)
+        rep = roundtrip(R, cfg)
+        rungs = rep["rungs"]
+        assert [r["levels"] for r in rungs] == levels, spec
+        assert rep["levels"] == levels[-1]
+        assert (rep["sup_error"], rep["l2_error"]) == (rungs[-1]["sup_error"],
+                                                      rungs[-1]["l2_error"])
+        assert rep["sup_error"] <= cfg.tol_roundtrip, spec
+        assert all(r["fourier_tail"] >= cfg.tol_roundtrip for r in rungs[:-1]), spec
+        assert rungs[-1]["fourier_tail"] < cfg.tol_roundtrip, spec
+        for r, nxt in zip(rungs, rungs[1:]):
+            assert nxt["sup_error"] <= 1.1 * r["sup_error"], spec
+
+
+def test_ladder_rungs_within_their_fourier_tail(r_smooth, small_cfg):
+    # the check_roundtrip bound, rung by rung: sup error <= sum_{|k|>=J} |R_k| + M eps,
+    # with the tail each rung records equal to the one of the analyzed samples
+    c = analyze(r_smooth.samples, r_smooth.grid)
+    mag, far = np.abs(c.coeffs), np.abs(c.indices())
+    eps = r_smooth.grid.size * np.finfo(float).eps
+    rungs = roundtrip(r_smooth, small_cfg.replace(levels=3))["rungs"]
+    assert [r["levels"] for r in rungs] == [3, 6, 12]
+    for r in rungs:
+        tail = float(np.sum(mag[far >= r["levels"]]))
+        assert abs(r["fourier_tail"] - tail) <= eps
+        assert r["sup_error"] <= tail + eps
+
+
+def test_ladder_configs_start_at_the_rung_window(r_smooth, small_cfg, monkeypatch):
+    # every rung's union frame starts at N0 = max(section_start, J + d), with
+    # d = 6 the reach of the degree-6 input, and doubles from there; the
+    # rungs share cfg otherwise
+    frames = []
+    original = verblunsky.union_factor
+    monkeypatch.setattr(verblunsky, "union_factor",
+                        lambda R, J, N: frames.append((J, N)) or original(R, J, N))
+    roundtrip(r_smooth, small_cfg.replace(levels=3))
+    starts = {}
+    for J, N in frames:
+        starts.setdefault(J, N)
+    assert starts == {12: 18, 6: 16, 3: 16}
+    assert all(N in (starts[J], 2 * starts[J], 4 * starts[J]) for J, N in frames)
 
 
 def test_roundtrip_error_tracks_level_window(r_smooth, small_cfg):
     # a degree-6 input at a level window of 6 is dominated by the
     # discarded negative-level coefficients; doubling must shrink it
-    rep = roundtrip(r_smooth, small_cfg, ladder=1)
+    rep = roundtrip(r_smooth, small_cfg)
     sups = [r["sup_error"] for r in rep["rungs"]]
+    assert len(sups) == 2
     assert sups[1] <= 0.5 * sups[0]
 
 
 def test_roundtrip_skips_split_recomputation(r_half, small_cfg, monkeypatch):
     # only boundary errors are reported, so no rung re-solves shifted splits;
-    # one union-frame inverse per rung, top rung first, and no per-level one
+    # one union-frame inverse per rung, top rung first, and no per-level one.
+    # R = 0.5 tbar has tail 0.5 at J = 1 and 0 at J = 2
     rungs, splits = [], []
     original = scattering.union_verblunsky
 
@@ -325,53 +360,40 @@ def test_roundtrip_skips_split_recomputation(r_half, small_cfg, monkeypatch):
     monkeypatch.setattr(verblunsky, "converged_defect_pair", per_level)
     monkeypatch.setattr(verblunsky, "split_deviation",
                         lambda *args: splits.append(args))
-    roundtrip(r_half, small_cfg, ladder=1)
-    assert rungs == [2 * small_cfg.levels, small_cfg.levels]
+    roundtrip(r_half, small_cfg.replace(levels=1))
+    assert rungs == [2, 1]
     assert splits == []
 
 
-def test_roundtrip_ladder_limited_by_section_cap(r_half, small_cfg):
-    # start 16, cap 128: rung k starts at max(16, 6 * 2**k), so rung 3
-    # starts at 48 and doubles to 96, rung 4 would start at 96 and cannot
-    assert len(roundtrip(r_half, small_cfg.replace(levels=2), ladder=2)["rungs"]) == 3
-    with pytest.raises(InputError, match="ladder 4.*section_cap"):
-        roundtrip(r_half, small_cfg, ladder=4)
+def test_roundtrip_ladder_limited_by_section_cap(grid, small_cfg, monkeypatch):
+    # R = 0.5 tbar^100 at M = 256: the tail stays 0.5 up to J = 100, so J
+    # doubles 6 .. 96 and stops at M/2 + 1 = 129, where it is 0. That top
+    # rung's reach start J + d = 229 cannot double within section_cap 128,
+    # and it is refused first, before any union frame is factored
+    R = from_string("monomial,gamma=0.5,k=100", grid)
+
+    def no_factor(*args):
+        raise AssertionError("a union frame was factored before the refusal")
+
+    monkeypatch.setattr(verblunsky, "union_factor", no_factor)
+    with pytest.raises(ConvergenceError,
+                       match=r"^roundtrip rung J = 129 \(Fourier tail 0\.000e\+00\): union "
+                             r"frame over \[-129, 129\] needs section size 458 > section_cap "
+                             r"128: R's Fourier reach d = 100"):
+        roundtrip(R, small_cfg)
 
 
-def test_roundtrip_ladder_below_cap_meets_the_section_certificate(r_half, small_cfg,
+def test_roundtrip_ladder_below_cap_meets_the_section_certificate(r_smooth, small_cfg,
                                                                  monkeypatch):
-    # ladder 3 passes the cap rule, but rung 3's union frame (J = 48) has
-    # not converged at N = 96 and cannot double again: level -48 pairs
-    # with g''_49, which enters between N = 48 and 96 and moves a0_{-48}
-    # by 1 - sqrt(0.75) = 1.34e-1. The section certificate refuses it, not
-    # the ladder rule, and the rungs run top-down, so no rung is
-    # reconstructed before the refusal
+    # a section tolerance below rounding cannot be met: the top rung (J = 12)
+    # doubles from N0 = 18 to the cap and refuses, naming J, its tail and the
+    # level; the rungs run top-down, so no rung is reconstructed before it
     built = []
     monkeypatch.setattr(scattering, "boundary_reconstruction",
                         lambda *args: built.append(args))
     with pytest.raises(ConvergenceError,
-                       match=r"level -48: union frame .*\(last change 1\.340e-01"):
-        roundtrip(r_half, small_cfg, ladder=3)
+                       match=r"^roundtrip rung J = 12 \(Fourier tail 0\.000e\+00\): "
+                             r"level -?\d+: union frame over \[-12, 12\] did not converge "
+                             r"by section size 128"):
+        roundtrip(r_smooth, small_cfg.replace(section_tol=1e-30))
     assert built == []
-
-
-def test_ladder_configs_start_at_the_rung_window():
-    cfgs = scattering.ladder_configs(RunConfig(), 3)
-    assert [c.section_start for c in cfgs] == [32, 32, 64, 128]
-    assert [c.levels for c in cfgs] == [16, 32, 64, 128]
-    # a rung moves J and the section start only; W and depth follow from
-    # each rung's coefficient window
-    assert cfgs == [RunConfig(levels=c.levels, section_start=c.section_start)
-                    for c in cfgs]
-    assert cfgs[0] == RunConfig()
-
-
-def test_ladder_rungs_within_their_fourier_tail(r_smooth, small_cfg):
-    # the check_roundtrip bound, rung by rung: sup error <= sum_{|k|>=J} |R_k| + M eps
-    c = analyze(r_smooth.samples, r_smooth.grid)
-    mag, far = np.abs(c.coeffs), np.abs(c.indices())
-    rungs = roundtrip(r_smooth, small_cfg, ladder=2)["rungs"]
-    assert [r["section_start"] for r in rungs] == [16, 16, 24]
-    for r in rungs:
-        tail = float(np.sum(mag[far >= r["levels"]]))
-        assert r["sup_error"] <= tail + r_smooth.grid.size * np.finfo(float).eps

@@ -116,7 +116,7 @@ def test_shifted_split_section_is_identical(spec):
             a, b = defect_pair(R, n, m, N), defect_pair(R, n + 1, m - 1, N)
             assert np.array_equal(a.K.coords(), b.K.coords())
             assert np.array_equal(a.Ktilde.coords(), b.Ktilde.coords())
-            assert (a.a0, a.a0_tilde, a.cond) == (b.a0, b.a0_tilde, b.cond)
+            assert (a.a0, a.a0_tilde) == (b.a0, b.a0_tilde)
     seq = inverse_scattering(R, 16, cfg)
     assert split_deviation(R, seq, cfg) == 0.0
 
@@ -165,7 +165,7 @@ def test_alpha_from_defects_rejects_unimodular():
     f = GeneratorFrame(0, 0, 4)
     g = generator(R, "analytic", 0, f)
     with pytest.raises(InconsistencyError):
-        alpha_from_defects(DefectPair(g, g, 1.0, 1.0, 1.0))
+        alpha_from_defects(DefectPair(g, g, 1.0, 1.0))
 
 
 def test_recover_omega_monomial_levels(r_half, small_cfg):
@@ -292,19 +292,62 @@ def test_union_route_at_the_window_edge():
     assert np.max(np.abs(union.a0s[:65] - RHO)) <= 1e-15
 
 
-def test_union_convergence_error_names_the_level(r_half):
-    # at J = 20, g''_21 enters level -20's frame between N = 16 and 32 and
-    # moves a0 by 1 - sqrt(0.75); the cap stops the doubling there
+def test_union_convergence_error_names_the_level(r_smooth):
+    # a tolerance below rounding cannot be met: the doubling from
+    # N0 = J + d = 26 to 52 ends at the cap and names the level of the
+    # largest last change
+    cfg = RunConfig(grid_size=256, section_start=16, section_cap=64, section_tol=1e-30)
+    with pytest.raises(ConvergenceError, match=r"^level -?\d+: union frame over \[-20, 20\] "
+                                               r"did not converge by section size 64 "
+                                               r"\(last change .* > 1\.0e-30\)"):
+        union_verblunsky(r_smooth, 20, cfg)
+
+
+def test_union_start_covers_the_fourier_reach(r_half, monkeypatch):
+    # R = 0.5 tbar has reach d = 1, so J = 20 starts at N0 = 21, where level
+    # -20 already meets g''_21: from start 16 the doubling would read a0 at
+    # N = 16 and 32 and move by 1 - sqrt(0.75). Under a cap of 32 the start
+    # cannot double, and the refusal comes before any factorization
+    from cmvscat import verblunsky
+
+    seq = union_verblunsky(r_half, 20, RunConfig(grid_size=256, section_start=16))
+    assert seq.diagnostics == {"N": 42, "d": 1, "N0": 21}
+    assert np.max(np.abs(seq.a0s[:21] - RHO)) <= 1e-15
+
+    def no_factor(*args):
+        raise AssertionError("union_factor ran before the reach refusal")
+
+    monkeypatch.setattr(verblunsky, "union_factor", no_factor)
     cfg = RunConfig(grid_size=256, section_start=16, section_cap=32)
-    with pytest.raises(ConvergenceError, match=r"^level -20: .*last change 1\.340e-01"):
+    with pytest.raises(ConvergenceError, match=r"needs section size 42 > section_cap 32: "
+                                               r"R's Fourier reach d = 1 .* N0 = J \+ d = 21"):
         union_verblunsky(r_half, 20, cfg)
 
 
+def test_union_route_matches_the_oracle_past_the_section_start():
+    # R = 0.5 tbar^100 couples level -16 only with g''_117: from section_start
+    # 32 the doubling would stop at N = 64 on two decoupled frames and read
+    # a0 = 1.0 at every level, 1.34e-1 off. The reach d = 100 starts it at
+    # N0 = 116, and it agrees with the oracle at N = 256; the per-level route
+    # still decouples
+    cfg = RunConfig()
+    R = from_string("monomial,gamma=0.5,k=100", CircleGrid(cfg.grid_size))
+    union = union_verblunsky(R, 16, cfg)
+    assert union.diagnostics == {"N": 232, "d": 100, "N0": 116}
+    oracle = oracle_verblunsky(R, 16, 256, quadrature_space(R, cfg.oversample))
+    assert np.max(np.abs(union.a0s - oracle.a0s)) <= 1e-15
+    assert np.max(np.abs(union.alphas - oracle.alphas)) <= 1e-15
+    assert np.max(np.abs(union.a0s - RHO)) <= 1e-15
+    per_level = inverse_scattering(R, 16, cfg)
+    assert abs(np.max(np.abs(per_level.a0s - union.a0s)) - (1 - RHO)) <= 1e-15
+
+
 def test_union_route_refuses_an_index_off_the_grid():
-    # a sampled R resolves [-31, 32] at M = 64; J = 4, N = 16 reads c_{-37}
-    cfg = RunConfig(grid_size=64, section_start=16, section_cap=32)
+    # a sampled R resolves [-31, 32] at M = 64; its reach is d = 30, so J = 4
+    # starts at N0 = 34 and reads c_{-73}
+    cfg = RunConfig(grid_size=64, section_start=16, section_cap=128)
     R = from_string("blaschke,r=0.5", CircleGrid(cfg.grid_size))
-    with pytest.raises(ResolutionError, match="increase the grid size M"):
+    with pytest.raises(ResolutionError, match=r"\[-73, 3\] .*increase the grid size M"):
         union_verblunsky(R, 4, cfg)
 
 
