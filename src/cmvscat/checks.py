@@ -10,8 +10,16 @@ relabelling (a split is only an index label). The second routes are
 library calls: the window's coefficients from one union-frame Cholesky
 factor (`verblunsky.union_verblunsky`, which also serves the roundtrip),
 density moments from `spectral.moment_check` (the CMV matrix of the
-alpha_j), generator inner products from `oracle.quadrature_gram`. The
-CLI `check` command and the acceptance tests both run these.
+alpha_j), generator inner products from `oracle.quadrature_gram`, and
+the window's coefficients again from the oracle's own union frame, which
+starts where the union route's does. The CLI `check` command and the
+acceptance tests both run these.
+
+The bounds are fixed: `config.TOL_ALG`, `TOL_FUN` and `TAIL_TOL`, or a
+literal where an entry has a bound of its own; so are the levels each
+check samples. Of the run configuration only the roundtrip target
+`tol_roundtrip` and the input guard `margin_min` serve as bounds, so no
+setting switches an entry off or loosens it.
 """
 
 from dataclasses import dataclass
@@ -19,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmv, oracle, scattering, spectral
+from .config import TAIL_TOL, TOL_ALG, TOL_FUN
 from .lrspace import (
     GeneratorFrame,
     converged_defect_pair,
@@ -62,7 +71,7 @@ def _leq(name, value, bound, detail=""):
     return CheckResult(name, value <= bound, float(value), float(bound), detail)
 
 
-def check_gram_structure(R, cfg, levels=(-2, 0, 3)):
+def check_gram_structure(R, cfg):
     """Contractivity of the cross norm and the defect geometry of a section.
 
     Row 0 of the solve residual G K is <K, g'_n> = a0, which with ||K|| = 1
@@ -70,7 +79,7 @@ def check_gram_structure(R, cfg, levels=(-2, 0, 3)):
     """
     norm_excess = ortho = unit = 0.0
     N = cfg.section_start
-    for j in levels:
+    for j in (-2, 0, 3):
         n, m = level_split(j)
         G = frame_gram(R, GeneratorFrame(n, m, N))
         c = G[N:, :N].T  # cross block <g'_k, g''_l>
@@ -102,8 +111,8 @@ def check_verblunsky(R, seq, cfg):
         _leq("alpha_modulus", float(np.max(np.abs(seq.alphas))
                                     if len(seq.alphas) else 0.0), 1.0 - 1e-15),
         _leq("rho_two_ways", rep["rho_ratio_max_dev"], 1e-7),
-        _leq("telescoped_products", rep["telescoping_max_dev"], cfg.tol_alg),
-        _leq("alpha_tail_square_sum", rep["tail_sum_alpha_sq"], cfg.tail_tol),
+        _leq("telescoped_products", rep["telescoping_max_dev"], TOL_ALG),
+        _leq("alpha_tail_square_sum", rep["tail_sum_alpha_sq"], TAIL_TOL),
         _leq("a0_nondecreasing_in_level",
              float(np.max(np.maximum(a0s[:-1] - a0s[1:], 0.0))), 5e-13),
     ]
@@ -114,30 +123,27 @@ def check_union(R, seq, cfg):
     union = union_verblunsky(R, seq.hi, cfg)
     dev = max(np.max(np.abs(union.alphas - seq.alphas)),
               np.max(np.abs(union.a0s - seq.a0s)))
-    return [_leq("alpha_union_matches_per_level", dev, cfg.tol_alg,
+    return [_leq("alpha_union_matches_per_level", dev, TOL_ALG,
                  "max |d alpha|, |d a0| over [-J, J]")]
 
 
-def check_rotation(R, cfg, levels=(-1, 0, 1)):
+def check_rotation(R, cfg):
     worst = max(
-        rotation_relation_residual(R, *level_split(j), cfg) for j in levels
+        rotation_relation_residual(R, *level_split(j), cfg) for j in (-1, 0, 1)
     )
     return [_leq("rotation_relation", worst, 1e-7)]
 
 
-def check_schur(R, seq, cfg, levels=None):
-    if levels is None:
-        j0 = max(seq.lo, -4)
-        j1 = min(seq.hi - 1, 4)
-        levels = range(j0, j1)
+def check_schur(R, seq, cfg):
+    levels = range(max(seq.lo, -4), min(seq.hi - 1, 4))
     rep = schur_chain(R, seq, cfg, levels=list(levels))
     return [
-        _leq("schur_chain_step", rep["step_sup_dev"], cfg.tol_fun),
-        _leq("schur_omega_at_zero", rep["omega_zero_dev"], cfg.tol_alg),
+        _leq("schur_chain_step", rep["step_sup_dev"], TOL_FUN),
+        _leq("schur_omega_at_zero", rep["omega_zero_dev"], TOL_ALG),
     ]
 
 
-def check_cmv(R, seq, cfg, ns=(0, 1)):
+def check_cmv(R, seq, cfg):
     """Unitarity of both boundary policies plus Gram/CMV entry agreement.
 
     Unitarity puts the spectrum on the circle: E = U*U - I has bandwidth
@@ -155,13 +161,13 @@ def check_cmv(R, seq, cfg, ns=(0, 1)):
         return pair.K if kind == "K" else pair.Ktilde
 
     entry_dev = 0.0
-    for n in ns:
+    for n in (0, 1):
         basis = {idx: basis_vector(idx) for idx in range(2 * n - 1, 2 * n + 3)}
         for col in (2 * n, 2 * n + 1):
             moved = shift(basis[col], 1)
             entry_dev = max(entry_dev, *(abs(inner_product(moved, vec) - U0.entry(row, col))
                                          for row, vec in basis.items()))
-    out.append(_leq("cmv_entries_match_gram", entry_dev, cfg.tol_fun))
+    out.append(_leq("cmv_entries_match_gram", entry_dev, TOL_FUN))
     return out
 
 
@@ -180,31 +186,39 @@ def check_roundtrip(R, cfg):
     ]
 
 
-def check_spectral(R, cfg, ns=(0, 1), kmax=4):
-    """Density moments by `spectral.moment_check`; sigma recursion."""
+def check_spectral(R, cfg):
+    """Density moments by `spectral.moment_check` at levels 0 and 1; sigma recursion."""
     moment_dev = 0.0
-    for n in ns:
+    for n in (0, 1):
         dens = spectral.spectral_density(R, n, cfg)
         tagged = [dens]
-        if n == ns[0]:
+        if n == 0:
             alpha = alpha_from_defects(converged_defect_pair(R, n, n, cfg))
             tagged.append(spectral.change_basis_density(dens, alpha))
         for d in tagged:
             moment_dev = max(moment_dev,
-                             spectral.moment_check(d, R, kmax, cfg)["max_abs_dev"])
+                             spectral.moment_check(d, R, 4, cfg)["max_abs_dev"])
     rec_dev = max(spectral.sigma_recursion_check(R, j, cfg) for j in (0, 1))
     return [
-        _leq("spectral_moments_match_cmv", moment_dev, cfg.tol_fun),
-        _leq("sigma_recursion", rec_dev, cfg.tol_fun),
+        _leq("spectral_moments_match_cmv", moment_dev, TOL_FUN),
+        _leq("sigma_recursion", rec_dev, TOL_FUN),
     ]
 
 
 def check_oracle(R, seq, cfg):
-    """Oracle agreement of seq on its whole window [-J, J] and of generator inner products."""
+    """Oracle agreement of seq on its whole window [-J, J] and of generator inner products.
+
+    The oracle's union frame starts where `union_verblunsky`'s does, at
+    N0 = max(section_start, J + d) with d R's Fourier reach: a smaller
+    frame can miss the coupling of level -J and decouple, as a per-level
+    section can, and then agree with the per-level route's error.
+    """
     J = min(-seq.lo, seq.hi)
+    N0 = union_verblunsky(R, J, cfg).diagnostics["N0"]
     Q = oracle.quadrature_space(R, cfg.oversample)
-    rep = oracle.compare_with_fast_path(R, Q, J, cfg.section_start, cfg, seq)
-    out = [_leq("oracle_alpha_agreement", rep["max_alpha_dev"], cfg.tol_fun)]
+    rep = oracle.compare_with_fast_path(R, Q, J, N0, cfg, seq)
+    out = [_leq("oracle_alpha_agreement", rep["max_alpha_dev"], TOL_FUN),
+           _leq("oracle_a0_agreement", rep["max_a0_dev"], TOL_FUN, "levels -J..J+1")]
     # quadrature Gram of g'_0, g'_2, g''_1, g''_3: identity within each family,
     # cross entries <g'_k, g''_l> = c_{-(k+l)}
     ks, ls = (0, 2), (1, 3)
@@ -216,17 +230,16 @@ def check_oracle(R, seq, cfg):
     return out
 
 
-def run_full_suite(R, cfg, heavy=True):
+def run_full_suite(R, cfg):
     """All invariant checks for one input; returns a list of CheckResult.
 
     The checks share one `section_memo()` block, released on return or
     raise, so each union frame (J, N) is factored and each level's
     section (n + m, N) solved once per suite. Both are done before the
     first check: the union frames of every roundtrip rung that R's
-    Fourier tail picks (`scattering.rung_sequences`), top rung first, or
-    of cfg.levels alone in the light suite, then the per-level sections
-    of cfg.levels' window only, since the roundtrip reads its rungs off
-    the union frames.
+    Fourier tail picks (`scattering.rung_sequences`), top rung first,
+    then the per-level sections of cfg.levels' window only, since the
+    roundtrip reads its rungs off the union frames.
     """
     rep = R.szego
     results = [CheckResult("szego_condition", rep.passes and rep.margin >= cfg.margin_min,
@@ -240,10 +253,7 @@ def run_full_suite(R, cfg, heavy=True):
         # every roundtrip rung go top rung first, so a rung that cannot
         # converge fails at once; the per-level sections only for cfg.levels'
         # window, which check_verblunsky and the checks near level 0 read
-        if heavy:
-            scattering.rung_sequences(R, cfg)
-        else:
-            union_verblunsky(R, cfg.levels, cfg)
+        scattering.rung_sequences(R, cfg)
         solve_levels(R, cfg.levels, cfg)
         results += check_gram_structure(R, cfg)
         seq = inverse_scattering(R, cfg.levels, cfg)
@@ -253,7 +263,6 @@ def run_full_suite(R, cfg, heavy=True):
         results += check_schur(R, seq, cfg)
         results += check_cmv(R, seq, cfg)
         results += check_spectral(R, cfg)
-        if heavy:
-            results += check_roundtrip(R, cfg)
-            results += check_oracle(R, seq, cfg)
+        results += check_roundtrip(R, cfg)
+        results += check_oracle(R, seq, cfg)
     return results

@@ -148,7 +148,7 @@ def cmd_spectrum(args):
 def cmd_check(args):
     cfg = _config_from(args)
     R = _load_input(args, cfg)
-    results = run_full_suite(R, cfg, heavy=not args.light)
+    results = run_full_suite(R, cfg)
     report = {
         "all_passed": all(r.passed for r in results),
         "checks": [r.as_dict() for r in results],
@@ -216,8 +216,6 @@ def build_parser():
     p = sub.add_parser("check", help="full invariant suite and oracle comparison")
     p.add_argument("--input", help="scattering function file")
     p.add_argument("--family", help="built-in input family spec")
-    p.add_argument("--light", action="store_true",
-                   help="skip the roundtrip and oracle comparisons")
     _add_common(p, *_FLAGS)
     p.set_defaults(func=cmd_check)
 

@@ -3,8 +3,19 @@
 Numerical parameters only. Where output goes and in which format are
 CLI flags (`--out`, `--format`), and so is the `dump-matrix` edge
 policy (`--boundary`); no field switches a certificate of `check` off.
-The matrix window W and the wandering depth are no fields either: they
-follow from the coefficient window (`scattering.minimal_window`).
+The bounds `check` holds its entries to are the constants below, not
+fields. The matrix window W and the wandering depth are no fields
+either: they follow from the coefficient window
+(`scattering.minimal_window`). The fields that remain are:
+
+- `grid_size` and `levels`, the input grid M and the level window J;
+- `section_start`, `section_cap`, `section_tol` and `oversample`, solver
+  parameters: where section doubling starts, where it gives up, when
+  it has converged, and the oracle's quadrature grid relative to M;
+- `tol_roundtrip`, the accuracy target of the roundtrip: it picks the
+  top level window J (`scattering.rung_sequences`), and `check` holds
+  the roundtrip error to it;
+- `margin_min`, the input guard: R must keep sup |R| <= 1 - margin_min.
 """
 
 import dataclasses
@@ -15,6 +26,11 @@ from dataclasses import dataclass
 from .errors import InputError
 from .fileio import load_json_object
 
+# the fixed bounds of `check`
+TOL_ALG = 1e-8   # identities between two readings of the same coefficients
+TOL_FUN = 1e-6   # agreement of function values, moments and the oracle
+TAIL_TOL = 1e-6  # sum of |alpha_j|^2 over the top quarter of the window
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -23,11 +39,8 @@ class RunConfig:
     section_start: int = 32      # N doubling start
     section_cap: int = 512
     section_tol: float = 1e-9
-    tol_alg: float = 1e-8
-    tol_fun: float = 1e-6
     tol_roundtrip: float = 1e-3
     margin_min: float = 1e-3
-    tail_tol: float = 1e-6
     oversample: int = 4
 
     def __post_init__(self):

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import CircleGrid, require_szego, synthesize
+from .config import TOL_FUN
 from .errors import DomainError, ResolutionError
 from .verblunsky import VerblunskySequence
 
@@ -179,18 +180,21 @@ def oracle_verblunsky(R, J, N, Q):
 def compare_with_fast_path(R, Q, J, N, cfg, fast_seq):
     """Agreement report between oracle and fast-path coefficients on [-J, J].
 
-    Q is R's quadrature space at cfg.oversample. Reruns the oracle at
-    doubled oversampling when the first pass disagrees beyond tol_fun
-    (Richardson-style escalation).
+    Q is R's quadrature space at cfg.oversample. Compares alpha_j over
+    -J..J and the residual norms a0_j over -J..J+1; reruns the oracle at
+    doubled oversampling when the first pass disagrees beyond TOL_FUN in
+    either (Richardson-style escalation).
     """
-    osec = oracle_verblunsky(R, J, N, Q)
-    devs = [abs(osec.alpha(j) - fast_seq.alpha(j)) for j in range(-J, J + 1)]
-    max_dev = float(max(devs))
-    escalated = False
-    if max_dev > cfg.tol_fun:
-        Q8 = quadrature_space(R, 2 * cfg.oversample)
-        osec = oracle_verblunsky(R, J, N, Q8)
-        devs = [abs(osec.alpha(j) - fast_seq.alpha(j)) for j in range(-J, J + 1)]
-        max_dev = float(max(devs))
-        escalated = True
-    return {"max_alpha_dev": max_dev, "escalated_oversampling": escalated}
+    a0s = fast_seq.a0s[np.arange(-J, J + 2) - fast_seq.lo]
+
+    def deviations(Q):
+        osec = oracle_verblunsky(R, J, N, Q)
+        return (float(max(abs(osec.alpha(j) - fast_seq.alpha(j)) for j in range(-J, J + 1))),
+                float(np.max(np.abs(osec.a0s - a0s))))
+
+    alpha_dev, a0_dev = deviations(Q)
+    escalated = max(alpha_dev, a0_dev) > TOL_FUN
+    if escalated:
+        alpha_dev, a0_dev = deviations(quadrature_space(R, 2 * cfg.oversample))
+    return {"max_alpha_dev": alpha_dev, "max_a0_dev": a0_dev,
+            "escalated_oversampling": escalated}

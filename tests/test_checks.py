@@ -8,7 +8,7 @@ import pytest
 
 from cmvscat import CircleGrid, checks, lrspace, oracle, spectral, verblunsky
 from cmvscat.checks import run_full_suite
-from cmvscat.config import RunConfig
+from cmvscat.config import TOL_FUN, RunConfig
 from cmvscat.families import from_string, random_trig
 from cmvscat.lrspace import converged_defect_pair
 from cmvscat.verblunsky import alpha_from_defects, inverse_scattering
@@ -65,11 +65,13 @@ def test_suite_solves_each_section_once(r_smooth, small_cfg, solved, unions):
     assert len(solved) == len(set(solved))
 
 
-@pytest.mark.parametrize("heavy", [True, False])
-def test_suite_solves_before_it_reads(r_smooth, small_cfg, solved, unions, monkeypatch,
-                                     heavy):
+@pytest.mark.parametrize("two_rungs", [True, False])
+def test_suite_solves_before_it_reads(r_smooth, grid, small_cfg, solved, unions,
+                                      monkeypatch, two_rungs):
     # every section is solved and every union frame factored in the up-front
-    # pass; the checks only read the memo
+    # pass; the checks only read the memo. The degree-6 input needs roundtrip
+    # rungs J = 6 and 12, a degree-4 one only J = 6
+    R = r_smooth if two_rungs else random_trig(grid, degree=4, margin=0.25, seed=7)
     at_first_check = []
     original = checks.check_gram_structure
 
@@ -78,9 +80,10 @@ def test_suite_solves_before_it_reads(r_smooth, small_cfg, solved, unions, monke
         return original(*args, **kwargs)
 
     monkeypatch.setattr(checks, "check_gram_structure", marking)
-    run_full_suite(r_smooth, small_cfg, heavy=heavy)
+    run_full_suite(R, small_cfg)
     assert at_first_check == [(len(solved), len(unions))]
-    assert len(solved) > 0 and len(unions) > 0
+    assert len(solved) > 0
+    assert {J for J, _ in unions} == ({6, 12} if two_rungs else {6})
 
 
 @pytest.fixture
@@ -131,7 +134,7 @@ def test_anchor_suite_solve_count(solved, unions, monkeypatch):
 
 
 def test_memo_released_after_return(r_smooth, small_cfg, solved):
-    run_full_suite(r_smooth, small_cfg, heavy=False)
+    run_full_suite(r_smooth, small_cfg)
     del solved[:]
     converged_defect_pair(r_smooth, 0, 0, small_cfg)
     converged_defect_pair(r_smooth, 0, 0, small_cfg)
@@ -145,7 +148,7 @@ def test_memo_released_after_raise(r_smooth, small_cfg, solved, monkeypatch):
 
     monkeypatch.setattr(checks, "check_cmv", fail)
     with pytest.raises(RuntimeError):
-        run_full_suite(r_smooth, small_cfg, heavy=False)
+        run_full_suite(r_smooth, small_cfg)
     del solved[:]
     converged_defect_pair(r_smooth, 0, 0, small_cfg)
     converged_defect_pair(r_smooth, 0, 0, small_cfg)
@@ -199,7 +202,7 @@ def test_suite_leaves_no_cycle_through_input(small_cfg):
     ref = weakref.ref(R)
     gc.disable()
     try:
-        run_full_suite(R, small_cfg, heavy=False)
+        run_full_suite(R, small_cfg)
         del R
         assert ref() is None
     finally:
@@ -213,13 +216,35 @@ def test_oracle_compares_within_a_narrow_window(r_smooth, small_cfg):
     seq = inverse_scattering(r_smooth, cfg.levels, cfg)
     result = checks.check_oracle(r_smooth, seq, cfg)[0]
     assert result.name == "oracle_alpha_agreement"
-    assert result.value <= cfg.tol_fun
+    assert result.value <= TOL_FUN
+
+
+def test_oracle_runs_at_the_union_start(small_cfg, monkeypatch):
+    # R = 0.5 tbar^40: level -6 couples only with g''_47. At section_start 16
+    # the oracle's frame decouples like the per-level sections and agrees
+    # with their a0 = 1.0 exactly; at the union route's N0 = J + d = 46 it
+    # reads sqrt(0.75) and flags them, at twice the oversampling as well
+    cfg = small_cfg
+    R = from_string("monomial,gamma=0.5,k=40", CircleGrid(cfg.grid_size))
+    seq = inverse_scattering(R, cfg.levels, cfg)
+    Q = oracle.quadrature_space(R, cfg.oversample)
+    at_start = oracle.compare_with_fast_path(R, Q, cfg.levels, cfg.section_start, cfg, seq)
+    assert at_start["max_a0_dev"] == 0.0
+    frames = []
+    original = oracle.oracle_verblunsky
+    monkeypatch.setattr(oracle, "oracle_verblunsky",
+                        lambda R, J, N, Q: frames.append(N) or original(R, J, N, Q))
+    result = {r.name: r for r in checks.check_oracle(R, seq, cfg)}
+    assert frames == [46, 46]
+    a0 = result["oracle_a0_agreement"]
+    assert not a0.passed and abs(a0.value - (1.0 - np.sqrt(0.75))) <= 1e-15
+    assert result["oracle_alpha_agreement"].passed
 
 
 def test_spectral_entry_is_the_worst_moment_check(r_smooth, small_cfg):
     # the suite's entry is moment_check's deviation, maximized over the
     # densities check_spectral reads: both tags at level 0, the diagonal at 1
-    suite = {r.name: r.value for r in run_full_suite(r_smooth, small_cfg, heavy=False)}
+    suite = {r.name: r.value for r in run_full_suite(r_smooth, small_cfg)}
     cfg, R = small_cfg, r_smooth
     dens0 = spectral.spectral_density(R, 0, cfg)
     alpha = alpha_from_defects(converged_defect_pair(R, 0, 0, cfg))

@@ -17,7 +17,7 @@ import cmvscat
 from cmvscat import fileio
 from cmvscat.circle import CircleGrid
 from cmvscat.cli import main
-from cmvscat.config import RunConfig
+from cmvscat.config import TAIL_TOL, RunConfig
 from cmvscat.errors import InputError
 from cmvscat.families import from_string
 from cmvscat.verblunsky import VerblunskySequence
@@ -289,9 +289,11 @@ _GUARD_VALUES = {("inverse", "grid"): 512, ("inverse", "levels"): 3,
                  ("spectrum", "grid"): 512, ("spectrum", "levels"): 1,
                  ("check", "grid"): 512, ("check", "levels"): 3,
                  ("dump-matrix", "window"): 8}
+# check runs one suite at fixed bounds, so it has no --light either
 _DROPPED = [(command, flag) for command in ACCEPTS
             for flag in ("grid", "levels", "window", "depth")
-            if flag not in ACCEPTS[command]] + [("dump-matrix", "config")]
+            if flag not in ACCEPTS[command]] + [("dump-matrix", "config"),
+                                                 ("check", "light")]
 
 
 @pytest.fixture(scope="module")
@@ -392,11 +394,14 @@ def test_cli_roundtrip_report(tmp_path):
 @pytest.mark.parametrize("key, value", [("out", "x.json"), ("fmt", "csv"),
                                         ("check_splits", False),
                                         ("boundary", "decoupled"),
-                                        ("cmv_window", 128), ("depth", 32)])
+                                        ("cmv_window", 128), ("depth", 32),
+                                        ("tol_alg", 1.0), ("tol_fun", 1.0),
+                                        ("tail_tol", 1.0)])
 def test_cli_config_rejects_output_keys(tmp_path, capsys, key, value):
     # where output goes, its format and the dump-matrix edge policy are
-    # flags, no field can switch a certificate off, and the matrix window
-    # and wandering depth follow from the coefficient window
+    # flags, no field can switch a certificate off (the bounds of check are
+    # fixed), and the matrix window and wandering depth follow from the
+    # coefficient window
     cfg_path = _write(tmp_path, "cfg.json", json.dumps({key: value}))
     code = main(["inverse", "--family", "zero", "--config", cfg_path,
                  "--out", str(tmp_path / "a.json")] + FAST)
@@ -415,7 +420,7 @@ _BAD_FILES = [
     ("bool for int", '{"levels": true}', "levels"),
     ("string for float", '{"section_tol": "1e-9"}', "section_tol"),
     ("NaN tolerance", '{"section_tol": NaN}', "section_tol"),
-    ("infinite tolerance", '{"tol_alg": Infinity}', "tol_alg"),
+    ("infinite tolerance", '{"section_tol": Infinity}', "section_tol"),
     ("oversample not a power of two", '{"oversample": 3}', "oversample"),
     ("missing input", "", "nope.json"),
     ("input not an object", "", "list.json"),
@@ -627,7 +632,7 @@ def test_cli_spectrum_solves_each_section_once(tmp_path, monkeypatch):
 def test_cli_check_passes(tmp_path):
     out = str(tmp_path / "check.json")
     code = main(
-        ["check", "--family", "monomial,gamma=0.5,k=1", "--light", "--out", out]
+        ["check", "--family", "monomial,gamma=0.5,k=1", "--out", out]
         + FAST_FOR["check"]
     )
     assert code == 0
@@ -704,7 +709,7 @@ def test_every_config_field_is_read():
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     fields = [f.name for f in dataclasses.fields(RunConfig)]
-    assert len(fields) == 11
+    assert len(fields) == 8
     assert [name for name in fields if name not in read] == []
 
 
@@ -733,7 +738,7 @@ def test_cli_config_rejects_undoublable_sections(tmp_path, capsys):
         RunConfig(section_start=64, section_cap=127)
 
 
-@pytest.mark.parametrize("command", [["check"], ["check", "--light"], ["inverse"]])
+@pytest.mark.parametrize("command", [["check"], ["roundtrip"], ["inverse"]])
 def test_cli_config_rejects_oversample_off_power_of_two(tmp_path, capsys, command):
     # the quadrature grid is M * oversample: the key is refused by name
     # before any command reads it, not as a grid size the user never set
@@ -806,15 +811,30 @@ def test_cli_check_flags_the_per_level_route_past_its_reach(tmp_path):
     # R = 0.5 tbar^100 at the defaults: level -16 couples only with g''_117.
     # The union route starts at N0 = J + d = 116 and reads a0 = sqrt(0.75);
     # the per-level route still stops on two decoupled sections at N = 64
-    # and reads a0 = 1.0, and that entry alone fails
+    # and reads a0 = 1.0. The oracle's frame starts at the same N0 and reads
+    # sqrt(0.75) too, so the union entry and the oracle's a0 entry fail
     out = str(tmp_path / "check.json")
     code = main(["check", "--family", "monomial,gamma=0.5,k=100", "--out", out])
     assert code == 3
     checks = {c["name"]: c for c in json.loads(open(out).read())["checks"]}
     assert [name for name, c in checks.items() if not c["passed"]] == [
-        "alpha_union_matches_per_level"]
-    assert abs(checks["alpha_union_matches_per_level"]["value"]
-               - (1.0 - np.sqrt(0.75))) <= 1e-15
+        "alpha_union_matches_per_level", "oracle_a0_agreement"]
+    for name in ("alpha_union_matches_per_level", "oracle_a0_agreement"):
+        assert abs(checks[name]["value"] - (1.0 - np.sqrt(0.75))) <= 1e-15
+
+
+def test_cli_check_bounds_take_no_config(tmp_path, capsys):
+    # the bounds of check are fixed: a config that would loosen one, here
+    # enough to pass the input above, is refused by name before any solve
+    cfg_path = _write(tmp_path, "cfg.json", json.dumps({"tol_alg": 1.0}))
+    out = tmp_path / "check.json"
+    code = main(["check", "--family", "monomial,gamma=0.5,k=100", "--config", cfg_path,
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "unknown config keys: ['tol_alg']" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_check_chooses_its_roundtrip_window(tmp_path):
@@ -829,7 +849,7 @@ def test_cli_check_chooses_its_roundtrip_window(tmp_path):
 
 
 @pytest.mark.parametrize("command", [["inverse"], ["spectrum", "--levels", "0"],
-                                     ["spectrum", "--levels", "100"], ["check", "--light"],
+                                     ["spectrum", "--levels", "100"], ["check", "--levels", "100"],
                                      ["check"], ["roundtrip"]])
 def test_cli_conditioning_floor_refuses_every_command(tmp_path, capsys, command):
     # finding G's input, sup |R| = 1 - 1e-13 let past margin_min 1e-15: the
@@ -847,16 +867,18 @@ def test_cli_conditioning_floor_refuses_every_command(tmp_path, capsys, command)
 
 def test_cli_check_light_flags_decoupled_levels(tmp_path):
     # finding A's input: at section_start 8 the per-level route certifies
-    # alpha = 0 at levels -24..-21, 5.0e-4 off; the union route does not
+    # alpha = 0 at levels -24..-21, 5.0e-4 off (a0 9.0e-2 off); neither the
+    # union route nor the oracle at the union start N0 = J + d = 28 does
     cfg_path = _write(tmp_path, "cfg.json", json.dumps(
         {"grid_size": 256, "levels": 24, "section_start": 8, "section_cap": 128}))
     out = str(tmp_path / "check.json")
-    code = main(["check", "--light", "--family", "random,degree=4,margin=0.2,seed=0",
+    code = main(["check", "--family", "random,degree=4,margin=0.2,seed=0",
                  "--config", cfg_path, "--out", out])
     assert code == 3
     checks = {c["name"]: c for c in json.loads(open(out).read())["checks"]}
-    union = checks["alpha_union_matches_per_level"]
-    assert not union["passed"] and union["value"] > 1e-4
+    for name in ("alpha_union_matches_per_level", "oracle_alpha_agreement",
+                 "oracle_a0_agreement"):
+        assert not checks[name]["passed"] and checks[name]["value"] > 1e-4
 
 
 def test_cli_direct_boundary_follows_config(tmp_path):
@@ -918,7 +940,7 @@ def test_cli_check_tail_reads_configured_window(tmp_path, family):
     out = str(tmp_path / "check.json")
     assert main(["check", "--family", family, "--out", out]) == 0
     checks = {c["name"]: c for c in json.loads(open(out).read())["checks"]}
-    assert checks["alpha_tail_square_sum"]["value"] <= RunConfig().tail_tol
+    assert checks["alpha_tail_square_sum"]["value"] <= TAIL_TOL
 
 
 def test_cli_direct_refuses_window_without_moments(tmp_path, capsys):
@@ -1016,7 +1038,7 @@ def test_cli_readme_check_example_passes(tmp_path):
     assert checks["roundtrip_sup_error"]["value"] <= 1e-14
 
 
-@pytest.mark.parametrize("command", [["roundtrip"], ["check", "--light"]])
+@pytest.mark.parametrize("command", [["roundtrip"], ["check"]])
 def test_cli_refuses_family_outside_grid_window(tmp_path, capsys, command):
     # k = 5000 lies outside [-127, 128] at M = 256; it used to fold onto an
     # aliased bin, and roundtrip exited 0 with sup error 0.5

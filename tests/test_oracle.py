@@ -140,7 +140,7 @@ def test_oracle_agrees_with_fast_path(small_cfg):
 
 
 def test_disagreement_escalates_oversampling(small_cfg, monkeypatch):
-    # one fast alpha moved by 1e-3: the first pass disagrees beyond tol_fun,
+    # one fast alpha moved by 1e-3: the first pass disagrees beyond TOL_FUN,
     # so the oracle reruns at twice the oversampling and still reports it
     R = random_trig(CircleGrid(small_cfg.grid_size), degree=6, margin=0.2, seed=21)
     seq = inverse_scattering(R, 4, small_cfg)
@@ -156,7 +156,8 @@ def test_disagreement_escalates_oversampling(small_cfg, monkeypatch):
     assert rep["escalated_oversampling"] is True
     assert grids == [2 * small_cfg.oversample]
     assert abs(rep["max_alpha_dev"] - 1e-3) <= 1e-12
-    assert set(rep) == {"max_alpha_dev", "escalated_oversampling"}
+    assert rep["max_a0_dev"] <= 1e-12
+    assert set(rep) == {"max_alpha_dev", "max_a0_dev", "escalated_oversampling"}
 
 
 def _union_gram(R, J, N=8):

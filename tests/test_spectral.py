@@ -12,6 +12,7 @@ from cmvscat import (
     sigma_recursion_check,
     spectral_density,
 )
+from cmvscat.config import TOL_FUN
 from cmvscat.errors import DomainError
 from cmvscat.families import from_string
 from cmvscat.spectral import (
@@ -113,7 +114,7 @@ def test_moment_check_reads_levels_outside_the_window(r_smooth, small_cfg):
         for d in (dens, change_basis_density(dens, alpha)):
             rep = moment_check(d, r_smooth, 4, cfg)
             assert sorted(rep["per_k"]) == list(range(-4, 5))
-            assert rep["max_abs_dev"] <= cfg.tol_fun, (n, d.pair_tag)
+            assert rep["max_abs_dev"] <= TOL_FUN, (n, d.pair_tag)
 
 
 def test_moment_check_refuses_unknown_tag(r_smooth, small_cfg):

@@ -11,6 +11,7 @@ from cmvscat import (
     schur_step,
 )
 from cmvscat import CircleGrid, RunConfig, oracle_verblunsky, quadrature_space
+from cmvscat.config import TAIL_TOL, TOL_ALG
 from cmvscat.errors import ConvergenceError, DomainError, InputError, ResolutionError
 from cmvscat.families import from_string
 from cmvscat.lrspace import converged_defect_pair
@@ -80,7 +81,7 @@ def test_inverse_scattering_tail_summability(grid, small_cfg):
     seq = inverse_scattering(R, small_cfg.levels, small_cfg)
     asq = np.abs(seq.alphas) ** 2
     tail = np.sum(asq[-max(1, len(asq) // 4):])
-    assert tail < small_cfg.tail_tol
+    assert tail < TAIL_TOL
 
 
 def test_inverse_scattering_requires_margin(grid, small_cfg):
@@ -95,7 +96,7 @@ def test_inverse_scattering_requires_margin(grid, small_cfg):
 
 def test_split_invariance(r_smooth, small_cfg):
     seq = inverse_scattering(r_smooth, 3, small_cfg)
-    assert split_deviation(r_smooth, seq, small_cfg) <= small_cfg.tol_alg
+    assert split_deviation(r_smooth, seq, small_cfg) <= TOL_ALG
 
 
 @pytest.mark.parametrize("spec", ["random,degree=4,margin=0.2,seed=0",  # anchor
@@ -340,6 +341,44 @@ def test_union_route_matches_the_oracle_past_the_section_start():
     assert np.max(np.abs(union.a0s - RHO)) <= 1e-15
     per_level = inverse_scattering(R, 16, cfg)
     assert abs(np.max(np.abs(per_level.a0s - union.a0s)) - (1 - RHO)) <= 1e-15
+
+
+def _union_doubled_from_start(R, J, cfg):
+    """union_factor's readout doubled from section_start until it converges.
+
+    The convergence test of `union_verblunsky` (alpha on -J..J, a0 on
+    -J..J+1, change below section_tol) without its reach start.
+    """
+    from cmvscat.verblunsky import union_factor
+
+    N = cfg.section_start
+    prev = union_factor(R, J, N)
+    while 2 * N <= cfg.section_cap:
+        N *= 2
+        cur = union_factor(R, J, N)
+        change = max(np.max(np.abs(cur[0][:-1] - prev[0][:-1])),
+                     np.max(np.abs(cur[1] - prev[1])))
+        if change < cfg.section_tol:
+            return cur
+        prev = cur
+    raise AssertionError(f"no convergence from section_start at J = {J}")
+
+
+@pytest.mark.parametrize("J", [16, 64])
+@pytest.mark.parametrize("spec", ["random,degree=8,margin=0.2,seed=3", "blaschke,r=0.8"])
+def test_union_reach_start_matches_doubling_from_section_start(spec, J):
+    # finding I at Tier-1 scale: the start J + d is a cost choice, not an
+    # accuracy one. From N0 = max(section_start, J + d) the doubling reads the
+    # same alpha and a0 as from section_start, within 1e-15; at J = 64 it
+    # stops at N = 144 instead of 256 on the degree-8 input and at 190
+    # instead of 128 on the Blaschke one (d = 31)
+    cfg = RunConfig()
+    R = from_string(spec, CircleGrid(cfg.grid_size))
+    seq = union_verblunsky(R, J, cfg)
+    alphas, a0s = _union_doubled_from_start(R, J, cfg)
+    assert seq.diagnostics["N0"] == max(cfg.section_start, J + seq.diagnostics["d"])
+    assert np.max(np.abs(seq.alphas - alphas[:-1])) <= 1e-15
+    assert np.max(np.abs(seq.a0s - a0s)) <= 1e-15
 
 
 def test_union_route_refuses_an_index_off_the_grid():
