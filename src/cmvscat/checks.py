@@ -10,10 +10,10 @@ relabelling (a split is only an index label). The second routes are
 library calls: the window's coefficients from one union-frame Cholesky
 factor (`verblunsky.union_verblunsky`, which also serves the roundtrip),
 density moments from `spectral.moment_check` (the CMV matrix of the
-alpha_j), generator inner products from `oracle.quadrature_gram`, and
-the window's coefficients again from the oracle's own union frame, which
-starts where the union route's does. The CLI `check` command and the
-acceptance tests both run these.
+union frame's alpha_j), generator inner products from
+`oracle.quadrature_gram`, and the window's coefficients again from the
+oracle's own union frame, which starts where the union route's does.
+The CLI `check` command and the acceptance tests both run these.
 
 The bounds are fixed: `config.TOL_ALG`, `TOL_FUN` and `TAIL_TOL`, or a
 literal where an entry has a bound of its own; so are the levels each
@@ -120,7 +120,7 @@ def check_verblunsky(R, seq, cfg):
 
 def check_union(R, seq, cfg):
     """The per-level coefficients of seq against the union-frame route on its window."""
-    union = union_verblunsky(R, seq.hi, cfg)
+    union = union_verblunsky(R, seq.lo, seq.hi, cfg)
     dev = max(np.max(np.abs(union.alphas - seq.alphas)),
               np.max(np.abs(union.a0s - seq.a0s)))
     return [_leq("alpha_union_matches_per_level", dev, TOL_ALG,
@@ -187,7 +187,15 @@ def check_roundtrip(R, cfg):
 
 
 def check_spectral(R, cfg):
-    """Density moments by `spectral.moment_check` at levels 0 and 1; sigma recursion."""
+    """Density moments by `spectral.moment_check` at levels 0 and 1; sigma recursion.
+
+    The densities come from the per-level defect pairs, the coefficients of
+    U from the union frame: the kmax = 4 moments read levels -5..5, inside
+    the first roundtrip rung's window when cfg.levels >= 5, whose frames the
+    suite has factored already.
+    """
+    J = max(cfg.levels, 5)
+    seq = union_verblunsky(R, -J, J, cfg)
     moment_dev = 0.0
     for n in (0, 1):
         dens = spectral.spectral_density(R, n, cfg)
@@ -196,8 +204,7 @@ def check_spectral(R, cfg):
             alpha = alpha_from_defects(converged_defect_pair(R, n, n, cfg))
             tagged.append(spectral.change_basis_density(dens, alpha))
         for d in tagged:
-            moment_dev = max(moment_dev,
-                             spectral.moment_check(d, R, 4, cfg)["max_abs_dev"])
+            moment_dev = max(moment_dev, spectral.moment_check(d, seq, 4)["max_abs_dev"])
     rec_dev = max(spectral.sigma_recursion_check(R, j, cfg) for j in (0, 1))
     return [
         _leq("spectral_moments_match_cmv", moment_dev, TOL_FUN),
@@ -214,7 +221,7 @@ def check_oracle(R, seq, cfg):
     section can, and then agree with the per-level route's error.
     """
     J = min(-seq.lo, seq.hi)
-    N0 = union_verblunsky(R, J, cfg).diagnostics["N0"]
+    N0 = union_verblunsky(R, -J, J, cfg).diagnostics["N0"]
     Q = oracle.quadrature_space(R, cfg.oversample)
     rep = oracle.compare_with_fast_path(R, Q, J, N0, cfg, seq)
     out = [_leq("oracle_alpha_agreement", rep["max_alpha_dev"], TOL_FUN),
@@ -234,12 +241,13 @@ def run_full_suite(R, cfg):
     """All invariant checks for one input; returns a list of CheckResult.
 
     The checks share one `section_memo()` block, released on return or
-    raise, so each union frame (J, N) is factored and each level's
+    raise, so each union frame (lo, hi, N) is factored and each level's
     section (n + m, N) solved once per suite. Both are done before the
     first check: the union frames of every roundtrip rung that R's
     Fourier tail picks (`scattering.rung_sequences`), top rung first,
     then the per-level sections of cfg.levels' window only, since the
-    roundtrip reads its rungs off the union frames.
+    roundtrip and, at cfg.levels >= 5, the moment checks read their
+    coefficients off the union frames.
     """
     rep = R.szego
     results = [CheckResult("szego_condition", rep.passes and rep.margin >= cfg.margin_min,

@@ -18,8 +18,9 @@ from .circle import CircleGrid
 from .config import RunConfig
 from .errors import INPUT_ERRORS, NUMERICAL_ERRORS, InputError
 from .families import from_string
-from .lrspace import section_memo
-from .verblunsky import convergence_report, inverse_scattering, split_deviation
+from .verblunsky import (
+    convergence_report, inverse_scattering, split_deviation, union_verblunsky,
+)
 from .checks import run_full_suite
 
 EXIT_OK = 0
@@ -133,10 +134,13 @@ def cmd_spectrum(args):
     n = args.level
     cfg = _config_from(args)
     R = _load_input(args, cfg)
-    with section_memo():  # moment_check reads the density level's section again
-        dens = spectral.spectral_density(R, n, cfg)
-        _emit(fileio.save_density_csv(dens), args.out)
-        rep = spectral.moment_check(dens, R, kmax=4, cfg=cfg)
+    # the kmax = 4 moments of the density at n read levels a - 4 .. a + 4,
+    # a = 2n - 1, off one union frame; a refusal comes before any output
+    a = 2 * n - 1
+    seq = union_verblunsky(R, a - 4, a + 4, cfg)
+    dens = spectral.spectral_density(R, n, cfg)
+    _emit(fileio.save_density_csv(dens), args.out)
+    rep = spectral.moment_check(dens, seq, kmax=4)
     rep["log_det"] = spectral.log_det_diagnostic(dens)
     if args.report:
         _emit(fileio.save_report(rep), args.report)

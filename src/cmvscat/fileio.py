@@ -5,7 +5,6 @@ timestamps) so identical inputs give byte-identical outputs.
 """
 
 import csv
-import io
 import json
 
 import numpy as np
@@ -141,48 +140,45 @@ def load_alphas(path):
     return VerblunskySequence(lo, alphas, a0s)
 
 
+def _pairs(z):
+    """[re, im] lists of a complex array, as JSON writes them."""
+    z = np.asarray(z, dtype=complex)
+    return np.column_stack([z.real, z.imag]).tolist()
+
+
+def _csv_text(header, rows):
+    """CSV text of a header and rows of numbers, each written by repr, with
+    csv.writer's CRLF line ends."""
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
+    return "\r\n".join(lines) + "\r\n"
+
+
 def save_alphas(seq):
-    data = {"lo": int(seq.lo), "alphas": [_c2pair(a) for a in seq.alphas]}
+    data = {"lo": int(seq.lo), "alphas": _pairs(seq.alphas)}
     if seq.a0s is not None:
-        data["a0s"] = [float(a) for a in seq.a0s]
+        data["a0s"] = seq.a0s.tolist()
     return dumps(data)
 
 
 def save_reconstruction(zs, values, fmt="json"):
     if fmt == "json":
-        return dumps({"z": [_c2pair(z) for z in zs],
-                      "R": [_c2pair(v) for v in values]})
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["z_re", "z_im", "R_re", "R_im"])
-    for z, v in zip(zs, values):
-        w.writerow([repr(float(np.real(z))), repr(float(np.imag(z))),
-                    repr(float(np.real(v))), repr(float(np.imag(v)))])
-    return buf.getvalue()
+        return dumps({"z": _pairs(zs), "R": _pairs(values)})
+    z, v = np.asarray(zs, dtype=complex), np.asarray(values, dtype=complex)
+    return _csv_text(["z_re", "z_im", "R_re", "R_im"],
+                     np.column_stack([z.real, z.imag, v.real, v.imag]).tolist())
 
 
 def save_density_csv(density):
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(
-        ["theta", "re11", "im11", "re12", "im12", "re21", "im21", "re22", "im22"]
-    )
-    for th, m in zip(density.grid.theta, density.values):
-        row = [repr(float(th))]
-        for p in range(2):
-            for q in range(2):
-                row += [repr(float(m[p, q].real)), repr(float(m[p, q].imag))]
-        w.writerow(row)
-    return buf.getvalue()
+    # columns re, im of the entries 11, 12, 21, 22 in turn
+    vals = density.values.reshape(len(density.values), 4)
+    parts = np.stack([vals.real, vals.imag], axis=-1).reshape(len(vals), 8)
+    header = ["theta", "re11", "im11", "re12", "im12", "re21", "im21", "re22", "im22"]
+    return _csv_text(header, np.column_stack([density.grid.theta, parts]).tolist())
 
 
 def save_matrix_csv(entries):
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["row", "col", "re", "im"])
-    for i, j, v in entries:
-        w.writerow([i, j, repr(float(v.real)), repr(float(v.imag))])
-    return buf.getvalue()
+    return _csv_text(["row", "col", "re", "im"],
+                     [(i, j, v.real, v.imag) for i, j, v in entries])
 
 
 def _jsonable(value):

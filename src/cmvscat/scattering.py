@@ -202,7 +202,7 @@ def rung_sequences(R, cfg):
     out = []
     for J in reversed(levels):
         try:
-            out.append((J, union_verblunsky(R, J, cfg)))
+            out.append((J, union_verblunsky(R, -J, J, cfg)))
         except (ResolutionError, ConvergenceError) as exc:
             raise type(exc)(f"roundtrip rung J = {J} (Fourier tail "
                             f"{R.fourier_tail(J):.3e}): {exc}") from exc

@@ -8,7 +8,8 @@ So it is Hermitian nonnegative by construction up to rounding, and
 det Sigma = |det V|^2 det W = 1 - |R|^2 pointwise. Its exact moments are
 entries of powers of the CMV matrix built from the alpha_j
 (`moment_check`), which ties the spectral representation to the
-coefficients.
+coefficients: the density comes from one level's defect pair, the
+coefficients from the caller's route, usually the union frame.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import cmv
 from .circle import require_szego
-from .errors import DomainError, InconsistencyError
+from .errors import DomainError, InconsistencyError, InputError
 from .lrspace import converged_defect_pair, evaluate
 from .verblunsky import VerblunskySequence, alpha_from_defects, level_split
 
@@ -127,7 +128,7 @@ def density_moments(density, kmax):
     return out
 
 
-def moment_check(density, R, kmax, cfg):
+def moment_check(density, seq, kmax):
     """Quadrature moments of a density against V^H U^k V, |k| <= kmax.
 
     Multiplication by t is the CMV matrix U of the alpha_j in the defect
@@ -138,9 +139,9 @@ def moment_check(density, R, kmax, cfg):
     for `K-and-tKtilde`. Each factor of U = L M moves support by one index
     and reads the levels l of the blocks (l, l + 1) it meets, so, splitting
     its 2|k| factors in the middle, U^k on V over [a, a + 1] reads the
-    levels a - |k| .. a + |k|. Those levels are solved in one pass before
-    any alpha is read, and the zero-tail window holds the sweep's indices
-    a - 2 kmax .. a + 1 + 2 kmax.
+    levels a - |k| .. a + |k|. Those are sliced out of seq, which the
+    caller computes, so this solves no section; the zero-tail window
+    holds the sweep's indices a - 2 kmax .. a + 1 + 2 kmax.
 
     Returns
     -------
@@ -151,19 +152,24 @@ def moment_check(density, R, kmax, cfg):
     ------
     DomainError
         The density carries an unknown pair tag.
+    InputError
+        seq does not cover the levels a - kmax .. a + kmax.
     """
     n, tag = density.level, density.pair_tag
     if tag not in (PAIR_DIAGONAL, PAIR_NEXT):
         raise DomainError(f"unknown pair tag {tag!r}")
     a = 2 * n - 1 if tag == PAIR_DIAGONAL else 2 * n
-    pairs = [converged_defect_pair(R, *level_split(j), cfg)
-             for j in range(a - kmax, a + kmax + 1)]
-    seq = VerblunskySequence(a - kmax, [alpha_from_defects(p) for p in pairs])
-    U = cmv.build_cmv(seq, max(2, 2 * kmax - a, a + 1 + 2 * kmax), "zero-tail")
+    if seq.lo > a - kmax or seq.hi < a + kmax:
+        raise InputError(f"moments up to order {kmax} at level {n} read levels "
+                         f"[{a - kmax}, {a + kmax}]; the coefficients cover "
+                         f"[{seq.lo}, {seq.hi}]")
+    start = a - kmax - seq.lo
+    window = VerblunskySequence(a - kmax, seq.alphas[start:start + 2 * kmax + 1])
+    U = cmv.build_cmv(window, max(2, 2 * kmax - a, a + 1 + 2 * kmax), "zero-tail")
     V = np.zeros((U.dim, 2), dtype=complex)
     V[U.pos(2 * n), 0] = 1.0
     if tag == PAIR_DIAGONAL:
-        V[U.pos(a), 1], V[U.pos(2 * n), 1] = seq.rho(a), -np.conj(seq.alpha(a))
+        V[U.pos(a), 1], V[U.pos(2 * n), 1] = window.rho(a), -np.conj(window.alpha(a))
     else:
         V[U.pos(a + 1), 1] = 1.0
     exact = {0: V.conj().T @ V}

@@ -148,10 +148,10 @@ def inverse_scattering(R, J, cfg):
     return seq
 
 
-def union_factor(R, J, N):
-    """alpha_j and a0_j of levels -J..J+1 off one Cholesky factor of the union frame.
+def union_factor(R, lo, hi, N):
+    """alpha_j and a0_j of levels lo..hi+1 off one Cholesky factor of the union frame.
 
-    The frame [g''_N .. g''_2, g'_{J+1+N} .. g'_{-J}, g''_1] holds the
+    The frame [g''_N .. g''_2, g'_{hi+1+N} .. g'_{lo}, g''_1] holds the
     split-(j, 0) section of every level j, with N anti-analytic and at
     least N + 1 analytic generators. Its Gram G = L L^H: the diagonal
     entry L_pp at g'_j's position p is the distance from g'_j to the
@@ -165,10 +165,10 @@ def union_factor(R, J, N):
     outside R's resolved window or G does not factor, DegeneracyError
     when a residual falls below DEGENERACY_FLOOR.
     """
-    P = 2 * J + 2 + N  # analytic members
+    P = hi - lo + 2 + N  # analytic members
     n = P + N
-    # c_{-(k+l)} over every pair: -(J+1+2N) .. J-1
-    carr = R.coeff_range(-(J + 1 + 2 * N), J - 1)
+    # c_{-(k+l)} over every pair: -(hi+1+2N) .. -(lo+1)
+    carr = R.coeff_range(-(hi + 1 + 2 * N), -(lo + 1))
     G = np.zeros((n, n), dtype=complex, order="F")
     np.fill_diagonal(G, 1.0)
     # row g'_k, column g''_l (at position N - l): <g''_l, g'_k> = conj(c_{-(k+l)});
@@ -183,7 +183,7 @@ def union_factor(R, J, N):
         )
     ell = L[n - 1, :n - 1]
     s = np.concatenate(([0.0], np.cumsum(np.abs(ell) ** 2)))
-    pos = N - 1 + (J + 1 + N) - np.arange(-J, J + 2)  # g'_j's position
+    pos = N - 1 + (hi + 1 + N) - np.arange(lo, hi + 2)  # g'_j's position
     alphas = -ell[pos] / np.sqrt(1.0 - s[pos])
     a0s = L[pos, pos].real * np.sqrt(1.0 - np.abs(alphas) ** 2)
     if np.min(a0s) < DEGENERACY_FLOOR:
@@ -194,23 +194,23 @@ def union_factor(R, J, N):
     return alphas, a0s
 
 
-def union_verblunsky(R, J, cfg):
-    """Verblunsky coefficients of R over [-J, J] by the union frame (`union_factor`).
+def union_verblunsky(R, lo, hi, cfg):
+    """Verblunsky coefficients of R over [lo, hi] by the union frame (`union_factor`).
 
-    Doubles N from N0 = max(cfg.section_start, J + d) until every alpha_j
-    (levels -J..J) and a0_j (levels -J..J+1) changes by less than
-    cfg.section_tol, and returns the larger frame's readout. d, R's
-    Fourier reach, is the largest |k| with sum_{|i| >= |k|} |R_i| >=
-    cfg.section_tol (`fourier_tails`): level -J pairs with g''_l up to
-    about l = J + d, so a smaller frame misses the coupling, decouples
+    Doubles N from N0 = max(cfg.section_start, max(-lo, 0) + d) until
+    every alpha_j (levels lo..hi) and a0_j (levels lo..hi+1) changes by
+    less than cfg.section_tol, and returns the larger frame's readout. d,
+    R's Fourier reach, is the largest |k| with sum_{|i| >= |k|} |R_i| >=
+    cfg.section_tol (`fourier_tails`): a level j < 0 pairs with g''_l up
+    to about l = -j + d, so a smaller frame misses the coupling, decouples
     and reads an exact alpha = 0 that the doubling cannot tell from a
-    converged one. Inside a `section_memo()` block each (J, N) frame is
-    factored once.
+    converged one. Inside a `section_memo()` block each (lo, hi, N) frame
+    is factored once.
 
     Returns
     -------
     VerblunskySequence
-        a0s on -J..J+1; `diagnostics` carries "N", the frame size reached,
+        a0s on lo..hi+1; `diagnostics` carries "N", the frame size reached,
         next to "d" and "N0".
 
     Raises
@@ -225,18 +225,18 @@ def union_verblunsky(R, J, cfg):
     require_szego(R, cfg.margin_min)
 
     def readout(N):
-        return _memoized(R, ("union", J, N), lambda: union_factor(R, J, N))
+        return _memoized(R, ("union", lo, hi, N), lambda: union_factor(R, lo, hi, N))
 
     cap, tol = cfg.section_cap, cfg.section_tol
     d = max(int(np.count_nonzero(R.fourier_tails >= tol)) - 1, 0)
-    N0 = N = max(cfg.section_start, J + d)
+    N0 = N = max(cfg.section_start, max(-lo, 0) + d)
     if 2 * N0 > cap:
         raise ConvergenceError(
-            f"union frame over [{-J}, {J}] needs section size {2 * N0} > section_cap "
+            f"union frame over [{lo}, {hi}] needs section size {2 * N0} > section_cap "
             f"{cap}: R's Fourier reach d = {d} (tail >= {tol:.1e}) starts the "
-            f"doubling at N0 = J + d = {N0}"
+            f"doubling at N0 = max(-lo, 0) + d = {N0}"
         )
-    change = np.full(2 * J + 2, np.inf)
+    change = np.full(hi - lo + 2, np.inf)
     prev = readout(N)
     while 2 * N <= cap:
         N *= 2
@@ -244,11 +244,11 @@ def union_verblunsky(R, J, cfg):
         change = np.abs(cur[1] - prev[1])
         change[:-1] = np.maximum(change[:-1], np.abs(cur[0][:-1] - prev[0][:-1]))
         if np.max(change) < tol:
-            return VerblunskySequence(-J, cur[0][:-1], cur[1], {"N": N, "d": d, "N0": N0})
+            return VerblunskySequence(lo, cur[0][:-1], cur[1], {"N": N, "d": d, "N0": N0})
         prev = cur
     worst = int(np.argmax(change))
     raise ConvergenceError(
-        f"level {worst - J}: union frame over [{-J}, {J}] did not converge by "
+        f"level {worst + lo}: union frame over [{lo}, {hi}] did not converge by "
         f"section size {cap} (last change {change[worst]:.3e} > {tol:.1e})"
     )
 

@@ -34,6 +34,7 @@ from cmvscat.verblunsky import (
     convergence_report,
     level_split,
     rotation_relation_residual,
+    union_verblunsky,
 )
 
 CFG = RunConfig()  # shipped defaults: M=1024, J=16
@@ -250,9 +251,11 @@ def test_criterion_7_spectral_moments():
     worst_rec = 0.0
     for R in (monomial(GRID, gamma=0.5, k=1),
               random_trig(GRID, degree=4, margin=0.2, seed=5)):
+        # the kmax = 8 moments at levels 0..2 read the coefficients of -9..11
+        seq = union_verblunsky(R, -9, 11, CFG)
         for n in (0, 1, 2):
             dens = spectral_density(R, n, CFG)
-            rep = moment_check(dens, R, 8, CFG)
+            rep = moment_check(dens, seq, 8)
             worst_mom = max(worst_mom, rep["max_abs_dev"])
         for j in (0, 1, 2):
             worst_rec = max(worst_rec, sigma_recursion_check(R, j, CFG))

@@ -32,13 +32,13 @@ def solved(monkeypatch):
 
 @pytest.fixture
 def unions(monkeypatch):
-    """Union frames (J, N) in the order they reach union_factor."""
+    """Union frames (lo, hi, N) in the order they reach union_factor."""
     keys = []
     original = verblunsky.union_factor
 
-    def counting(R, J, N):
-        keys.append((J, N))
-        return original(R, J, N)
+    def counting(R, lo, hi, N):
+        keys.append((lo, hi, N))
+        return original(R, lo, hi, N)
 
     monkeypatch.setattr(verblunsky, "union_factor", counting)
     return keys
@@ -53,9 +53,9 @@ def test_suite_solves_each_section_once(r_smooth, small_cfg, solved, unions):
     J = small_cfg.levels
     assert r_smooth.fourier_tail(J) >= small_cfg.tol_roundtrip > r_smooth.fourier_tail(2 * J)
     results = run_full_suite(r_smooth, small_cfg)
-    assert unions[0] == (2 * J, 2 * J + 6)
+    assert unions[0] == (-2 * J, 2 * J, 2 * J + 6)
     assert len(unions) == len(set(unions))
-    assert {J for J, _ in unions} == {small_cfg.levels, 2 * small_cfg.levels}
+    assert {(lo, hi) for lo, hi, _ in unions} == {(-J, J), (-2 * J, 2 * J)}
     assert solved[0] == (-small_cfg.levels, small_cfg.section_start)
     assert {level for level, _ in solved} <= set(range(-small_cfg.levels,
                                                        small_cfg.levels + 2))
@@ -83,7 +83,8 @@ def test_suite_solves_before_it_reads(r_smooth, grid, small_cfg, solved, unions,
     run_full_suite(R, small_cfg)
     assert at_first_check == [(len(solved), len(unions))]
     assert len(solved) > 0
-    assert {J for J, _ in unions} == ({6, 12} if two_rungs else {6})
+    windows = {(-6, 6), (-12, 12)} if two_rungs else {(-6, 6)}
+    assert {(lo, hi) for lo, hi, _ in unions} == windows
 
 
 @pytest.fixture
@@ -129,7 +130,7 @@ def test_anchor_suite_solve_count(solved, unions, monkeypatch):
     run_full_suite(from_string(ANCHOR, CircleGrid(cfg.grid_size)), cfg)
     assert len(solved) == len(set(solved)) == 68
     assert max(N for _, N in solved) == 64
-    assert unions == [(16, 32), (16, 64)]
+    assert unions == [(-16, 16, 32), (-16, 16, 64)]
     assert (len(inner), len(projections)) == (55, 98)
 
 
@@ -250,5 +251,6 @@ def test_spectral_entry_is_the_worst_moment_check(r_smooth, small_cfg):
     alpha = alpha_from_defects(converged_defect_pair(R, 0, 0, cfg))
     densities = (dens0, spectral.change_basis_density(dens0, alpha),
                  spectral.spectral_density(R, 1, cfg))
-    worst = max(spectral.moment_check(d, R, 4, cfg)["max_abs_dev"] for d in densities)
+    seq = verblunsky.union_verblunsky(R, -cfg.levels, cfg.levels, cfg)
+    worst = max(spectral.moment_check(d, seq, 4)["max_abs_dev"] for d in densities)
     assert suite["spectral_moments_match_cmv"] == worst

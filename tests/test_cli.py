@@ -17,7 +17,7 @@ import cmvscat
 from cmvscat import fileio
 from cmvscat.circle import CircleGrid
 from cmvscat.cli import main
-from cmvscat.config import TAIL_TOL, RunConfig
+from cmvscat.config import TAIL_TOL, TOL_FUN, RunConfig
 from cmvscat.errors import InputError
 from cmvscat.families import from_string
 from cmvscat.verblunsky import VerblunskySequence
@@ -611,22 +611,58 @@ def test_cli_spectrum_csv(tmp_path):
 
 
 def test_cli_spectrum_solves_each_section_once(tmp_path, monkeypatch):
-    # moment_check reads the density level's section again; the command's
-    # section memo serves it, so each of the 18 sections is solved once
-    from cmvscat import lrspace
+    # the density solves its own level's section (level 2 at N = 32 and 64);
+    # the moments read levels -3..5 off the union frames of one doubling and
+    # solve no section of their own
+    from cmvscat import lrspace, verblunsky
 
-    solved = []
+    solved, unions = [], []
     original = lrspace.defect_pair
+    original_union = verblunsky.union_factor
 
     def counting(R, n, m, N):
         solved.append((n + m, N))
         return original(R, n, m, N)
 
+    def counting_union(R, lo, hi, N):
+        unions.append((lo, hi, N))
+        return original_union(R, lo, hi, N)
+
     monkeypatch.setattr(lrspace, "defect_pair", counting)
+    monkeypatch.setattr(verblunsky, "union_factor", counting_union)
     code = main(["spectrum", "--family", "monomial,gamma=0.5,k=1", "--levels", "1",
                  "--out", str(tmp_path / "d.csv"), "--report", str(tmp_path / "m.json")])
     assert code == 0
-    assert len(solved) == len(set(solved)) == 18
+    assert solved == [(2, 32), (2, 64)]
+    assert unions == [(-3, 5, 32), (-3, 5, 64)]
+
+
+def test_cli_spectrum_past_the_level_window(tmp_path):
+    # level 40 reads the moments off levels 75..83, a union window with lo > 0
+    rep = tmp_path / "m.json"
+    code = main(["spectrum", "--family", "random,degree=4,margin=0.2,seed=0",
+                 "--levels", "40", "--out", str(tmp_path / "d.csv"), "--report", str(rep)])
+    assert code == 0
+    assert json.loads(rep.read_text())["max_abs_dev"] <= TOL_FUN
+
+
+def test_cli_spectrum_refuses_noisy_samples(tmp_path, capsys):
+    # the anchor's samples rounded to 8 decimals carry a noise floor across
+    # the whole Fourier window: its reach is d = 508, so the union frame of
+    # levels -5..3 would start at N0 = 513 and cannot double within
+    # section_cap 512, as for roundtrip and check; nothing is written
+    R = from_string("random,degree=4,margin=0.2,seed=0", CircleGrid(1024))
+    values = np.round(np.column_stack([R.samples.real, R.samples.imag]), 8).tolist()
+    path = _write(tmp_path, "noisy.json",
+                  json.dumps({"type": "samples", "grid": 1024, "values": values}))
+    out = tmp_path / "d.csv"
+    code = main(["spectrum", "--input", path, "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert ("union frame over [-5, 3] needs section size 1026 > section_cap 512: "
+            "R's Fourier reach d = 508") in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_check_passes(tmp_path):
@@ -925,7 +961,7 @@ def test_cli_roundtrip_boundary_follows_config(tmp_path):
     R = from_string(family, CircleGrid(256))
     for rung in rungs:
         cfg = RunConfig(grid_size=256, levels=rung["levels"])
-        seq = union_verblunsky(R, cfg.levels, cfg)
+        seq = union_verblunsky(R, -cfg.levels, cfg.levels, cfg)
         rec = scattering.boundary_reconstruction(seq, R.grid)
         assert rung["sup_error"] == float(np.max(np.abs(rec - R.samples)))
     with pytest.raises(SystemExit):

@@ -248,7 +248,7 @@ def test_oracle_certifies_the_deep_window(deep_oracle, spec):
     # one sweep over the 386 generators of the union frame; a stack of the
     # 130 levels' 256 x 256 frame Grams would hold about 130 MiB
     R, seq, peak = deep_oracle(spec)
-    union = union_verblunsky(R, 64, RunConfig())
+    union = union_verblunsky(R, -64, 64, RunConfig())
     assert np.max(np.abs(seq.alphas - union.alphas)) <= 1e-15
     assert np.max(np.abs(seq.a0s - union.a0s)) <= 1e-15
     assert peak <= 16 * 2**20

@@ -322,8 +322,8 @@ def test_ladder_configs_start_at_the_rung_window(r_smooth, small_cfg, monkeypatc
     # rungs share cfg otherwise
     frames = []
     original = verblunsky.union_factor
-    monkeypatch.setattr(verblunsky, "union_factor",
-                        lambda R, J, N: frames.append((J, N)) or original(R, J, N))
+    monkeypatch.setattr(verblunsky, "union_factor", lambda R, lo, hi, N:
+                        frames.append((hi, N)) or original(R, lo, hi, N))
     roundtrip(r_smooth, small_cfg.replace(levels=3))
     starts = {}
     for J, N in frames:
@@ -348,9 +348,9 @@ def test_roundtrip_skips_split_recomputation(r_half, small_cfg, monkeypatch):
     rungs, splits = [], []
     original = scattering.union_verblunsky
 
-    def recording(R, J, cfg):
-        rungs.append(J)
-        return original(R, J, cfg)
+    def recording(R, lo, hi, cfg):
+        rungs.append((lo, hi))
+        return original(R, lo, hi, cfg)
 
     def per_level(*args):
         raise AssertionError("roundtrip ran the per-level route")
@@ -361,7 +361,7 @@ def test_roundtrip_skips_split_recomputation(r_half, small_cfg, monkeypatch):
     monkeypatch.setattr(verblunsky, "split_deviation",
                         lambda *args: splits.append(args))
     roundtrip(r_half, small_cfg.replace(levels=1))
-    assert rungs == [2, 1]
+    assert rungs == [(-2, 2), (-1, 1)]
     assert splits == []
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cmvscat import (
+    CircleGrid,
     alpha_from_defects,
     change_basis_density,
     converged_defect_pair,
@@ -11,9 +12,10 @@ from cmvscat import (
     recover_omega,
     sigma_recursion_check,
     spectral_density,
+    union_verblunsky,
 )
-from cmvscat.config import TOL_FUN
-from cmvscat.errors import DomainError
+from cmvscat.config import TOL_FUN, RunConfig
+from cmvscat.errors import DomainError, InputError
 from cmvscat.families import from_string
 from cmvscat.spectral import (
     PAIR_DIAGONAL,
@@ -24,6 +26,7 @@ from cmvscat.spectral import (
     density_moments,
     log_det_diagnostic,
 )
+from cmvscat.verblunsky import VerblunskySequence, level_split
 
 
 def _det(density):
@@ -88,9 +91,10 @@ def test_density_hermitian_nonnegative(r_smooth, small_cfg):
 
 
 def test_moment_check_monomial(r_half, small_cfg):
+    seq = union_verblunsky(r_half, -6, 6, small_cfg)
     for n in (0, 1):
         dens = spectral_density(r_half, n, small_cfg)
-        rep = moment_check(dens, r_half, 4, small_cfg)
+        rep = moment_check(dens, seq, 4)
         assert rep["max_abs_dev"] <= 1e-6
         k0 = np.array(rep["per_k"][0]["cmv"])
         assert abs(k0[0, 0] - 1.0) < 1e-10
@@ -99,20 +103,21 @@ def test_moment_check_monomial(r_half, small_cfg):
 
 def test_moment_check_smooth(r_smooth, small_cfg):
     dens = spectral_density(r_smooth, 0, small_cfg)
-    rep = moment_check(dens, r_smooth, 4, small_cfg)
+    rep = moment_check(dens, union_verblunsky(r_smooth, -5, 3, small_cfg), 4)
     assert rep["max_abs_dev"] <= 1e-6
 
 
 def test_moment_check_reads_levels_outside_the_window(r_smooth, small_cfg):
     # the kmax = 4 moments read the levels a - 4 .. a + 4, a = 2n - 1 or 2n,
-    # out to -5 and 6, past the level window [-4, 4]: moment_check solves
-    # them rather than take them as zero
+    # out to -5 and 6, past the level window [-4, 4]: the caller's
+    # coefficients cover them rather than take them as zero
     cfg = small_cfg.replace(levels=4)
+    seq = union_verblunsky(r_smooth, -5, 6, cfg)
     for n in (0, 1):
         dens = spectral_density(r_smooth, n, cfg)
         alpha = alpha_from_defects(converged_defect_pair(r_smooth, n, n, cfg))
         for d in (dens, change_basis_density(dens, alpha)):
-            rep = moment_check(d, r_smooth, 4, cfg)
+            rep = moment_check(d, seq, 4)
             assert sorted(rep["per_k"]) == list(range(-4, 5))
             assert rep["max_abs_dev"] <= TOL_FUN, (n, d.pair_tag)
 
@@ -121,7 +126,54 @@ def test_moment_check_refuses_unknown_tag(r_smooth, small_cfg):
     dens = spectral_density(r_smooth, 0, small_cfg)
     tagged = SpectralDensity(dens.grid, dens.values, "K-and-K", dens.level)
     with pytest.raises(DomainError, match="unknown pair tag"):
-        moment_check(tagged, r_smooth, 4, small_cfg)
+        moment_check(tagged, union_verblunsky(r_smooth, -5, 3, small_cfg), 4)
+
+
+def _per_level(R, lo, hi, cfg):
+    """Coefficients of levels lo..hi by the per-level sections, the older route."""
+    pairs = (converged_defect_pair(R, *level_split(j), cfg) for j in range(lo, hi + 1))
+    return VerblunskySequence(lo, [alpha_from_defects(p) for p in pairs])
+
+
+@pytest.mark.parametrize("spec", ["random,degree=4,margin=0.2,seed=0", "blaschke,r=0.8",
+                                  "random,degree=8,margin=0.2,seed=3"])
+def test_moment_check_union_matches_per_level_coefficients(spec):
+    # the CMV side from the union frame's alphas against the same check fed
+    # per-level alphas, at both tags of level 0 and the diagonal of level 1
+    cfg = RunConfig()
+    R = from_string(spec, CircleGrid(cfg.grid_size))
+    union, per_level = (route(R, -5, 5, cfg) for route in (union_verblunsky, _per_level))
+    dens0 = spectral_density(R, 0, cfg)
+    alpha = alpha_from_defects(converged_defect_pair(R, 0, 0, cfg))
+    for d in (dens0, change_basis_density(dens0, alpha), spectral_density(R, 1, cfg)):
+        got, ref = moment_check(d, union, 4), moment_check(d, per_level, 4)
+        assert abs(got["max_abs_dev"] - ref["max_abs_dev"]) <= 1e-15
+        for k in range(-4, 5):
+            cmv = np.array(got["per_k"][k]["cmv"]) - np.array(ref["per_k"][k]["cmv"])
+            assert np.max(np.abs(cmv)) <= 1e-15, (d.pair_tag, d.level, k)
+
+
+def test_moment_check_takes_its_coefficients_from_the_caller(r_smooth, small_cfg,
+                                                             monkeypatch):
+    # the diagonal density at level 0 reads levels -5..3: a sequence missing
+    # level -5 is refused, and a covering one is read without any solve
+    from cmvscat import lrspace, spectral, verblunsky
+
+    dens = spectral_density(r_smooth, 0, small_cfg)
+    seq = union_verblunsky(r_smooth, -5, 3, small_cfg)
+    short = VerblunskySequence(-4, seq.alphas[1:])
+
+    def no_solve(*args):
+        raise AssertionError("moment_check solved a section")
+
+    for mod in (lrspace, spectral, verblunsky):
+        monkeypatch.setattr(mod, "converged_defect_pair", no_solve)
+    monkeypatch.setattr(lrspace, "defect_pair", no_solve)
+    monkeypatch.setattr(spectral, "alpha_from_defects", no_solve)
+    with pytest.raises(InputError, match=r"read levels \[-5, 3\]; the coefficients "
+                                         r"cover \[-4, 3\]"):
+        moment_check(dens, short, 4)
+    assert moment_check(dens, seq, 4)["max_abs_dev"] <= TOL_FUN
 
 
 def test_change_basis_alpha_zero_twists_offdiagonal(r_zero, small_cfg):
@@ -157,7 +209,7 @@ def test_change_basis_moments_against_gram(r_half, small_cfg):
     dens = spectral_density(r_half, 0, small_cfg)
     pair = converged_defect_pair(r_half, 0, 0, small_cfg)
     changed = change_basis_density(dens, alpha_from_defects(pair))
-    rep = moment_check(changed, r_half, 3, small_cfg)
+    rep = moment_check(changed, union_verblunsky(r_half, -3, 3, small_cfg), 3)
     assert rep["max_abs_dev"] <= 1e-6
 
 

@@ -256,7 +256,7 @@ FINDING_A = RunConfig(grid_size=256, levels=24, section_start=8, section_cap=128
 def test_union_route_matches_the_oracle_where_per_level_decouples():
     cfg = FINDING_A
     R = from_string("random,degree=4,margin=0.2,seed=0", CircleGrid(cfg.grid_size))
-    union = union_verblunsky(R, cfg.levels, cfg)
+    union = union_verblunsky(R, -cfg.levels, cfg.levels, cfg)
     oracle = oracle_verblunsky(R, cfg.levels, 51, quadrature_space(R, cfg.oversample))
     assert np.max(np.abs(union.alphas - oracle.alphas)) <= 1e-15
     assert np.max(np.abs(union.a0s - oracle.a0s)) <= 1e-15
@@ -274,11 +274,39 @@ def test_union_route_matches_per_level(spec):
     R = from_string(spec, CircleGrid(cfg.grid_size))
     per_level = inverse_scattering(R, 32, cfg)
     for J in (16, 32):
-        union = union_verblunsky(R, J, cfg)
+        union = union_verblunsky(R, -J, J, cfg)
         assert (union.lo, union.hi, len(union.a0s)) == (-J, J, 2 * J + 2)
         inner = slice(32 - J, 32 + J + 1)
         assert np.max(np.abs(union.alphas - per_level.alphas[inner])) <= 1e-15, J
         assert np.max(np.abs(union.a0s - per_level.a0s[32 - J:32 + J + 2])) <= 1e-15, J
+
+
+@pytest.mark.parametrize("spec", ["random,degree=4,margin=0.2,seed=0",
+                                  "random,degree=8,margin=0.2,seed=3", "blaschke,r=0.8"])
+def test_union_window_reads_its_levels_of_the_symmetric_one(spec):
+    # a level's union coefficient does not depend on the window around it:
+    # windows off centre and one with lo > 0 read the [-16, 16] values, and
+    # each starts at N0 = max(section_start, max(-lo, 0) + d)
+    cfg = RunConfig()
+    R = from_string(spec, CircleGrid(cfg.grid_size))
+    ref = union_verblunsky(R, -16, 16, cfg)
+    for lo, hi in ((-5, 3), (-3, 5), (2, 10)):
+        seq = union_verblunsky(R, lo, hi, cfg)
+        assert (seq.lo, seq.hi, len(seq.a0s)) == (lo, hi, hi - lo + 2)
+        d = seq.diagnostics["d"]
+        assert seq.diagnostics["N0"] == max(cfg.section_start, max(-lo, 0) + d)
+        assert np.max(np.abs(seq.alphas - ref.alphas[lo + 16:hi + 17])) <= 1e-15, (lo, hi)
+        assert np.max(np.abs(seq.a0s - ref.a0s[lo + 16:hi + 18])) <= 1e-15, (lo, hi)
+
+
+def test_union_window_past_the_support():
+    # levels 195..203 lie far above R's Fourier support: the frame decouples
+    # there and reads alpha = 0 to rounding and a0 = 1 exactly, with no refusal
+    cfg = RunConfig()
+    R = from_string("blaschke,r=0.8", CircleGrid(cfg.grid_size))
+    seq = union_verblunsky(R, 195, 203, cfg)
+    assert np.max(np.abs(seq.alphas)) <= 1e-16
+    assert np.all(seq.a0s == 1.0)
 
 
 def test_union_route_at_the_window_edge():
@@ -288,7 +316,7 @@ def test_union_route_at_the_window_edge():
     # stops on two decoupled sections and reads a0 = 1.0 there
     cfg = RunConfig()
     R = from_string("monomial,gamma=0.5,k=1", CircleGrid(cfg.grid_size))
-    union = union_verblunsky(R, 64, cfg)
+    union = union_verblunsky(R, -64, 64, cfg)
     assert convergence_report(union)["rho_ratio_max_dev"] <= 1e-15
     assert np.max(np.abs(union.a0s[:65] - RHO)) <= 1e-15
 
@@ -301,7 +329,7 @@ def test_union_convergence_error_names_the_level(r_smooth):
     with pytest.raises(ConvergenceError, match=r"^level -?\d+: union frame over \[-20, 20\] "
                                                r"did not converge by section size 64 "
                                                r"\(last change .* > 1\.0e-30\)"):
-        union_verblunsky(r_smooth, 20, cfg)
+        union_verblunsky(r_smooth, -20, 20, cfg)
 
 
 def test_union_start_covers_the_fourier_reach(r_half, monkeypatch):
@@ -311,7 +339,7 @@ def test_union_start_covers_the_fourier_reach(r_half, monkeypatch):
     # cannot double, and the refusal comes before any factorization
     from cmvscat import verblunsky
 
-    seq = union_verblunsky(r_half, 20, RunConfig(grid_size=256, section_start=16))
+    seq = union_verblunsky(r_half, -20, 20, RunConfig(grid_size=256, section_start=16))
     assert seq.diagnostics == {"N": 42, "d": 1, "N0": 21}
     assert np.max(np.abs(seq.a0s[:21] - RHO)) <= 1e-15
 
@@ -320,9 +348,10 @@ def test_union_start_covers_the_fourier_reach(r_half, monkeypatch):
 
     monkeypatch.setattr(verblunsky, "union_factor", no_factor)
     cfg = RunConfig(grid_size=256, section_start=16, section_cap=32)
-    with pytest.raises(ConvergenceError, match=r"needs section size 42 > section_cap 32: "
-                                               r"R's Fourier reach d = 1 .* N0 = J \+ d = 21"):
-        union_verblunsky(r_half, 20, cfg)
+    with pytest.raises(ConvergenceError,
+                       match=r"needs section size 42 > section_cap 32: R's Fourier "
+                             r"reach d = 1 .* N0 = max\(-lo, 0\) \+ d = 21"):
+        union_verblunsky(r_half, -20, 20, cfg)
 
 
 def test_union_route_matches_the_oracle_past_the_section_start():
@@ -333,7 +362,7 @@ def test_union_route_matches_the_oracle_past_the_section_start():
     # still decouples
     cfg = RunConfig()
     R = from_string("monomial,gamma=0.5,k=100", CircleGrid(cfg.grid_size))
-    union = union_verblunsky(R, 16, cfg)
+    union = union_verblunsky(R, -16, 16, cfg)
     assert union.diagnostics == {"N": 232, "d": 100, "N0": 116}
     oracle = oracle_verblunsky(R, 16, 256, quadrature_space(R, cfg.oversample))
     assert np.max(np.abs(union.a0s - oracle.a0s)) <= 1e-15
@@ -352,10 +381,10 @@ def _union_doubled_from_start(R, J, cfg):
     from cmvscat.verblunsky import union_factor
 
     N = cfg.section_start
-    prev = union_factor(R, J, N)
+    prev = union_factor(R, -J, J, N)
     while 2 * N <= cfg.section_cap:
         N *= 2
-        cur = union_factor(R, J, N)
+        cur = union_factor(R, -J, J, N)
         change = max(np.max(np.abs(cur[0][:-1] - prev[0][:-1])),
                      np.max(np.abs(cur[1] - prev[1])))
         if change < cfg.section_tol:
@@ -374,7 +403,7 @@ def test_union_reach_start_matches_doubling_from_section_start(spec, J):
     # instead of 128 on the Blaschke one (d = 31)
     cfg = RunConfig()
     R = from_string(spec, CircleGrid(cfg.grid_size))
-    seq = union_verblunsky(R, J, cfg)
+    seq = union_verblunsky(R, -J, J, cfg)
     alphas, a0s = _union_doubled_from_start(R, J, cfg)
     assert seq.diagnostics["N0"] == max(cfg.section_start, J + seq.diagnostics["d"])
     assert np.max(np.abs(seq.alphas - alphas[:-1])) <= 1e-15
@@ -387,7 +416,7 @@ def test_union_route_refuses_an_index_off_the_grid():
     cfg = RunConfig(grid_size=64, section_start=16, section_cap=128)
     R = from_string("blaschke,r=0.5", CircleGrid(cfg.grid_size))
     with pytest.raises(ResolutionError, match=r"\[-73, 3\] .*increase the grid size M"):
-        union_verblunsky(R, 4, cfg)
+        union_verblunsky(R, -4, 4, cfg)
 
 
 def test_union_factor_keeps_one_matrix():
@@ -400,10 +429,10 @@ def test_union_factor_keeps_one_matrix():
 
     R = from_string("random,degree=4,margin=0.2,seed=0", CircleGrid(1024))
     J, N = 64, 256
-    union_factor(R, J, N)
+    union_factor(R, -J, J, N)
     tracemalloc.start()
     try:
-        union_factor(R, J, N)
+        union_factor(R, -J, J, N)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
