@@ -28,15 +28,7 @@ import numpy as np
 
 from . import cmv, oracle, scattering, spectral
 from .config import TAIL_TOL, TOL_ALG, TOL_FUN
-from .lrspace import (
-    GeneratorFrame,
-    converged_defect_pair,
-    frame_gram,
-    inner_product,
-    section_memo,
-    section_pair,
-    shift,
-)
+from .lrspace import converged_defect_pair, frame_gram, inner_product, section_memo, shift
 from .verblunsky import (
     alpha_from_defects,
     convergence_report,
@@ -72,24 +64,23 @@ def _leq(name, value, bound, detail=""):
 
 
 def check_gram_structure(R, cfg):
-    """Contractivity of the cross norm and the defect geometry of a section.
+    """Contractivity of the cross norm and the defect geometry of converged sections.
 
     Row 0 of the solve residual G K is <K, g'_n> = a0, which with ||K|| = 1
     gives ||g'_n - K||^2 = 2 - 2 a0; Ktilde likewise with g''_{m+1}.
     """
     norm_excess = ortho = unit = 0.0
-    N = cfg.section_start
     for j in (-2, 0, 3):
-        n, m = level_split(j)
-        G = frame_gram(R, GeneratorFrame(n, m, N))
+        pair = converged_defect_pair(R, *level_split(j), cfg)
+        N = pair.frame.N
+        G = frame_gram(R, pair.frame)
         c = G[N:, :N].T  # cross block <g'_k, g''_l>
         norm_excess = max(norm_excess, float(np.linalg.norm(c, 2)) - (1.0 - R.margin))
-        pair = section_pair(R, n, m, N)
         vk = G @ pair.K.coords()
         vt = G @ pair.Ktilde.coords()
         # orthogonality against every generator of the reduced frames
         ortho = max(ortho, float(np.max(np.abs(vk[1:]))))
-        keep = np.arange(len(vt)) != pair.frame.N
+        keep = np.arange(len(vt)) != N
         ortho = max(ortho, float(np.max(np.abs(vt[keep]))))
         # ||K||^2 = K^H (G K), from the residual already in hand
         norms = [np.sqrt(max((np.conj(v.coords()) @ gv).real, 0.0))
@@ -216,9 +207,9 @@ def check_oracle(R, seq, cfg):
     """Oracle agreement of seq on its whole window [-J, J] and of generator inner products.
 
     The oracle's union frame starts where `union_verblunsky`'s does, at
-    N0 = max(section_start, J + d) with d R's Fourier reach: a smaller
-    frame can miss the coupling of level -J and decouple, as a per-level
-    section can, and then agree with the per-level route's error.
+    N0 = max(section_start, J + d) with d R's lower Fourier reach: a
+    smaller frame can miss the coupling of level -J, decouple and read
+    a0 = 1 there.
     """
     J = min(-seq.lo, seq.hi)
     N0 = union_verblunsky(R, -J, J, cfg).diagnostics["N0"]

@@ -124,6 +124,11 @@ def synthesize(series, grid):
     return np.fft.ifft(bins) * grid.size
 
 
+def _tail_sums(k, mass):
+    # tails[J] = sum of mass over k >= J, J = 0 .. max(k) + 1 (k >= 0)
+    return np.append(np.cumsum(np.bincount(k, weights=mass, minlength=1)[::-1])[::-1], 0.0)
+
+
 @dataclass
 class ScatteringFunction:
     """Contractive boundary function R with samples and coefficients in sync.
@@ -131,8 +136,8 @@ class ScatteringFunction:
     `exact_coeffs` records whether R was defined by a finite coefficient
     list (so coefficients outside the stored window are exactly zero)
     or sampled (so they are unresolved at this grid size). `szego`, the
-    Szego report of the samples, and `fourier_tails` are computed once,
-    like `margin`.
+    Szego report of the samples, `fourier_tails` and `lower_tails` are
+    computed once, like `margin`.
     """
 
     grid: CircleGrid
@@ -181,8 +186,19 @@ class ScatteringFunction:
         K is the largest |k| held, so the last entry is 0. The array is
         nonincreasing: it sums nonnegative terms from the top down.
         """
-        mass = np.bincount(np.abs(self.coeffs.indices()), weights=np.abs(self.coeffs.coeffs))
-        return np.append(np.cumsum(mass[::-1])[::-1], 0.0)
+        return _tail_sums(np.abs(self.coeffs.indices()), np.abs(self.coeffs.coeffs))
+
+    @cached_property
+    def lower_tails(self):
+        """tails[k] = sum_{i <= -k} |R_i| over the coefficients R holds, k = 0 .. K + 1.
+
+        K is the largest -i held (0 when R holds no negative index), so the
+        last entry is 0; nonincreasing like `fourier_tails`. Level j's
+        sections read only the c_i with i <= -(j + 1).
+        """
+        idx = self.coeffs.indices()
+        keep = idx <= 0
+        return _tail_sums(-idx[keep], np.abs(self.coeffs.coeffs[keep]))
 
     def fourier_tail(self, J):
         """sum_{|k| >= J} |R_k|, 0 past the coefficients R holds (`fourier_tails`)."""

@@ -14,13 +14,14 @@ S = I - B B^H, half its size. Per section, one Cholesky factorization
 of S gives both defect vectors and both residuals; an S that does not
 factor means aliased coefficients (ResolutionError). The Szego guard
 (`circle.require_szego`) bounds cond_2(S) <= 1 / (1 - sup |R|^2) <= 1e12
-before any factorization. `converged_defect_pair` alone decides the section
-size, from the doubling policy of the RunConfig it is given. Inside a
-`section_memo()` block each level's section is solved once, any split
-of it served as a shift that shares the values read off the section,
-and `_memoized` serves other solves, such as the union-frame factors of
-`verblunsky.union_verblunsky`, the same way; the invariant suite opens
-one for its checks.
+before any factorization. `_converge_section` alone decides the section
+size, for a level's section (`converged_defect_pair`) and for the union
+frame of a level window (`verblunsky.union_verblunsky`) alike: it starts
+at R's lower reach, doubles to the section tolerance and refuses at the
+cap of the RunConfig it is given. Inside a `section_memo()` block each
+size it reads is solved once, and any split of a level's section is
+served as a shift that shares the values read off the section; the
+invariant suite opens one for its checks.
 
 Gram orientation used throughout: G[a, b] = <s_b, s_a>, so that for
 coordinate vectors u, v the inner product <u, v> is v^H G u.
@@ -215,7 +216,8 @@ class DefectPair:
     complement S = I - B B^H of G, whose spectrum lies in
     [1 - sup |R|^2, 1] (B is the cross block, of norm at most sup |R|).
     `shared` holds values read off the section, such as alpha, for every
-    split a `section_memo()` block serves.
+    split a `section_memo()` block serves; `diagnostics` the doubling that
+    chose N (`converged_defect_pair`).
     """
 
     K: LrElement
@@ -223,6 +225,7 @@ class DefectPair:
     a0: float
     a0_tilde: float
     shared: dict = field(default_factory=dict, repr=False, compare=False)
+    diagnostics: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def frame(self):
@@ -299,8 +302,8 @@ _SECTIONS = ContextVar("cmvscat_sections", default=None)
 def section_memo():
     """Solve each level's section, and each union frame, at most once inside the block.
 
-    `section_pair` and `_memoized` serve repeated solves from the block's
-    memo, which is released when the block exits, normally or by an exception.
+    `_converge_section` serves repeated solves from the block's memo, which
+    is released when the block exits, normally or by an exception.
     """
     token = _SECTIONS.set({})
     try:
@@ -309,58 +312,76 @@ def section_memo():
         _SECTIONS.reset(token)
 
 
-def _memoized(R, key, solve):
-    """`solve()`, taken from the open section memo under (id(R), *key) if solved there.
+def _converge_section(R, lo, key, readout, change, cfg, what):
+    """`readout(N)` at the section size the doubling certifies, with {"N", "d", "N0"}.
 
-    Outside a `section_memo()` block this is a plain `solve()` call.
+    The one section-size policy: sections of the levels lo and up read the
+    Hankel coefficients c_i with i <= -(lo + 1), and d, R's lower reach, is
+    the largest k >= 0 with sum_{i <= -k} |R_i| >= cfg.section_tol
+    (`lower_tails`). N doubles from N0 = max(cfg.section_start, d - lo),
+    where the first cross-block row c_{-(lo+1)} .. c_{-(lo+N)} of level lo
+    already holds every coefficient a larger N could show it: a section
+    that decouples there (K = g'_n, a0 = 1, alpha = 0 exactly) decouples
+    at every N, and a smaller start could stop on two decoupled sections
+    of a level that couples. The doubling ends when every entry of
+    `change(prev, cur)`, one per level from lo up, is below section_tol.
+    Inside a `section_memo()` block each (*key, N) is read once.
+
+    Raises ConvergenceError, the message starting with `level j:`, when
+    2 N0 > cfg.section_cap, before any readout, and when no size up to
+    the cap converges, j then the level of the largest last change.
     """
+    tol, cap = cfg.section_tol, cfg.section_cap
+    d = max(int(np.count_nonzero(R.lower_tails >= tol)) - 1, 0)
+    N0 = N = max(cfg.section_start, d - lo)
+    if 2 * N0 > cap:
+        hint = "" if R.exact_coeffs else (
+            "; R is sampled, so the samples' rounding noise counts toward d: a "
+            "larger section_tol shortens it at the cost of accuracy")
+        raise ConvergenceError(
+            f"level {lo}: {what} needs section size {2 * N0} > section_cap {cap}: "
+            f"R's lower Fourier reach d = {d} (tail >= {tol:.1e}) starts the doubling "
+            f"at N0 = d - ({lo}) = {N0}{hint}")
     memo = _SECTIONS.get()
-    if memo is None:
-        return solve()
-    key = (id(R),) + key
-    entry = memo.get(key)
-    if entry is None:
-        entry = memo[key] = (R, solve())
-    return entry[1]
 
+    def read(N):  # readout(N), solved once per (id(R), *key, N) in an open memo
+        if memo is None:
+            return readout(N)
+        entry = memo.get((id(R),) + key + (N,))
+        if entry is None:
+            entry = memo[(id(R),) + key + (N,)] = (R, readout(N))
+        return entry[1]
 
-def section_pair(R, n, m, N):
-    """`defect_pair(R, n, m, N)`, taken from the open section memo if solved there.
-
-    Outside a `section_memo()` block this is a plain `defect_pair` call.
-    Inside one, sections are keyed by the level n + m, on which alone the
-    frame Gram depends: any split gets the solved pair moved by `shift`,
-    bit for bit a fresh solve, as a new DefectPair sharing the solved
-    pair's `shared` values.
-    """
-    pair = _memoized(R, (n + m, N), lambda: defect_pair(R, n, m, N))
-    p = n - pair.frame.n
-    return DefectPair(shift(pair.K, p), shift(pair.Ktilde, p), pair.a0,
-                      pair.a0_tilde, pair.shared)
+    prev = read(N)
+    while 2 * N <= cap:
+        N *= 2
+        cur = read(N)
+        delta = np.atleast_1d(change(prev, cur))
+        if np.max(delta) < tol:
+            return cur, {"N": N, "d": d, "N0": N0}
+        prev = cur
+    worst = int(np.argmax(delta))
+    raise ConvergenceError(
+        f"level {lo + worst}: {what} did not converge by section size {cap} "
+        f"(last change {delta[worst]:.3e} > {tol:.1e})")
 
 
 def converged_defect_pair(R, n, m, cfg):
-    """Defect pair with a section-doubling convergence certificate.
+    """Defect pair of the section at (n, m), at the size `_converge_section` certifies.
 
-    Starts at N = cfg.section_start and doubles N until the coordinates
-    of both defect vectors change by less than cfg.section_tol between
-    consecutive sizes; returns the larger section's pair. No convergence
-    by N = cfg.section_cap raises ConvergenceError. Sections come from
-    `section_pair`, so an open `section_memo()` block solves each level once.
+    Both defect vectors' coordinates change by less than cfg.section_tol
+    between the last two sizes; the pair's `diagnostics` carry N, d and N0.
+    Sections are keyed by the level n + m, on which alone the frame Gram
+    depends: inside a `section_memo()` block any split gets the level's
+    solved pair moved by `shift`, bit for bit a fresh solve, sharing the
+    solved pair's `shared` values.
     """
-    N, cap, tol = cfg.section_start, cfg.section_cap, cfg.section_tol
-    delta = np.inf
-    prev = section_pair(R, n, m, N)
-    while 2 * N <= cap:
-        cur = section_pair(R, n, m, 2 * N)
-        delta = _pair_delta(prev, cur)
-        if delta < tol:
-            return cur
-        prev, N = cur, 2 * N
-    raise ConvergenceError(
-        f"defect pair at (n, m) = ({n}, {m}) did not converge by section size "
-        f"{cap} (last change {delta:.3e} > {tol:.1e})"
-    )
+    j = n + m
+    pair, diag = _converge_section(R, j, (j,), lambda N: defect_pair(R, n, m, N),
+                                  _pair_delta, cfg, f"section at (n, m) = ({n}, {m})")
+    p = n - pair.frame.n
+    return DefectPair(shift(pair.K, p), shift(pair.Ktilde, p), pair.a0, pair.a0_tilde,
+                      pair.shared, diag)
 
 
 def _pair_delta(a, b):

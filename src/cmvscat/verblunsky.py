@@ -16,11 +16,11 @@ from scipy.linalg.lapack import zpotrf
 
 from .circle import require_szego
 from .errors import (
-    CmvScatError, ConvergenceError, DegeneracyError, DomainError, EvaluationError,
+    DegeneracyError, DomainError, EvaluationError,
     InconsistencyError, InputError, ResolutionError,
 )
 from .lrspace import (
-    DEGENERACY_FLOOR, _memoized, converged_defect_pair, evaluate, inner_product,
+    DEGENERACY_FLOOR, _converge_section, converged_defect_pair, evaluate, inner_product,
 )
 
 
@@ -104,12 +104,15 @@ def alpha_from_defects(pair):
 
 
 def solve_levels(R, J, cfg):
-    """Converged defect pairs {j: pair} of levels -J..J+1, errors prefixed `level j:`."""
+    """Converged defect pairs {j: pair} of levels -J..J+1, errors prefixed `level j:`.
+
+    The doubling's own ConvergenceError names its level already.
+    """
     pairs = {}
     for j in range(-J, J + 2):
         try:
             pairs[j] = converged_defect_pair(R, *level_split(j), cfg)
-        except CmvScatError as exc:
+        except (DegeneracyError, ResolutionError) as exc:
             raise type(exc)(f"level {j}: {exc}") from exc
     return pairs
 
@@ -127,8 +130,9 @@ def inverse_scattering(R, J, cfg):
     -------
     VerblunskySequence
         `diagnostics` carries "cond", the a priori bound 1 / (1 - sup |R|^2)
-        on the condition number of every section (`require_szego`), and
-        "sections": one {level, N, a0} per level -J..J+1, N converged.
+        on the condition number of every section (`require_szego`), "d",
+        R's lower Fourier reach, and "sections": one {level, N0, N, a0} per
+        level -J..J+1, N converged from the start N0.
 
     Raises
     ------
@@ -142,8 +146,10 @@ def inverse_scattering(R, J, cfg):
     seq = VerblunskySequence(-J, alphas, a0s)
 
     seq.diagnostics["cond"] = 1.0 / (1.0 - rep.sup_modulus**2)
+    seq.diagnostics["d"] = pairs[-J].diagnostics["d"]
     seq.diagnostics["sections"] = [
-        {"level": j, "N": p.frame.N, "a0": p.a0} for j, p in pairs.items()
+        {"level": j, "N0": p.diagnostics["N0"], "N": p.frame.N, "a0": p.a0}
+        for j, p in pairs.items()
     ]
     return seq
 
@@ -197,15 +203,11 @@ def union_factor(R, lo, hi, N):
 def union_verblunsky(R, lo, hi, cfg):
     """Verblunsky coefficients of R over [lo, hi] by the union frame (`union_factor`).
 
-    Doubles N from N0 = max(cfg.section_start, max(-lo, 0) + d) until
-    every alpha_j (levels lo..hi) and a0_j (levels lo..hi+1) changes by
-    less than cfg.section_tol, and returns the larger frame's readout. d,
-    R's Fourier reach, is the largest |k| with sum_{|i| >= |k|} |R_i| >=
-    cfg.section_tol (`fourier_tails`): a level j < 0 pairs with g''_l up
-    to about l = -j + d, so a smaller frame misses the coupling, decouples
-    and reads an exact alpha = 0 that the doubling cannot tell from a
-    converged one. Inside a `section_memo()` block each (lo, hi, N) frame
-    is factored once.
+    The frame size N comes from `lrspace._converge_section`: it doubles
+    from N0 = max(cfg.section_start, d - lo), d R's lower Fourier reach,
+    until every alpha_j (levels lo..hi) and a0_j (levels lo..hi+1) changes
+    by less than cfg.section_tol, and each (lo, hi, N) frame is factored
+    once inside a `section_memo()` block.
 
     Returns
     -------
@@ -218,39 +220,20 @@ def union_verblunsky(R, lo, hi, cfg):
     DomainError, ConditioningError
         R fails the Szego guard at cfg.margin_min (`require_szego`).
     ConvergenceError
-        2 N0 > cfg.section_cap, before any factorization; or no convergence
-        by N = cfg.section_cap, and the message starts with `level j:`,
-        the level of the largest last change.
+        2 N0 > cfg.section_cap, before any factorization, or no convergence
+        by N = cfg.section_cap; the message starts with `level j:`.
     """
     require_szego(R, cfg.margin_min)
 
-    def readout(N):
-        return _memoized(R, ("union", lo, hi, N), lambda: union_factor(R, lo, hi, N))
+    def change(prev, cur):
+        out = np.abs(cur[1] - prev[1])
+        out[:-1] = np.maximum(out[:-1], np.abs(cur[0][:-1] - prev[0][:-1]))
+        return out
 
-    cap, tol = cfg.section_cap, cfg.section_tol
-    d = max(int(np.count_nonzero(R.fourier_tails >= tol)) - 1, 0)
-    N0 = N = max(cfg.section_start, max(-lo, 0) + d)
-    if 2 * N0 > cap:
-        raise ConvergenceError(
-            f"union frame over [{lo}, {hi}] needs section size {2 * N0} > section_cap "
-            f"{cap}: R's Fourier reach d = {d} (tail >= {tol:.1e}) starts the "
-            f"doubling at N0 = max(-lo, 0) + d = {N0}"
-        )
-    change = np.full(hi - lo + 2, np.inf)
-    prev = readout(N)
-    while 2 * N <= cap:
-        N *= 2
-        cur = readout(N)
-        change = np.abs(cur[1] - prev[1])
-        change[:-1] = np.maximum(change[:-1], np.abs(cur[0][:-1] - prev[0][:-1]))
-        if np.max(change) < tol:
-            return VerblunskySequence(lo, cur[0][:-1], cur[1], {"N": N, "d": d, "N0": N0})
-        prev = cur
-    worst = int(np.argmax(change))
-    raise ConvergenceError(
-        f"level {worst + lo}: union frame over [{lo}, {hi}] did not converge by "
-        f"section size {cap} (last change {change[worst]:.3e} > {tol:.1e})"
-    )
+    (alphas, a0s), diag = _converge_section(
+        R, lo, ("union", lo, hi), lambda N: union_factor(R, lo, hi, N), change, cfg,
+        f"union frame over [{lo}, {hi}]")
+    return VerblunskySequence(lo, alphas[:-1], a0s, diag)
 
 
 def split_deviation(R, seq, cfg):

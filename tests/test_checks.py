@@ -160,11 +160,12 @@ def test_memo_released_after_raise(r_smooth, small_cfg, solved, monkeypatch):
 def test_shifted_split_served_from_the_level_memo(r_smooth, solved):
     # a second split of a solved level is the cached pair moved by t^p,
     # bit for bit what a fresh solve at that split returns
-    n, m, N = 1, 2, 32
+    n, m, cfg = 1, 2, RunConfig(grid_size=256)
     with lrspace.section_memo():
-        alpha = alpha_from_defects(lrspace.section_pair(r_smooth, n, m, N))
-        moved = lrspace.section_pair(r_smooth, n + 1, m - 1, N)
-    assert solved == [(n + m, N)]
+        alpha = alpha_from_defects(converged_defect_pair(r_smooth, n, m, cfg))
+        moved = converged_defect_pair(r_smooth, n + 1, m - 1, cfg)
+    N = moved.frame.N
+    assert solved == [(n + m, N // 2), (n + m, N)]
     fresh = lrspace.defect_pair(r_smooth, n + 1, m - 1, N)
     assert moved.frame == fresh.frame == lrspace.GeneratorFrame(n + 1, m - 1, N)
     assert moved.Ktilde.frame == fresh.frame
@@ -221,25 +222,27 @@ def test_oracle_compares_within_a_narrow_window(r_smooth, small_cfg):
 
 
 def test_oracle_runs_at_the_union_start(small_cfg, monkeypatch):
-    # R = 0.5 tbar^40: level -6 couples only with g''_47. At section_start 16
-    # the oracle's frame decouples like the per-level sections and agrees
-    # with their a0 = 1.0 exactly; at the union route's N0 = J + d = 46 it
-    # reads sqrt(0.75) and flags them, at twice the oversampling as well
+    # R = 0.5 tbar^40: level -6 couples only with g''_47. The per-level
+    # sections start at N0 = d - level = 46 like the union frame, and read
+    # a0 = sqrt(0.75); the oracle at that start agrees at once, with no
+    # escalation. An oracle frame at section_start 16 would decouple and
+    # read a0 = 1.0 instead
     cfg = small_cfg
     R = from_string("monomial,gamma=0.5,k=40", CircleGrid(cfg.grid_size))
     seq = inverse_scattering(R, cfg.levels, cfg)
+    assert seq.diagnostics["sections"][0]["N0"] == 46
+    assert abs(seq.a0s[0] - np.sqrt(0.75)) <= 1e-15
     Q = oracle.quadrature_space(R, cfg.oversample)
     at_start = oracle.compare_with_fast_path(R, Q, cfg.levels, cfg.section_start, cfg, seq)
-    assert at_start["max_a0_dev"] == 0.0
+    assert abs(at_start["max_a0_dev"] - (1.0 - np.sqrt(0.75))) <= 1e-15
     frames = []
     original = oracle.oracle_verblunsky
     monkeypatch.setattr(oracle, "oracle_verblunsky",
                         lambda R, J, N, Q: frames.append(N) or original(R, J, N, Q))
     result = {r.name: r for r in checks.check_oracle(R, seq, cfg)}
-    assert frames == [46, 46]
-    a0 = result["oracle_a0_agreement"]
-    assert not a0.passed and abs(a0.value - (1.0 - np.sqrt(0.75))) <= 1e-15
-    assert result["oracle_alpha_agreement"].passed
+    assert frames == [46]
+    for name in ("oracle_a0_agreement", "oracle_alpha_agreement"):
+        assert result[name].passed and result[name].value <= 1e-15, name
 
 
 def test_spectral_entry_is_the_worst_moment_check(r_smooth, small_cfg):

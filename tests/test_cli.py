@@ -646,23 +646,53 @@ def test_cli_spectrum_past_the_level_window(tmp_path):
     assert json.loads(rep.read_text())["max_abs_dev"] <= TOL_FUN
 
 
-def test_cli_spectrum_refuses_noisy_samples(tmp_path, capsys):
-    # the anchor's samples rounded to 8 decimals carry a noise floor across
-    # the whole Fourier window: its reach is d = 508, so the union frame of
-    # levels -5..3 would start at N0 = 513 and cannot double within
-    # section_cap 512, as for roundtrip and check; nothing is written
+def _noisy_anchor(tmp_path):
+    """The `check` example's samples rounded to 8 decimals, as a samples file."""
     R = from_string("random,degree=4,margin=0.2,seed=0", CircleGrid(1024))
     values = np.round(np.column_stack([R.samples.real, R.samples.imag]), 8).tolist()
-    path = _write(tmp_path, "noisy.json",
+    return _write(tmp_path, "noisy.json",
                   json.dumps({"type": "samples", "grid": 1024, "values": values}))
+
+
+def test_cli_spectrum_refuses_noisy_samples(tmp_path, capsys):
+    # the anchor's samples rounded to 8 decimals carry a noise floor across
+    # the whole Fourier window: its lower reach is d = 505, so the union frame
+    # of levels -5..3 would start at N0 = 510 and cannot double within
+    # section_cap 512, as for roundtrip and check; nothing is written
+    path = _noisy_anchor(tmp_path)
     out = tmp_path / "d.csv"
     code = main(["spectrum", "--input", path, "--out", str(out)])
     assert code == 3
     err = capsys.readouterr().err
-    assert ("union frame over [-5, 3] needs section size 1026 > section_cap 512: "
-            "R's Fourier reach d = 508") in err
+    assert ("level -5: union frame over [-5, 3] needs section size 1020 > section_cap "
+            "512: R's lower Fourier reach d = 505") in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["inverse", "spectrum", "roundtrip", "check"])
+def test_cli_noisy_samples_name_the_section_tolerance(tmp_path, capsys, command):
+    # finite-precision samples: their rounding noise reaches the lower reach
+    # d = 505 at the default section_tol 1e-9, so every command that sizes a
+    # section refuses with exit 3 and names the setting that trades accuracy
+    # for a shorter reach; at section_tol 1e-7 the reach is d = 4 and inverse
+    # and roundtrip run, the roundtrip to the samples' rounding
+    path = _noisy_anchor(tmp_path)
+    out = tmp_path / "o"
+    code = main([command, "--input", path, "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "R's lower Fourier reach d = 505 (tail >= 1.0e-09)" in err
+    assert ("R is sampled, so the samples' rounding noise counts toward d: a larger "
+            "section_tol shortens it at the cost of accuracy") in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    if command not in ("inverse", "roundtrip"):
+        return
+    cfg_path = _write(tmp_path, "cfg.json", json.dumps({"section_tol": 1e-7}))
+    assert main([command, "--input", path, "--config", cfg_path, "--out", str(out)]) == 0
+    if command == "roundtrip":
+        assert json.loads(out.read_text())["sup_error"] <= 1e-8
 
 
 def test_cli_check_passes(tmp_path):
@@ -808,7 +838,7 @@ def test_cli_roundtrip_rejects_negative_ladder(tmp_path, capsys):
 def test_cli_roundtrip_rejects_undoublable_ladder(tmp_path, capsys, monkeypatch):
     # R = 0.5 tbar^300 at the defaults: the tail stays 0.5 below J = 301, so
     # J doubles from 16 to 512, whose union frame would start at N0 =
-    # J + d = 812 and cannot double within section_cap 512. That top rung
+    # d + J = 812 and cannot double within section_cap 512. That top rung
     # runs first and is refused before any factorization
     from cmvscat import verblunsky
 
@@ -820,9 +850,9 @@ def test_cli_roundtrip_rejects_undoublable_ladder(tmp_path, capsys, monkeypatch)
     code = main(["roundtrip", "--family", "monomial,gamma=0.5,k=300", "--out", str(out)])
     assert code == 3
     err = capsys.readouterr().err
-    assert ("roundtrip rung J = 512 (Fourier tail 0.000e+00): union frame over "
-            "[-512, 512] needs section size 1624 > section_cap 512: R's Fourier reach "
-            "d = 300") in err
+    assert ("roundtrip rung J = 512 (Fourier tail 0.000e+00): level -512: union frame "
+            "over [-512, 512] needs section size 1624 > section_cap 512: R's lower "
+            "Fourier reach d = 300") in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -843,20 +873,18 @@ def test_cli_roundtrip_ladder_within_cap_exits_3_on_certificate(tmp_path, capsys
     assert "Traceback" not in err
 
 
-def test_cli_check_flags_the_per_level_route_past_its_reach(tmp_path):
+def test_cli_check_passes_past_the_section_start(tmp_path):
     # R = 0.5 tbar^100 at the defaults: level -16 couples only with g''_117.
-    # The union route starts at N0 = J + d = 116 and reads a0 = sqrt(0.75);
-    # the per-level route still stops on two decoupled sections at N = 64
-    # and reads a0 = 1.0. The oracle's frame starts at the same N0 and reads
-    # sqrt(0.75) too, so the union entry and the oracle's a0 entry fail
+    # A section from section_start 32 would decouple and read a0 = 1.0; both
+    # routes start at N0 = d - level = 116 and read sqrt(0.75), as the
+    # oracle does, so every entry passes
     out = str(tmp_path / "check.json")
     code = main(["check", "--family", "monomial,gamma=0.5,k=100", "--out", out])
-    assert code == 3
+    assert code == 0
     checks = {c["name"]: c for c in json.loads(open(out).read())["checks"]}
-    assert [name for name, c in checks.items() if not c["passed"]] == [
-        "alpha_union_matches_per_level", "oracle_a0_agreement"]
-    for name in ("alpha_union_matches_per_level", "oracle_a0_agreement"):
-        assert abs(checks[name]["value"] - (1.0 - np.sqrt(0.75))) <= 1e-15
+    for name in ("alpha_union_matches_per_level", "oracle_alpha_agreement",
+                 "oracle_a0_agreement"):
+        assert checks[name]["value"] <= 1e-15, name
 
 
 def test_cli_check_bounds_take_no_config(tmp_path, capsys):
@@ -901,20 +929,21 @@ def test_cli_conditioning_floor_refuses_every_command(tmp_path, capsys, command)
     assert not out.exists()
 
 
-def test_cli_check_light_flags_decoupled_levels(tmp_path):
-    # finding A's input: at section_start 8 the per-level route certifies
-    # alpha = 0 at levels -24..-21, 5.0e-4 off (a0 9.0e-2 off); neither the
-    # union route nor the oracle at the union start N0 = J + d = 28 does
+def test_cli_check_certifies_the_levels_below_the_section_start(tmp_path):
+    # finding A's input: from section_start 8 a section of levels -24..-21
+    # misses R's support and would certify alpha = 0, 5.0e-4 off. Each level
+    # starts at N0 = max(8, d - level) = 4 - level, as the union frame and
+    # the oracle do (N0 = J + d = 28), and all three agree
     cfg_path = _write(tmp_path, "cfg.json", json.dumps(
         {"grid_size": 256, "levels": 24, "section_start": 8, "section_cap": 128}))
     out = str(tmp_path / "check.json")
     code = main(["check", "--family", "random,degree=4,margin=0.2,seed=0",
                  "--config", cfg_path, "--out", out])
-    assert code == 3
+    assert code == 0
     checks = {c["name"]: c for c in json.loads(open(out).read())["checks"]}
     for name in ("alpha_union_matches_per_level", "oracle_alpha_agreement",
                  "oracle_a0_agreement"):
-        assert not checks[name]["passed"] and checks[name]["value"] > 1e-4
+        assert checks[name]["value"] <= 1e-15, name
 
 
 def test_cli_direct_boundary_follows_config(tmp_path):
@@ -1156,8 +1185,11 @@ def test_cli_inverse_report_sections(tmp_path):
     sections = report["diagnostics"]["sections"]
     cfg = RunConfig()
     assert [s["level"] for s in sections] == list(range(-4, 6))
-    assert all(2 * cfg.section_start <= s["N"] <= cfg.section_cap for s in sections)
-    assert all(set(s) == {"level", "N", "a0"} for s in sections)
+    assert all(2 * s["N0"] <= s["N"] <= cfg.section_cap for s in sections)
+    assert all(set(s) == {"level", "N0", "N", "a0"} for s in sections)
+    # a degree-4 input at M = 256: every level starts at section_start
+    assert report["diagnostics"]["d"] == 4
+    assert all(s["N0"] == max(cfg.section_start, 4 - s["level"]) for s in sections)
     # one cond, the a priori bound 1 / (1 - sup |R|^2) = 1 / (margin (2 - margin))
     R = from_string("random,degree=4,margin=0.3,seed=5", CircleGrid(256))
     assert report["diagnostics"]["cond"] == 1.0 / (1.0 - R.szego.sup_modulus**2)

@@ -128,14 +128,30 @@ def test_a0_monotone_in_level(r_smooth, small_cfg):
     assert all(b >= a - 1e-6 for a, b in zip(a0s, a0s[1:]))
 
 
-def test_convergence_certificate_raises_on_cap(grid):
-    # the Blaschke input has an infinite coefficient tail, so sections
-    # keep changing and an impossible tolerance must refuse at the cap
+def test_convergence_certificate_raises_on_cap(grid, r_smooth, monkeypatch):
+    # an impossible tolerance must refuse at the cap. On the sampled Blaschke
+    # input every coefficient down to c_{-127} counts toward the lower reach
+    # at 1e-30, so the start alone asks for more than the cap and is refused
+    # before any section is solved; on the degree-6 input (d = 6) level -5
+    # doubles from N0 = 11 to 22 and its last change is rounding, not 0
+    from cmvscat import lrspace
     from cmvscat.families import blaschke
 
+    cfg = RunConfig(section_start=4, section_cap=24, section_tol=1e-30)
+    with pytest.raises(ConvergenceError,
+                       match=r"^level -5: section at \(n, m\) = \(-2, -3\) did not "
+                             r"converge by section size 24 \(last change"):
+        converged_defect_pair(r_smooth, -2, -3, cfg)
+
+    def no_solve(*args):
+        raise AssertionError("a section was solved before the cap refusal")
+
+    monkeypatch.setattr(lrspace, "defect_pair", no_solve)
     R = blaschke(grid, r=0.6, zeros=(0.5,))
-    with pytest.raises(ConvergenceError):
-        cfg = RunConfig(section_start=4, section_cap=8, section_tol=1e-30)
+    with pytest.raises(ConvergenceError,
+                       match=r"^level 0: section at \(n, m\) = \(0, 0\) needs section "
+                             r"size 254 > section_cap 24: R's lower Fourier reach d = 127 "
+                             r".* larger section_tol"):
         converged_defect_pair(R, 0, 0, cfg)
 
 
@@ -343,3 +359,34 @@ def test_evaluate_agrees_with_gram_norm(r_smooth):
         - rs * c1 * np.conj(c2) + np.abs(c2) ** 2
     ) / w
     assert abs(np.mean(integrand) - 1.0) < 1e-8
+
+
+def test_only_the_doubling_reads_the_section_settings():
+    # one section-size policy: the start, cap and tolerance of the doubling
+    # are read by `lrspace._converge_section` and validated by RunConfig,
+    # nowhere else, so no module picks its own N
+    import ast
+    import pathlib
+
+    import cmvscat
+
+    settings = {"section_start", "section_cap", "section_tol"}
+    allowed = {("lrspace", "_converge_section"), ("config", "__post_init__")}
+    seen = set()
+    for path in sorted(pathlib.Path(cmvscat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {}
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and (path.stem, func.name) in allowed:
+                inside.update((id(node), func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Constant):
+                name = node.value  # getattr(cfg, "section_tol") and the like
+            else:
+                continue
+            if name in settings:
+                assert id(node) in inside, f"{path.name}:{node.lineno} reads {name}"
+                seen.add((path.stem, inside[id(node)], name))
+    assert {name for mod, _, name in seen if mod == "lrspace"} == settings

@@ -254,16 +254,17 @@ def test_oracle_certifies_the_deep_window(deep_oracle, spec):
     assert peak <= 16 * 2**20
 
 
-def test_per_level_route_misses_the_deep_residual(deep_oracle):
-    # `inverse --levels 64` on the monomial writes a0_{-64} = 1.0: level -64
-    # couples only to g''_65, and the per-level doubling stops at N = 64 on two
-    # decoupled sections (finding A at the deep rung). A section certificate
-    # that cannot certify a decoupled frame (ROADMAP item 2) flips the last
-    # assertion
+def test_per_level_route_reads_the_deep_residual(deep_oracle):
+    # `inverse --levels 64` on the monomial: level -64 couples only to g''_65,
+    # so a doubling from section_start 32 would stop at N = 64 on two
+    # decoupled sections and write a0_{-64} = 1.0 (finding A at the deep
+    # rung). Level -64 starts at N0 = d + 64 = 65 and reads sqrt(0.75)
     R, seq, _ = deep_oracle("monomial,gamma=0.5,k=1")
     assert abs(seq.a0s[0] - np.sqrt(0.75)) <= 1e-15
     per_level = inverse_scattering(R, 64, RunConfig())
-    assert abs(per_level.a0s[0] - seq.a0s[0]) > 0.1
+    assert per_level.diagnostics["sections"][0]["N0"] == 65
+    assert np.max(np.abs(per_level.alphas - seq.alphas)) <= 1e-15
+    assert np.max(np.abs(per_level.a0s - seq.a0s)) <= 1e-15
 
 
 def test_oracle_shares_no_numerics_with_the_fast_path():

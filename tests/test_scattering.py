@@ -368,7 +368,7 @@ def test_roundtrip_skips_split_recomputation(r_half, small_cfg, monkeypatch):
 def test_roundtrip_ladder_limited_by_section_cap(grid, small_cfg, monkeypatch):
     # R = 0.5 tbar^100 at M = 256: the tail stays 0.5 up to J = 100, so J
     # doubles 6 .. 96 and stops at M/2 + 1 = 129, where it is 0. That top
-    # rung's reach start J + d = 229 cannot double within section_cap 128,
+    # rung's reach start d + J = 229 cannot double within section_cap 128,
     # and it is refused first, before any union frame is factored
     R = from_string("monomial,gamma=0.5,k=100", grid)
 
@@ -377,9 +377,9 @@ def test_roundtrip_ladder_limited_by_section_cap(grid, small_cfg, monkeypatch):
 
     monkeypatch.setattr(verblunsky, "union_factor", no_factor)
     with pytest.raises(ConvergenceError,
-                       match=r"^roundtrip rung J = 129 \(Fourier tail 0\.000e\+00\): union "
-                             r"frame over \[-129, 129\] needs section size 458 > section_cap "
-                             r"128: R's Fourier reach d = 100"):
+                       match=r"^roundtrip rung J = 129 \(Fourier tail 0\.000e\+00\): level "
+                             r"-129: union frame over \[-129, 129\] needs section size 458 > "
+                             r"section_cap 128: R's lower Fourier reach d = 100"):
         roundtrip(R, small_cfg)
 
 

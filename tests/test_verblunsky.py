@@ -12,7 +12,9 @@ from cmvscat import (
 )
 from cmvscat import CircleGrid, RunConfig, oracle_verblunsky, quadrature_space
 from cmvscat.config import TAIL_TOL, TOL_ALG
-from cmvscat.errors import ConvergenceError, DomainError, InputError, ResolutionError
+from cmvscat.errors import (
+    CmvScatError, ConvergenceError, DomainError, InputError, ResolutionError,
+)
 from cmvscat.families import from_string
 from cmvscat.lrspace import converged_defect_pair
 from cmvscat.verblunsky import (
@@ -248,20 +250,23 @@ def test_roundtrip_consistency_random_alphas(grid, small_cfg):
     assert np.max(np.abs(back.rhos - ratios)) < 1e-6
 
 
-# finding A: at section_start 8 the per-level frames of levels -24..-21
+# finding A: from section_start 8 the per-level frames of levels -24..-21
 # miss R's support, decouple and certify alpha = 0, 5.0e-4 off
 FINDING_A = RunConfig(grid_size=256, levels=24, section_start=8, section_cap=128)
 
 
 def test_union_route_matches_the_oracle_where_per_level_decouples():
+    # both routes start at R's lower reach d = 4: level j at N0 = 4 - j, the
+    # union frame at 28, and both agree with the oracle
     cfg = FINDING_A
     R = from_string("random,degree=4,margin=0.2,seed=0", CircleGrid(cfg.grid_size))
-    union = union_verblunsky(R, -cfg.levels, cfg.levels, cfg)
     oracle = oracle_verblunsky(R, cfg.levels, 51, quadrature_space(R, cfg.oversample))
-    assert np.max(np.abs(union.alphas - oracle.alphas)) <= 1e-15
-    assert np.max(np.abs(union.a0s - oracle.a0s)) <= 1e-15
+    union = union_verblunsky(R, -cfg.levels, cfg.levels, cfg)
     per_level = inverse_scattering(R, cfg.levels, cfg)
-    assert np.max(np.abs(per_level.alphas - oracle.alphas)) > 1e-4
+    assert union.diagnostics["N0"] == per_level.diagnostics["sections"][0]["N0"] == 28
+    for seq in (union, per_level):
+        assert np.max(np.abs(seq.alphas - oracle.alphas)) <= 1e-15
+        assert np.max(np.abs(seq.a0s - oracle.a0s)) <= 1e-15
 
 
 @pytest.mark.parametrize("spec", ["random,degree=4,margin=0.2,seed=0", "blaschke,r=0.8",
@@ -286,7 +291,7 @@ def test_union_route_matches_per_level(spec):
 def test_union_window_reads_its_levels_of_the_symmetric_one(spec):
     # a level's union coefficient does not depend on the window around it:
     # windows off centre and one with lo > 0 read the [-16, 16] values, and
-    # each starts at N0 = max(section_start, max(-lo, 0) + d)
+    # each starts at N0 = max(section_start, d - lo)
     cfg = RunConfig()
     R = from_string(spec, CircleGrid(cfg.grid_size))
     ref = union_verblunsky(R, -16, 16, cfg)
@@ -294,7 +299,7 @@ def test_union_window_reads_its_levels_of_the_symmetric_one(spec):
         seq = union_verblunsky(R, lo, hi, cfg)
         assert (seq.lo, seq.hi, len(seq.a0s)) == (lo, hi, hi - lo + 2)
         d = seq.diagnostics["d"]
-        assert seq.diagnostics["N0"] == max(cfg.section_start, max(-lo, 0) + d)
+        assert seq.diagnostics["N0"] == max(cfg.section_start, d - lo)
         assert np.max(np.abs(seq.alphas - ref.alphas[lo + 16:hi + 17])) <= 1e-15, (lo, hi)
         assert np.max(np.abs(seq.a0s - ref.a0s[lo + 16:hi + 18])) <= 1e-15, (lo, hi)
 
@@ -333,9 +338,9 @@ def test_union_convergence_error_names_the_level(r_smooth):
 
 
 def test_union_start_covers_the_fourier_reach(r_half, monkeypatch):
-    # R = 0.5 tbar has reach d = 1, so J = 20 starts at N0 = 21, where level
-    # -20 already meets g''_21: from start 16 the doubling would read a0 at
-    # N = 16 and 32 and move by 1 - sqrt(0.75). Under a cap of 32 the start
+    # R = 0.5 tbar has lower reach d = 1, so J = 20 starts at N0 = 21, where
+    # level -20 already meets g''_21: from start 16 the doubling would read a0
+    # at N = 16 and 32 and move by 1 - sqrt(0.75). Under a cap of 32 the start
     # cannot double, and the refusal comes before any factorization
     from cmvscat import verblunsky
 
@@ -349,17 +354,18 @@ def test_union_start_covers_the_fourier_reach(r_half, monkeypatch):
     monkeypatch.setattr(verblunsky, "union_factor", no_factor)
     cfg = RunConfig(grid_size=256, section_start=16, section_cap=32)
     with pytest.raises(ConvergenceError,
-                       match=r"needs section size 42 > section_cap 32: R's Fourier "
-                             r"reach d = 1 .* N0 = max\(-lo, 0\) \+ d = 21"):
+                       match=r"^level -20: union frame over \[-20, 20\] needs section size "
+                             r"42 > section_cap 32: R's lower Fourier reach d = 1 .* "
+                             r"N0 = d - \(-20\) = 21$"):
         union_verblunsky(r_half, -20, 20, cfg)
 
 
 def test_union_route_matches_the_oracle_past_the_section_start():
     # R = 0.5 tbar^100 couples level -16 only with g''_117: from section_start
     # 32 the doubling would stop at N = 64 on two decoupled frames and read
-    # a0 = 1.0 at every level, 1.34e-1 off. The reach d = 100 starts it at
-    # N0 = 116, and it agrees with the oracle at N = 256; the per-level route
-    # still decouples
+    # a0 = 1.0 at every level, 1.34e-1 off. The lower reach d = 100 starts it
+    # at N0 = 116, and it agrees with the oracle at N = 256; so does the
+    # per-level route, whose level j starts at 100 - j
     cfg = RunConfig()
     R = from_string("monomial,gamma=0.5,k=100", CircleGrid(cfg.grid_size))
     union = union_verblunsky(R, -16, 16, cfg)
@@ -369,7 +375,59 @@ def test_union_route_matches_the_oracle_past_the_section_start():
     assert np.max(np.abs(union.alphas - oracle.alphas)) <= 1e-15
     assert np.max(np.abs(union.a0s - RHO)) <= 1e-15
     per_level = inverse_scattering(R, 16, cfg)
-    assert abs(np.max(np.abs(per_level.a0s - union.a0s)) - (1 - RHO)) <= 1e-15
+    assert [s["N0"] for s in per_level.diagnostics["sections"]] == list(range(116, 82, -1))
+    assert np.max(np.abs(per_level.alphas - oracle.alphas)) <= 1e-15
+    assert np.max(np.abs(per_level.a0s - oracle.a0s)) <= 1e-15
+
+
+def _seeded_inputs(count, seed=25):
+    """`count` (family string, M): monomial k <= 100, random degree <= 8, Blaschke.
+
+    Every other Blaschke input runs at M = 256, where a sampled R cannot
+    resolve the Hankel indices either route reads.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        margin = float(rng.uniform(0.2, 0.4))
+        if i % 3 == 0:
+            spec = f"monomial,gamma={1 - margin:.4f},k={int(rng.integers(1, 101))}"
+        elif i % 3 == 1:
+            spec = (f"random,degree={int(rng.integers(1, 9))},margin={margin:.4f},"
+                    f"seed={int(rng.integers(0, 2**16))}")
+        else:
+            zs = rng.uniform(0.0, 0.5, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
+            spec = f"blaschke,r={1 - margin:.4f},zeros=" + ";".join(
+                f"{z.real:.4f}{z.imag:+.4f}j" for z in zs)
+        out.append((spec, 256 if i % 6 == 5 else 1024))
+    return out
+
+
+@pytest.mark.parametrize("spec, M", _seeded_inputs(12))
+def test_per_level_and_union_routes_agree(spec, M):
+    # both routes size their sections by the one doubling from R's lower
+    # reach, so they read the same alpha and a0 or refuse with the same error.
+    # A level's per-level values do not depend on the window, so one run at
+    # J = 64 serves J = 16 too unless it refused
+    cfg = RunConfig(grid_size=M)
+    R = from_string(spec, CircleGrid(M))
+
+    def run(route, *args):
+        try:
+            return route(R, *args, cfg)
+        except CmvScatError as exc:
+            return type(exc)
+
+    wide = run(inverse_scattering, 64)
+    for J in (16, 64):
+        union = run(union_verblunsky, -J, J)
+        per_level = run(inverse_scattering, J) if isinstance(wide, type) else wide
+        if isinstance(per_level, type) or isinstance(union, type):
+            assert per_level == union, J
+            continue
+        o = -J - per_level.lo
+        assert np.max(np.abs(per_level.alphas[o:o + 2 * J + 1] - union.alphas)) <= 1e-14, J
+        assert np.max(np.abs(per_level.a0s[o:o + 2 * J + 2] - union.a0s)) <= 1e-14, J
 
 
 def _union_doubled_from_start(R, J, cfg):
@@ -397,10 +455,11 @@ def _union_doubled_from_start(R, J, cfg):
 @pytest.mark.parametrize("spec", ["random,degree=8,margin=0.2,seed=3", "blaschke,r=0.8"])
 def test_union_reach_start_matches_doubling_from_section_start(spec, J):
     # finding I at Tier-1 scale: the start J + d is a cost choice, not an
-    # accuracy one. From N0 = max(section_start, J + d) the doubling reads the
-    # same alpha and a0 as from section_start, within 1e-15; at J = 64 it
-    # stops at N = 144 instead of 256 on the degree-8 input and at 190
-    # instead of 128 on the Blaschke one (d = 31)
+    # accuracy one. From N0 = max(section_start, J + d), d R's lower reach,
+    # the doubling reads the same alpha and a0 as from section_start, within
+    # 1e-15; at J = 64 it stops at N = 144 instead of 256 on the degree-8
+    # input and at 128, as from section_start, on the analytic Blaschke one
+    # (d = 0)
     cfg = RunConfig()
     R = from_string(spec, CircleGrid(cfg.grid_size))
     seq = union_verblunsky(R, -J, J, cfg)
@@ -411,11 +470,11 @@ def test_union_reach_start_matches_doubling_from_section_start(spec, J):
 
 
 def test_union_route_refuses_an_index_off_the_grid():
-    # a sampled R resolves [-31, 32] at M = 64; its reach is d = 30, so J = 4
-    # starts at N0 = 34 and reads c_{-73}
+    # a sampled R resolves [-31, 32] at M = 64; an analytic one has lower
+    # reach d = 0, so J = 4 starts at N0 = section_start = 16 and reads c_{-37}
     cfg = RunConfig(grid_size=64, section_start=16, section_cap=128)
     R = from_string("blaschke,r=0.5", CircleGrid(cfg.grid_size))
-    with pytest.raises(ResolutionError, match=r"\[-73, 3\] .*increase the grid size M"):
+    with pytest.raises(ResolutionError, match=r"\[-37, 3\] .*increase the grid size M"):
         union_verblunsky(R, -4, 4, cfg)
 
 
