@@ -13,6 +13,12 @@ density moments from `spectral.moment_check` (the CMV matrix of the
 union frame's alpha_j), generator inner products from
 `oracle.quadrature_gram`, and the window's coefficients again from the
 oracle's own union frame, which starts where the union route's does.
+The defect geometry (`defect_orthogonality`, `defect_unit_norm`), the
+rotation Theta_j (`rotation_relation`) and the CMV entries
+(`cmv_entries_match_gram`) set the Schur-complement solve of each
+section against the FFT of its evaluated vectors
+(`lrspace.generator_products`): <u, g'_k> and <u, g''_l> are Fourier
+coefficients of u's components, so no entry multiplies by a frame Gram.
 The CLI `check` command and the acceptance tests both run these.
 
 The bounds are fixed: `config.TOL_ALG`, `TOL_FUN` and `TAIL_TOL`, or a
@@ -28,7 +34,7 @@ import numpy as np
 
 from . import cmv, oracle, scattering, spectral
 from .config import TAIL_TOL, TOL_ALG, TOL_FUN
-from .lrspace import converged_defect_pair, frame_gram, inner_product, section_memo, shift
+from .lrspace import _cross_block, converged_defect_pair, generator_products, section_memo
 from .verblunsky import (
     alpha_from_defects,
     convergence_report,
@@ -66,27 +72,26 @@ def _leq(name, value, bound, detail=""):
 def check_gram_structure(R, cfg):
     """Contractivity of the cross norm and the defect geometry of converged sections.
 
-    Row 0 of the solve residual G K is <K, g'_n> = a0, which with ||K|| = 1
-    gives ||g'_n - K||^2 = 2 - 2 a0; Ktilde likewise with g''_{m+1}.
+    Each defect vector's products with the generators of its frame come
+    off the FFT of its samples (`generator_products`): row 0 for K is
+    <K, g'_n> = a0, which with ||K|| = 1 gives ||g'_n - K||^2 = 2 - 2 a0;
+    Ktilde likewise with g''_{m+1}.
     """
     norm_excess = ortho = unit = 0.0
     for j in (-2, 0, 3):
         pair = converged_defect_pair(R, *level_split(j), cfg)
-        N = pair.frame.N
-        G = frame_gram(R, pair.frame)
-        c = G[N:, :N].T  # cross block <g'_k, g''_l>
-        norm_excess = max(norm_excess, float(np.linalg.norm(c, 2)) - (1.0 - R.margin))
-        vk = G @ pair.K.coords()
-        vt = G @ pair.Ktilde.coords()
+        f = pair.frame
+        norm_excess = max(norm_excess,
+                          float(np.linalg.norm(_cross_block(R, f), 2)) - (1.0 - R.margin))
+        vk = generator_products(pair.K)(f)
+        vt = generator_products(pair.Ktilde)(f)
         # orthogonality against every generator of the reduced frames
-        ortho = max(ortho, float(np.max(np.abs(vk[1:]))))
-        keep = np.arange(len(vt)) != N
-        ortho = max(ortho, float(np.max(np.abs(vt[keep]))))
-        # ||K||^2 = K^H (G K), from the residual already in hand
-        norms = [np.sqrt(max((np.conj(v.coords()) @ gv).real, 0.0))
+        ortho = max(ortho, np.max(np.abs(vk[1:])), np.max(np.abs(np.delete(vt, f.N))))
+        # ||K||^2 = K^H (G K), G K being the products already in hand
+        norms = [np.sqrt(max(np.vdot(v.coords(), gv).real, 0.0))
                  for v, gv in ((pair.K, vk), (pair.Ktilde, vt))]
         unit = max(unit, *(abs(x - 1.0) for x in norms),
-                   abs(vk[0] - pair.a0), abs(vt[N] - pair.a0_tilde))
+                   abs(vk[0] - pair.a0), abs(vt[f.N] - pair.a0_tilde))
     return [
         _leq("gram_cross_contractive", norm_excess, 1e-10, "||cross|| - sup|R|"),
         _leq("defect_orthogonality", ortho, 1e-8),
@@ -155,9 +160,10 @@ def check_cmv(R, seq, cfg):
     for n in (0, 1):
         basis = {idx: basis_vector(idx) for idx in range(2 * n - 1, 2 * n + 3)}
         for col in (2 * n, 2 * n + 1):
-            moved = shift(basis[col], 1)
-            entry_dev = max(entry_dev, *(abs(inner_product(moved, vec) - U0.entry(row, col))
-                                         for row, vec in basis.items()))
+            products = generator_products(basis[col])  # <t b_col, b_row> at p = 1
+            entry_dev = max(entry_dev, *(
+                abs(np.vdot(vec.coords(), products(vec.frame, 1)) - U0.entry(row, col))
+                for row, vec in basis.items()))
     out.append(_leq("cmv_entries_match_gram", entry_dev, TOL_FUN))
     return out
 

@@ -21,7 +21,9 @@ at R's lower reach, doubles to the section tolerance and refuses at the
 cap of the RunConfig it is given. Inside a `section_memo()` block each
 size it reads is solved once, and any split of a level's section is
 served as a shift that shares the values read off the section; the
-invariant suite opens one for its checks.
+invariant suite opens one for its checks. `generator_products` reads
+inner products off the FFT of an evaluated element instead of a Gram,
+the second route of the suite's defect and CMV-entry certificates.
 
 Gram orientation used throughout: G[a, b] = <s_b, s_a>, so that for
 coordinate vectors u, v the inner product <u, v> is v^H G u.
@@ -203,6 +205,39 @@ def evaluate(u):
     return comp1, comp2
 
 
+def generator_products(u):
+    """Inner products of t^p u with generators, off one FFT per component of `evaluate(u)`.
+
+    The weight W = (1 - |R|^2)^-1 [[1, -Rbar], [-R, 1]] has [1, R] W = [1, 0]
+    and [Rbar, 1] W = [0, 1] pointwise, so <u, g'_k> is the Fourier
+    coefficient u1^(k) of u's first component and <u, g''_l> is u2^(-l);
+    multiplying by t^p moves both p indices up. On R's grid these are the
+    Hankel Gram's numbers, its c_j being the DFT of the same samples.
+
+    Returns `products(frame, p=0)`, the 2N vector [<t^p u, g'_k>; <t^p u, g''_l>]
+    over the frame's generators, so <t^p u, v> = vdot(v.coords(), products(v.frame, p)).
+    Raises ResolutionError where a bin aliases: a frame wider than the grid
+    (`evaluate`), or a Hankel index -(k + l) of the frames' hull off the
+    grid's window whose bin holds a coefficient R holds. The frame Gram
+    reads 0 there for exact coefficients and refuses sampled ones.
+    """
+    grid, c, M = u.scattering.grid, u.scattering.coeffs, u.scattering.grid.size
+    a, b = (np.fft.fft(comp) / M for comp in evaluate(u))
+
+    def products(frame, p=0):
+        # <t^p u, g'_k> = <u, g'_{k-p}> and <t^p u, g''_l> = <u, g''_{l+p}>
+        h = _hull_frame(u.frame, GeneratorFrame(frame.n - p, frame.m + p, frame.N))
+        j = -np.arange(h.n + h.m + 1, h.n + h.m + 2 * h.N)  # the hull's Hankel indices
+        bin_j = (j - grid.coeff_lo) % M + grid.coeff_lo  # the index j's bin holds
+        if h.N > M or np.any((bin_j != j) & (bin_j >= c.lo) & (bin_j <= c.hi)):
+            raise ResolutionError(f"products of {u.frame} over {frame} at t^{p} alias on "
+                                  f"a grid of size {M}; increase the grid size M")
+        i = np.arange(frame.N)
+        return np.concatenate([a[(frame.n - p + i) % M], b[-(frame.m + p + 1 + i) % M]])
+
+    return products
+
+
 @dataclass
 class DefectPair:
     """Unit vectors spanning the two one-dimensional defect gaps at (n, m).
@@ -323,7 +358,9 @@ def _converge_section(R, lo, key, readout, change, cfg, what):
     already holds every coefficient a larger N could show it: a section
     that decouples there (K = g'_n, a0 = 1, alpha = 0 exactly) decouples
     at every N, and a smaller start could stop on two decoupled sections
-    of a level that couples. The doubling ends when every entry of
+    of a level that couples. An R whose whole coefficient mass
+    (`fourier_tails[0]`) is below section_tol has no reach to cover and
+    starts at N0 = cfg.section_start. The doubling ends when every entry of
     `change(prev, cur)`, one per level from lo up, is below section_tol.
     Inside a `section_memo()` block each (*key, N) is read once.
 
@@ -333,7 +370,7 @@ def _converge_section(R, lo, key, readout, change, cfg, what):
     """
     tol, cap = cfg.section_tol, cfg.section_cap
     d = max(int(np.count_nonzero(R.lower_tails >= tol)) - 1, 0)
-    N0 = N = max(cfg.section_start, d - lo)
+    N0 = N = cfg.section_start if R.fourier_tails[0] < tol else max(cfg.section_start, d - lo)
     if 2 * N0 > cap:
         hint = "" if R.exact_coeffs else (
             "; R is sampled, so the samples' rounding noise counts toward d: a "

@@ -20,7 +20,8 @@ from .errors import (
     InconsistencyError, InputError, ResolutionError,
 )
 from .lrspace import (
-    DEGENERACY_FLOOR, _converge_section, converged_defect_pair, evaluate, inner_product,
+    DEGENERACY_FLOOR, _converge_section, converged_defect_pair, evaluate,
+    generator_products, inner_product,
 )
 
 
@@ -344,7 +345,8 @@ def rotation_relation_residual(R, n, m, cfg):
 
     Measures || [K_{n,m}, Kt_{n+1,m}] - [Kt_{n,m}, K_{n,m+1}] Theta_j ||
     column by column in the weighted norm, with
-    Theta_j = [[alpha_j, rho_j], [rho_j, -conj(alpha_j)]].
+    Theta_j = [[alpha_j, rho_j], [rho_j, -conj(alpha_j)]]; each norm comes off
+    the FFT of the residual's samples (`generator_products`), not the Gram.
     """
     base = converged_defect_pair(R, n, m, cfg)
     right = converged_defect_pair(R, n + 1, m, cfg)
@@ -353,4 +355,5 @@ def rotation_relation_residual(R, n, m, cfg):
     rho = float(np.sqrt(1.0 - abs(alpha) ** 2))
     r1 = base.K - (alpha * base.Ktilde + rho * up.K)
     r2 = right.Ktilde - (rho * base.Ktilde - np.conj(alpha) * up.K)
-    return max(r1.norm(), r2.norm())
+    squares = (np.vdot(r.coords(), generator_products(r)(r.frame)).real for r in (r1, r2))
+    return float(np.sqrt(max(0.0, *squares)))

@@ -1,12 +1,14 @@
 """The invariant suite shares one section memo, keyed by level, between its checks."""
 
+import ast
 import gc
+import pathlib
 import weakref
 
 import numpy as np
 import pytest
 
-from cmvscat import CircleGrid, checks, lrspace, oracle, spectral, verblunsky
+from cmvscat import CircleGrid, checks, cmv, lrspace, oracle, spectral, verblunsky
 from cmvscat.checks import run_full_suite
 from cmvscat.config import TOL_FUN, RunConfig
 from cmvscat.families import from_string, random_trig
@@ -110,19 +112,28 @@ def test_suite_reads_each_alpha_once(r_smooth, small_cfg, alpha_reads):
 
 def test_anchor_suite_solve_count(solved, unions, monkeypatch):
     # the deterministic work of the anchor suite at the defaults: sections
-    # solved, union frames factored, inner products taken and oracle CGS2
-    # projections (one per generator of the oracle's union frame, 2J + 2 + 2N
-    # at J = 16, N = 32); a re-solve or a re-read moves a count. The per-level
-    # sections cover cfg.levels' window only (68 of them, none past N = 64); the
-    # anchor's Fourier tail at J = 16 is 0 (degree 4), so the roundtrip has one
-    # rung, read off the union frames at N = 32 and 64, N0 = max(32, 16 + 4)
-    inner, projections = [], []
-    for mod in (lrspace, checks, verblunsky):
+    # solved, union frames factored, inner products taken (the alpha reads
+    # alone, one per level of [-J, J]), FFT product pairs
+    # (`generator_products`: 6 for the defect geometry, 4 for the CMV entries,
+    # 6 for the rotation residuals) and oracle CGS2 projections (one per
+    # generator of the oracle's union frame, 2J + 2 + 2N at J = 16, N = 32);
+    # a re-solve or a re-read moves a count. The per-level sections cover
+    # cfg.levels' window only (68 of them, none past N = 64); the anchor's
+    # Fourier tail at J = 16 is 0 (degree 4), so the roundtrip has one rung,
+    # read off the union frames at N = 32 and 64, N0 = max(32, 16 + 4)
+    inner, products, projections = [], [], []
+    for mod in (lrspace, verblunsky):
         def counting(u, v, original=mod.inner_product):
             inner.append(1)
             return original(u, v)
 
         monkeypatch.setattr(mod, "inner_product", counting)
+    for mod in (checks, verblunsky):
+        def counting_ffts(u, original=mod.generator_products):
+            products.append(1)
+            return original(u)
+
+        monkeypatch.setattr(mod, "generator_products", counting_ffts)
     original = oracle._project_out
     monkeypatch.setattr(oracle, "_project_out",
                         lambda *a: projections.append(1) or original(*a))
@@ -131,7 +142,7 @@ def test_anchor_suite_solve_count(solved, unions, monkeypatch):
     assert len(solved) == len(set(solved)) == 68
     assert max(N for _, N in solved) == 64
     assert unions == [(-16, 16, 32), (-16, 16, 64)]
-    assert (len(inner), len(projections)) == (55, 98)
+    assert (len(inner), len(products), len(projections)) == (33, 16, 98)
 
 
 def test_memo_released_after_return(r_smooth, small_cfg, solved):
@@ -257,3 +268,68 @@ def test_spectral_entry_is_the_worst_moment_check(r_smooth, small_cfg):
     seq = verblunsky.union_verblunsky(R, -cfg.levels, cfg.levels, cfg)
     worst = max(spectral.moment_check(d, seq, 4)["max_abs_dev"] for d in densities)
     assert suite["spectral_moments_match_cmv"] == worst
+
+
+def _entries(results):
+    return {r.name: r for r in results}
+
+
+def test_defect_geometry_sees_one_moved_coordinate(r_smooth, small_cfg, monkeypatch):
+    # K off by 1e-6 in its g'_n coordinate: <K, g'_n> moves off a0 and the
+    # products with the coupled g''_l off 0, by far more than either bound
+    R, cfg = r_smooth, small_cfg
+    assert all(r.passed for r in checks.check_gram_structure(R, cfg))
+    original = checks.converged_defect_pair
+
+    def moved(*args):
+        pair = original(*args)
+        x = pair.K.x.copy()
+        x[0] += 1e-6
+        K = lrspace.LrElement(pair.K.frame, x, pair.K.y, R)
+        return lrspace.DefectPair(K, pair.Ktilde, pair.a0, pair.a0_tilde)
+
+    monkeypatch.setattr(checks, "converged_defect_pair", moved)
+    result = _entries(checks.check_gram_structure(R, cfg))
+    for name in ("defect_orthogonality", "defect_unit_norm"):
+        assert not result[name].passed, name
+    assert result["gram_cross_contractive"].passed
+
+
+def test_rotation_relation_sees_a_conjugated_alpha(r_smooth, small_cfg, monkeypatch):
+    R, cfg = r_smooth, small_cfg
+    assert checks.check_rotation(R, cfg)[0].passed
+    original = verblunsky.alpha_from_defects
+    monkeypatch.setattr(verblunsky, "alpha_from_defects", lambda pair: np.conj(original(pair)))
+    assert not checks.check_rotation(R, cfg)[0].passed
+
+
+def test_cmv_entries_see_a_basis_label_off_by_one(r_smooth, small_cfg, monkeypatch):
+    R, cfg = r_smooth, small_cfg
+    seq = inverse_scattering(R, cfg.levels, cfg)
+    assert _entries(checks.check_cmv(R, seq, cfg))["cmv_entries_match_gram"].passed
+    original = cmv.basis_label
+    monkeypatch.setattr(cmv, "basis_label", lambda index: original(index + 1))
+    result = _entries(checks.check_cmv(R, seq, cfg))
+    assert not result["cmv_entries_match_gram"].passed
+    assert result["cmv_unitarity_decoupled"].passed
+
+
+def test_certificates_take_no_gram_products():
+    # the defect geometry, the CMV entries and the rotation residuals read
+    # their inner products off `generator_products`, the FFT of the evaluated
+    # vectors: checks.py imports no frame Gram route, and the rotation
+    # residual calls none, nor LrElement.norm, which is one
+    gram_routes = {"frame_gram", "inner_product"}
+    tree = ast.parse(pathlib.Path(checks.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert not {a.name for a in node.names} & gram_routes, ast.dump(node)
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            assert getattr(node, "id", getattr(node, "attr", None)) not in gram_routes
+    tree = ast.parse(pathlib.Path(verblunsky.__file__).read_text())
+    func = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                and node.name == "rotation_relation_residual")
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(func) if isinstance(node, ast.Call)}
+    assert "generator_products" in called
+    assert not called & (gram_routes | {"norm"}), called

@@ -12,7 +12,9 @@ from cmvscat import (
 )
 from cmvscat.config import RunConfig
 from cmvscat.errors import ConvergenceError, DomainError
-from cmvscat.lrspace import LrElement, embed, frame_gram
+from cmvscat.errors import ResolutionError
+from cmvscat.families import from_string
+from cmvscat.lrspace import LrElement, embed, frame_gram, generator_products
 
 RHO = np.sqrt(0.75)
 
@@ -390,3 +392,61 @@ def test_only_the_doubling_reads_the_section_settings():
                 assert id(node) in inside, f"{path.name}:{node.lineno} reads {name}"
                 seen.add((path.stem, inside[id(node)], name))
     assert {name for mod, _, name in seen if mod == "lrspace"} == settings
+
+
+PRODUCT_INPUTS = ["monomial,gamma=0.5,k=3",  # exact coefficients
+                  "random,degree=6,margin=0.2,seed=1",  # exact coefficients
+                  "blaschke,r=0.8,zeros=0.4;-0.2+0.3j"]  # sampled
+PRODUCT_FRAMES = [GeneratorFrame(0, 0, 16), GeneratorFrame(-5, -7, 32),
+                  GeneratorFrame(3, -9, 8), GeneratorFrame(-20, 4, 40)]
+
+
+def _random_element(R, frame, seed):
+    # random unit coordinates: a defect vector's products vanish on most generators
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal((2, frame.N, 2)) @ np.array([1.0, 1j])
+    scale = np.sqrt(np.sum(np.abs(x) ** 2 + np.abs(y) ** 2))
+    return LrElement(frame, x / scale, y / scale, R)
+
+
+@pytest.mark.parametrize("spec", PRODUCT_INPUTS)
+def test_generator_products_match_the_frame_gram(grid, spec):
+    # <u, g'_k> = u1^(k) and <u, g''_l> = u2^(-l) off one FFT of u's samples:
+    # the numbers G u of the Hankel frame Gram, at rounding level
+    R = from_string(spec, grid)
+    for seed, f in enumerate(PRODUCT_FRAMES):
+        u = _random_element(R, f, seed)
+        assert np.max(np.abs(generator_products(u)(f) - frame_gram(R, f) @ u.coords())) <= 1e-15
+
+
+@pytest.mark.parametrize("spec", PRODUCT_INPUTS)
+def test_generator_products_of_t_u_move_one_index_up(grid, spec):
+    # <t u, g'_k> = u1^(k - 1) and <t u, g''_l> = u2^(-l - 1): read at p = 1
+    # over the frame of t u they are its Gram products, and those of t u's own FFT
+    R = from_string(spec, grid)
+    for seed, f in enumerate(PRODUCT_FRAMES):
+        u = _random_element(R, f, seed)
+        for p in (1, -1):
+            moved = shift(u, p)
+            products = generator_products(u)(moved.frame, p)
+            gram = frame_gram(R, moved.frame) @ moved.coords()
+            assert np.max(np.abs(products - gram)) <= 1e-15
+            assert np.max(np.abs(products - generator_products(moved)(moved.frame))) <= 1e-15
+
+
+def test_generator_products_refuse_aliased_bins(grid, r_half):
+    # a frame wider than the grid: `evaluate` refuses it
+    big = GeneratorFrame(grid.size // 2, 0, 4)
+    with pytest.raises(ResolutionError):
+        generator_products(generator(r_half, "analytic", grid.size // 2, big))
+    # Hankel indices down to -130 leave the window [-127, 128] of M = 256:
+    # a sampled R holds a coefficient in every bin, so both routes refuse
+    f = GeneratorFrame(2, 1, 64)
+    R = from_string(PRODUCT_INPUTS[2], grid)
+    with pytest.raises(ResolutionError):
+        frame_gram(R, f)
+    with pytest.raises(ResolutionError, match="increase the grid size"):
+        generator_products(_random_element(R, GeneratorFrame(2, 1, 8), 0))(f)
+    # R = 0.5 tbar holds nothing in the bins those indices alias onto
+    u = _random_element(r_half, f, 0)
+    assert np.max(np.abs(generator_products(u)(f) - frame_gram(r_half, f) @ u.coords())) <= 1e-15

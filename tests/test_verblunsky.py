@@ -10,7 +10,10 @@ from cmvscat import (
     recover_omega,
     schur_step,
 )
-from cmvscat import CircleGrid, RunConfig, oracle_verblunsky, quadrature_space
+from cmvscat import (
+    CircleGrid, LaurentSeries, RunConfig, ScatteringFunction, oracle_verblunsky,
+    quadrature_space,
+)
 from cmvscat.config import TAIL_TOL, TOL_ALG
 from cmvscat.errors import (
     CmvScatError, ConvergenceError, DomainError, InputError, ResolutionError,
@@ -379,6 +382,32 @@ def test_union_route_matches_the_oracle_past_the_section_start():
     assert np.max(np.abs(per_level.alphas - oracle.alphas)) <= 1e-15
     assert np.max(np.abs(per_level.a0s - oracle.a0s)) <= 1e-15
 
+
+
+def test_zero_mass_starts_every_level_at_the_section_start():
+    # R = 0 holds no coefficient mass, so no level couples past section_start:
+    # every section starts there and stops at the first doubling, levels -64..-33
+    # included, where the clamp d = 0 alone would start at N0 = -j
+    cfg = RunConfig()
+    R = from_string("zero", CircleGrid(cfg.grid_size))
+    seq = inverse_scattering(R, 64, cfg)
+    assert {(s["N0"], s["N"]) for s in seq.diagnostics["sections"]} == {(32, 64)}
+    assert union_verblunsky(R, -64, 64, cfg).diagnostics["N0"] == 32
+
+
+def test_mass_past_level_zero_keeps_the_reach_start():
+    # R = 0.5 t^3 has no lower tail (d = 0) but mass 0.5: level -64 reads c_3
+    # and still starts at N0 = -(-64) = 64, where it agrees with the oracle.
+    # From section_start 8 it would stop at N = 16 on two sections that miss
+    # c_3, decouple and read a0 = 1 (finding A)
+    cfg = RunConfig(section_start=8)
+    R = ScatteringFunction.from_coeffs(LaurentSeries(3, [0.5]), CircleGrid(cfg.grid_size))
+    seq = inverse_scattering(R, 64, cfg)
+    assert seq.diagnostics["d"] == 0
+    assert seq.diagnostics["sections"][0]["N0"] == 64
+    oracle = oracle_verblunsky(R, 64, 64, quadrature_space(R, cfg.oversample))
+    assert np.max(np.abs(seq.alphas - oracle.alphas)) <= 1e-15
+    assert np.max(np.abs(seq.a0s - oracle.a0s)) <= 1e-15
 
 def _seeded_inputs(count, seed=25):
     """`count` (family string, M): monomial k <= 100, random degree <= 8, Blaschke.
