@@ -12,18 +12,23 @@ over a finite index window. A section's frame Gram G = [[I, B], [B^H, I]],
 B the conjugate of its cross block, has the Schur complement
 S = I - B B^H, half its size. Per section, one Cholesky factorization
 of S gives both defect vectors and both residuals; an S that does not
-factor means aliased coefficients (ResolutionError). The Szego guard
-(`circle.require_szego`) bounds cond_2(S) <= 1 / (1 - sup |R|^2) <= 1e12
-before any factorization. `_converge_section` alone decides the section
-size, for a level's section (`converged_defect_pair`) and for the union
-frame of a level window (`verblunsky.union_verblunsky`) alike: it starts
-at R's lower reach, doubles to the section tolerance and refuses at the
-cap of the RunConfig it is given. Inside a `section_memo()` block each
-size it reads is solved once, and any split of a level's section is
-served as a shift that shares the values read off the section; the
-invariant suite opens one for its checks. `generator_products` reads
-inner products off the FFT of an evaluated element instead of a Gram,
-the second route of the suite's defect and CMV-entry certificates.
+factor means aliased coefficients (ResolutionError). The union frame of
+a level window (`verblunsky.union_factor`) factors the same kind of
+Schur complement, I - C^H C of a Hankel window C; both routes factor it
+in `hankel_schur_factor`, and no module but this one imports BLAS or
+LAPACK. The Szego guard (`circle.require_szego`) bounds
+cond_2(S) <= 1 / (1 - sup |R|^2) <= 1e12 before any factorization.
+`_converge_section` alone decides the section size, for a level's
+section (`converged_defect_pair`) and for the union frame of a level
+window (`verblunsky.union_verblunsky`) alike: it starts at R's lower
+reach, doubles to the section tolerance and refuses at the cap of the
+RunConfig it is given. Inside a `section_memo()` block each size it
+reads is solved once and each section decided once, and any split of a
+level's section is served as a shift that shares the values read off
+the section; the invariant suite opens one for its checks.
+`generator_products` reads inner products off the FFT of an evaluated
+element instead of a Gram, the second route of the suite's defect and
+CMV-entry certificates.
 
 Gram orientation used throughout: G[a, b] = <s_b, s_a>, so that for
 coordinate vectors u, v the inner product <u, v> is v^H G u.
@@ -34,8 +39,8 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import zgemm, zherk
-from scipy.linalg.lapack import zpotrf, zpotrs
+from scipy.linalg.blas import zgemm, zherk, ztrsm
+from scipy.linalg.lapack import zpotrf
 
 from .circle import LaurentSeries, require_szego, synthesize
 from .errors import ConvergenceError, DegeneracyError, InputError, ResolutionError
@@ -250,9 +255,11 @@ class DefectPair:
     in exact arithmetic; `defect_pair` reads both columns off the Schur
     complement S = I - B B^H of G, whose spectrum lies in
     [1 - sup |R|^2, 1] (B is the cross block, of norm at most sup |R|).
-    `shared` holds values read off the section, such as alpha, for every
-    split a `section_memo()` block serves; `diagnostics` the doubling that
-    chose N (`converged_defect_pair`).
+    Since H G = I, <K, Ktilde> = a0_tilde e_N^T K: the coefficient alpha
+    is a0_tilde times K.y[0], K's coordinate on g''_{m+1}. `shared` holds
+    values read off the section, such as alpha, for every split a
+    `section_memo()` block serves; `diagnostics` the doubling that chose N
+    (`converged_defect_pair`).
     """
 
     K: LrElement
@@ -267,21 +274,55 @@ class DefectPair:
         return self.K.frame
 
 
+def aliased(detail):
+    """The ResolutionError of a frame Gram that does not factor, `detail` saying where."""
+    return ResolutionError(f"frame Gram not positive definite ({detail}); the Hankel window "
+                           "norm reaches 1, so coefficients are aliased: increase the grid size M")
+
+
+def hankel_schur_factor(C, b):
+    """Lower Cholesky factor L of S = I - C^H C, and L^-1 b, for a Hankel window C.
+
+    C holds coefficients c_{-(k+l)} of R, its rows over generators of one
+    family and its columns over the other's. S is then the Schur
+    complement of the identity block in the Gram [[I, C], [C^H, I]] of
+    those generators; both fast routes factor it, `defect_pair` for one
+    level's section and `verblunsky.union_factor` for a window's union
+    frame. S is positive definite exactly when ||C|| < 1, its spectrum
+    lying in [1 - ||C||^2, 1], and under the Szego condition ||C|| <=
+    sup |R| < 1 for resolved coefficients, so a failed factorization
+    means aliased ones and raises ResolutionError ("increase the grid
+    size M"). L's strict upper triangle is 0; b is a 2-D array of
+    right-hand sides.
+    """
+    C = np.asfortranarray(C)
+    S = np.eye(C.shape[1], dtype=complex, order="F")
+    if len(C):  # zherk refuses an empty window, for which S = I
+        # only S's lower triangle is written, the strict upper one stays 0
+        S = zherk(-1.0, C, 1.0, S, trans=2, lower=1, overwrite_c=1)
+    L, info = zpotrf(S, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        raise aliased(f"Schur complement zpotrf info {info}")
+    # BLAS ztrsm rather than LAPACK ztrtrs, which OpenBLAS threads at every
+    # size: it would wake scipy's thread pool on each section
+    return L, ztrsm(1.0, L, b, lower=1)
+
+
 def defect_pair(R, n, m, N):
     """Defect vectors of the finite section at (n, m) with N generators per family.
 
     The frame Gram is G = [[I, B], [B^H, I]] with B = conj(cross), and
     everything read off G^-1 lives in the Schur complement S = I - B B^H,
-    half G's size. One Cholesky factorization of S and one solve with the
-    right-hand sides e_0 and B e_0 give x = S^-1 e_0 and z = S^-1 B e_0;
-    then H e_0 = [x; -B^H x] and H e_N = [-z; e_0 + B^H z] give both
-    defect vectors and both residuals (see DefectPair). G is positive
-    definite exactly when S is, that is when the cross block norm is below
-    1, so the factorization also certifies that the coefficients are not
-    aliased. Raises what the Szego guard raises (`require_szego`: DomainError,
-    or ConditioningError when 1 - sup |R|^2 < 1e-12); ResolutionError
-    ("increase the grid size M") when coefficients are unresolved or S does
-    not factor; DegeneracyError when a residual falls below DEGENERACY_FLOOR.
+    half G's size. One Cholesky factorization of S (`hankel_schur_factor`;
+    the cross block is Hankel, hence symmetric, so B B^H = cross^H cross)
+    and one solve with the right-hand sides e_0 and B e_0 give
+    x = S^-1 e_0 and z = S^-1 B e_0; then H e_0 = [x; -B^H x] and
+    H e_N = [-z; e_0 + B^H z] give both defect vectors and both residuals
+    (see DefectPair). Raises what the Szego guard raises (`require_szego`:
+    DomainError, or ConditioningError when 1 - sup |R|^2 < 1e-12);
+    ResolutionError ("increase the grid size M") when coefficients are
+    unresolved or S does not factor; DegeneracyError when a residual falls
+    below DEGENERACY_FLOOR.
 
     Parameters
     ----------
@@ -298,22 +339,12 @@ def defect_pair(R, n, m, N):
         orthogonal to every other generator of their reduced frames.
     """
     frame = GeneratorFrame(n, m, N)
-    require_szego(R)
-    # the cross block is Hankel, hence symmetric: B^H = cross and B B^H = cross^H cross
+    require_szego(R)  # it refuses non-finite samples, so S is finite
     C = np.asfortranarray(_cross_block(R, frame))
-    # require_szego has refused non-finite samples, so S is finite; only its
-    # lower triangle is written, the strict upper one stays 0
-    S = zherk(-1.0, C, 1.0, np.eye(N, dtype=complex, order="F"), trans=2, lower=1,
-              overwrite_c=1)
-    L, info = zpotrf(S, lower=1, clean=0, overwrite_a=1)
-    if info != 0:
-        raise ResolutionError(
-            f"frame Gram not positive definite (Schur complement zpotrf info {info}); the "
-            "cross block norm reaches 1, so coefficients are aliased: increase the grid size M"
-        )
     rhs = np.zeros((N, 2), dtype=complex, order="F")
     rhs[0, 0], rhs[:, 1] = 1.0, np.conj(C[:, 0])  # [e_0, B e_0]
-    X, _ = zpotrs(L, rhs, lower=1, overwrite_b=1)  # [x, z]
+    L, W = hankel_schur_factor(C, rhs)
+    X = ztrsm(1.0, L, W, lower=1, trans_a=2, overwrite_b=1)  # [x, z]
     Y = zgemm(1.0, C, X)
     Y[0, 1] += 1.0  # [B^H x, e_0 + B^H z]: H e_0 = [x; -B^H x], H e_N = [-z; e_0 + B^H z]
     a0, a0t = float(X[0, 0].real) ** -0.5, float(Y[0, 1].real) ** -0.5
@@ -362,12 +393,20 @@ def _converge_section(R, lo, key, readout, change, cfg, what):
     (`fourier_tails[0]`) is below section_tol has no reach to cover and
     starts at N0 = cfg.section_start. The doubling ends when every entry of
     `change(prev, cur)`, one per level from lo up, is below section_tol.
-    Inside a `section_memo()` block each (*key, N) is read once.
+    Inside a `section_memo()` block each (*key, N) is read once, and each
+    (*key, cfg) decided once: a repeat returns the stored readout and its
+    diagnostics before the doubling starts.
 
     Raises ConvergenceError, the message starting with `level j:`, when
     2 N0 > cfg.section_cap, before any readout, and when no size up to
     the cap converges, j then the level of the largest last change.
     """
+    memo = _SECTIONS.get()
+    if memo is None:  # outside a block only this call's reads are kept
+        memo = {}
+    decided = (id(R),) + key + (cfg,)
+    if decided in memo:  # no doubling to rerun
+        return memo[decided][1]
     tol, cap = cfg.section_tol, cfg.section_cap
     d = max(int(np.count_nonzero(R.lower_tails >= tol)) - 1, 0)
     N0 = N = cfg.section_start if R.fourier_tails[0] < tol else max(cfg.section_start, d - lo)
@@ -379,11 +418,8 @@ def _converge_section(R, lo, key, readout, change, cfg, what):
             f"level {lo}: {what} needs section size {2 * N0} > section_cap {cap}: "
             f"R's lower Fourier reach d = {d} (tail >= {tol:.1e}) starts the doubling "
             f"at N0 = d - ({lo}) = {N0}{hint}")
-    memo = _SECTIONS.get()
 
-    def read(N):  # readout(N), solved once per (id(R), *key, N) in an open memo
-        if memo is None:
-            return readout(N)
+    def read(N):  # readout(N), solved once per (id(R), *key, N)
         entry = memo.get((id(R),) + key + (N,))
         if entry is None:
             entry = memo[(id(R),) + key + (N,)] = (R, readout(N))
@@ -395,7 +431,8 @@ def _converge_section(R, lo, key, readout, change, cfg, what):
         cur = read(N)
         delta = np.atleast_1d(change(prev, cur))
         if np.max(delta) < tol:
-            return cur, {"N": N, "d": d, "N0": N0}
+            memo[decided] = (R, (cur, {"N": N, "d": d, "N0": N0}))
+            return memo[decided][1]
         prev = cur
     worst = int(np.argmax(delta))
     raise ConvergenceError(

@@ -5,14 +5,15 @@ defect vectors of that level; the associated Schur functions are read
 off pointwise from the defect vector components and obey a Moebius
 recursion that links consecutive levels. A second route,
 `union_verblunsky`, reads every level of a window off one Cholesky
-factor of the union of the levels' frames.
+factor of the union of the levels' frames, whose only block to factor
+is the Schur complement I - C^H C of a Hankel window C
+(`lrspace.hankel_schur_factor`, as for a level's section).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.lapack import zpotrf
 
 from .circle import require_szego
 from .errors import (
@@ -20,8 +21,8 @@ from .errors import (
     InconsistencyError, InputError, ResolutionError,
 )
 from .lrspace import (
-    DEGENERACY_FLOOR, _converge_section, converged_defect_pair, evaluate,
-    generator_products, inner_product,
+    _converge_section, aliased, converged_defect_pair, evaluate, generator_products,
+    hankel_schur_factor, inner_product,
 )
 
 
@@ -159,45 +160,42 @@ def union_factor(R, lo, hi, N):
     """alpha_j and a0_j of levels lo..hi+1 off one Cholesky factor of the union frame.
 
     The frame [g''_N .. g''_2, g'_{hi+1+N} .. g'_{lo}, g''_1] holds the
-    split-(j, 0) section of every level j, with N anti-analytic and at
-    least N + 1 analytic generators. Its Gram G = L L^H: the diagonal
-    entry L_pp at g'_j's position p is the distance from g'_j to the
-    generators before it. With l the last row of L off its diagonal and
-    s_p = sum_{i<p} |l_i|^2, adding g''_1, the last generator, gives
+    split-(j, 0) section of every level j, with N anti-analytic and
+    P = hi - lo + 2 + N analytic generators. Its first N - 1 members are
+    orthonormal and orthogonal to g''_1, so its Gram G = L L^H factors in
+    blocks. With C the (N-1) x P Hankel window <g'_k, g''_l> = c_{-(k+l)}
+    (row g''_l, column g'_k) and w the row <g'_k, g''_1>,
 
-        alpha_j = -l_p / sqrt(1 - s_p),  a0_j = L_pp sqrt(1 - |alpha_j|^2).
+        G = [[I, C, 0], [C^H, I, w^H], [0, w, 1]],
+        L = [[I, 0, 0], [C^H, L22, 0], [0, l, *]],
 
-    Only the lower triangle of G is written, in Fortran order, and LAPACK
-    factors it in place. Raises ResolutionError when a Hankel index lies
-    outside R's resolved window or G does not factor, DegeneracyError
-    when a residual falls below DEGENERACY_FLOOR.
+    where L22 L22^H = I - C^H C and l = conj(L22^-1 conj(w)), both from
+    `lrspace.hankel_schur_factor`. L22's diagonal entry at g'_j's position
+    p is the distance from g'_j to the generators before it. With
+    s_p = sum_{i<p} |l_i|^2, adding g''_1 gives
+
+        alpha_j = -l_p / sqrt(1 - s_p),  a0_j = L22_pp sqrt(1 - |alpha_j|^2).
+
+    G is positive definite exactly when I - C^H C is and |l| < 1, that is
+    when the whole window [C; w] has norm below 1. Raises ResolutionError
+    when a Hankel index lies outside R's resolved window or either fails.
+    No residual floor is needed: a0_j, the distance from g'_j to the rest
+    of its section, is at least sqrt(1 - ||[C; w]||) > 0, and
+    sqrt(1 - sup |R|) for resolved coefficients.
     """
     P = hi - lo + 2 + N  # analytic members
-    n = P + N
-    # c_{-(k+l)} over every pair: -(hi+1+2N) .. -(lo+1)
+    # c_{-(k+l)} over every pair: -(hi+1+2N) .. -(lo+1); with k descending,
+    # row g''_l of the window reads carr from offset N - l on
     carr = R.coeff_range(-(hi + 1 + 2 * N), -(lo + 1))
-    G = np.zeros((n, n), dtype=complex, order="F")
-    np.fill_diagonal(G, 1.0)
-    # row g'_k, column g''_l (at position N - l): <g''_l, g'_k> = conj(c_{-(k+l)});
-    # with k descending, column l reads carr from offset N - l on
-    np.conjugate(sliding_window_view(carr, P)[:N - 1].T, out=G[N - 1:n - 1, :N - 1])
-    G[n - 1, N - 1:n - 1] = carr[N - 1:N - 1 + P]  # <g'_k, g''_1> = c_{-(k+1)}
-    L, info = zpotrf(G, lower=1, clean=0, overwrite_a=1)
-    if info != 0:
-        raise ResolutionError(
-            f"union frame Gram not positive definite (zpotrf info {info}); the cross "
-            "block norm reaches 1, so coefficients are aliased: increase the grid size M"
-        )
-    ell = L[n - 1, :n - 1]
+    L, y = hankel_schur_factor(sliding_window_view(carr, P)[:N - 1],
+                               np.conj(carr[N - 1:N - 1 + P, None]))
+    ell = np.conj(y[:, 0])
     s = np.concatenate(([0.0], np.cumsum(np.abs(ell) ** 2)))
-    pos = N - 1 + (hi + 1 + N) - np.arange(lo, hi + 2)  # g'_j's position
+    if not s[-1] < 1.0:  # g''_1's pivot: with its row w the window reaches norm 1
+        raise aliased(f"union frame's last pivot 1 - |l|^2 = {1.0 - s[-1]:.3e}")
+    pos = hi + 1 + N - np.arange(lo, hi + 2)  # g'_j's position among the analytic members
     alphas = -ell[pos] / np.sqrt(1.0 - s[pos])
     a0s = L[pos, pos].real * np.sqrt(1.0 - np.abs(alphas) ** 2)
-    if np.min(a0s) < DEGENERACY_FLOOR:
-        raise DegeneracyError(
-            "defect residual below 1e-12; impossible under the Szego condition, "
-            "the input data is inconsistent"
-        )
     return alphas, a0s
 
 

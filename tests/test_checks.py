@@ -188,6 +188,24 @@ def test_shifted_split_served_from_the_level_memo(r_smooth, solved):
     assert alpha_from_defects(moved) == alpha_from_defects(fresh)
 
 
+def test_memo_hit_skips_the_doubling(r_smooth, monkeypatch):
+    # a level decided inside the block is returned before its start is read:
+    # no second doubling, so no second change test, and the same diagnostics
+    cfg = RunConfig(grid_size=256)
+    changes = []
+    real = lrspace._pair_delta
+    monkeypatch.setattr(lrspace, "_pair_delta", lambda a, b: changes.append(1) or real(a, b))
+    with lrspace.section_memo():
+        first = converged_defect_pair(r_smooth, 1, 2, cfg)
+        decided = len(changes)
+        again = converged_defect_pair(r_smooth, 2, 1, cfg)
+        assert len(changes) == decided > 0
+    assert again.diagnostics is first.diagnostics
+    assert again.shared is first.shared
+    converged_defect_pair(r_smooth, 2, 1, cfg)  # outside the block it decides again
+    assert len(changes) == 2 * decided
+
+
 def test_suite_values_match_checks_run_alone(r_smooth, small_cfg):
     cfg = small_cfg
     suite = run_full_suite(r_smooth, cfg)

@@ -219,6 +219,28 @@ def test_defect_pair_memory_is_a_few_section_blocks():
     assert peak <= 4 * 16 * N * N
 
 
+README_FAMILIES = ["zero", "random,degree=4,margin=0.2,seed=0", "blaschke,r=0.8",
+                   "monomial,gamma=0.5,k=1", "monomial,gamma=0.7447,k=8",
+                   "random,degree=8,margin=0.2,seed=3", "monomial,gamma=0.5,k=100"]
+
+
+@pytest.mark.parametrize("spec", README_FAMILIES)
+def test_alpha_is_a0_tilde_times_K_on_the_dropped_generator(spec):
+    # Ktilde = a0_tilde H e_N and H G = I, so <K, Ktilde> = Ktilde^H G K is
+    # a0_tilde e_N^T K: alpha is read off the solve with no Gram product
+    from cmvscat import CircleGrid
+    from cmvscat.verblunsky import level_split
+
+    R = from_string(spec, CircleGrid(1024))
+    splits = [(N, *level_split(j)) for N in (32, 64) for j in range(-16, 18)]
+    # the last one a shifted split of level -3; all solves come first, so the
+    # scipy and numpy BLAS pools alternate once
+    pairs = [defect_pair(R, n, m, N) for N, n, m in splits + [(64, 5, -8)]]
+    for pair in pairs:
+        alpha = inner_product(pair.K, pair.Ktilde)
+        assert abs(pair.a0_tilde * pair.K.y[0] - alpha) <= 1e-15, pair.frame
+
+
 def test_szego_report_computed_once_per_function(r_smooth, monkeypatch):
     from cmvscat import circle
 
@@ -392,6 +414,29 @@ def test_only_the_doubling_reads_the_section_settings():
                 assert id(node) in inside, f"{path.name}:{node.lineno} reads {name}"
                 seen.add((path.stem, inside[id(node)], name))
     assert {name for mod, _, name in seen if mod == "lrspace"} == settings
+
+
+def test_only_lrspace_imports_blas_or_lapack():
+    # both fast routes factor their Hankel Schur complement through
+    # `lrspace.hankel_schur_factor`, so no other module calls BLAS or LAPACK
+    import ast
+    import pathlib
+
+    import cmvscat
+
+    importers = set()
+    for path in sorted(pathlib.Path(cmvscat.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module or ''}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(name.startswith(("scipy.linalg.lapack", "scipy.linalg.blas"))
+                   for name in names):
+                importers.add(path.stem)
+    assert importers == {"lrspace"}
 
 
 PRODUCT_INPUTS = ["monomial,gamma=0.5,k=3",  # exact coefficients

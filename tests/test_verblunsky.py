@@ -508,9 +508,8 @@ def test_union_route_refuses_an_index_off_the_grid():
 
 
 def test_union_factor_keeps_one_matrix():
-    # the Gram is written once, in Fortran order, and factored in place: the
-    # peak is one n x n complex matrix (n = 642 here) plus O(n) work, not the
-    # copies a C-order factor or np.abs(G) would add
+    # the block factor holds I - C^H C (P x P) and one Fortran copy of the
+    # (N-1) x P window C, never the n x n union Gram (n = P + N = 642 here)
     import tracemalloc
 
     from cmvscat.verblunsky import union_factor
@@ -524,5 +523,83 @@ def test_union_factor_keeps_one_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    n = 2 * J + 2 + 2 * N
-    assert peak <= 1.25 * 16 * n * n
+    P = 2 * J + 2 + N
+    assert peak <= 1.25 * 16 * (P * P + N * P)
+
+
+def _union_factor_full_gram(R, lo, hi, N):
+    """alpha_j, a0_j of levels lo..hi+1 off the whole union Gram, the block factor's reference.
+
+    Writes G[a, b] = <s_b, s_a> over [g''_N .. g''_2, g'_{hi+1+N} .. g'_{lo}, g''_1]
+    from <g'_k, g''_l> = c_{-(k+l)} and factors all n x n of it.
+    """
+    ls = np.r_[np.arange(N, 1, -1), 1]
+    ks = np.arange(hi + 1 + N, lo - 1, -1)
+    P, n = len(ks), len(ks) + N
+    carr = R.coeff_range(-(hi + 1 + 2 * N), -(lo + 1))
+    cross = carr[hi + 1 + 2 * N - (ks[:, None] + ls[None, :])]  # <g'_k, g''_l>
+    G = np.eye(n, dtype=complex)
+    ana, anti = np.arange(N - 1, N - 1 + P), np.r_[np.arange(N - 1), n - 1]
+    G[np.ix_(ana, anti)] = np.conj(cross)
+    G[np.ix_(anti, ana)] = cross.T
+    L = np.linalg.cholesky(G)
+    ell = L[n - 1, :n - 1]
+    s = np.concatenate(([0.0], np.cumsum(np.abs(ell) ** 2)))
+    pos = ana[hi + 1 + N - np.arange(lo, hi + 2)]
+    alphas = -ell[pos] / np.sqrt(1.0 - s[pos])
+    return alphas, L[pos, pos].real * np.sqrt(1.0 - np.abs(alphas) ** 2)
+
+
+# (3, 7, 1) has an empty Hankel window: g''_1 is the frame's one anti-analytic member
+UNION_WINDOWS = [(-16, 16, 32), (-16, 16, 64), (-5, 3, 32), (-64, 64, 96), (-64, 64, 192),
+                 (3, 7, 1)]
+
+
+@pytest.mark.parametrize("spec", ["zero", "random,degree=4,margin=0.2,seed=0",
+                                  "blaschke,r=0.8", "monomial,gamma=0.5,k=1",
+                                  "monomial,gamma=0.7447,k=8",
+                                  "random,degree=8,margin=0.2,seed=3",
+                                  "monomial,gamma=0.5,k=100", "reflected"])
+def test_union_block_factor_matches_the_full_gram(spec):
+    # L11 = I, L21 = C^H, L22 = chol(I - C^H C) and g''_1's row [0, l] are the
+    # blocks of the full factor, so both read the same alpha_j and a0_j;
+    # "reflected" is 0.8 B(tbar) for the Blaschke product B, sampled, whose
+    # coefficients reach every negative index
+    from cmvscat.verblunsky import union_factor
+
+    grid = CircleGrid(1024)
+    if spec == "reflected":
+        B = from_string("blaschke,r=0.8", grid).samples
+        R = ScatteringFunction.from_samples(np.roll(B[::-1], 1), grid)
+    else:
+        R = from_string(spec, grid)
+    for window in UNION_WINDOWS:
+        alphas, a0s = union_factor(R, *window)
+        ref_alphas, ref_a0s = _union_factor_full_gram(R, *window)
+        assert np.max(np.abs(alphas - ref_alphas)) <= 1e-15, window
+        assert np.max(np.abs(a0s - ref_a0s)) <= 1e-15, window
+
+
+def test_union_factor_refuses_a_window_of_norm_above_one(monkeypatch):
+    # as for a section (`test_defect_pair_refuses_aliased_cross_block`): a
+    # Hankel window of norm 1.01 leaves I - C^H C indefinite, which only
+    # aliased coefficients can do under the Szego condition
+    from cmvscat import verblunsky
+
+    R = from_string("random,degree=8,margin=0.2,seed=3", CircleGrid(1024))
+    monkeypatch.setattr(verblunsky, "sliding_window_view",
+                        lambda carr, P: 1.01 * np.eye(len(carr) - P + 1, P, dtype=complex))
+    with pytest.raises(ResolutionError, match="increase the grid size M"):
+        verblunsky.union_factor(R, -4, 4, 16)
+
+
+def test_union_factor_refuses_an_indefinite_last_pivot(r_half, monkeypatch):
+    # R = 0.5 tbar read three times too large: the window C over g''_2.. and
+    # g'_0.. holds no c_{-1} and stays 0, so I - C^H C = I factors, but g''_1's
+    # row holds 3 c_{-1} = 1.5 and its pivot 1 - |l|^2 is negative
+    from cmvscat.verblunsky import union_factor
+
+    real = r_half.coeff_range
+    monkeypatch.setattr(r_half, "coeff_range", lambda lo, hi: 3 * real(lo, hi))
+    with pytest.raises(ResolutionError, match="last pivot .*increase the grid size M"):
+        union_factor(r_half, 0, 2, 4)
