@@ -238,13 +238,13 @@ def run_full_suite(R, cfg):
     """All invariant checks for one input; returns a list of CheckResult.
 
     The checks share one `section_memo()` block, released on return or
-    raise, so each union frame (lo, hi, N) is factored and each level's
-    section (n + m, N) solved once per suite. Both are done before the
-    first check: the union frames of every roundtrip rung that R's
-    Fourier tail picks (`scattering.rung_sequences`), top rung first,
-    then the per-level sections of cfg.levels' window only, since the
-    roundtrip and, at cfg.levels >= 5, the moment checks read their
-    coefficients off the union frames.
+    raise, so each union frame (lo, hi) and each level's section n + m
+    is decided once per suite. Both are done before the first check: the
+    union frames of every roundtrip rung that R's Fourier tail picks
+    (`scattering.rung_sequences`), top rung first, then the per-level
+    sections of cfg.levels' window only, since the roundtrip and, at
+    cfg.levels >= 5, the moment checks read their coefficients off the
+    union frames.
     """
     rep = R.szego
     results = [CheckResult("szego_condition", rep.passes and rep.margin >= cfg.margin_min,

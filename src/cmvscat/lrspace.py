@@ -22,10 +22,10 @@ cond_2(S) <= 1 / (1 - sup |R|^2) <= 1e12 before any factorization.
 section (`converged_defect_pair`) and for the union frame of a level
 window (`verblunsky.union_verblunsky`) alike: it starts at R's lower
 reach, doubles to the section tolerance and refuses at the cap of the
-RunConfig it is given. Inside a `section_memo()` block each size it
-reads is solved once and each section decided once, and any split of a
-level's section is served as a shift that shares the values read off
-the section; the invariant suite opens one for its checks.
+RunConfig it is given. Inside a `section_memo()` block it decides each
+section once, and any split of a level's section is served as a shift
+that shares the values read off the section; the invariant suite opens
+one for its checks.
 `generator_products` reads inner products off the FFT of an evaluated
 element instead of a Gram, the second route of the suite's defect and
 CMV-entry certificates.
@@ -358,18 +358,18 @@ def defect_pair(R, n, m, N):
     return DefectPair(K, Kt, a0, a0t)
 
 
-# values solved in the open `section_memo` block, keyed (id(R), *key) and
-# stored with R; None outside any block. An entry holds R, so the id cannot
-# be reused while the entry lives, and nothing points back from R.
+# sections decided in the open `section_memo` block, keyed (id(R), *key, cfg)
+# and stored with R; None outside any block. An entry holds R, so the id
+# cannot be reused while the entry lives, and nothing points back from R.
 _SECTIONS = ContextVar("cmvscat_sections", default=None)
 
 
 @contextmanager
 def section_memo():
-    """Solve each level's section, and each union frame, at most once inside the block.
+    """Decide each level's section, and each union frame, at most once inside the block.
 
-    `_converge_section` serves repeated solves from the block's memo, which
-    is released when the block exits, normally or by an exception.
+    `_converge_section` serves a repeated section from the block's memo,
+    which is released when the block exits, normally or by an exception.
     """
     token = _SECTIONS.set({})
     try:
@@ -393,19 +393,17 @@ def _converge_section(R, lo, key, readout, change, cfg, what):
     (`fourier_tails[0]`) is below section_tol has no reach to cover and
     starts at N0 = cfg.section_start. The doubling ends when every entry of
     `change(prev, cur)`, one per level from lo up, is below section_tol.
-    Inside a `section_memo()` block each (*key, N) is read once, and each
-    (*key, cfg) decided once: a repeat returns the stored readout and its
-    diagnostics before the doubling starts.
+    Inside a `section_memo()` block each (*key, cfg) is decided once: a
+    repeat returns the stored readout and its diagnostics before the
+    doubling starts.
 
     Raises ConvergenceError, the message starting with `level j:`, when
     2 N0 > cfg.section_cap, before any readout, and when no size up to
     the cap converges, j then the level of the largest last change.
     """
     memo = _SECTIONS.get()
-    if memo is None:  # outside a block only this call's reads are kept
-        memo = {}
     decided = (id(R),) + key + (cfg,)
-    if decided in memo:  # no doubling to rerun
+    if memo is not None and decided in memo:  # no doubling to rerun
         return memo[decided][1]
     tol, cap = cfg.section_tol, cfg.section_cap
     d = max(int(np.count_nonzero(R.lower_tails >= tol)) - 1, 0)
@@ -418,21 +416,16 @@ def _converge_section(R, lo, key, readout, change, cfg, what):
             f"level {lo}: {what} needs section size {2 * N0} > section_cap {cap}: "
             f"R's lower Fourier reach d = {d} (tail >= {tol:.1e}) starts the doubling "
             f"at N0 = d - ({lo}) = {N0}{hint}")
-
-    def read(N):  # readout(N), solved once per (id(R), *key, N)
-        entry = memo.get((id(R),) + key + (N,))
-        if entry is None:
-            entry = memo[(id(R),) + key + (N,)] = (R, readout(N))
-        return entry[1]
-
-    prev = read(N)
+    prev = readout(N)
     while 2 * N <= cap:
         N *= 2
-        cur = read(N)
+        cur = readout(N)
         delta = np.atleast_1d(change(prev, cur))
         if np.max(delta) < tol:
-            memo[decided] = (R, (cur, {"N": N, "d": d, "N0": N0}))
-            return memo[decided][1]
+            out = cur, {"N": N, "d": d, "N0": N0}
+            if memo is not None:
+                memo[decided] = (R, out)
+            return out
         prev = cur
     worst = int(np.argmax(delta))
     raise ConvergenceError(

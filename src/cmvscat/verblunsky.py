@@ -205,8 +205,8 @@ def union_verblunsky(R, lo, hi, cfg):
     The frame size N comes from `lrspace._converge_section`: it doubles
     from N0 = max(cfg.section_start, d - lo), d R's lower Fourier reach,
     until every alpha_j (levels lo..hi) and a0_j (levels lo..hi+1) changes
-    by less than cfg.section_tol, and each (lo, hi, N) frame is factored
-    once inside a `section_memo()` block.
+    by less than cfg.section_tol; inside a `section_memo()` block each
+    window (lo, hi) is decided once.
 
     Returns
     -------

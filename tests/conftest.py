@@ -5,6 +5,11 @@ from cmvscat import CircleGrid, LaurentSeries, ScatteringFunction
 from cmvscat.config import RunConfig
 from cmvscat.families import random_trig
 
+# the seven families of the README's examples, the anchor second
+README_FAMILIES = ["zero", "random,degree=4,margin=0.2,seed=0", "blaschke,r=0.8",
+                   "monomial,gamma=0.5,k=1", "monomial,gamma=0.7447,k=8",
+                   "random,degree=8,margin=0.2,seed=3", "monomial,gamma=0.5,k=100"]
+
 
 @pytest.fixture
 def grid():

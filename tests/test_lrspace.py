@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import README_FAMILIES
 from cmvscat import (
     GeneratorFrame,
     converged_defect_pair,
@@ -217,11 +218,6 @@ def test_defect_pair_memory_is_a_few_section_blocks():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 16 * N * N
-
-
-README_FAMILIES = ["zero", "random,degree=4,margin=0.2,seed=0", "blaschke,r=0.8",
-                   "monomial,gamma=0.5,k=1", "monomial,gamma=0.7447,k=8",
-                   "random,degree=8,margin=0.2,seed=3", "monomial,gamma=0.5,k=100"]
 
 
 @pytest.mark.parametrize("spec", README_FAMILIES)

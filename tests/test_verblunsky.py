@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import README_FAMILIES
 from cmvscat import (
     VerblunskySequence,
     alpha_from_defects,
@@ -555,11 +556,7 @@ UNION_WINDOWS = [(-16, 16, 32), (-16, 16, 64), (-5, 3, 32), (-64, 64, 96), (-64,
                  (3, 7, 1)]
 
 
-@pytest.mark.parametrize("spec", ["zero", "random,degree=4,margin=0.2,seed=0",
-                                  "blaschke,r=0.8", "monomial,gamma=0.5,k=1",
-                                  "monomial,gamma=0.7447,k=8",
-                                  "random,degree=8,margin=0.2,seed=3",
-                                  "monomial,gamma=0.5,k=100", "reflected"])
+@pytest.mark.parametrize("spec", README_FAMILIES + ["reflected"])
 def test_union_block_factor_matches_the_full_gram(spec):
     # L11 = I, L21 = C^H, L22 = chol(I - C^H C) and g''_1's row [0, l] are the
     # blocks of the full factor, so both read the same alpha_j and a0_j;
