@@ -1,22 +1,24 @@
 """Invariant-verification harness.
 
 Each check returns a CheckResult with the measured value and the bound
-it is held to; `run_full_suite` strings them together for one input,
-inside one `section_memo()` block that factors each union frame and
-solves each level's section once, and at J >= 5 all of them before the
-first check. Every entry compares two routes or bounds a quantity; none
-reads a number against itself, such as a section against its
-relabelling (a split is only an index label). The second routes are
-library calls: the window's coefficients from one union-frame Cholesky
-factor (`verblunsky.union_verblunsky`, which also serves the roundtrip),
-density moments from `spectral.moment_check` (the CMV matrix of the
-union frame's alpha_j), generator inner products from
-`oracle.quadrature_gram`, and the window's coefficients again from the
-oracle's own union frame, which starts where the union route's does.
-The defect geometry (`defect_orthogonality`, `defect_unit_norm`), the
-rotation Theta_j (`rotation_relation`) and the CMV entries
-(`cmv_entries_match_gram`) set the Schur-complement solve of each
-section against the FFT of its evaluated vectors
+it is held to; `run_full_suite` strings them together for one input. It
+solves first, once: the union frame of every roundtrip rung, the defect
+pair of every level the checks read, and the coefficients read off
+those pairs. It then hands each check the pairs, coefficients and rungs
+it certifies, so no check solves a section; another split of a level is
+the level's pair moved by t^p (`lrspace.at_split`). Every entry compares
+two routes or bounds a quantity; none reads a number against itself,
+such as a section against its relabelling (a split is only an index
+label). The second routes are library calls: the window's coefficients
+from one union-frame Cholesky factor (`verblunsky.union_verblunsky`,
+which also serves the roundtrip), density moments from
+`spectral.moment_check` (the CMV matrix of the union frame's alpha_j),
+generator inner products from `oracle.quadrature_gram`, and the window's
+coefficients again from the oracle's own union frame, which starts where
+the union route's does. The defect geometry (`defect_orthogonality`,
+`defect_unit_norm`), the rotation Theta_j (`rotation_relation`) and the
+CMV entries (`cmv_entries_match_gram`) set the Schur-complement solve of
+each section against the FFT of its evaluated vectors
 (`lrspace.generator_products`): <u, g'_k> and <u, g''_l> are Fourier
 coefficients of u's components, so no entry multiplies by a frame Gram.
 The CLI `check` command and the acceptance tests both run these.
@@ -34,12 +36,11 @@ import numpy as np
 
 from . import cmv, oracle, scattering, spectral
 from .config import TAIL_TOL, TOL_ALG, TOL_FUN
-from .lrspace import _cross_block, converged_defect_pair, generator_products, section_memo
+from .lrspace import _cross_block, at_split, generator_products
 from .verblunsky import (
-    alpha_from_defects,
     convergence_report,
-    inverse_scattering,
     level_split,
+    read_sequence,
     rotation_relation_residual,
     schur_chain,
     solve_levels,
@@ -69,8 +70,8 @@ def _leq(name, value, bound, detail=""):
     return CheckResult(name, value <= bound, float(value), float(bound), detail)
 
 
-def check_gram_structure(R, cfg):
-    """Contractivity of the cross norm and the defect geometry of converged sections.
+def check_gram_structure(R, pairs):
+    """Contractivity of the cross norm and the defect geometry of R's pairs at levels -2, 0, 3.
 
     Each defect vector's products with the generators of its frame come
     off the FFT of its samples (`generator_products`): row 0 for K is
@@ -79,7 +80,7 @@ def check_gram_structure(R, cfg):
     """
     norm_excess = ortho = unit = 0.0
     for j in (-2, 0, 3):
-        pair = converged_defect_pair(R, *level_split(j), cfg)
+        pair = pairs[j]
         f = pair.frame
         norm_excess = max(norm_excess,
                           float(np.linalg.norm(_cross_block(R, f), 2)) - (1.0 - R.margin))
@@ -99,7 +100,7 @@ def check_gram_structure(R, cfg):
     ]
 
 
-def check_verblunsky(R, seq, cfg):
+def check_verblunsky(seq):
     """Coefficient-window consistency: bounds, ratios, telescoping."""
     rep = convergence_report(seq)
     a0s = seq.a0s
@@ -114,32 +115,35 @@ def check_verblunsky(R, seq, cfg):
     ]
 
 
-def check_union(R, seq, cfg):
-    """The per-level coefficients of seq against the union-frame route on its window."""
-    union = union_verblunsky(R, seq.lo, seq.hi, cfg)
+def check_union(seq, union):
+    """The per-level coefficients of seq against the union frame's on the same window."""
     dev = max(np.max(np.abs(union.alphas - seq.alphas)),
               np.max(np.abs(union.a0s - seq.a0s)))
     return [_leq("alpha_union_matches_per_level", dev, TOL_ALG,
                  "max |d alpha|, |d a0| over [-J, J]")]
 
 
-def check_rotation(R, cfg):
-    worst = max(
-        rotation_relation_residual(R, *level_split(j), cfg) for j in (-1, 0, 1)
-    )
+def check_rotation(pairs, seq):
+    """Theta_j between the pairs of levels j and j + 1, j = -1, 0, 1, at alpha_j of seq."""
+    worst = 0.0
+    for j in (-1, 0, 1):
+        n = level_split(j)[0]
+        base, after = pairs[j], pairs[j + 1]
+        worst = max(worst, rotation_relation_residual(
+            base, at_split(after, n + 1), at_split(after, n), seq.alpha(j)))
     return [_leq("rotation_relation", worst, 1e-7)]
 
 
-def check_schur(R, seq, cfg):
+def check_schur(pairs, seq):
     levels = range(max(seq.lo, -4), min(seq.hi - 1, 4))
-    rep = schur_chain(R, seq, cfg, levels=list(levels))
+    rep = schur_chain(pairs, seq, list(levels))
     return [
         _leq("schur_chain_step", rep["step_sup_dev"], TOL_FUN),
         _leq("schur_omega_at_zero", rep["omega_zero_dev"], TOL_ALG),
     ]
 
 
-def check_cmv(R, seq, cfg):
+def check_cmv(pairs, seq):
     """Unitarity of both boundary policies plus Gram/CMV entry agreement.
 
     Unitarity puts the spectrum on the circle: E = U*U - I has bandwidth
@@ -153,7 +157,7 @@ def check_cmv(R, seq, cfg):
 
     def basis_vector(index):
         kind, bn, bm = cmv.basis_label(index)
-        pair = converged_defect_pair(R, bn, bm, cfg)
+        pair = at_split(pairs[bn + bm], bn)
         return pair.K if kind == "K" else pair.Ktilde
 
     entry_dev = 0.0
@@ -168,13 +172,14 @@ def check_cmv(R, seq, cfg):
     return out
 
 
-def check_roundtrip(R, cfg):
+def check_roundtrip(R, rungs, cfg):
     """Roundtrip sup error of the top rung, and its excess over the Fourier tail on every rung.
 
-    Level window J reconstructs S_{J-1}R: sup error <= sum_{|k|>=J} |R_k| + M eps,
-    the tail each rung records (`ScatteringFunction.fourier_tail`).
+    rungs is `scattering.rung_sequences(R, cfg)`. Level window J reconstructs
+    S_{J-1}R: sup error <= sum_{|k|>=J} |R_k| + M eps, the tail each rung
+    records (`ScatteringFunction.fourier_tail`).
     """
-    rep = scattering.roundtrip(R, cfg)
+    rep = scattering.roundtrip(R, rungs)
     excess = max(r["sup_error"] - r["fourier_tail"] for r in rep["rungs"])
     return [
         _leq("roundtrip_sup_error", rep["sup_error"], cfg.tol_roundtrip),
@@ -183,42 +188,40 @@ def check_roundtrip(R, cfg):
     ]
 
 
-def check_spectral(R, cfg):
+def check_spectral(R, pairs, seq, union):
     """Density moments by `spectral.moment_check` at levels 0 and 1; sigma recursion.
 
-    The densities come from the per-level defect pairs, the coefficients of
-    U from the union frame: the kmax = 4 moments read levels -5..5, inside
-    the first roundtrip rung's window when cfg.levels >= 5, whose frames the
-    suite has factored already.
+    The densities come from the pairs of levels 0 and 2, at offsets (0, 0)
+    and (1, 1), with alpha_0 and the recursion's alpha_j from seq; the
+    coefficients of U from the union frame, whose window must hold the
+    levels -5..5 that the kmax = 4 moments read.
     """
-    J = max(cfg.levels, 5)
-    seq = union_verblunsky(R, -J, J, cfg)
     moment_dev = 0.0
     for n in (0, 1):
-        dens = spectral.spectral_density(R, n, cfg)
+        dens = spectral.spectral_density(R, pairs[2 * n])
         tagged = [dens]
         if n == 0:
-            alpha = alpha_from_defects(converged_defect_pair(R, n, n, cfg))
-            tagged.append(spectral.change_basis_density(dens, alpha))
+            tagged.append(spectral.change_basis_density(dens, seq.alpha(0)))
         for d in tagged:
-            moment_dev = max(moment_dev, spectral.moment_check(d, seq, 4)["max_abs_dev"])
-    rec_dev = max(spectral.sigma_recursion_check(R, j, cfg) for j in (0, 1))
+            moment_dev = max(moment_dev, spectral.moment_check(d, union, 4)["max_abs_dev"])
+    rec_dev = max(spectral.sigma_recursion_check(pairs[j], pairs[j + 1], seq.alpha(j))
+                  for j in (0, 1))
     return [
         _leq("spectral_moments_match_cmv", moment_dev, TOL_FUN),
         _leq("sigma_recursion", rec_dev, TOL_FUN),
     ]
 
 
-def check_oracle(R, seq, cfg):
+def check_oracle(R, seq, union, cfg):
     """Oracle agreement of seq on its whole window [-J, J] and of generator inner products.
 
-    The oracle's union frame starts where `union_verblunsky`'s does, at
-    N0 = max(section_start, J + d) with d R's lower Fourier reach: a
-    smaller frame can miss the coupling of level -J, decouple and read
-    a0 = 1 there.
+    The oracle's union frame starts where that of `union`, the union route
+    over [-J, J], does: at N0 = max(section_start, J + d) with d R's lower
+    Fourier reach. A smaller frame can miss the coupling of level -J,
+    decouple and read a0 = 1 there.
     """
     J = min(-seq.lo, seq.hi)
-    N0 = union_verblunsky(R, -J, J, cfg).diagnostics["N0"]
+    N0 = union.diagnostics["N0"]
     Q = oracle.quadrature_space(R, cfg.oversample)
     rep = oracle.compare_with_fast_path(R, Q, J, N0, cfg, seq)
     out = [_leq("oracle_alpha_agreement", rep["max_alpha_dev"], TOL_FUN),
@@ -237,37 +240,35 @@ def check_oracle(R, seq, cfg):
 def run_full_suite(R, cfg):
     """All invariant checks for one input; returns a list of CheckResult.
 
-    The checks share one `section_memo()` block, released on return or
-    raise, so each union frame (lo, hi) and each level's section n + m
-    is decided once per suite. Both are done before the first check: the
-    union frames of every roundtrip rung that R's Fourier tail picks
-    (`scattering.rung_sequences`), top rung first, then the per-level
-    sections of cfg.levels' window only, since the roundtrip and, at
-    cfg.levels >= 5, the moment checks read their coefficients off the
-    union frames.
+    Solves once, before the first check, and hands the checks what they
+    certify: the union frame of every roundtrip rung that R's Fourier tail
+    picks (`scattering.rung_sequences`), top rung first, so a rung that
+    cannot converge fails at once; the defect pairs of the levels
+    [min(-J, -2), max(J + 1, 4)], J = cfg.levels, the window's and those
+    the checks near level 0 read; and the coefficients of [-J, J] read off
+    those pairs (`read_sequence`, as `inverse_scattering` reads them). The
+    scipy factorizations then run in one block rather than alternating
+    with the numpy reads, each on its own BLAS build.
     """
     rep = R.szego
     results = [CheckResult("szego_condition", rep.passes and rep.margin >= cfg.margin_min,
                            rep.margin, cfg.margin_min, "margin vs margin_min")]
     if not results[0].passed:
         return results
-    with section_memo():
-        # solve everything the suite reads first: each later read is a memo hit,
-        # so the scipy LAPACK factorizations and the numpy reads each run in
-        # one block instead of alternating BLAS builds. The union frames of
-        # every roundtrip rung go top rung first, so a rung that cannot
-        # converge fails at once; the per-level sections only for cfg.levels'
-        # window, which check_verblunsky and the checks near level 0 read
-        scattering.rung_sequences(R, cfg)
-        solve_levels(R, cfg.levels, cfg)
-        results += check_gram_structure(R, cfg)
-        seq = inverse_scattering(R, cfg.levels, cfg)
-        results += check_verblunsky(R, seq, cfg)
-        results += check_union(R, seq, cfg)
-        results += check_rotation(R, cfg)
-        results += check_schur(R, seq, cfg)
-        results += check_cmv(R, seq, cfg)
-        results += check_spectral(R, cfg)
-        results += check_roundtrip(R, cfg)
-        results += check_oracle(R, seq, cfg)
+    J = cfg.levels
+    rungs = scattering.rung_sequences(R, cfg)
+    union = rungs[-1][1]  # the first rung is [-J, J]
+    pairs = solve_levels(R, min(-J, -2), max(J + 1, 4), cfg)
+    seq = read_sequence(R, pairs, J)
+    # the kmax = 4 moments read levels -5..5, inside [-J, J] from J = 5 on
+    moments = union if J >= 5 else union_verblunsky(R, -5, 5, cfg)
+    results += check_gram_structure(R, pairs)
+    results += check_verblunsky(seq)
+    results += check_union(seq, union)
+    results += check_rotation(pairs, seq)
+    results += check_schur(pairs, seq)
+    results += check_cmv(pairs, seq)
+    results += check_spectral(R, pairs, seq, moments)
+    results += check_roundtrip(R, rungs, cfg)
+    results += check_oracle(R, seq, union, cfg)
     return results

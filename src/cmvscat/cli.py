@@ -18,6 +18,7 @@ from .circle import CircleGrid
 from .config import RunConfig
 from .errors import INPUT_ERRORS, NUMERICAL_ERRORS, InputError
 from .families import from_string
+from .lrspace import converged_defect_pair
 from .verblunsky import (
     convergence_report, inverse_scattering, split_deviation, union_verblunsky,
 )
@@ -123,7 +124,7 @@ def cmd_direct(args):
 def cmd_roundtrip(args):
     cfg = _config_from(args)
     R = _load_input(args, cfg)
-    rep = scattering.roundtrip(R, cfg)
+    rep = scattering.roundtrip(R, scattering.rung_sequences(R, cfg))
     _emit(fileio.save_report(rep), args.out)
     print(f"roundtrip: J = {rep['levels']}, sup error = {rep['sup_error']:.3e}, "
           f"l2 error = {rep['l2_error']:.3e}", file=sys.stderr)
@@ -138,7 +139,7 @@ def cmd_spectrum(args):
     # a = 2n - 1, off one union frame; a refusal comes before any output
     a = 2 * n - 1
     seq = union_verblunsky(R, a - 4, a + 4, cfg)
-    dens = spectral.spectral_density(R, n, cfg)
+    dens = spectral.spectral_density(R, converged_defect_pair(R, n, n, cfg))
     _emit(fileio.save_density_csv(dens), args.out)
     rep = spectral.moment_check(dens, seq, kmax=4)
     rep["log_det"] = spectral.log_det_diagnostic(dens)

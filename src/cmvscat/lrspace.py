@@ -22,10 +22,11 @@ cond_2(S) <= 1 / (1 - sup |R|^2) <= 1e12 before any factorization.
 section (`converged_defect_pair`) and for the union frame of a level
 window (`verblunsky.union_verblunsky`) alike: it starts at R's lower
 reach, doubles to the section tolerance and refuses at the cap of the
-RunConfig it is given. Inside a `section_memo()` block it decides each
-section once, and any split of a level's section is served as a shift
-that shares the values read off the section; the invariant suite opens
-one for its checks.
+RunConfig it is given, and it keeps nothing between calls: a caller that
+reads a section twice holds on to it (`checks.run_full_suite` solves each
+level once and hands the pairs to its checks). The frame Gram depends on
+the level n + m alone, so another split of a solved level is its pair
+moved by `shift` (`at_split`), bit for bit a fresh solve there.
 `generator_products` reads inner products off the FFT of an evaluated
 element instead of a Gram, the second route of the suite's defect and
 CMV-entry certificates.
@@ -34,8 +35,6 @@ Gram orientation used throughout: G[a, b] = <s_b, s_a>, so that for
 coordinate vectors u, v the inner product <u, v> is v^H G u.
 """
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -256,17 +255,14 @@ class DefectPair:
     complement S = I - B B^H of G, whose spectrum lies in
     [1 - sup |R|^2, 1] (B is the cross block, of norm at most sup |R|).
     Since H G = I, <K, Ktilde> = a0_tilde e_N^T K: the coefficient alpha
-    is a0_tilde times K.y[0], K's coordinate on g''_{m+1}. `shared` holds
-    values read off the section, such as alpha, for every split a
-    `section_memo()` block serves; `diagnostics` the doubling that chose N
-    (`converged_defect_pair`).
+    is a0_tilde times K.y[0], K's coordinate on g''_{m+1}. `diagnostics`
+    holds the doubling that chose N (`converged_defect_pair`).
     """
 
     K: LrElement
     Ktilde: LrElement
     a0: float
     a0_tilde: float
-    shared: dict = field(default_factory=dict, repr=False, compare=False)
     diagnostics: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -358,27 +354,7 @@ def defect_pair(R, n, m, N):
     return DefectPair(K, Kt, a0, a0t)
 
 
-# sections decided in the open `section_memo` block, keyed (id(R), *key, cfg)
-# and stored with R; None outside any block. An entry holds R, so the id
-# cannot be reused while the entry lives, and nothing points back from R.
-_SECTIONS = ContextVar("cmvscat_sections", default=None)
-
-
-@contextmanager
-def section_memo():
-    """Decide each level's section, and each union frame, at most once inside the block.
-
-    `_converge_section` serves a repeated section from the block's memo,
-    which is released when the block exits, normally or by an exception.
-    """
-    token = _SECTIONS.set({})
-    try:
-        yield
-    finally:
-        _SECTIONS.reset(token)
-
-
-def _converge_section(R, lo, key, readout, change, cfg, what):
+def _converge_section(R, lo, readout, change, cfg, what):
     """`readout(N)` at the section size the doubling certifies, with {"N", "d", "N0"}.
 
     The one section-size policy: sections of the levels lo and up read the
@@ -393,18 +369,11 @@ def _converge_section(R, lo, key, readout, change, cfg, what):
     (`fourier_tails[0]`) is below section_tol has no reach to cover and
     starts at N0 = cfg.section_start. The doubling ends when every entry of
     `change(prev, cur)`, one per level from lo up, is below section_tol.
-    Inside a `section_memo()` block each (*key, cfg) is decided once: a
-    repeat returns the stored readout and its diagnostics before the
-    doubling starts.
 
     Raises ConvergenceError, the message starting with `level j:`, when
     2 N0 > cfg.section_cap, before any readout, and when no size up to
     the cap converges, j then the level of the largest last change.
     """
-    memo = _SECTIONS.get()
-    decided = (id(R),) + key + (cfg,)
-    if memo is not None and decided in memo:  # no doubling to rerun
-        return memo[decided][1]
     tol, cap = cfg.section_tol, cfg.section_cap
     d = max(int(np.count_nonzero(R.lower_tails >= tol)) - 1, 0)
     N0 = N = cfg.section_start if R.fourier_tails[0] < tol else max(cfg.section_start, d - lo)
@@ -422,10 +391,7 @@ def _converge_section(R, lo, key, readout, change, cfg, what):
         cur = readout(N)
         delta = np.atleast_1d(change(prev, cur))
         if np.max(delta) < tol:
-            out = cur, {"N": N, "d": d, "N0": N0}
-            if memo is not None:
-                memo[decided] = (R, out)
-            return out
+            return cur, {"N": N, "d": d, "N0": N0}
         prev = cur
     worst = int(np.argmax(delta))
     raise ConvergenceError(
@@ -438,17 +404,23 @@ def converged_defect_pair(R, n, m, cfg):
 
     Both defect vectors' coordinates change by less than cfg.section_tol
     between the last two sizes; the pair's `diagnostics` carry N, d and N0.
-    Sections are keyed by the level n + m, on which alone the frame Gram
-    depends: inside a `section_memo()` block any split gets the level's
-    solved pair moved by `shift`, bit for bit a fresh solve, sharing the
-    solved pair's `shared` values.
     """
-    j = n + m
-    pair, diag = _converge_section(R, j, (j,), lambda N: defect_pair(R, n, m, N),
-                                  _pair_delta, cfg, f"section at (n, m) = ({n}, {m})")
+    pair, diag = _converge_section(R, n + m, lambda N: defect_pair(R, n, m, N), _pair_delta,
+                                   cfg, f"section at (n, m) = ({n}, {m})")
+    pair.diagnostics = diag
+    return pair
+
+
+def at_split(pair, n):
+    """The pair of the same level at the split (n, level - n), both vectors moved by `shift`.
+
+    The frame Gram depends on the level alone, so its vectors and residuals
+    are bit for bit the ones `defect_pair` solves at that split; it keeps
+    the level's diagnostics.
+    """
     p = n - pair.frame.n
     return DefectPair(shift(pair.K, p), shift(pair.Ktilde, p), pair.a0, pair.a0_tilde,
-                      pair.shared, diag)
+                      pair.diagnostics)
 
 
 def _pair_delta(a, b):

@@ -209,12 +209,12 @@ def rung_sequences(R, cfg):
     return out
 
 
-def roundtrip(R, cfg):
-    """Inverse scattering followed by reconstruction, with error metrics.
+def roundtrip(R, rungs):
+    """Reconstruction of every rung against R's samples, with error metrics.
 
-    Runs every rung of `rung_sequences`, whose coefficients come from
-    `union_verblunsky`, and reconstructs each at its `minimal_window`,
-    which its J fixes. Only the boundary errors are reported.
+    rungs is `rung_sequences(R, cfg)`, (J, coefficients) top rung first;
+    each rung is reconstructed at its `minimal_window`, which its J fixes.
+    Only the boundary errors are reported.
 
     Returns
     -------
@@ -223,13 +223,13 @@ def roundtrip(R, cfg):
         J ascending; "levels", "sup_error" and "l2_error" of the top rung,
         the one whose Fourier tail is below cfg.tol_roundtrip.
     """
-    rungs = []
-    for J, seq in rung_sequences(R, cfg):
+    out = []
+    for J, seq in rungs:
         err = boundary_reconstruction(seq, R.grid) - R.samples
-        rungs.append({"levels": J, "fourier_tail": R.fourier_tail(J),
-                      "sup_error": float(np.max(np.abs(err))),
-                      "l2_error": float(np.sqrt(np.mean(np.abs(err) ** 2)))})
-    rungs.reverse()
-    top = rungs[-1]
-    return {"rungs": rungs, "levels": top["levels"], "sup_error": top["sup_error"],
+        out.append({"levels": J, "fourier_tail": R.fourier_tail(J),
+                    "sup_error": float(np.max(np.abs(err))),
+                    "l2_error": float(np.sqrt(np.mean(np.abs(err) ** 2)))})
+    out.reverse()
+    top = out[-1]
+    return {"rungs": out, "levels": top["levels"], "sup_error": top["sup_error"],
             "l2_error": top["l2_error"]}

@@ -9,7 +9,9 @@ det Sigma = |det V|^2 det W = 1 - |R|^2 pointwise. Its exact moments are
 entries of powers of the CMV matrix built from the alpha_j
 (`moment_check`), which ties the spectral representation to the
 coefficients: the density comes from one level's defect pair, the
-coefficients from the caller's route, usually the union frame.
+coefficients from the caller's route, usually the union frame. Every
+function here takes the pairs and coefficients it reads and solves no
+section itself.
 """
 
 from dataclasses import dataclass
@@ -17,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmv
-from .circle import require_szego
 from .errors import DomainError, InconsistencyError, InputError
-from .lrspace import converged_defect_pair, evaluate
-from .verblunsky import VerblunskySequence, alpha_from_defects, level_split
+from .lrspace import evaluate
+from .verblunsky import VerblunskySequence
 
 PAIR_DIAGONAL = "K-and-tKtilde"
 PAIR_NEXT = "K-and-Ktilde-next"
@@ -67,18 +68,20 @@ def defect_samples(pair):
     return _mat2(grid, k1, tw * np.conj(k2), k2, tw * np.conj(k1))
 
 
-def spectral_density(R, n, cfg):
+def spectral_density(R, pair):
     """Density V^H W V of the shift with respect to the diagonal-level pair at n.
 
-    V = `defect_samples` of the pair at offsets (n, n) and W the 2x2 weight
-    (1 / (1 - |R|^2)) [[1, -conj R], [-R, 1]]; tagged `K-and-tKtilde`.
-    Hermitian nonnegativity is verified pointwise (eigenvalues above
-    -1e-9). R must pass the Szego guard at cfg.margin_min
-    (`require_szego`), which also keeps 1 - |R|^2 >= 1e-12 at every node,
-    so W is finite.
+    V = `defect_samples` of R's defect pair at offsets (n, n) and W the 2x2
+    weight (1 / (1 - |R|^2)) [[1, -conj R], [-R, 1]]; tagged `K-and-tKtilde`,
+    level n. Hermitian nonnegativity is verified pointwise (eigenvalues
+    above -1e-9). Solving the pair passed the Szego guard
+    (`require_szego`), which keeps 1 - |R|^2 >= 1e-12 at every node, so W
+    is finite. A pair off the diagonal split raises InputError.
     """
-    require_szego(R, cfg.margin_min)
-    V = defect_samples(converged_defect_pair(R, n, n, cfg))
+    n = pair.frame.n
+    if pair.frame.m != n:
+        raise InputError(f"the density reads the pair at offsets (n, n), got {pair.frame}")
+    V = defect_samples(pair)
     Rs = R.samples
     W = _mat2(R.grid, 1.0, -np.conj(Rs), -Rs, 1.0) / (1.0 - np.abs(Rs) ** 2)[:, None, None]
     values = np.matmul(np.conj(np.swapaxes(V, 1, 2)), np.matmul(W, V))
@@ -189,28 +192,25 @@ def moment_check(density, seq, kmax):
     return {"max_abs_dev": worst, "per_k": table}
 
 
-def _renormalized(R, j, cfg):
-    """Pair of level j at its balanced split (n, m) and S'_j = diag(t^-n, t^m) V_j."""
-    n, m = level_split(j)
-    pair = converged_defect_pair(R, n, m, cfg)
-    t = R.grid.nodes
-    return pair, np.stack([t**-n, t**m], axis=1)[:, :, None] * defect_samples(pair)
+def _renormalized(pair):
+    """S'_j = diag(t^-n, t^m) V_j of the pair of level j at the split (n, m)."""
+    f, t = pair.frame, pair.K.scattering.grid.nodes
+    return np.stack([t**-f.n, t**f.m], axis=1)[:, :, None] * defect_samples(pair)
 
 
-def sigma_recursion_check(R, j, cfg):
+def sigma_recursion_check(pair_j, pair_next, alpha_j):
     """Sup-norm residual of the one-step recursion between renormalized blocks.
 
-    Evaluates rho_j diag(1, tbar) S'_{j+1} - S'_j diag(1, tbar)
-    [[1, -conj(alpha_j)], [-alpha_j, 1]] over the grid.
+    pair_j and pair_next are the pairs of levels j and j + 1, alpha_j the
+    coefficient of level j. Evaluates rho_j diag(1, tbar) S'_{j+1} -
+    S'_j diag(1, tbar) [[1, -conj(alpha_j)], [-alpha_j, 1]] over the grid.
     """
-    pair0, s0 = _renormalized(R, j, cfg)
-    _, s1 = _renormalized(R, j + 1, cfg)
-    alpha = alpha_from_defects(pair0)
-    rho = float(np.sqrt(1.0 - abs(alpha) ** 2))
-    tbar = np.conj(R.grid.nodes)
+    s0, s1 = _renormalized(pair_j), _renormalized(pair_next)
+    rho = float(np.sqrt(1.0 - abs(alpha_j) ** 2))
+    tbar = np.conj(pair_j.K.scattering.grid.nodes)
     s1[:, 1, :] *= tbar[:, None]
     s1 *= rho
-    mix = np.array([[1.0, -np.conj(alpha)], [-alpha, 1.0]], dtype=complex)
+    mix = np.array([[1.0, -np.conj(alpha_j)], [-alpha_j, 1.0]], dtype=complex)
     s0[:, :, 1] *= tbar[:, None]
     return float(np.max(np.abs(s1 - np.matmul(s0, mix))))
 

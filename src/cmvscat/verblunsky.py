@@ -8,6 +8,10 @@ recursion that links consecutive levels. A second route,
 factor of the union of the levels' frames, whose only block to factor
 is the Schur complement I - C^H C of a Hankel window C
 (`lrspace.hankel_schur_factor`, as for a level's section).
+`inverse_scattering` solves the levels (`solve_levels`) and reads the
+coefficients off them (`read_sequence`); the certificates here
+(`schur_chain`, `rotation_relation_residual`) take solved pairs and
+coefficients and solve nothing themselves.
 """
 
 from dataclasses import dataclass, field
@@ -93,11 +97,8 @@ class SchurFunction:
 
 
 def alpha_from_defects(pair):
-    """Verblunsky coefficient <K, Ktilde> of a defect pair, once per solved
-    section: every split a `section_memo()` block serves reads that complex."""
-    a = pair.shared.get("alpha")
-    if a is None:
-        a = pair.shared["alpha"] = inner_product(pair.K, pair.Ktilde)
+    """Verblunsky coefficient <K, Ktilde> of a defect pair."""
+    a = inner_product(pair.K, pair.Ktilde)
     if abs(a) >= 1.0:
         raise InconsistencyError(
             f"|alpha| = {abs(a):.6g} >= 1; section not converged or input invalid"
@@ -105,13 +106,14 @@ def alpha_from_defects(pair):
     return a
 
 
-def solve_levels(R, J, cfg):
-    """Converged defect pairs {j: pair} of levels -J..J+1, errors prefixed `level j:`.
+def solve_levels(R, lo, hi, cfg):
+    """Converged defect pairs {j: pair} of levels lo..hi at their balanced splits.
 
-    The doubling's own ConvergenceError names its level already.
+    Errors are prefixed `level j:`; the doubling's own ConvergenceError
+    names its level already.
     """
     pairs = {}
-    for j in range(-J, J + 2):
+    for j in range(lo, hi + 1):
         try:
             pairs[j] = converged_defect_pair(R, *level_split(j), cfg)
         except (DegeneracyError, ResolutionError) as exc:
@@ -123,10 +125,25 @@ def inverse_scattering(R, J, cfg):
     """Verblunsky coefficients of R over the level window [-J, J].
 
     Solves levels -J..J+1 (`solve_levels`; the extra level supplies
-    the last residual ratio), extracts alpha_j = <K_j, Ktilde_j> at the
-    balanced split, and records the residual norms. Coefficients only:
-    the residual-ratio reading of rho_j is `convergence_report`, and
-    another split gives the same alpha_j exactly (`split_deviation`).
+    the last residual ratio) and reads the coefficients off them
+    (`read_sequence`). Coefficients only: the residual-ratio reading of
+    rho_j is `convergence_report`, and another split gives the same
+    alpha_j exactly (`split_deviation`).
+
+    Raises
+    ------
+    DomainError, ConditioningError
+        R fails the Szego guard at cfg.margin_min (`require_szego`).
+    """
+    require_szego(R, cfg.margin_min)
+    return read_sequence(R, solve_levels(R, -J, J + 1, cfg), J)
+
+
+def read_sequence(R, pairs, J):
+    """The coefficients of [-J, J] off solved pairs {j: pair} covering -J..J+1.
+
+    alpha_j = <K_j, Ktilde_j> (`alpha_from_defects`) and the residual
+    norms a0_j of levels -J..J+1.
 
     Returns
     -------
@@ -135,23 +152,15 @@ def inverse_scattering(R, J, cfg):
         on the condition number of every section (`require_szego`), "d",
         R's lower Fourier reach, and "sections": one {level, N0, N, a0} per
         level -J..J+1, N converged from the start N0.
-
-    Raises
-    ------
-    DomainError, ConditioningError
-        R fails the Szego guard at cfg.margin_min (`require_szego`).
     """
-    rep = require_szego(R, cfg.margin_min)
-    pairs = solve_levels(R, J, cfg)
-    alphas = np.array([alpha_from_defects(pairs[j]) for j in range(-J, J + 1)])
-    a0s = np.array([p.a0 for p in pairs.values()])
-    seq = VerblunskySequence(-J, alphas, a0s)
-
-    seq.diagnostics["cond"] = 1.0 / (1.0 - rep.sup_modulus**2)
+    levels = range(-J, J + 2)
+    alphas = np.array([alpha_from_defects(pairs[j]) for j in levels[:-1]])
+    seq = VerblunskySequence(-J, alphas, np.array([pairs[j].a0 for j in levels]))
+    seq.diagnostics["cond"] = 1.0 / (1.0 - R.szego.sup_modulus**2)
     seq.diagnostics["d"] = pairs[-J].diagnostics["d"]
     seq.diagnostics["sections"] = [
-        {"level": j, "N0": p.diagnostics["N0"], "N": p.frame.N, "a0": p.a0}
-        for j, p in pairs.items()
+        {"level": j, "N0": pairs[j].diagnostics["N0"], "N": pairs[j].frame.N,
+         "a0": pairs[j].a0} for j in levels
     ]
     return seq
 
@@ -205,8 +214,7 @@ def union_verblunsky(R, lo, hi, cfg):
     The frame size N comes from `lrspace._converge_section`: it doubles
     from N0 = max(cfg.section_start, d - lo), d R's lower Fourier reach,
     until every alpha_j (levels lo..hi) and a0_j (levels lo..hi+1) changes
-    by less than cfg.section_tol; inside a `section_memo()` block each
-    window (lo, hi) is decided once.
+    by less than cfg.section_tol.
 
     Returns
     -------
@@ -230,7 +238,7 @@ def union_verblunsky(R, lo, hi, cfg):
         return out
 
     (alphas, a0s), diag = _converge_section(
-        R, lo, ("union", lo, hi), lambda N: union_factor(R, lo, hi, N), change, cfg,
+        R, lo, lambda N: union_factor(R, lo, hi, N), change, cfg,
         f"union frame over [{lo}, {hi}]")
     return VerblunskySequence(lo, alphas[:-1], a0s, diag)
 
@@ -315,18 +323,15 @@ def convergence_report(seq):
     }
 
 
-def schur_chain(R, seq, cfg, levels=None):
-    """Recover the Schur functions along a level range and verify the chain.
+def schur_chain(pairs, seq, levels):
+    """Verify the Schur chain of the functions recovered from pairs {j: pair}.
 
+    For each j of levels, pairs holds levels j and j + 1, and seq alpha_j.
     Returns the largest sup-norm defect between the recovered function
     at level j+1 and the Schur step applied to level j, and the largest
     deviation of omega_{j+1}(0) from -alpha_j.
     """
-    if levels is None:
-        levels = range(seq.lo, seq.hi)
-    omegas = {}
-    for j in list(levels) + [max(levels) + 1]:
-        omegas[j] = recover_omega(converged_defect_pair(R, *level_split(j), cfg))
+    omegas = {j: recover_omega(pairs[j]) for j in list(levels) + [max(levels) + 1]}
     step_dev = 0.0
     zero_dev = 0.0
     for j in levels:
@@ -338,18 +343,16 @@ def schur_chain(R, seq, cfg, levels=None):
     return {"step_sup_dev": step_dev, "omega_zero_dev": zero_dev}
 
 
-def rotation_relation_residual(R, n, m, cfg):
+def rotation_relation_residual(base, right, up, alpha):
     """Residual of the unitary rotation linking defect pairs around level j = n + m.
 
-    Measures || [K_{n,m}, Kt_{n+1,m}] - [Kt_{n,m}, K_{n,m+1}] Theta_j ||
+    base is the pair at (n, m), right and up the pairs of level j + 1 at
+    (n+1, m) and (n, m+1), and alpha is alpha_j. Measures
+    || [K_{n,m}, Kt_{n+1,m}] - [Kt_{n,m}, K_{n,m+1}] Theta_j ||
     column by column in the weighted norm, with
     Theta_j = [[alpha_j, rho_j], [rho_j, -conj(alpha_j)]]; each norm comes off
     the FFT of the residual's samples (`generator_products`), not the Gram.
     """
-    base = converged_defect_pair(R, n, m, cfg)
-    right = converged_defect_pair(R, n + 1, m, cfg)
-    up = converged_defect_pair(R, n, m + 1, cfg)
-    alpha = alpha_from_defects(base)
     rho = float(np.sqrt(1.0 - abs(alpha) ** 2))
     r1 = base.K - (alpha * base.Ktilde + rho * up.K)
     r2 = right.Ktilde - (rho * base.Ktilde - np.conj(alpha) * up.K)

@@ -11,6 +11,7 @@ import numpy as np
 
 from cmvscat import (
     CircleGrid,
+    alpha_from_defects,
     build_cmv,
     converged_defect_pair,
     inner_product,
@@ -28,7 +29,7 @@ from cmvscat.config import RunConfig
 from cmvscat.families import blaschke, monomial, random_trig, zero
 from cmvscat.lrspace import generator
 from cmvscat.oracle import oracle_verblunsky, quadrature_space
-from cmvscat.scattering import minimal_window
+from cmvscat.scattering import minimal_window, rung_sequences
 from cmvscat.spectral import density_moments
 from cmvscat.verblunsky import (
     convergence_report,
@@ -44,6 +45,14 @@ GAMMAS = (0.3, 0.5, 0.8j)
 
 def _pair(R, n, m, cfg=CFG):
     return converged_defect_pair(R, n, m, cfg)
+
+
+def _rotation(R, j):
+    """The rotation residual around level j from fresh solves at each split it reads."""
+    n, m = level_split(j)
+    base = _pair(R, n, m)
+    return rotation_relation_residual(base, _pair(R, n + 1, m), _pair(R, n, m + 1),
+                                      alpha_from_defects(base))
 
 
 def _report(name, detail):
@@ -120,9 +129,7 @@ def test_criterion_3_verblunsky_consistency():
         drop = float(np.max(np.maximum(seq.a0s[:-1] - seq.a0s[1:], 0.0)))
         worst["mono"] = max(worst["mono"], drop)
         for j in (-2, 0, 1):
-            worst["rot"] = max(
-                worst["rot"], rotation_relation_residual(R, *level_split(j), CFG)
-            )
+            worst["rot"] = max(worst["rot"], _rotation(R, j))
     assert worst["rho"] <= 1e-7
     assert worst["rot"] <= 1e-7
     assert worst["mono"] <= 1e-6
@@ -224,7 +231,7 @@ def test_criterion_6_roundtrip():
     worst = 0.0
     for name, (R, J) in inputs.items():
         t0 = time.perf_counter()
-        rep = roundtrip(R, CFG.replace(levels=J))
+        rep = roundtrip(R, rung_sequences(R, CFG.replace(levels=J)))
         elapsed = time.perf_counter() - t0
         sups = [r["sup_error"] for r in rep["rungs"]]
         assert len(sups) >= 2, f"{name}: one rung"
@@ -238,7 +245,8 @@ def test_criterion_6_roundtrip():
 
 def test_criterion_7_spectral_moments():
     # zero input: density is exactly the 2x2 identity
-    dens0 = spectral_density(zero(GRID), 0, CFG)
+    R0 = zero(GRID)
+    dens0 = spectral_density(R0, _pair(R0, 0, 0))
     eye = np.broadcast_to(np.eye(2), dens0.values.shape)
     dev0 = float(np.max(np.abs(dens0.values - eye)))
     assert dev0 <= 1e-10
@@ -254,11 +262,13 @@ def test_criterion_7_spectral_moments():
         # the kmax = 8 moments at levels 0..2 read the coefficients of -9..11
         seq = union_verblunsky(R, -9, 11, CFG)
         for n in (0, 1, 2):
-            dens = spectral_density(R, n, CFG)
+            dens = spectral_density(R, _pair(R, n, n))
             rep = moment_check(dens, seq, 8)
             worst_mom = max(worst_mom, rep["max_abs_dev"])
         for j in (0, 1, 2):
-            worst_rec = max(worst_rec, sigma_recursion_check(R, j, CFG))
+            pair, after = (_pair(R, *level_split(i)) for i in (j, j + 1))
+            worst_rec = max(worst_rec,
+                            sigma_recursion_check(pair, after, alpha_from_defects(pair)))
     assert worst_mom <= 1e-6
     assert worst_rec <= 1e-6
     _report(

@@ -1,4 +1,4 @@
-"""The invariant suite shares one section memo, keyed by level, between its checks."""
+"""The invariant suite solves once and hands each check the pairs, coefficients and rungs it certifies."""
 
 import ast
 import gc
@@ -8,12 +8,17 @@ import weakref
 import numpy as np
 import pytest
 
-from cmvscat import CircleGrid, checks, cmv, lrspace, oracle, spectral, verblunsky
+from cmvscat import (
+    CircleGrid, VerblunskySequence, checks, cmv, lrspace, oracle, scattering, spectral,
+    verblunsky,
+)
 from cmvscat.checks import run_full_suite
-from cmvscat.config import TOL_FUN, RunConfig
+from cmvscat.config import TOL_ALG, TOL_FUN, RunConfig
 from cmvscat.families import from_string, random_trig
 from cmvscat.lrspace import converged_defect_pair
-from cmvscat.verblunsky import alpha_from_defects, inverse_scattering
+from cmvscat.verblunsky import (
+    alpha_from_defects, inverse_scattering, solve_levels, union_verblunsky,
+)
 
 ANCHOR = "random,degree=4,margin=0.2,seed=0"  # the README `check` example
 
@@ -71,7 +76,7 @@ def test_suite_solves_each_section_once(r_smooth, small_cfg, solved, unions):
 def test_suite_solves_before_it_reads(r_smooth, grid, small_cfg, solved, unions,
                                       monkeypatch, two_rungs):
     # every section is solved and every union frame factored in the up-front
-    # pass; the checks only read the memo. The degree-6 input needs roundtrip
+    # pass; the checks take what it solved. The degree-6 input needs roundtrip
     # rungs J = 6 and 12, a degree-4 one only J = 6
     R = r_smooth if two_rungs else random_trig(grid, degree=4, margin=0.25, seed=7)
     at_first_check = []
@@ -104,7 +109,7 @@ def alpha_reads(monkeypatch):
 
 
 def test_suite_reads_each_alpha_once(r_smooth, small_cfg, alpha_reads):
-    # every split of a solved level shares one alpha, whichever check asks
+    # the checks take alpha_j off the one sequence read from the solved pairs
     run_full_suite(r_smooth, small_cfg)
     assert len(alpha_reads) > 2 * small_cfg.levels
     assert len(alpha_reads) == len({level for level, _ in alpha_reads})
@@ -145,90 +150,56 @@ def test_anchor_suite_solve_count(solved, unions, monkeypatch):
     assert (len(inner), len(products), len(projections)) == (33, 16, 98)
 
 
-def test_memo_released_after_return(r_smooth, small_cfg, solved):
-    run_full_suite(r_smooth, small_cfg)
-    del solved[:]
-    converged_defect_pair(r_smooth, 0, 0, small_cfg)
-    converged_defect_pair(r_smooth, 0, 0, small_cfg)
-    assert len(solved) > 0
-    assert len(solved) == 2 * len(set(solved))
-
-
-def test_memo_released_after_raise(r_smooth, small_cfg, solved, monkeypatch):
-    def fail(*args, **kwargs):
-        raise RuntimeError("check failed")
-
-    monkeypatch.setattr(checks, "check_cmv", fail)
-    with pytest.raises(RuntimeError):
-        run_full_suite(r_smooth, small_cfg)
-    del solved[:]
-    converged_defect_pair(r_smooth, 0, 0, small_cfg)
-    converged_defect_pair(r_smooth, 0, 0, small_cfg)
-    assert len(solved) > 0
-    assert len(solved) == 2 * len(set(solved))
-
-
 def test_shifted_split_served_from_the_level_memo(r_smooth, solved):
-    # a second split of a solved level is the cached pair moved by t^p,
-    # bit for bit what a fresh solve at that split returns
+    # another split of a solved level is its pair moved by t^p (`at_split`),
+    # with no solve, bit for bit what a fresh solve at that split returns
     n, m, cfg = 1, 2, RunConfig(grid_size=256)
-    with lrspace.section_memo():
-        alpha = alpha_from_defects(converged_defect_pair(r_smooth, n, m, cfg))
-        moved = converged_defect_pair(r_smooth, n + 1, m - 1, cfg)
-    N = moved.frame.N
-    assert solved == [(n + m, N // 2), (n + m, N)]
-    fresh = lrspace.defect_pair(r_smooth, n + 1, m - 1, N)
-    assert moved.frame == fresh.frame == lrspace.GeneratorFrame(n + 1, m - 1, N)
-    assert moved.Ktilde.frame == fresh.frame
-    assert np.array_equal(moved.K.coords(), fresh.K.coords())
-    assert np.array_equal(moved.Ktilde.coords(), fresh.Ktilde.coords())
-    assert (moved.a0, moved.a0_tilde) == (fresh.a0, fresh.a0_tilde)
-    # its alpha is the one read off the solved split, bit for bit a fresh one
-    assert moved.shared["alpha"] is alpha
-    assert alpha_from_defects(moved) == alpha_from_defects(fresh)
+    pair = converged_defect_pair(r_smooth, n, m, cfg)
+    N = pair.frame.N
+    for p in (1, -2):
+        moved = lrspace.at_split(pair, n + p)
+        assert solved == [(n + m, N // 2), (n + m, N)]
+        fresh = lrspace.defect_pair(r_smooth, n + p, m - p, N)
+        del solved[2:]
+        assert moved.frame == fresh.frame == lrspace.GeneratorFrame(n + p, m - p, N)
+        assert moved.Ktilde.frame == fresh.frame
+        assert np.array_equal(moved.K.coords(), fresh.K.coords())
+        assert np.array_equal(moved.Ktilde.coords(), fresh.Ktilde.coords())
+        assert (moved.a0, moved.a0_tilde) == (fresh.a0, fresh.a0_tilde)
+        assert alpha_from_defects(moved) == alpha_from_defects(fresh)
+        assert moved.diagnostics is pair.diagnostics
 
 
-def test_memo_hit_skips_the_doubling(r_smooth, monkeypatch):
-    # a level decided inside the block is returned before its start is read:
-    # no second doubling, so no second change test, and the same diagnostics
-    cfg = RunConfig(grid_size=256)
-    changes = []
-    real = lrspace._pair_delta
-    monkeypatch.setattr(lrspace, "_pair_delta", lambda a, b: changes.append(1) or real(a, b))
-    with lrspace.section_memo():
-        first = converged_defect_pair(r_smooth, 1, 2, cfg)
-        decided = len(changes)
-        again = converged_defect_pair(r_smooth, 2, 1, cfg)
-        assert len(changes) == decided > 0
-    assert again.diagnostics is first.diagnostics
-    assert again.shared is first.shared
-    converged_defect_pair(r_smooth, 2, 1, cfg)  # outside the block it decides again
-    assert len(changes) == 2 * decided
+def _solved(R, cfg):
+    """What the suite hands its checks, each solved here by its own library route."""
+    J = cfg.levels
+    return (solve_levels(R, -J, J + 1, cfg), inverse_scattering(R, J, cfg),
+            union_verblunsky(R, -J, J, cfg))
 
 
 def test_suite_values_match_checks_run_alone(r_smooth, small_cfg):
-    cfg = small_cfg
-    suite = run_full_suite(r_smooth, cfg)
-    R = r_smooth
-    seq = inverse_scattering(R, cfg.levels, cfg)
+    # each check handed inputs solved apart from the suite gives its entries
+    R, cfg = r_smooth, small_cfg
+    suite = run_full_suite(R, cfg)
+    pairs, seq, union = _solved(R, cfg)
     alone = (
-        checks.check_gram_structure(R, cfg)
-        + checks.check_verblunsky(R, seq, cfg)
-        + checks.check_union(R, seq, cfg)
-        + checks.check_rotation(R, cfg)
-        + checks.check_schur(R, seq, cfg)
-        + checks.check_cmv(R, seq, cfg)
-        + checks.check_spectral(R, cfg)
-        + checks.check_roundtrip(R, cfg)
-        + checks.check_oracle(R, seq, cfg)
+        checks.check_gram_structure(R, pairs)
+        + checks.check_verblunsky(seq)
+        + checks.check_union(seq, union)
+        + checks.check_rotation(pairs, seq)
+        + checks.check_schur(pairs, seq)
+        + checks.check_cmv(pairs, seq)
+        + checks.check_spectral(R, pairs, seq, union)
+        + checks.check_roundtrip(R, scattering.rung_sequences(R, cfg), cfg)
+        + checks.check_oracle(R, seq, union, cfg)
     )
     assert suite[0].name == "szego_condition"
     assert [r.as_dict() for r in suite[1:]] == [r.as_dict() for r in alone]
 
 
 def test_suite_leaves_no_cycle_through_input(small_cfg):
-    # the memo holds R only through its pairs, and drops them on exit, so
-    # R is freed by reference counting alone
+    # the suite keeps nothing once it returns, so R is freed by reference
+    # counting alone
     R = random_trig(CircleGrid(small_cfg.grid_size), degree=3, margin=0.3, seed=4)
     ref = weakref.ref(R)
     gc.disable()
@@ -245,7 +216,8 @@ def test_oracle_compares_within_a_narrow_window(r_smooth, small_cfg):
     # outside that window
     cfg = small_cfg.replace(levels=2)
     seq = inverse_scattering(r_smooth, cfg.levels, cfg)
-    result = checks.check_oracle(r_smooth, seq, cfg)[0]
+    union = union_verblunsky(r_smooth, -2, 2, cfg)
+    result = checks.check_oracle(r_smooth, seq, union, cfg)[0]
     assert result.name == "oracle_alpha_agreement"
     assert result.value <= TOL_FUN
 
@@ -268,7 +240,8 @@ def test_oracle_runs_at_the_union_start(small_cfg, monkeypatch):
     original = oracle.oracle_verblunsky
     monkeypatch.setattr(oracle, "oracle_verblunsky",
                         lambda R, J, N, Q: frames.append(N) or original(R, J, N, Q))
-    result = {r.name: r for r in checks.check_oracle(R, seq, cfg)}
+    union = union_verblunsky(R, -cfg.levels, cfg.levels, cfg)
+    result = {r.name: r for r in checks.check_oracle(R, seq, union, cfg)}
     assert frames == [46]
     for name in ("oracle_a0_agreement", "oracle_alpha_agreement"):
         assert result[name].passed and result[name].value <= 1e-15, name
@@ -279,10 +252,10 @@ def test_spectral_entry_is_the_worst_moment_check(r_smooth, small_cfg):
     # densities check_spectral reads: both tags at level 0, the diagonal at 1
     suite = {r.name: r.value for r in run_full_suite(r_smooth, small_cfg)}
     cfg, R = small_cfg, r_smooth
-    dens0 = spectral.spectral_density(R, 0, cfg)
-    alpha = alpha_from_defects(converged_defect_pair(R, 0, 0, cfg))
-    densities = (dens0, spectral.change_basis_density(dens0, alpha),
-                 spectral.spectral_density(R, 1, cfg))
+    pair0 = converged_defect_pair(R, 0, 0, cfg)
+    dens0 = spectral.spectral_density(R, pair0)
+    densities = (dens0, spectral.change_basis_density(dens0, alpha_from_defects(pair0)),
+                 spectral.spectral_density(R, converged_defect_pair(R, 1, 1, cfg)))
     seq = verblunsky.union_verblunsky(R, -cfg.levels, cfg.levels, cfg)
     worst = max(spectral.moment_check(d, seq, 4)["max_abs_dev"] for d in densities)
     assert suite["spectral_moments_match_cmv"] == worst
@@ -292,42 +265,52 @@ def _entries(results):
     return {r.name: r for r in results}
 
 
-def test_defect_geometry_sees_one_moved_coordinate(r_smooth, small_cfg, monkeypatch):
+def test_defect_geometry_sees_one_moved_coordinate(r_smooth, small_cfg):
     # K off by 1e-6 in its g'_n coordinate: <K, g'_n> moves off a0 and the
     # products with the coupled g''_l off 0, by far more than either bound
     R, cfg = r_smooth, small_cfg
-    assert all(r.passed for r in checks.check_gram_structure(R, cfg))
-    original = checks.converged_defect_pair
+    pairs = solve_levels(R, -2, 3, cfg)
+    assert all(r.passed for r in checks.check_gram_structure(R, pairs))
 
-    def moved(*args):
-        pair = original(*args)
+    def moved(pair):
         x = pair.K.x.copy()
         x[0] += 1e-6
         K = lrspace.LrElement(pair.K.frame, x, pair.K.y, R)
         return lrspace.DefectPair(K, pair.Ktilde, pair.a0, pair.a0_tilde)
 
-    monkeypatch.setattr(checks, "converged_defect_pair", moved)
-    result = _entries(checks.check_gram_structure(R, cfg))
+    result = _entries(checks.check_gram_structure(R, {j: moved(p) for j, p in pairs.items()}))
     for name in ("defect_orthogonality", "defect_unit_norm"):
         assert not result[name].passed, name
     assert result["gram_cross_contractive"].passed
 
 
-def test_rotation_relation_sees_a_conjugated_alpha(r_smooth, small_cfg, monkeypatch):
-    R, cfg = r_smooth, small_cfg
-    assert checks.check_rotation(R, cfg)[0].passed
-    original = verblunsky.alpha_from_defects
-    monkeypatch.setattr(verblunsky, "alpha_from_defects", lambda pair: np.conj(original(pair)))
-    assert not checks.check_rotation(R, cfg)[0].passed
+def test_rotation_relation_sees_a_conjugated_alpha(r_smooth, small_cfg):
+    pairs, seq, _ = _solved(r_smooth, small_cfg)
+    assert checks.check_rotation(pairs, seq)[0].passed
+    conjugated = VerblunskySequence(seq.lo, np.conj(seq.alphas), seq.a0s)
+    assert not checks.check_rotation(pairs, conjugated)[0].passed
+
+
+def test_telescoped_products_see_one_moved_alpha(r_smooth, small_cfg):
+    # a0_j = a0_{J+1} prod_{i >= j} rho_i ties the residuals to the alphas:
+    # one alpha_j moved by 1e-3 with the a0s untouched breaks the products at
+    # every level up to j, by far more than TOL_ALG
+    seq = inverse_scattering(r_smooth, small_cfg.levels, small_cfg)
+    assert _entries(checks.check_verblunsky(seq))["telescoped_products"].passed
+    alphas = seq.alphas.copy()
+    j = int(np.argmax(np.abs(alphas)))
+    alphas[j] *= 1.0 + 1e-3 / abs(alphas[j])
+    entry = _entries(checks.check_verblunsky(
+        VerblunskySequence(seq.lo, alphas, seq.a0s)))["telescoped_products"]
+    assert entry.value > TOL_ALG and not entry.passed
 
 
 def test_cmv_entries_see_a_basis_label_off_by_one(r_smooth, small_cfg, monkeypatch):
-    R, cfg = r_smooth, small_cfg
-    seq = inverse_scattering(R, cfg.levels, cfg)
-    assert _entries(checks.check_cmv(R, seq, cfg))["cmv_entries_match_gram"].passed
+    pairs, seq, _ = _solved(r_smooth, small_cfg)
+    assert _entries(checks.check_cmv(pairs, seq))["cmv_entries_match_gram"].passed
     original = cmv.basis_label
     monkeypatch.setattr(cmv, "basis_label", lambda index: original(index + 1))
-    result = _entries(checks.check_cmv(R, seq, cfg))
+    result = _entries(checks.check_cmv(pairs, seq))
     assert not result["cmv_entries_match_gram"].passed
     assert result["cmv_unitarity_decoupled"].passed
 

@@ -8,6 +8,7 @@ import numpy as np
 
 from cmvscat import CircleGrid, RunConfig, cmv, fileio, scattering, spectral
 from cmvscat.families import from_string
+from cmvscat.lrspace import converged_defect_pair
 from cmvscat.verblunsky import union_verblunsky
 
 ANCHOR = "random,degree=4,margin=0.2,seed=0"  # the README `check` example
@@ -37,7 +38,7 @@ def _anchor():
 
 def test_density_csv_matches_csv_writer():
     R, cfg = _anchor()
-    dens = spectral.spectral_density(R, 0, cfg)
+    dens = spectral.spectral_density(R, converged_defect_pair(R, 0, 0, cfg))
     rows = [[th] + [part for p in range(2) for q in range(2)
                     for part in (m[p, q].real, m[p, q].imag)]
             for th, m in zip(dens.grid.theta, dens.values)]

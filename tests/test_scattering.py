@@ -21,9 +21,13 @@ from cmvscat import (
 from cmvscat import scattering, verblunsky
 from cmvscat.errors import ConvergenceError, DomainError, InputError, ResolutionError
 from cmvscat.families import from_string
-from cmvscat.scattering import minimal_window
+from cmvscat.scattering import minimal_window, rung_sequences
 
 ANCHOR = "random,degree=4,margin=0.2,seed=0"  # the README `check` example
+
+
+def _roundtrip(R, cfg):
+    return roundtrip(R, rung_sequences(R, cfg))
 
 
 def test_wandering_free_case_exact():
@@ -274,7 +278,7 @@ def test_boundary_reconstruction_zero(r_zero, small_cfg):
 
 
 def test_roundtrip_monomial(r_half, small_cfg):
-    rep = roundtrip(r_half, small_cfg)
+    rep = _roundtrip(r_half, small_cfg)
     assert rep["sup_error"] <= 1e-3
 
 
@@ -289,7 +293,7 @@ def test_roundtrip_smooth_with_ladder(grid, small_cfg):
                              ("random,degree=6,margin=0.25,seed=7", 6, [6, 12])):
         R = from_string(spec, grid)
         cfg = small_cfg.replace(levels=J0)
-        rep = roundtrip(R, cfg)
+        rep = _roundtrip(R, cfg)
         rungs = rep["rungs"]
         assert [r["levels"] for r in rungs] == levels, spec
         assert rep["levels"] == levels[-1]
@@ -308,7 +312,7 @@ def test_ladder_rungs_within_their_fourier_tail(r_smooth, small_cfg):
     c = analyze(r_smooth.samples, r_smooth.grid)
     mag, far = np.abs(c.coeffs), np.abs(c.indices())
     eps = r_smooth.grid.size * np.finfo(float).eps
-    rungs = roundtrip(r_smooth, small_cfg.replace(levels=3))["rungs"]
+    rungs = _roundtrip(r_smooth, small_cfg.replace(levels=3))["rungs"]
     assert [r["levels"] for r in rungs] == [3, 6, 12]
     for r in rungs:
         tail = float(np.sum(mag[far >= r["levels"]]))
@@ -324,7 +328,7 @@ def test_ladder_configs_start_at_the_rung_window(r_smooth, small_cfg, monkeypatc
     original = verblunsky.union_factor
     monkeypatch.setattr(verblunsky, "union_factor", lambda R, lo, hi, N:
                         frames.append((hi, N)) or original(R, lo, hi, N))
-    roundtrip(r_smooth, small_cfg.replace(levels=3))
+    _roundtrip(r_smooth, small_cfg.replace(levels=3))
     starts = {}
     for J, N in frames:
         starts.setdefault(J, N)
@@ -335,7 +339,7 @@ def test_ladder_configs_start_at_the_rung_window(r_smooth, small_cfg, monkeypatc
 def test_roundtrip_error_tracks_level_window(r_smooth, small_cfg):
     # a degree-6 input at a level window of 6 is dominated by the
     # discarded negative-level coefficients; doubling must shrink it
-    rep = roundtrip(r_smooth, small_cfg)
+    rep = _roundtrip(r_smooth, small_cfg)
     sups = [r["sup_error"] for r in rep["rungs"]]
     assert len(sups) == 2
     assert sups[1] <= 0.5 * sups[0]
@@ -360,7 +364,7 @@ def test_roundtrip_skips_split_recomputation(r_half, small_cfg, monkeypatch):
     monkeypatch.setattr(verblunsky, "converged_defect_pair", per_level)
     monkeypatch.setattr(verblunsky, "split_deviation",
                         lambda *args: splits.append(args))
-    roundtrip(r_half, small_cfg.replace(levels=1))
+    _roundtrip(r_half, small_cfg.replace(levels=1))
     assert rungs == [(-2, 2), (-1, 1)]
     assert splits == []
 
@@ -380,7 +384,7 @@ def test_roundtrip_ladder_limited_by_section_cap(grid, small_cfg, monkeypatch):
                        match=r"^roundtrip rung J = 129 \(Fourier tail 0\.000e\+00\): level "
                              r"-129: union frame over \[-129, 129\] needs section size 458 > "
                              r"section_cap 128: R's lower Fourier reach d = 100"):
-        roundtrip(R, small_cfg)
+        _roundtrip(R, small_cfg)
 
 
 def test_roundtrip_ladder_below_cap_meets_the_section_certificate(r_smooth, small_cfg,
@@ -395,5 +399,5 @@ def test_roundtrip_ladder_below_cap_meets_the_section_certificate(r_smooth, smal
                        match=r"^roundtrip rung J = 12 \(Fourier tail 0\.000e\+00\): "
                              r"level -?\d+: union frame over \[-12, 12\] did not converge "
                              r"by section size 128"):
-        roundtrip(r_smooth, small_cfg.replace(section_tol=1e-30))
+        _roundtrip(r_smooth, small_cfg.replace(section_tol=1e-30))
     assert built == []

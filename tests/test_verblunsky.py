@@ -138,7 +138,11 @@ def test_rotation_relation(r_half, r_smooth, small_cfg):
     for R in (r_half, r_smooth):
         for j in (-1, 0, 1):
             n, m = level_split(j)
-            assert rotation_relation_residual(R, n, m, small_cfg) < 1e-7
+            base = converged_defect_pair(R, n, m, small_cfg)
+            right, up = (converged_defect_pair(R, *split, small_cfg)
+                         for split in ((n + 1, m), (n, m + 1)))
+            residual = rotation_relation_residual(base, right, up, alpha_from_defects(base))
+            assert residual < 1e-7
 
 
 def test_recover_omega_zero(r_zero, small_cfg):
@@ -209,7 +213,8 @@ def test_schur_step_contraction(grid):
 
 def test_schur_chain_and_zero_values(r_smooth, small_cfg):
     seq = inverse_scattering(r_smooth, 4, small_cfg)
-    rep = schur_chain(r_smooth, seq, small_cfg, levels=range(-2, 3))
+    pairs = {j: _pair(r_smooth, j, small_cfg) for j in range(-2, 4)}
+    rep = schur_chain(pairs, seq, range(-2, 3))
     assert rep["step_sup_dev"] <= 1e-6
     assert rep["omega_zero_dev"] <= 1e-8
 
