@@ -2,20 +2,22 @@
 
 Each check returns a CheckResult with the measured value and the bound
 it is held to; `run_full_suite` strings them together for one input. It
-solves first, once: the union frame of every roundtrip rung, the defect
-pair of every level the checks read, and the coefficients read off
-those pairs. It then hands each check the pairs, coefficients and rungs
-it certifies, so no check solves a section; another split of a level is
+solves first, once: one union frame, whose slices are the roundtrip
+rungs (`scattering.rung_sequences`), the defect pair of every level the
+checks read, and the coefficients of [-J, J] read off those pairs. It
+then hands each check the pairs, coefficients, frame and rungs it
+certifies, so no check solves a section; another split of a level is
 the level's pair moved by t^p (`lrspace.at_split`). Every entry compares
 two routes or bounds a quantity; none reads a number against itself,
 such as a section against its relabelling (a split is only an index
-label). The second routes are library calls: the window's coefficients
-from one union-frame Cholesky factor (`verblunsky.union_verblunsky`,
-which also serves the roundtrip), density moments from
-`spectral.moment_check` (the CMV matrix of the union frame's alpha_j),
+label). The second routes are library calls: the coefficients of one
+union-frame Cholesky factor (`verblunsky.union_verblunsky`, which also
+serves the roundtrip; the rotation, Schur, CMV-entry and spectral
+entries read them at the same levels for every J), density moments
+from `spectral.moment_check` (the CMV matrix of the frame's alpha_j),
 generator inner products from `oracle.quadrature_gram`, and the window's
 coefficients again from the oracle's own union frame, which starts where
-the union route's does. The defect geometry (`defect_orthogonality`,
+the union route over [-J, J] does. The defect geometry (`defect_orthogonality`,
 `defect_unit_norm`), the rotation Theta_j (`rotation_relation`) and the
 CMV entries (`cmv_entries_match_gram`) set the Schur-complement solve of
 each section against the FFT of its evaluated vectors
@@ -44,7 +46,6 @@ from .verblunsky import (
     rotation_relation_residual,
     schur_chain,
     solve_levels,
-    union_verblunsky,
 )
 
 
@@ -123,35 +124,38 @@ def check_union(seq, union):
                  "max |d alpha|, |d a0| over [-J, J]")]
 
 
-def check_rotation(pairs, seq):
-    """Theta_j between the pairs of levels j and j + 1, j = -1, 0, 1, at alpha_j of seq."""
+def check_rotation(pairs, frame):
+    """Theta_j between the pairs of levels j and j + 1, j = -1, 0, 1, at alpha_j of the frame."""
     worst = 0.0
     for j in (-1, 0, 1):
         n = level_split(j)[0]
         base, after = pairs[j], pairs[j + 1]
         worst = max(worst, rotation_relation_residual(
-            base, at_split(after, n + 1), at_split(after, n), seq.alpha(j)))
+            base, at_split(after, n + 1), at_split(after, n), frame.alpha(j)))
     return [_leq("rotation_relation", worst, 1e-7)]
 
 
-def check_schur(pairs, seq):
-    levels = range(max(seq.lo, -4), min(seq.hi - 1, 4))
-    rep = schur_chain(pairs, seq, list(levels))
+def check_schur(pairs, frame):
+    """The Schur chain of the pairs of levels -4..4, stepped by alpha_j of the frame."""
+    rep = schur_chain(pairs, frame, list(range(-4, 4)))
     return [
         _leq("schur_chain_step", rep["step_sup_dev"], TOL_FUN),
         _leq("schur_omega_at_zero", rep["omega_zero_dev"], TOL_ALG),
     ]
 
 
-def check_cmv(pairs, seq):
+def check_cmv(pairs, frame):
     """Unitarity of both boundary policies plus Gram/CMV entry agreement.
 
-    Unitarity puts the spectrum on the circle: E = U*U - I has bandwidth
-    4, so ||E||_2 <= 9 max|E_ij| <= 9e-12, and an eigenpair U x = lambda x,
-    ||x|| = 1, has ||lambda| - 1| <= ||lambda|^2 - 1| = |x* E x| <= 9e-12.
+    U is built from the frame's coefficients, taking alpha_j = 0 outside
+    it, so the frame must hold levels -1..3, which the entries of rows
+    -1..4 read. Unitarity puts the spectrum on the circle: E = U*U - I has
+    bandwidth 4, so ||E||_2 <= 9 max|E_ij| <= 9e-12, and an eigenpair
+    U x = lambda x, ||x|| = 1, has ||lambda| - 1| <= ||lambda|^2 - 1| =
+    |x* E x| <= 9e-12.
     """
-    U0 = cmv.build_cmv(seq, scattering.minimal_window(seq)[0], "zero-tail")
-    U1 = cmv.build_cmv(seq, U0.window, "decoupled")
+    U0 = cmv.build_cmv(frame, scattering.minimal_window(frame)[0], "zero-tail")
+    U1 = cmv.build_cmv(frame, U0.window, "decoupled")
     out = [_leq("cmv_unitarity_zero_tail_interior", cmv.unitarity_defect(U0), 1e-12),
            _leq("cmv_unitarity_decoupled", cmv.unitarity_defect(U1), 1e-12)]
 
@@ -175,7 +179,7 @@ def check_cmv(pairs, seq):
 def check_roundtrip(R, rungs, cfg):
     """Roundtrip sup error of the top rung, and its excess over the Fourier tail on every rung.
 
-    rungs is `scattering.rung_sequences(R, cfg)`. Level window J reconstructs
+    rungs is `scattering.rung_sequences(R, cfg)[1]`. Level window J reconstructs
     S_{J-1}R: sup error <= sum_{|k|>=J} |R_k| + M eps, the tail each rung
     records (`ScatteringFunction.fourier_tail`).
     """
@@ -188,23 +192,23 @@ def check_roundtrip(R, rungs, cfg):
     ]
 
 
-def check_spectral(R, pairs, seq, union):
+def check_spectral(R, pairs, frame):
     """Density moments by `spectral.moment_check` at levels 0 and 1; sigma recursion.
 
     The densities come from the pairs of levels 0 and 2, at offsets (0, 0)
-    and (1, 1), with alpha_0 and the recursion's alpha_j from seq; the
-    coefficients of U from the union frame, whose window must hold the
-    levels -5..5 that the kmax = 4 moments read.
+    and (1, 1); alpha_0, the recursion's alpha_j and the coefficients of U
+    from the union frame, whose window must hold the levels -5..5 that the
+    kmax = 4 moments read.
     """
     moment_dev = 0.0
     for n in (0, 1):
         dens = spectral.spectral_density(R, pairs[2 * n])
         tagged = [dens]
         if n == 0:
-            tagged.append(spectral.change_basis_density(dens, seq.alpha(0)))
+            tagged.append(spectral.change_basis_density(dens, frame.alpha(0)))
         for d in tagged:
-            moment_dev = max(moment_dev, spectral.moment_check(d, union, 4)["max_abs_dev"])
-    rec_dev = max(spectral.sigma_recursion_check(pairs[j], pairs[j + 1], seq.alpha(j))
+            moment_dev = max(moment_dev, spectral.moment_check(d, frame, 4)["max_abs_dev"])
+    rec_dev = max(spectral.sigma_recursion_check(pairs[j], pairs[j + 1], frame.alpha(j))
                   for j in (0, 1))
     return [
         _leq("spectral_moments_match_cmv", moment_dev, TOL_FUN),
@@ -212,16 +216,18 @@ def check_spectral(R, pairs, seq, union):
     ]
 
 
-def check_oracle(R, seq, union, cfg):
+def check_oracle(R, seq, cfg):
     """Oracle agreement of seq on its whole window [-J, J] and of generator inner products.
 
-    The oracle's union frame starts where that of `union`, the union route
-    over [-J, J], does: at N0 = max(section_start, J + d) with d R's lower
-    Fourier reach. A smaller frame can miss the coupling of level -J,
-    decouple and read a0 = 1 there.
+    seq is `read_sequence`'s, and the oracle's union frame starts where its
+    section of level -J did: at N0 = max(section_start, J + d) with d R's
+    lower Fourier reach (`lrspace._converge_section`), where the union
+    route over [-J, J] starts too. A smaller frame can miss the coupling of
+    level -J, decouple and read a0 = 1 there; the suite's union frame can
+    reach further out and start higher, for no more certainty.
     """
     J = min(-seq.lo, seq.hi)
-    N0 = union.diagnostics["N0"]
+    N0 = seq.diagnostics["sections"][0]["N0"]
     Q = oracle.quadrature_space(R, cfg.oversample)
     rep = oracle.compare_with_fast_path(R, Q, J, N0, cfg, seq)
     out = [_leq("oracle_alpha_agreement", rep["max_alpha_dev"], TOL_FUN),
@@ -241,14 +247,16 @@ def run_full_suite(R, cfg):
     """All invariant checks for one input; returns a list of CheckResult.
 
     Solves once, before the first check, and hands the checks what they
-    certify: the union frame of every roundtrip rung that R's Fourier tail
-    picks (`scattering.rung_sequences`), top rung first, so a rung that
-    cannot converge fails at once; the defect pairs of the levels
-    [min(-J, -2), max(J + 1, 4)], J = cfg.levels, the window's and those
+    certify: one union frame over the window of the top roundtrip rung
+    that R's Fourier tail picks, widened to [-5, 5] (the levels the
+    moments and CMV entries read), whose slices are the rungs
+    (`scattering.rung_sequences`); the defect pairs of the levels
+    [min(-J, -4), max(J + 1, 4)], J = cfg.levels, the window's and those
     the checks near level 0 read; and the coefficients of [-J, J] read off
-    those pairs (`read_sequence`, as `inverse_scattering` reads them). The
-    scipy factorizations then run in one block rather than alternating
-    with the numpy reads, each on its own BLAS build.
+    those pairs (`read_sequence`, as `inverse_scattering` reads them),
+    which only the entries certifying `inverse`'s output read. The scipy
+    factorizations then run in one block rather than alternating with the
+    numpy reads, each on its own BLAS build.
     """
     rep = R.szego
     results = [CheckResult("szego_condition", rep.passes and rep.margin >= cfg.margin_min,
@@ -256,19 +264,16 @@ def run_full_suite(R, cfg):
     if not results[0].passed:
         return results
     J = cfg.levels
-    rungs = scattering.rung_sequences(R, cfg)
-    union = rungs[-1][1]  # the first rung is [-J, J]
-    pairs = solve_levels(R, min(-J, -2), max(J + 1, 4), cfg)
+    frame, rungs = scattering.rung_sequences(R, cfg, reach=5)
+    pairs = solve_levels(R, min(-J, -4), max(J + 1, 4), cfg)
     seq = read_sequence(R, pairs, J)
-    # the kmax = 4 moments read levels -5..5, inside [-J, J] from J = 5 on
-    moments = union if J >= 5 else union_verblunsky(R, -5, 5, cfg)
     results += check_gram_structure(R, pairs)
     results += check_verblunsky(seq)
-    results += check_union(seq, union)
-    results += check_rotation(pairs, seq)
-    results += check_schur(pairs, seq)
-    results += check_cmv(pairs, seq)
-    results += check_spectral(R, pairs, seq, moments)
+    results += check_union(seq, rungs[-1][1])  # the bottom rung is [-J, J]
+    results += check_rotation(pairs, frame)
+    results += check_schur(pairs, frame)
+    results += check_cmv(pairs, frame)
+    results += check_spectral(R, pairs, frame)
     results += check_roundtrip(R, rungs, cfg)
-    results += check_oracle(R, seq, union, cfg)
+    results += check_oracle(R, seq, cfg)
     return results

@@ -124,7 +124,7 @@ def cmd_direct(args):
 def cmd_roundtrip(args):
     cfg = _config_from(args)
     R = _load_input(args, cfg)
-    rep = scattering.roundtrip(R, scattering.rung_sequences(R, cfg))
+    rep = scattering.roundtrip(R, scattering.rung_sequences(R, cfg)[1])
     _emit(fileio.save_report(rep), args.out)
     print(f"roundtrip: J = {rep['levels']}, sup error = {rep['sup_error']:.3e}, "
           f"l2 error = {rep['l2_error']:.3e}", file=sys.stderr)

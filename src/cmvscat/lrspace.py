@@ -369,6 +369,10 @@ def _converge_section(R, lo, readout, change, cfg, what):
     (`fourier_tails[0]`) is below section_tol has no reach to cover and
     starts at N0 = cfg.section_start. The doubling ends when every entry of
     `change(prev, cur)`, one per level from lo up, is below section_tol.
+    N0 depends on lo alone, so the union frame over [lo, hi] starts where
+    level lo's section does: `checks.check_oracle` reads the start of
+    [-J, J] off level -J's pair, and the slices of a wider frame
+    (`scattering.rung_sequences`) carry that frame's larger start.
 
     Raises ConvergenceError, the message starting with `level j:`, when
     2 N0 > cfg.section_cap, before any readout, and when no size up to

@@ -185,34 +185,41 @@ def boundary_reconstruction(seq, grid, W=None, depth=None):
     return circle.synthesize(moment_series(seq, W, depth), grid)
 
 
-def rung_sequences(R, cfg):
-    """Union-frame coefficients (J, seq) of every roundtrip rung, top rung first.
+def rung_sequences(R, cfg, reach=0):
+    """One union frame and the coefficients (J, seq) of every roundtrip rung, top rung first.
 
     J doubles from cfg.levels until R's Fourier tail sum_{|k| >= J} |R_k|
     (`fourier_tail`) falls below cfg.tol_roundtrip, since rung J
     reconstructs S_{J-1}R, whose sup error is at most that tail. Every
     coefficient R holds lies inside the grid window, so the loop ends by
-    J = M/2 + 1. The top rung is factored first: it is the likeliest to
-    exceed section_cap, and its refusal then comes before any other rung
-    runs. A ResolutionError or ConvergenceError names the rung's J and tail.
+    J = M/2 + 1. One `union_verblunsky` call factors the frame over the top
+    rung's window [-J, J], widened to [-reach, reach] when that is larger,
+    and each rung is its slice over [-J, J] (`VerblunskySequence.restricted`):
+    a level's alpha_j and a0_j do not depend on the window around it. A
+    ResolutionError or ConvergenceError names the top rung's J and tail.
+
+    Returns
+    -------
+    (frame, rungs)
+        The frame's VerblunskySequence, and rungs, the list of (J, slice)
+        from the top rung down; every slice carries the frame's diagnostics.
     """
     levels = [cfg.levels]
     while R.fourier_tail(levels[-1]) >= cfg.tol_roundtrip:
         levels.append(min(2 * levels[-1], R.grid.coeff_hi + 1))
-    out = []
-    for J in reversed(levels):
-        try:
-            out.append((J, union_verblunsky(R, -J, J, cfg)))
-        except (ResolutionError, ConvergenceError) as exc:
-            raise type(exc)(f"roundtrip rung J = {J} (Fourier tail "
-                            f"{R.fourier_tail(J):.3e}): {exc}") from exc
-    return out
+    half = max(levels[-1], reach)
+    try:
+        frame = union_verblunsky(R, -half, half, cfg)
+    except (ResolutionError, ConvergenceError) as exc:
+        raise type(exc)(f"roundtrip rung J = {levels[-1]} (Fourier tail "
+                        f"{R.fourier_tail(levels[-1]):.3e}): {exc}") from exc
+    return frame, [(J, frame.restricted(-J, J)) for J in reversed(levels)]
 
 
 def roundtrip(R, rungs):
     """Reconstruction of every rung against R's samples, with error metrics.
 
-    rungs is `rung_sequences(R, cfg)`, (J, coefficients) top rung first;
+    rungs is `rung_sequences(R, cfg)[1]`, (J, coefficients) top rung first;
     each rung is reconstructed at its `minimal_window`, which its J fixes.
     Only the boundary errors are reported.
 

@@ -77,6 +77,18 @@ class VerblunskySequence:
     def rho(self, j):
         return float(np.sqrt(1.0 - abs(self.alpha(j)) ** 2))
 
+    def restricted(self, lo, hi):
+        """The coefficients of [lo, hi], a window inside this one, with a0s on lo..hi+1.
+
+        A union frame's level does not depend on the window around it, so
+        this is the union readout over [lo, hi] up to rounding; it keeps
+        this sequence's diagnostics.
+        """
+        i, k = lo - self.lo, hi + 1 - self.lo
+        if i < 0 or k > len(self.alphas):
+            raise DomainError(f"[{lo}, {hi}] is not inside [{self.lo}, {self.hi}]")
+        return VerblunskySequence(lo, self.alphas[i:k], self.a0s[i:k + 1], self.diagnostics)
+
 
 @dataclass
 class SchurFunction:

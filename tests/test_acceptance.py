@@ -231,7 +231,7 @@ def test_criterion_6_roundtrip():
     worst = 0.0
     for name, (R, J) in inputs.items():
         t0 = time.perf_counter()
-        rep = roundtrip(R, rung_sequences(R, CFG.replace(levels=J)))
+        rep = roundtrip(R, rung_sequences(R, CFG.replace(levels=J))[1])
         elapsed = time.perf_counter() - t0
         sups = [r["sup_error"] for r in rep["rungs"]]
         assert len(sups) >= 2, f"{name}: one rung"

@@ -2,17 +2,20 @@
 
 import ast
 import gc
+import json
 import pathlib
 import weakref
 
 import numpy as np
 import pytest
+from conftest import README_FAMILIES
 
 from cmvscat import (
     CircleGrid, VerblunskySequence, checks, cmv, lrspace, oracle, scattering, spectral,
     verblunsky,
 )
 from cmvscat.checks import run_full_suite
+from cmvscat.cli import main
 from cmvscat.config import TOL_ALG, TOL_FUN, RunConfig
 from cmvscat.families import from_string, random_trig
 from cmvscat.lrspace import converged_defect_pair
@@ -53,16 +56,17 @@ def unions(monkeypatch):
 
 def test_suite_solves_each_section_once(r_smooth, small_cfg, solved, unions):
     # each level's section reaches defect_pair once, whatever split asks for it;
-    # the union frames go first, top roundtrip rung first, then the per-level
-    # pass starts at the bottom level of cfg.levels' window, the only one it
-    # solves. The degree-6 input's Fourier tail at J = 6 misses tol_roundtrip,
-    # so the rungs are J = 6 and 12; the top one starts at J + d = 18
+    # the union frame goes first, then the per-level pass starts at the
+    # bottom level of cfg.levels' window, the only one it solves. The
+    # degree-6 input's Fourier tail at J = 6 misses tol_roundtrip, so the
+    # rungs are J = 6 and 12, both slices of the top one's frame, which
+    # starts at J + d = 18
     J = small_cfg.levels
     assert r_smooth.fourier_tail(J) >= small_cfg.tol_roundtrip > r_smooth.fourier_tail(2 * J)
     results = run_full_suite(r_smooth, small_cfg)
     assert unions[0] == (-2 * J, 2 * J, 2 * J + 6)
     assert len(unions) == len(set(unions))
-    assert {(lo, hi) for lo, hi, _ in unions} == {(-J, J), (-2 * J, 2 * J)}
+    assert {(lo, hi) for lo, hi, _ in unions} == {(-2 * J, 2 * J)}
     assert solved[0] == (-small_cfg.levels, small_cfg.section_start)
     assert {level for level, _ in solved} <= set(range(-small_cfg.levels,
                                                        small_cfg.levels + 2))
@@ -75,9 +79,10 @@ def test_suite_solves_each_section_once(r_smooth, small_cfg, solved, unions):
 @pytest.mark.parametrize("two_rungs", [True, False])
 def test_suite_solves_before_it_reads(r_smooth, grid, small_cfg, solved, unions,
                                       monkeypatch, two_rungs):
-    # every section is solved and every union frame factored in the up-front
+    # every section is solved and the union frame factored in the up-front
     # pass; the checks take what it solved. The degree-6 input needs roundtrip
-    # rungs J = 6 and 12, a degree-4 one only J = 6
+    # rungs J = 6 and 12, sliced off the frame of [-12, 12], a degree-4 one
+    # only J = 6
     R = r_smooth if two_rungs else random_trig(grid, degree=4, margin=0.25, seed=7)
     at_first_check = []
     original = checks.check_gram_structure
@@ -90,7 +95,7 @@ def test_suite_solves_before_it_reads(r_smooth, grid, small_cfg, solved, unions,
     run_full_suite(R, small_cfg)
     assert at_first_check == [(len(solved), len(unions))]
     assert len(solved) > 0
-    windows = {(-6, 6), (-12, 12)} if two_rungs else {(-6, 6)}
+    windows = {(-12, 12)} if two_rungs else {(-6, 6)}
     assert {(lo, hi) for lo, hi, _ in unions} == windows
 
 
@@ -171,27 +176,32 @@ def test_shifted_split_served_from_the_level_memo(r_smooth, solved):
 
 
 def _solved(R, cfg):
-    """What the suite hands its checks, each solved here by its own library route."""
+    """What the suite hands its checks, each solved here by its own library route.
+
+    The frame is the union route over the top rung's window, [-12, 12] for
+    the degree-6 input at J = 6; the rungs are slices of it.
+    """
     J = cfg.levels
-    return (solve_levels(R, -J, J + 1, cfg), inverse_scattering(R, J, cfg),
-            union_verblunsky(R, -J, J, cfg))
+    frame = union_verblunsky(R, -2 * J, 2 * J, cfg)
+    rungs = [(2 * J, frame), (J, frame.restricted(-J, J))]
+    return solve_levels(R, -J, J + 1, cfg), inverse_scattering(R, J, cfg), frame, rungs
 
 
 def test_suite_values_match_checks_run_alone(r_smooth, small_cfg):
     # each check handed inputs solved apart from the suite gives its entries
     R, cfg = r_smooth, small_cfg
     suite = run_full_suite(R, cfg)
-    pairs, seq, union = _solved(R, cfg)
+    pairs, seq, frame, rungs = _solved(R, cfg)
     alone = (
         checks.check_gram_structure(R, pairs)
         + checks.check_verblunsky(seq)
-        + checks.check_union(seq, union)
-        + checks.check_rotation(pairs, seq)
-        + checks.check_schur(pairs, seq)
-        + checks.check_cmv(pairs, seq)
-        + checks.check_spectral(R, pairs, seq, union)
-        + checks.check_roundtrip(R, scattering.rung_sequences(R, cfg), cfg)
-        + checks.check_oracle(R, seq, union, cfg)
+        + checks.check_union(seq, rungs[-1][1])
+        + checks.check_rotation(pairs, frame)
+        + checks.check_schur(pairs, frame)
+        + checks.check_cmv(pairs, frame)
+        + checks.check_spectral(R, pairs, frame)
+        + checks.check_roundtrip(R, rungs, cfg)
+        + checks.check_oracle(R, seq, cfg)
     )
     assert suite[0].name == "szego_condition"
     assert [r.as_dict() for r in suite[1:]] == [r.as_dict() for r in alone]
@@ -216,8 +226,7 @@ def test_oracle_compares_within_a_narrow_window(r_smooth, small_cfg):
     # outside that window
     cfg = small_cfg.replace(levels=2)
     seq = inverse_scattering(r_smooth, cfg.levels, cfg)
-    union = union_verblunsky(r_smooth, -2, 2, cfg)
-    result = checks.check_oracle(r_smooth, seq, union, cfg)[0]
+    result = checks.check_oracle(r_smooth, seq, cfg)[0]
     assert result.name == "oracle_alpha_agreement"
     assert result.value <= TOL_FUN
 
@@ -240,8 +249,8 @@ def test_oracle_runs_at_the_union_start(small_cfg, monkeypatch):
     original = oracle.oracle_verblunsky
     monkeypatch.setattr(oracle, "oracle_verblunsky",
                         lambda R, J, N, Q: frames.append(N) or original(R, J, N, Q))
-    union = union_verblunsky(R, -cfg.levels, cfg.levels, cfg)
-    result = {r.name: r for r in checks.check_oracle(R, seq, union, cfg)}
+    assert union_verblunsky(R, -cfg.levels, cfg.levels, cfg).diagnostics["N0"] == 46
+    result = {r.name: r for r in checks.check_oracle(R, seq, cfg)}
     assert frames == [46]
     for name in ("oracle_a0_agreement", "oracle_alpha_agreement"):
         assert result[name].passed and result[name].value <= 1e-15, name
@@ -249,15 +258,15 @@ def test_oracle_runs_at_the_union_start(small_cfg, monkeypatch):
 
 def test_spectral_entry_is_the_worst_moment_check(r_smooth, small_cfg):
     # the suite's entry is moment_check's deviation, maximized over the
-    # densities check_spectral reads: both tags at level 0, the diagonal at 1
+    # densities check_spectral reads: both tags at level 0, the diagonal at 1,
+    # alpha_0 and U from the suite's union frame, the top rung's [-12, 12]
     suite = {r.name: r.value for r in run_full_suite(r_smooth, small_cfg)}
     cfg, R = small_cfg, r_smooth
-    pair0 = converged_defect_pair(R, 0, 0, cfg)
-    dens0 = spectral.spectral_density(R, pair0)
-    densities = (dens0, spectral.change_basis_density(dens0, alpha_from_defects(pair0)),
+    frame = verblunsky.union_verblunsky(R, -2 * cfg.levels, 2 * cfg.levels, cfg)
+    dens0 = spectral.spectral_density(R, converged_defect_pair(R, 0, 0, cfg))
+    densities = (dens0, spectral.change_basis_density(dens0, frame.alpha(0)),
                  spectral.spectral_density(R, converged_defect_pair(R, 1, 1, cfg)))
-    seq = verblunsky.union_verblunsky(R, -cfg.levels, cfg.levels, cfg)
-    worst = max(spectral.moment_check(d, seq, 4)["max_abs_dev"] for d in densities)
+    worst = max(spectral.moment_check(d, frame, 4)["max_abs_dev"] for d in densities)
     assert suite["spectral_moments_match_cmv"] == worst
 
 
@@ -285,9 +294,9 @@ def test_defect_geometry_sees_one_moved_coordinate(r_smooth, small_cfg):
 
 
 def test_rotation_relation_sees_a_conjugated_alpha(r_smooth, small_cfg):
-    pairs, seq, _ = _solved(r_smooth, small_cfg)
-    assert checks.check_rotation(pairs, seq)[0].passed
-    conjugated = VerblunskySequence(seq.lo, np.conj(seq.alphas), seq.a0s)
+    pairs, _, frame, _ = _solved(r_smooth, small_cfg)
+    assert checks.check_rotation(pairs, frame)[0].passed
+    conjugated = VerblunskySequence(frame.lo, np.conj(frame.alphas), frame.a0s)
     assert not checks.check_rotation(pairs, conjugated)[0].passed
 
 
@@ -306,11 +315,11 @@ def test_telescoped_products_see_one_moved_alpha(r_smooth, small_cfg):
 
 
 def test_cmv_entries_see_a_basis_label_off_by_one(r_smooth, small_cfg, monkeypatch):
-    pairs, seq, _ = _solved(r_smooth, small_cfg)
-    assert _entries(checks.check_cmv(pairs, seq))["cmv_entries_match_gram"].passed
+    pairs, _, frame, _ = _solved(r_smooth, small_cfg)
+    assert _entries(checks.check_cmv(pairs, frame))["cmv_entries_match_gram"].passed
     original = cmv.basis_label
     monkeypatch.setattr(cmv, "basis_label", lambda index: original(index + 1))
-    result = _entries(checks.check_cmv(pairs, seq))
+    result = _entries(checks.check_cmv(pairs, frame))
     assert not result["cmv_entries_match_gram"].passed
     assert result["cmv_unitarity_decoupled"].passed
 
@@ -334,3 +343,83 @@ def test_certificates_take_no_gram_products():
               for node in ast.walk(func) if isinstance(node, ast.Call)}
     assert "generator_products" in called
     assert not called & (gram_routes | {"norm"}), called
+
+
+def _check(tmp_path, family, levels):
+    """Exit code and entries {name: value} of the CLI `check` at the defaults."""
+    out = tmp_path / f"check-{levels}.json"
+    code = main(["check", "--family", family, "--levels", str(levels), "--out", str(out)])
+    entries = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    return code, entries
+
+
+FRAME_ENTRIES = ("rotation_relation", "schur_chain_step", "schur_omega_at_zero",
+                 "cmv_entries_match_gram", "spectral_moments_match_cmv", "sigma_recursion")
+
+
+def test_check_below_level_5_reads_the_frame_of_every_level(tmp_path, unions):
+    # the README `check` example at --levels 1..5. The entries near level 0
+    # read alpha_j off the one union frame, over the top rung's window widened
+    # to [-5, 5], so they read the same levels at every J and equal their
+    # J = 16 values up to the rounding of the frame. The CMV entries read
+    # levels -1..3: a frame cut to [-J, J] took alpha_j = 0 past it and read
+    # 1.3e-1 at J = 1 and 2. The rungs double from J while the degree-4
+    # tail is nonzero, to 8 (6 from J = 3), and no other window is factored.
+    # alpha_tail_square_sum sums the top quarter of [-J, J], and the input's
+    # coefficients reach level 4, so it fails below J = 5 by design
+    code16, at16 = _check(tmp_path, ANCHOR, 16)
+    assert code16 == 0
+    for J, top in ((1, 8), (2, 8), (3, 6), (4, 8), (5, 5)):
+        del unions[:]
+        code, entries = _check(tmp_path, ANCHOR, J)
+        assert entries["cmv_entries_match_gram"]["value"] <= TOL_FUN, J
+        for name in FRAME_ENTRIES:
+            assert entries[name]["passed"], (J, name)
+            assert abs(entries[name]["value"] - at16[name]["value"]) <= 1e-14, (J, name)
+        failed = {name for name, c in entries.items() if not c["passed"]}
+        assert failed == ({"alpha_tail_square_sum"} if J < 5 else set()), J
+        assert code == (3 if J < 5 else 0), J
+        assert {(lo, hi) for lo, hi, _ in unions} == {(-top, top)}, J
+
+
+def test_check_widens_a_frame_below_level_5(tmp_path, unions):
+    # R = 0.5 tbar: its tail vanishes at J = 2, so the top rung is [-2, 2];
+    # the moments and CMV entries read levels -5..5, and the suite factors
+    # the one frame over [-5, 5] for them and the rungs alike
+    code, entries = _check(tmp_path, "monomial,gamma=0.5,k=1", 1)
+    assert code == 0
+    assert {(lo, hi) for lo, hi, _ in unions} == {(-5, 5)}
+    for name in FRAME_ENTRIES:
+        assert entries[name]["value"] <= 1e-14, name
+
+
+@pytest.mark.parametrize("spec", README_FAMILIES)
+def test_oracle_starts_at_the_union_start_of_its_window(spec):
+    # the oracle starts at level -J's section start, read_sequence's first
+    # "sections" entry, which `_converge_section` sets by the rule the union
+    # route over [-J, J] starts by: N0 = max(section_start, J + d). So does a
+    # window with lo > 0, level 75 against the frame of [75, 83]
+    cfg = RunConfig()
+    R = from_string(spec, CircleGrid(cfg.grid_size))
+    for J in (16, 64):
+        pair = converged_defect_pair(R, *verblunsky.level_split(-J), cfg)
+        union = union_verblunsky(R, -J, J, cfg)
+        assert pair.diagnostics["N0"] == union.diagnostics["N0"], (spec, J)
+    pair = converged_defect_pair(R, *verblunsky.level_split(75), cfg)
+    assert pair.diagnostics["N0"] == union_verblunsky(R, 75, 83, cfg).diagnostics["N0"]
+
+
+def test_check_runs_its_oracle_at_the_window_start(monkeypatch):
+    # R = 0.5 tbar^100 at the defaults: the roundtrip rungs reach J = 128,
+    # whose frame starts at N0 = 128 + 100 = 228, while the oracle over
+    # [-16, 16] starts at 16 + 100 = 116, as the union route there does
+    cfg = RunConfig()
+    R = from_string("monomial,gamma=0.5,k=100", CircleGrid(cfg.grid_size))
+    frames = []
+    original = oracle.oracle_verblunsky
+    monkeypatch.setattr(oracle, "oracle_verblunsky",
+                        lambda R, J, N, Q: frames.append((J, N)) or original(R, J, N, Q))
+    results = {r.name: r for r in run_full_suite(R, cfg)}
+    assert frames == [(16, 116)]
+    assert scattering.rung_sequences(R, cfg, reach=5)[0].diagnostics["N0"] == 228
+    assert all(r.passed for r in results.values())

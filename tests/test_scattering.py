@@ -27,7 +27,7 @@ ANCHOR = "random,degree=4,margin=0.2,seed=0"  # the README `check` example
 
 
 def _roundtrip(R, cfg):
-    return roundtrip(R, rung_sequences(R, cfg))
+    return roundtrip(R, rung_sequences(R, cfg)[1])
 
 
 def test_wandering_free_case_exact():
@@ -321,19 +321,43 @@ def test_ladder_rungs_within_their_fourier_tail(r_smooth, small_cfg):
 
 
 def test_ladder_configs_start_at_the_rung_window(r_smooth, small_cfg, monkeypatch):
-    # every rung's union frame starts at N0 = max(section_start, J + d), with
-    # d = 6 the reach of the degree-6 input, and doubles from there; the
-    # rungs share cfg otherwise
+    # the rungs 3, 6 and 12 of the degree-6 input are slices of one union
+    # frame, the top rung's [-12, 12]: it starts at N0 = max(section_start,
+    # J + d) = 18, d = 6 the input's reach, and doubles from there
     frames = []
     original = verblunsky.union_factor
     monkeypatch.setattr(verblunsky, "union_factor", lambda R, lo, hi, N:
-                        frames.append((hi, N)) or original(R, lo, hi, N))
-    _roundtrip(r_smooth, small_cfg.replace(levels=3))
-    starts = {}
-    for J, N in frames:
-        starts.setdefault(J, N)
-    assert starts == {12: 18, 6: 16, 3: 16}
-    assert all(N in (starts[J], 2 * starts[J], 4 * starts[J]) for J, N in frames)
+                        frames.append((lo, hi, N)) or original(R, lo, hi, N))
+    rungs = _roundtrip(r_smooth, small_cfg.replace(levels=3))["rungs"]
+    assert [r["levels"] for r in rungs] == [3, 6, 12]
+    assert frames[0] == (-12, 12, 18)
+    assert all(f == (-12, 12, N) for f, N in zip(frames, (18, 36, 72)))
+
+
+@pytest.mark.parametrize("spec, levels", [
+    ("monomial,gamma=0.5,k=40", [64, 32, 16]),
+    ("blaschke,r=0.8,zeros=0.6;-0.6j", [32, 16]),
+    ("monomial,gamma=0.5,k=100", [128, 64, 32, 16]),
+])
+def test_rungs_are_slices_of_the_top_frame(spec, levels, monkeypatch):
+    # one union frame, the top rung's, is factored; every rung is its slice
+    # and reads what a union frame over the rung's own window reads
+    cfg = RunConfig()
+    R = from_string(spec, CircleGrid(cfg.grid_size))
+    windows = set()
+    original = verblunsky.union_factor
+    monkeypatch.setattr(verblunsky, "union_factor", lambda R, lo, hi, N:
+                        windows.add((lo, hi)) or original(R, lo, hi, N))
+    frame, rungs = rung_sequences(R, cfg)
+    assert windows == {(-levels[0], levels[0])}
+    assert [J for J, _ in rungs] == levels
+    assert rungs[0][1].diagnostics is frame.diagnostics
+    monkeypatch.setattr(verblunsky, "union_factor", original)
+    for J, seq in rungs:
+        ref = verblunsky.union_verblunsky(R, -J, J, cfg)
+        assert (seq.lo, seq.hi, len(seq.a0s)) == (-J, J, 2 * J + 2)
+        assert np.max(np.abs(seq.alphas - ref.alphas)) <= 1e-15, (spec, J)
+        assert np.max(np.abs(seq.a0s - ref.a0s)) <= 1e-15, (spec, J)
 
 
 def test_roundtrip_error_tracks_level_window(r_smooth, small_cfg):
@@ -347,7 +371,7 @@ def test_roundtrip_error_tracks_level_window(r_smooth, small_cfg):
 
 def test_roundtrip_skips_split_recomputation(r_half, small_cfg, monkeypatch):
     # only boundary errors are reported, so no rung re-solves shifted splits;
-    # one union-frame inverse per rung, top rung first, and no per-level one.
+    # one union-frame inverse, the top rung's, and no per-level one.
     # R = 0.5 tbar has tail 0.5 at J = 1 and 0 at J = 2
     rungs, splits = [], []
     original = scattering.union_verblunsky
@@ -365,7 +389,7 @@ def test_roundtrip_skips_split_recomputation(r_half, small_cfg, monkeypatch):
     monkeypatch.setattr(verblunsky, "split_deviation",
                         lambda *args: splits.append(args))
     _roundtrip(r_half, small_cfg.replace(levels=1))
-    assert rungs == [(-2, 2), (-1, 1)]
+    assert rungs == [(-2, 2)]
     assert splits == []
 
 

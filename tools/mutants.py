@@ -78,6 +78,12 @@ MUTANTS = [
     ("split-shift-sign", "src/cmvscat/lrspace.py",
      "p = n - pair.frame.n",
      "p = pair.frame.n - n"),
+    ("check-reach-dropped", "src/cmvscat/checks.py",
+     "frame, rungs = scattering.rung_sequences(R, cfg, reach=5)",
+     "frame, rungs = scattering.rung_sequences(R, cfg)"),
+    ("rung-slice-off-by-one", "src/cmvscat/verblunsky.py",
+     "i, k = lo - self.lo, hi + 1 - self.lo",
+     "i, k = lo + 1 - self.lo, hi + 2 - self.lo"),
 ]
 
 # mutants that change no number beyond TOL_FUN on any input measured, and why
