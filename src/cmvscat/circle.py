@@ -108,17 +108,24 @@ def analyze(samples, grid):
     return LaurentSeries(grid.coeff_lo, bins[window % grid.size])
 
 
+def require_fits(lo, hi, grid):
+    """Refuse a Laurent window [lo, hi] wider than the grid.
+
+    hi - lo < M must hold, or distinct indices alias onto the same FFT
+    bin; ResolutionError otherwise.
+    """
+    if hi - lo >= grid.size:
+        raise ResolutionError(
+            f"Laurent window [{lo}, {hi}] does not fit a grid of size {grid.size}; increase M"
+        )
+
+
 def synthesize(series, grid):
     """Evaluate a Laurent series on the grid. Inverse of `analyze`.
 
-    The window must satisfy hi - lo < M, otherwise distinct indices
-    alias onto the same FFT bin.
+    The window must fit the grid (`require_fits`).
     """
-    if series.hi - series.lo >= grid.size:
-        raise ResolutionError(
-            f"Laurent window [{series.lo}, {series.hi}] does not fit a grid of "
-            f"size {grid.size}; increase M"
-        )
+    require_fits(series.lo, series.hi, grid)
     bins = np.zeros(grid.size, dtype=complex)
     bins[series.indices() % grid.size] = series.coeffs
     return np.fft.ifft(bins) * grid.size

@@ -86,7 +86,12 @@ def cmd_inverse(args):
 
 
 def _parse_zgrid(args, cfg):
+    ring = [f"--ring-{name}" for name, value in (("radius", args.ring_radius),
+                                                  ("count", args.ring_count))
+            if value is not None]
     if args.z is not None:
+        if ring:
+            raise InputError(f"--z and {' and '.join(ring)} exclude each other")
         try:
             zs = [complex(part) for part in args.z.split(";") if part]
         except ValueError as exc:
@@ -94,7 +99,7 @@ def _parse_zgrid(args, cfg):
         if not zs:
             raise InputError("--z lists no points")
         return np.array(zs)
-    if args.ring_radius is None and args.ring_count is None:
+    if not ring:
         return None  # boundary reconstruction on the full grid
     radius = args.ring_radius if args.ring_radius is not None else 0.9
     count = args.ring_count if args.ring_count is not None else cfg.grid_size
@@ -168,8 +173,7 @@ def cmd_check(args):
 
 def cmd_dump_matrix(args):
     seq = fileio.load_alphas(args.alphas)
-    W = scattering.minimal_window(seq)[0] if args.window is None else args.window
-    U = cmv.build_cmv(seq, W, args.boundary)
+    U = cmv.build_cmv(seq, scattering.minimal_window(seq)[0])
     _emit(fileio.save_matrix_csv(cmv.dump_entries(U)), args.out)
     return EXIT_OK
 
@@ -224,12 +228,10 @@ def build_parser():
     _add_common(p, *_FLAGS)
     p.set_defaults(func=cmd_check)
 
+    # the zero-tail window at the coefficient file's minimal_window; it reads
+    # no RunConfig field, so it takes no --config
     p = sub.add_parser("dump-matrix", help="CSV triplets of the banded operator")
     p.add_argument("--alphas", required=True)
-    p.add_argument("--boundary", choices=cmv.BOUNDARY_TAGS, default="zero-tail",
-                   help="edge policy of the window (default zero-tail)")
-    # reads no RunConfig field, so it takes no --config
-    p.add_argument("--window", type=int, help="basis half-window W (default: minimal)")
     p.add_argument("--out", help="output path ('-' for stdout)")
     p.set_defaults(func=cmd_dump_matrix)
 

@@ -1,4 +1,4 @@
-"""Banded unitary matrix of the shift in the defect-vector basis.
+"""Banded CMV matrix of the shift in the defect-vector basis.
 
 Basis indexing: 2n holds the diagonal defect vector of level 2n, 2n+1
 the off-diagonal one of level 2n+1. The matrix factors as U = L M with
@@ -7,17 +7,14 @@ even) j, each block the rotation
 
     Theta_j = [[alpha_j, rho_j], [rho_j, -conj(alpha_j)]].
 
-A window [-W, W] keeps the blocks that meet the window; the two blocks
-straddling the edges are either compressed (`zero-tail`, exact
-compression of the infinite matrix with vanishing tail coefficients) or
-given |alpha| = 1 so the finite block decouples and is exactly unitary
-(`decoupled`).
+A window [-W, W] keeps the blocks that meet it and compresses the two
+that straddle its edges. This zero-tail window is the exact compression
+of the infinite matrix whose coefficients vanish outside the window: its
+interior columns are orthonormal, and the two column pairs at each edge
+are not.
 
 U is stored as its five diagonals and applied by banded matvecs, which
-direct scattering sweeps for its moments. Only the zero-tail window gives
-exact moments: the decoupled one reflects waves at its edges, so direct
-scattering always builds zero-tail and the decoupled policy serves
-`dump-matrix` and the unitarity checks.
+direct scattering sweeps for its moments.
 """
 
 from dataclasses import dataclass
@@ -27,7 +24,6 @@ import numpy as np
 from .errors import DomainError, InputError
 
 BANDWIDTH = 2
-BOUNDARY_TAGS = ("zero-tail", "decoupled")
 
 
 def basis_label(index):
@@ -53,7 +49,6 @@ class CmvMatrix:
     """
 
     window: int
-    boundary: str
     bands: np.ndarray
 
     @property
@@ -90,8 +85,8 @@ def _diagonals(D):
         yield off, max(0, -off), D - max(0, off)
 
 
-def build_cmv(seq, W, boundary="zero-tail"):
-    """Assemble the windowed matrix from a Verblunsky sequence.
+def build_cmv(seq, W):
+    """Assemble the zero-tail window of half-width W from a Verblunsky sequence.
 
     Each entry of U = L M is one entry of L times one entry of M, because
     the blocks of L and M overlap in at most one index. Row i (level i)
@@ -114,15 +109,11 @@ def build_cmv(seq, W, boundary="zero-tail"):
         Coefficients; levels outside its window count as zero.
     W : int
         Basis window half-width; indices -W..W.
-    boundary : str
-        "zero-tail" or "decoupled" edge policy.
 
     Returns
     -------
     CmvMatrix
     """
-    if boundary not in BOUNDARY_TAGS:
-        raise InputError(f"boundary must be one of {BOUNDARY_TAGS}, got {boundary!r}")
     if W < 2:
         raise InputError(f"window must be at least 2, got {W}")
     D = 2 * W + 1
@@ -136,8 +127,6 @@ def build_cmv(seq, W, boundary="zero-tail"):
     if big.size:
         j = int(big[0]) - W - 2
         raise DomainError(f"|alpha_{j}| = {abs(a[big[0]]):.6g} >= 1")
-    if boundary == "decoupled":
-        a[[1, D + 1]] = 1.0  # levels -W-1 and W
     rho = np.sqrt(1.0 - np.abs(a) ** 2)
     am2, am1, a0, ap1 = (a[s : s + D] for s in range(4))
     rm2, rm1, r0, rp1 = (rho[s : s + D] for s in range(4))
@@ -153,7 +142,7 @@ def build_cmv(seq, W, boundary="zero-tail"):
     for off, lo, hi in _diagonals(D):
         # U[j + off, j] is row j + off at column offset q = -off
         bands[BANDWIDTH + off, lo:hi] = rows[-off][lo + off : hi + off]
-    return CmvMatrix(W, boundary, bands)
+    return CmvMatrix(W, bands)
 
 
 def _check_vector(U, v):
@@ -186,19 +175,18 @@ def _band_matvec(ab, v):
 
 
 def unitarity_defect(U):
-    """Max-norm of U*U - I over the policy's interior indices.
+    """Max-norm of U*U - I over the interior indices of the zero-tail window.
 
     U has bandwidth 2, so (U*U)[i, j] = sum_k conj(U[k, i]) U[k, j] vanishes
     unless columns i and j share a row, |i - j| <= 4: E = U*U - I has nine
     diagonals, each read off the stored bands as a sum of at most five
-    products. Under zero-tail the outermost two column pairs at each edge
-    are the known compression artifact and are excluded.
+    products. The outermost two column pairs at each edge are the known
+    compression artifact and are excluded.
     """
     D, B, w = U.dim, U.bands, BANDWIDTH
-    skip = 4 if U.boundary == "zero-tail" else 0
     worst = 0.0
     for d in range(-2 * w, 2 * w + 1):
-        lo, hi = skip + max(0, -d), D - skip - max(0, d)
+        lo, hi = 4 + max(0, -d), D - 4 - max(0, d)
         if lo < hi:  # E[i, i + d] over interior i and i + d; U[i + p, i] = B[w + p, i]
             e = sum(np.conj(B[w + p, lo:hi]) * B[w + p - d, lo + d : hi + d]
                     for p in range(max(-w, d - w), min(w, d + w) + 1))

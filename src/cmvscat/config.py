@@ -1,8 +1,8 @@
 """Run configuration shared by the library drivers and the CLI.
 
 Numerical parameters only. Where output goes and in which format are
-CLI flags (`--out`, `--format`), and so is the `dump-matrix` edge
-policy (`--boundary`); no field switches a certificate of `check` off.
+CLI flags (`--out`, `--format`); no field switches a certificate of
+`check` off.
 The bounds `check` holds its entries to are the constants below, not
 fields. The matrix window W and the wandering depth are no fields
 either: they follow from the coefficient window

@@ -102,7 +102,7 @@ def minimal_window(seq, depth=0):
     return max(2 * max(seq.hi, depth) + 2, -seq.lo - 1), depth
 
 
-def moment_series(seq, W=None, depth=None):
+def moment_series(seq, W=None, depth=None, grid=None):
     """The Laurent series of R on [-(K-1), K-1] from K = -lo moment pairs.
 
     depth defaults to the least of `minimal_window` and W to the least
@@ -110,6 +110,8 @@ def moment_series(seq, W=None, depth=None):
     the zero-tail window gives a_k = <U*^k e0, d> (index k) and
     b_k = <U^k e0, d> (index -k), with d the wandering vector d0 shifted
     once by the operator; the unshifted pairing gives t R(t) instead.
+    Given the grid the series is for, a series wider than it is refused
+    before the window is built and swept.
 
     Raises
     ------
@@ -117,6 +119,8 @@ def moment_series(seq, W=None, depth=None):
         The window fixes no moment (lo >= 0), or W and depth fix fewer
         than its -lo moment pairs (`moment_horizon`); the message names
         the least pair at or above the depth.
+    ResolutionError
+        The series would not fit the grid (`circle.require_fits`).
     """
     least = minimal_window(seq, depth or 0)
     W = least[0] if W is None else W
@@ -128,7 +132,9 @@ def moment_series(seq, W=None, depth=None):
             f"moment pairs at window {W} and depth {depth}; direct scattering needs lo < 0, "
             f"and the minimum with depth >= {depth} is window {least[0]} and depth {least[1]}"
         )
-    U = cmv.build_cmv(seq, W, "zero-tail")
+    if grid is not None:
+        circle.require_fits(1 - K, K - 1, grid)
+    U = cmv.build_cmv(seq, W)
     e0, d0 = wandering_vectors(U, depth)
     d = cmv.apply(U, d0)
     star = plain = e0
@@ -180,9 +186,10 @@ def boundary_reconstruction(seq, grid, W=None, depth=None):
 
     The inverse FFT of the `moment_series` onto the grid, that is
     S_{K-1}R, the Fourier truncation of R to |k| < K. A series wider
-    than the grid raises ResolutionError rather than alias.
+    than the grid raises ResolutionError, before the sweep, rather than
+    alias.
     """
-    return circle.synthesize(moment_series(seq, W, depth), grid)
+    return circle.synthesize(moment_series(seq, W, depth, grid), grid)
 
 
 def rung_sequences(R, cfg, reach=0):

@@ -168,7 +168,7 @@ def moment_check(density, seq, kmax):
                          f"[{seq.lo}, {seq.hi}]")
     start = a - kmax - seq.lo
     window = VerblunskySequence(a - kmax, seq.alphas[start:start + 2 * kmax + 1])
-    U = cmv.build_cmv(window, max(2, 2 * kmax - a, a + 1 + 2 * kmax), "zero-tail")
+    U = cmv.build_cmv(window, max(2, 2 * kmax - a, a + 1 + 2 * kmax))
     V = np.zeros((U.dim, 2), dtype=complex)
     V[U.pos(2 * n), 0] = 1.0
     if tag == PAIR_DIAGONAL:

@@ -311,8 +311,9 @@ def convergence_report(seq):
 
     Checks the ratio identity rho_j = a0_j / a0_{j+1}, the telescoped
     products a0_n = a0_{hi+1} prod rho_j, the square-summability proxy
-    (tail of sum |alpha|^2 over the top quarter of the window), and the
-    approach of the residuals to 1.
+    (tail of sum |alpha|^2 over the top quarter of the window), the
+    approach of the residuals to 1, and the largest drop a0_j - a0_{j+1}
+    from one level to the next (0 when a0 never decreases).
     """
     if seq.a0s is None:
         raise DomainError("sequence carries no residual norms (a0s)")
@@ -330,7 +331,7 @@ def convergence_report(seq):
         "sum_alpha_sq": float(np.sum(asq)),
         "tail_sum_alpha_sq": float(np.sum(asq[-tail_len:])),
         "a0_final_gap": float(abs(1.0 - a0s[-1])),
-        "a0_monotone": bool(np.all(np.diff(a0s) >= -1e-6)),
+        "a0_max_decrease": float(np.max(a0s[:-1] - a0s[1:], initial=0.0)),
         "a0s": a0s.tolist(),
     }
 

@@ -25,12 +25,12 @@ from cmvscat.verblunsky import VerblunskySequence
 # the numeric flags each command registers; spectrum's --levels is its
 # density level, not the level window. --window and --depth are no
 # RunConfig fields: they default to the smallest pair that fixes every
-# moment of the coefficient file, and only direct (both) and dump-matrix
-# (--window) take them. dump-matrix reads no RunConfig field, so it takes
-# no --config either
+# moment of the coefficient file, and only direct takes them. dump-matrix
+# prints the window at that smallest pair and reads no RunConfig field,
+# so it takes no numeric flag and no --config either
 ACCEPTS = {"inverse": ("grid", "levels"), "direct": ("grid", "window", "depth"),
            "roundtrip": ("grid", "levels"), "spectrum": ("grid", "levels"),
-           "check": ("grid", "levels"), "dump-matrix": ("window",)}
+           "check": ("grid", "levels"), "dump-matrix": ()}
 TAKES_CONFIG = set(ACCEPTS) - {"dump-matrix"}
 
 
@@ -287,8 +287,7 @@ _GUARD_VALUES = {("inverse", "grid"): 512, ("inverse", "levels"): 3,
                  ("direct", "depth"): 1,
                  ("roundtrip", "grid"): 512, ("roundtrip", "levels"): 3,
                  ("spectrum", "grid"): 512, ("spectrum", "levels"): 1,
-                 ("check", "grid"): 512, ("check", "levels"): 3,
-                 ("dump-matrix", "window"): 8}
+                 ("check", "grid"): 512, ("check", "levels"): 3}
 # check runs one suite at fixed bounds, so it has no --light either
 _DROPPED = [(command, flag) for command in ACCEPTS
             for flag in ("grid", "levels", "window", "depth")
@@ -359,13 +358,19 @@ def test_cli_direct_explicit_points(tmp_path):
     pytest.param(["--z", ";"], id=";"),
     pytest.param(["--ring-count", "0"], id="ring-count=0"),
     pytest.param(["--ring-count", "-3"], id="ring-count=-3"),
+    pytest.param(["--z", "0.5", "--ring-radius", "0.3"], id="z-with-ring-radius"),
+    pytest.param(["--z", "0.5", "--ring-count", "8"], id="z-with-ring-count"),
 ])
 def test_cli_direct_rejects_bad_points(tmp_path, capsys, points):
     alphas = _write(tmp_path, "a.json", _padded(-0.5))
     code = main(["direct", "--alphas", alphas, *points,
                  "--out", str(tmp_path / "o.json")] + FAST_FOR["direct"])
     assert code == 2
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    flags = [arg for arg in points if arg.startswith("--")]
+    if len(flags) > 1:  # explicit points and a ring: the message names both flags
+        assert all(flag in err for flag in flags), err
 
 
 @pytest.mark.parametrize("rows", ["[[0.1]]", "[0.1]", '[["a", "b"]]'])
@@ -398,10 +403,10 @@ def test_cli_roundtrip_report(tmp_path):
                                         ("tol_alg", 1.0), ("tol_fun", 1.0),
                                         ("tail_tol", 1.0)])
 def test_cli_config_rejects_output_keys(tmp_path, capsys, key, value):
-    # where output goes, its format and the dump-matrix edge policy are
-    # flags, no field can switch a certificate off (the bounds of check are
-    # fixed), and the matrix window and wandering depth follow from the
-    # coefficient window
+    # where output goes and its format are flags, no field can switch a
+    # certificate off (the bounds of check are fixed), the matrix window and
+    # wandering depth follow from the coefficient window, and the window has
+    # one edge policy
     cfg_path = _write(tmp_path, "cfg.json", json.dumps({key: value}))
     code = main(["inverse", "--family", "zero", "--config", cfg_path,
                  "--out", str(tmp_path / "a.json")] + FAST)
@@ -707,15 +712,17 @@ def test_cli_check_passes(tmp_path):
 
 
 def test_cli_dump_matrix(tmp_path):
+    # the window of alpha_0 alone is minimal_window's W = 4: indices -4..4
     alphas = _write(
         tmp_path, "a.json", json.dumps({"lo": 0, "alphas": [[-0.5, 0.0]]})
     )
     out = str(tmp_path / "matrix.csv")
-    code = main(["dump-matrix", "--alphas", alphas, "--window", "8", "--out", out])
+    code = main(["dump-matrix", "--alphas", alphas, "--out", out])
     assert code == 0
     rows = open(out).read().strip().splitlines()
     assert rows[0] == "row,col,re,im"
-    assert len(rows) > 10
+    indices = {int(i) for row in rows[1:] for i in row.split(",")[:2]}
+    assert indices == set(range(-4, 5))
 
 
 def test_cli_deterministic_output(tmp_path):
@@ -946,26 +953,25 @@ def test_cli_check_certifies_the_levels_below_the_section_start(tmp_path):
         assert checks[name]["value"] <= 1e-15, name
 
 
-def test_cli_direct_boundary_follows_config(tmp_path):
-    # direct always takes the zero-tail window; only dump-matrix --boundary
-    # chooses a policy
+def test_cli_direct_boundary_follows_config(tmp_path, capsys):
+    # direct and dump-matrix take the zero-tail window, and no flag picks
+    # another: dump-matrix --boundary is refused
     from cmvscat import cmv, scattering
 
     seq = VerblunskySequence(-2, [0.2 + 0.1j, -0.3, 0.1 - 0.2j, 0.05, 0.1j])
     alphas = _write(tmp_path, "a.json", fileio.save_alphas(seq))
     small = dict(grid=64, window=16, depth=4)
     text = {}
-    for policy in (None, "zero-tail", "decoupled"):
-        extra = [] if policy is None else ["--boundary", policy]
-        out = str(tmp_path / f"{policy}.csv")
-        assert main(["dump-matrix", "--alphas", alphas, "--out", out]
-                    + extra + _scale("dump-matrix", **small)) == 0
-        text[policy] = open(out, newline="").read()
-    assert text[None] == text["zero-tail"]
-    for policy in cmv.BOUNDARY_TAGS:
-        U = cmv.build_cmv(seq, 16, policy)
-        assert text[policy] == fileio.save_matrix_csv(cmv.dump_entries(U))
-    assert text["decoupled"] != text["zero-tail"]
+    out = str(tmp_path / "U.csv")
+    assert main(["dump-matrix", "--alphas", alphas, "--out", out]) == 0
+    U = cmv.build_cmv(seq, scattering.minimal_window(seq)[0])
+    assert open(out, newline="").read() == fileio.save_matrix_csv(cmv.dump_entries(U))
+    with pytest.raises(SystemExit) as exc:
+        main(["dump-matrix", "--alphas", alphas, "--boundary", "decoupled",
+              "--out", str(tmp_path / "decoupled.csv")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --boundary decoupled" in capsys.readouterr().err
+    assert not (tmp_path / "decoupled.csv").exists()
     out = str(tmp_path / "direct.json")
     assert main(["direct", "--alphas", alphas, "--out", out]
                 + _scale("direct", **small)) == 0
@@ -1006,6 +1012,27 @@ def test_cli_check_tail_reads_configured_window(tmp_path, family):
     assert main(["check", "--family", family, "--out", out]) == 0
     checks = {c["name"]: c for c in json.loads(open(out).read())["checks"]}
     assert checks["alpha_tail_square_sum"]["value"] <= TAIL_TOL
+
+
+def test_cli_direct_refuses_series_wider_than_grid_before_the_sweep(tmp_path, capsys,
+                                                                    monkeypatch):
+    # lo = -8000 fixes K = 8000 moment pairs, a series on [-7999, 7999] that
+    # M = 1024 cannot hold: refused as synthesize refuses it, before the
+    # window of half-width 7999 is built and swept
+    from cmvscat import cmv
+
+    def no_build(seq, W):
+        raise AssertionError(f"build_cmv called at W = {W}")
+
+    monkeypatch.setattr(cmv, "build_cmv", no_build)
+    alphas = _write(tmp_path, "a.json", json.dumps({"lo": -8000, "alphas": [[0.1, 0.0]]}))
+    code = main(["direct", "--alphas", alphas, "--out", str(tmp_path / "o.json")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert ("Laurent window [-7999, 7999] does not fit a grid of size 1024; "
+            "increase M") in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_cli_direct_refuses_window_without_moments(tmp_path, capsys):

@@ -109,32 +109,22 @@ def test_column_structure_random():
 
 def test_unitarity_defects():
     seq = _random_sequence(-6, 13, seed=7)
-    assert unitarity_defect(build_cmv(seq, 16, "decoupled")) < 1e-12
-    assert unitarity_defect(build_cmv(seq, 16, "zero-tail")) < 1e-12
-    assert unitarity_defect(build_cmv(_free_sequence(), 16, "zero-tail")) == 0.0
+    assert unitarity_defect(build_cmv(seq, 16)) < 1e-12
+    assert unitarity_defect(build_cmv(_free_sequence(), 16)) == 0.0
 
 
-@pytest.mark.parametrize("boundary", ["zero-tail", "decoupled"])
-@pytest.mark.parametrize("W", [2, 3, 16, 128])
-def test_banded_unitarity_defect_matches_dense(W, boundary):
+@pytest.mark.parametrize("W", [pytest.param(W, id=f"{W}-zero-tail") for W in (2, 3, 16, 128)])
+def test_banded_unitarity_defect_matches_dense(W):
     # the nine diagonals read off the bands give the max-norm of the dense
-    # U^H U - I over the same interior; zero-tail at W <= 3 has none
-    U = build_cmv(_random_sequence(-W - 2, 2 * W + 5, scale=0.9, seed=W), W, boundary)
+    # U^H U - I over the same interior, which at W <= 3 is empty
+    U = build_cmv(_random_sequence(-W - 2, 2 * W + 5, scale=0.9, seed=W), W)
     dense = U.dense()
     E = dense.conj().T @ dense - np.eye(U.dim)
-    skip = 4 if boundary == "zero-tail" else 0
-    E = E[skip : U.dim - skip, skip : U.dim - skip]
+    E = E[4 : U.dim - 4, 4 : U.dim - 4]
     if E.size == 0:
         assert unitarity_defect(U) == 0.0
     else:
         assert abs(unitarity_defect(U) - np.max(np.abs(E))) <= 1e-15
-
-
-def test_decoupled_spectrum_on_circle():
-    seq = _random_sequence(-6, 13, seed=8)
-    U = build_cmv(seq, 16, "decoupled")
-    eig = np.linalg.eigvals(U.dense())
-    assert np.max(np.abs(np.abs(eig) - 1.0)) < 1e-10
 
 
 def test_apply_matches_dense():
@@ -162,9 +152,9 @@ def test_apply_zero():
     assert np.max(np.abs(apply(U, np.zeros(U.dim, dtype=complex)))) == 0.0
 
 
-def test_build_rejects_bad_policy():
-    with pytest.raises(InputError):
-        build_cmv(_free_sequence(), 8, "open")
+def test_build_rejects_window_below_2():
+    with pytest.raises(InputError, match="window must be at least 2"):
+        build_cmv(_free_sequence(), 1)
 
 
 def test_dump_entries_roundtrip():
@@ -178,13 +168,14 @@ def test_dump_entries_roundtrip():
     assert np.max(np.abs(rebuilt - dense)) == 0.0
 
 
-def _dense_lm(seq, W, boundary):
-    # reference build: dense L and M from the Theta blocks, then L @ M
+def _dense_lm(seq, W):
+    # reference build: dense L and M from the Theta blocks, then L @ M,
+    # with the entries outside the window dropped
     D = 2 * W + 1
     L = np.zeros((D, D), dtype=complex)
     M = np.zeros((D, D), dtype=complex)
     for j in range(-W - 1, W + 1):
-        a = 1.0 if boundary == "decoupled" and j in (-W - 1, W) else seq.alpha(j)
+        a = seq.alpha(j)
         rho = np.sqrt(1.0 - abs(a) ** 2)
         theta = np.array([[a, rho], [rho, -np.conj(a)]], dtype=complex)
         target = L if j % 2 else M
@@ -196,10 +187,9 @@ def _dense_lm(seq, W, boundary):
     return L @ M
 
 
-@pytest.mark.parametrize("W", [2, 3, 16, 128])
-@pytest.mark.parametrize("boundary", ["zero-tail", "decoupled"])
-def test_banded_build_matches_dense_product(W, boundary):
+@pytest.mark.parametrize("W", [pytest.param(W, id=f"zero-tail-{W}") for W in (2, 3, 16, 128)])
+def test_banded_build_matches_dense_product(W):
     # coefficients reach past both window edges and include the edge levels
     seq = _random_sequence(-W - 3, 2 * W + 7, scale=0.9, seed=W)
-    U = build_cmv(seq, W, boundary)
-    assert np.max(np.abs(U.dense() - _dense_lm(seq, W, boundary))) <= 1e-15
+    U = build_cmv(seq, W)
+    assert np.max(np.abs(U.dense() - _dense_lm(seq, W))) <= 1e-15

@@ -49,8 +49,7 @@ def test_density_csv_matches_csv_writer():
 def test_matrix_csv_matches_csv_writer():
     R, cfg = _anchor()
     seq = union_verblunsky(R, -cfg.levels, cfg.levels, cfg)
-    entries = cmv.dump_entries(cmv.build_cmv(seq, scattering.minimal_window(seq)[0],
-                                             "zero-tail"))
+    entries = cmv.dump_entries(cmv.build_cmv(seq, scattering.minimal_window(seq)[0]))
     rows = [[i, j, v.real, v.imag] for i, j, v in entries]
     assert fileio.save_matrix_csv(entries) == _csv_reference(["row", "col", "re", "im"],
                                                              rows)

@@ -18,7 +18,7 @@ def test_each_mutant_text_occurs_once_in_the_source():
     tool = _mutants()
     assert tool.check_patterns() == []
     names = [name for name, *_ in tool.MUTANTS]
-    assert len(names) == len(set(names)) == 18
+    assert len(names) == len(set(names)) == 19
     for name, path, text, replacement in tool.MUTANTS:
         assert path.startswith("src/cmvscat/") and text != replacement, name
     assert set(tool.EQUIVALENT) <= set(names)

@@ -123,7 +123,7 @@ def test_direct_scattering_moment_form(r_half, small_cfg):
     # d* U^k e pairs give the negative-index coefficients, shifted by one
     seq = inverse_scattering(r_half, small_cfg.levels, small_cfg)
     W, depth = minimal_window(seq)
-    U = build_cmv(seq, W, "zero-tail")
+    U = build_cmv(seq, W)
     e0, d0 = wandering_vectors(U, depth)
     d = apply(U, d0)
     vec = e0.copy()
@@ -185,7 +185,7 @@ def test_moment_series_is_fourier_truncation(defaults_inputs, family, J):
 
 def _first_inexact(R, seq, W, depth, count=61):
     # first k where <U*^k e0, d> or <U^k e0, d> leaves R_k or R_{-k} by 1e-12
-    U = build_cmv(seq, W, "zero-tail")
+    U = build_cmv(seq, W)
     e0, d0 = wandering_vectors(U, depth)
     d = apply(U, d0)
     star = plain = e0

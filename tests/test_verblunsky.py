@@ -232,7 +232,11 @@ def test_convergence_report_monomial(r_half, small_cfg):
     assert rep["rho_ratio_max_dev"] < 1e-7
     assert rep["telescoping_max_dev"] < 1e-8
     assert abs(rep["sum_alpha_sq"] - 0.25) < 1e-10
-    assert rep["a0_monotone"]
+    # a0_j is nondecreasing in j to rounding, and the report's largest
+    # drop is that of the residuals it carries
+    assert 0.0 <= rep["a0_max_decrease"] <= 5e-13
+    a0s = np.array(rep["a0s"])
+    assert rep["a0_max_decrease"] == max(0.0, *(a0s[:-1] - a0s[1:]))
 
 
 def test_convergence_report_zero(r_zero, small_cfg):

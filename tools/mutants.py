@@ -45,6 +45,9 @@ MUTANTS = [
     ("cmv-band-conj", "src/cmvscat/cmv.py",
      "0: -np.conj(am1) * a0,",
      "0: -am1 * a0,"),
+    ("cmv-edge-level", "src/cmvscat/cmv.py",
+     "lo, hi = max(seq.lo, -W - 1), min(seq.hi, W)",
+     "lo, hi = max(seq.lo, -W - 1), min(seq.hi, W - 1)"),
     ("products-antianalytic-index", "src/cmvscat/lrspace.py",
      "b[-(frame.m + p + 1 + i) % M]",
      "b[-(frame.m + p + i) % M]"),
