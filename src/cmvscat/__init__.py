@@ -19,7 +19,7 @@ from .circle import (
     synthesize,
     szego_check,
 )
-from .cmv import CmvMatrix, apply, apply_adjoint, build_cmv, unitarity_defect
+from .cmv import CmvMatrix, apply, apply_adjoint, build_cmv
 from .config import RunConfig
 from .lrspace import (
     DefectPair,

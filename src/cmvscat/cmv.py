@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import InputError
 
 BANDWIDTH = 2
 
@@ -123,10 +123,6 @@ def build_cmv(seq, W):
     lo, hi = max(seq.lo, -W - 1), min(seq.hi, W)
     if lo <= hi:
         a[lo + W + 2 : hi + W + 3] = seq.alphas[lo - seq.lo : hi - seq.lo + 1]
-    big = np.flatnonzero(~(np.abs(a) < 1.0))
-    if big.size:
-        j = int(big[0]) - W - 2
-        raise DomainError(f"|alpha_{j}| = {abs(a[big[0]]):.6g} >= 1")
     rho = np.sqrt(1.0 - np.abs(a) ** 2)
     am2, am1, a0, ap1 = (a[s : s + D] for s in range(4))
     rm2, rm1, r0, rp1 = (rho[s : s + D] for s in range(4))
@@ -172,26 +168,6 @@ def _band_matvec(ab, v):
     for off, lo, hi in _diagonals(v.shape[0]):
         y[lo + off : hi + off] += ab[BANDWIDTH + off, lo:hi] * v[lo:hi]
     return y
-
-
-def unitarity_defect(U):
-    """Max-norm of U*U - I over the interior indices of the zero-tail window.
-
-    U has bandwidth 2, so (U*U)[i, j] = sum_k conj(U[k, i]) U[k, j] vanishes
-    unless columns i and j share a row, |i - j| <= 4: E = U*U - I has nine
-    diagonals, each read off the stored bands as a sum of at most five
-    products. The outermost two column pairs at each edge are the known
-    compression artifact and are excluded.
-    """
-    D, B, w = U.dim, U.bands, BANDWIDTH
-    worst = 0.0
-    for d in range(-2 * w, 2 * w + 1):
-        lo, hi = 4 + max(0, -d), D - 4 - max(0, d)
-        if lo < hi:  # E[i, i + d] over interior i and i + d; U[i + p, i] = B[w + p, i]
-            e = sum(np.conj(B[w + p, lo:hi]) * B[w + p - d, lo + d : hi + d]
-                    for p in range(max(-w, d - w), min(w, d + w) + 1))
-            worst = max(worst, float(np.max(np.abs(e - float(d == 0)))))
-    return worst
 
 
 def dump_entries(U):

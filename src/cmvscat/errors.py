@@ -1,7 +1,10 @@
 """Exception hierarchy.
 
 Split by what the caller can do about it: fix the input (InputError,
-DomainError) or change the numerical parameters (the rest).
+DomainError) or change the numerical parameters (the rest). A case that
+an earlier guard already rules out gets no class of its own: a defect
+residual cannot vanish, since the Szego guard keeps every a0 at least
+sqrt(1 - sup |R|^2).
 """
 
 
@@ -25,10 +28,6 @@ class ConditioningError(CmvScatError):
     """A linear system is too ill-conditioned to solve reliably."""
 
 
-class DegeneracyError(CmvScatError):
-    """A defect residual collapsed to zero; the input is effectively non-contractive."""
-
-
 class InconsistencyError(CmvScatError):
     """Computed quantity violates a structural bound (e.g. a coefficient of modulus >= 1)."""
 
@@ -48,7 +47,6 @@ INPUT_ERRORS = (InputError, DomainError)
 NUMERICAL_ERRORS = (
     ResolutionError,
     ConditioningError,
-    DegeneracyError,
     InconsistencyError,
     ConvergenceError,
     EvaluationError,

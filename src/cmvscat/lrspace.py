@@ -42,9 +42,7 @@ from scipy.linalg.blas import zgemm, zherk, ztrsm
 from scipy.linalg.lapack import zpotrf
 
 from .circle import LaurentSeries, require_szego, synthesize
-from .errors import ConvergenceError, DegeneracyError, InputError, ResolutionError
-
-DEGENERACY_FLOOR = 1e-12
+from .errors import ConvergenceError, InputError, ResolutionError
 
 
 @dataclass(frozen=True)
@@ -317,8 +315,10 @@ def defect_pair(R, n, m, N):
     (see DefectPair). Raises what the Szego guard raises (`require_szego`:
     DomainError, or ConditioningError when 1 - sup |R|^2 < 1e-12);
     ResolutionError ("increase the grid size M") when coefficients are
-    unresolved or S does not factor; DegeneracyError when a residual falls
-    below DEGENERACY_FLOOR.
+    unresolved or S does not factor. No residual floor is needed:
+    ||B|| <= sup |R| gives S >= (1 - sup |R|^2) I, so a0^-2 = x_0 and
+    a0tilde^-2 = 1 + (B e_0)^H z are at most 1/(1 - sup |R|^2), which the
+    Szego guard keeps finite.
 
     Parameters
     ----------
@@ -344,11 +344,6 @@ def defect_pair(R, n, m, N):
     Y = zgemm(1.0, C, X)
     Y[0, 1] += 1.0  # [B^H x, e_0 + B^H z]: H e_0 = [x; -B^H x], H e_N = [-z; e_0 + B^H z]
     a0, a0t = float(X[0, 0].real) ** -0.5, float(Y[0, 1].real) ** -0.5
-    if min(a0, a0t) < DEGENERACY_FLOOR:
-        raise DegeneracyError(
-            "defect residual below 1e-12; impossible under the Szego condition, "
-            "the input data is inconsistent"
-        )
     K = LrElement(frame, X[:, 0] * a0, Y[:, 0] * -a0, R)
     Kt = LrElement(frame, X[:, 1] * -a0t, Y[:, 1] * a0t, R)
     return DefectPair(K, Kt, a0, a0t)

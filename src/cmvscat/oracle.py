@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import CircleGrid, require_szego, synthesize
-from .config import TOL_FUN
 from .errors import DomainError, ResolutionError
 from .verblunsky import VerblunskySequence
 
@@ -133,6 +132,10 @@ def _gram_schmidt(G, names):
 def oracle_verblunsky(R, J, N, Q):
     """Coefficients over [-J, J] by dense quadrature and Gram-Schmidt.
 
+    Q, R's quadrature space, holds everything the oracle reads. R is not
+    read; it stays a parameter for callers that pass it (the benchmark's
+    oracle reference).
+
     Same mathematics as the fast path, independent numerics: the Gram
     comes from trapezoidal quadrature of the weight's samples (no Hankel
     lookups), the triangular factor from classical Gram-Schmidt run
@@ -177,24 +180,18 @@ def oracle_verblunsky(R, J, N, Q):
     return VerblunskySequence(-J, alphas[:-1], a0s)
 
 
-def compare_with_fast_path(R, Q, J, N, cfg, fast_seq):
+def compare_with_fast_path(Q, J, N, fast_seq):
     """Agreement report between oracle and fast-path coefficients on [-J, J].
 
-    Q is R's quadrature space at cfg.oversample. Compares alpha_j over
-    -J..J and the residual norms a0_j over -J..J+1; reruns the oracle at
-    doubled oversampling when the first pass disagrees beyond TOL_FUN in
-    either (Richardson-style escalation).
+    Q is R's quadrature space (`quadrature_space`) and N the oracle's
+    union frame size. Compares alpha_j over -J..J and the residual norms
+    a0_j over -J..J+1, once: the weighted forms behind every Gram entry
+    are 1, R, conj(R) and 1 node by node ([1, R] W = [1, 0]), trigonometric
+    polynomials within R's band, so any grid that holds the frame's
+    indices sums them exactly, and a finer grid would read the same Gram.
     """
+    osec = oracle_verblunsky(None, J, N, Q)
     a0s = fast_seq.a0s[np.arange(-J, J + 2) - fast_seq.lo]
-
-    def deviations(Q):
-        osec = oracle_verblunsky(R, J, N, Q)
-        return (float(max(abs(osec.alpha(j) - fast_seq.alpha(j)) for j in range(-J, J + 1))),
-                float(np.max(np.abs(osec.a0s - a0s))))
-
-    alpha_dev, a0_dev = deviations(Q)
-    escalated = max(alpha_dev, a0_dev) > TOL_FUN
-    if escalated:
-        alpha_dev, a0_dev = deviations(quadrature_space(R, 2 * cfg.oversample))
-    return {"max_alpha_dev": alpha_dev, "max_a0_dev": a0_dev,
-            "escalated_oversampling": escalated}
+    return {"max_alpha_dev": float(max(abs(osec.alpha(j) - fast_seq.alpha(j))
+                                       for j in range(-J, J + 1))),
+            "max_a0_dev": float(np.max(np.abs(osec.a0s - a0s)))}

@@ -21,8 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .circle import require_szego
 from .errors import (
-    DegeneracyError, DomainError, EvaluationError,
-    InconsistencyError, InputError, ResolutionError,
+    DomainError, EvaluationError, InconsistencyError, InputError, ResolutionError,
 )
 from .lrspace import (
     _converge_section, aliased, converged_defect_pair, evaluate, generator_products,
@@ -128,7 +127,7 @@ def solve_levels(R, lo, hi, cfg):
     for j in range(lo, hi + 1):
         try:
             pairs[j] = converged_defect_pair(R, *level_split(j), cfg)
-        except (DegeneracyError, ResolutionError) as exc:
+        except ResolutionError as exc:
             raise type(exc)(f"level {j}: {exc}") from exc
     return pairs
 

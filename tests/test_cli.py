@@ -556,9 +556,15 @@ _INPUT_OBJECTS = st.fixed_dictionaries(
     optional={"entries": _JSON_ROWS, "grid": st.one_of(st.just(8), _JSON_SCALARS),
               "values": _JSON_ROWS},
 )
-_ALPHA_OBJECTS = st.fixed_dictionaries(
-    {"lo": st.one_of(st.integers(-4, 0), _JSON_SCALARS), "alphas": _JSON_ROWS},
-    optional={"a0s": st.one_of(st.lists(_NUMBERS, max_size=8), _JSON_ROWS)},
+_ALPHA_OBJECTS = st.one_of(
+    st.fixed_dictionaries({  # valid files, which reach the CMV build
+        "lo": st.integers(-4, -1),
+        "alphas": st.lists(st.lists(st.floats(-0.6, 0.6), min_size=2, max_size=2),
+                           min_size=1, max_size=8)}),
+    st.fixed_dictionaries(
+        {"lo": st.one_of(st.integers(-4, 0), _JSON_SCALARS), "alphas": _JSON_ROWS},
+        optional={"a0s": st.one_of(st.lists(_NUMBERS, max_size=8), _JSON_ROWS)},
+    ),
 )
 
 
@@ -593,11 +599,22 @@ def test_cli_fuzz_input_files(fuzz_dir, obj):
     _contract_exit(fuzz_dir, ["inverse", "--input", path])
 
 
-@_FUZZ
-@given(obj=_ALPHA_OBJECTS, command=st.sampled_from(["direct", "dump-matrix"]))
-def test_cli_fuzz_alphas_files(fuzz_dir, obj, command):
-    path = _write(fuzz_dir, "a.json", json.dumps(obj))
-    _contract_exit(fuzz_dir, [command, "--alphas", path])
+def test_cli_fuzz_alphas_files(fuzz_dir, monkeypatch):
+    # build_cmv takes the coefficients as read: both commands must reach it
+    reached, running = [], []
+    original = cmvscat.cmv.build_cmv
+    monkeypatch.setattr(cmvscat.cmv, "build_cmv",
+                        lambda seq, W: reached.append(running[-1]) or original(seq, W))
+
+    @_FUZZ
+    @given(obj=_ALPHA_OBJECTS, command=st.sampled_from(["direct", "dump-matrix"]))
+    def fuzz(obj, command):
+        running.append(command)
+        path = _write(fuzz_dir, "a.json", json.dumps(obj))
+        _contract_exit(fuzz_dir, [command, "--alphas", path])
+
+    fuzz()
+    assert {"direct", "dump-matrix"} <= set(reached)
 
 
 def test_cli_spectrum_csv(tmp_path):

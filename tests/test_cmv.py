@@ -6,7 +6,6 @@ from cmvscat import (
     apply,
     apply_adjoint,
     build_cmv,
-    unitarity_defect,
 )
 from cmvscat.cmv import dump_entries
 from cmvscat.errors import InputError
@@ -105,26 +104,6 @@ def test_column_structure_random():
         # interior columns have unit norm
         dense = U.dense()
         assert abs(np.linalg.norm(dense[:, U.pos(2 * n)]) - 1.0) < 1e-14
-
-
-def test_unitarity_defects():
-    seq = _random_sequence(-6, 13, seed=7)
-    assert unitarity_defect(build_cmv(seq, 16)) < 1e-12
-    assert unitarity_defect(build_cmv(_free_sequence(), 16)) == 0.0
-
-
-@pytest.mark.parametrize("W", [pytest.param(W, id=f"{W}-zero-tail") for W in (2, 3, 16, 128)])
-def test_banded_unitarity_defect_matches_dense(W):
-    # the nine diagonals read off the bands give the max-norm of the dense
-    # U^H U - I over the same interior, which at W <= 3 is empty
-    U = build_cmv(_random_sequence(-W - 2, 2 * W + 5, scale=0.9, seed=W), W)
-    dense = U.dense()
-    E = dense.conj().T @ dense - np.eye(U.dim)
-    E = E[4 : U.dim - 4, 4 : U.dim - 4]
-    if E.size == 0:
-        assert unitarity_defect(U) == 0.0
-    else:
-        assert abs(unitarity_defect(U) - np.max(np.abs(E))) <= 1e-15
 
 
 def test_apply_matches_dense():

@@ -9,6 +9,7 @@ from cmvscat import (
     CircleGrid,
     RunConfig,
     VerblunskySequence,
+    checks,
     inverse_scattering,
     oracle,
     oracle_verblunsky,
@@ -135,29 +136,32 @@ def test_oracle_agrees_with_fast_path(small_cfg):
     R = random_trig(CircleGrid(small_cfg.grid_size), degree=6, margin=0.2, seed=21)
     seq = inverse_scattering(R, 4, small_cfg)
     Q = quadrature_space(R, small_cfg.oversample)
-    rep = compare_with_fast_path(R, Q, 4, small_cfg.section_start, small_cfg, seq)
+    rep = compare_with_fast_path(Q, 4, small_cfg.section_start, seq)
     assert rep["max_alpha_dev"] <= 1e-6
 
 
-def test_disagreement_escalates_oversampling(small_cfg, monkeypatch):
-    # one fast alpha moved by 1e-3: the first pass disagrees beyond TOL_FUN,
-    # so the oracle reruns at twice the oversampling and still reports it
+def test_disagreement_is_reported_in_one_pass(small_cfg, monkeypatch):
+    # one fast alpha moved by 1e-3: the oracle compares once, on one
+    # quadrature space, and `check_oracle` fails with the moved amount
     R = random_trig(CircleGrid(small_cfg.grid_size), degree=6, margin=0.2, seed=21)
     seq = inverse_scattering(R, 4, small_cfg)
     alphas = seq.alphas.copy()
     alphas[4 - seq.lo] += 1e-3
-    moved = VerblunskySequence(seq.lo, alphas, seq.a0s)
+    moved = VerblunskySequence(seq.lo, alphas, seq.a0s, seq.diagnostics)
+    rep = compare_with_fast_path(quadrature_space(R, small_cfg.oversample), 4,
+                                 small_cfg.section_start, moved)
+    assert set(rep) == {"max_alpha_dev", "max_a0_dev"}
+    assert abs(rep["max_alpha_dev"] - 1e-3) <= 1e-12
+    assert rep["max_a0_dev"] <= 1e-12
     grids = []
     monkeypatch.setattr(oracle, "quadrature_space",
                         lambda R, oversample: grids.append(oversample)
                         or quadrature_space(R, oversample))
-    rep = compare_with_fast_path(R, quadrature_space(R, small_cfg.oversample), 4,
-                                 small_cfg.section_start, small_cfg, moved)
-    assert rep["escalated_oversampling"] is True
-    assert grids == [2 * small_cfg.oversample]
-    assert abs(rep["max_alpha_dev"] - 1e-3) <= 1e-12
-    assert rep["max_a0_dev"] <= 1e-12
-    assert set(rep) == {"max_alpha_dev", "max_a0_dev", "escalated_oversampling"}
+    result = {r.name: r for r in checks.check_oracle(R, moved, small_cfg)}
+    assert grids == [small_cfg.oversample]
+    entry = result["oracle_alpha_agreement"]
+    assert not entry.passed and abs(entry.value - 1e-3) <= 1e-12
+    assert result["oracle_a0_agreement"].passed
 
 
 def _union_gram(R, J, N=8):

@@ -5,17 +5,19 @@ occurs exactly once in its file. For each mutant the probe copies the
 repository (without .git) into a temporary directory, makes the one
 edit there, and runs Tier-1 on the copy with `-x`, so pytest stops at
 the first failure; tests/test_mutants.py, which holds the source texts
-to today's source, sits out. Mutants run one pytest at a time, at one
-BLAS thread. Each prints one line: killed (a test failed), survived
-(Tier-1 passed) or timeout, the first failing test and the wall time.
-A mutant listed in EQUIVALENT is still run; its line gives the
-measured reason.
+to today's source, sits out. It then runs the README `check` example on
+the copy. Mutants run one at a time, at one BLAS thread. Each prints one
+line: killed (a test failed), survived (Tier-1 passed) or timeout, the
+wall time of Tier-1, the first failing test, and the `check` entries
+that fail (or its exit code when it writes no report). A mutant listed
+in EQUIVALENT is still run; its line gives the measured reason.
 
     python3 tools/mutants.py            # every mutant
     python3 tools/mutants.py NAME ...   # the named mutants
     python3 tools/mutants.py --check    # only check that each text occurs once
 """
 
+import json
 import os
 import shutil
 import subprocess
@@ -25,6 +27,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIMEOUT_S = 600
+CHECK_EXAMPLE = ["check", "--family", "random,degree=4,margin=0.2,seed=0"]
 
 MUTANTS = [
     ("rotation-conj", "src/cmvscat/verblunsky.py",
@@ -60,9 +63,12 @@ MUTANTS = [
     ("sigma-level-twice", "src/cmvscat/spectral.py",
      "s0, s1 = _renormalized(pair_j), _renormalized(pair_next)",
      "s0, s1 = _renormalized(pair_j), _renormalized(pair_j)"),
-    ("oracle-escalation-off", "src/cmvscat/oracle.py",
-     "escalated = max(alpha_dev, a0_dev) > TOL_FUN",
-     "escalated = False"),
+    ("quadrature-forms-conj", "src/cmvscat/oracle.py",
+     'np.einsum("pcx,xcd,qdx->pqx", np.conj(phi), weight, phi)',
+     'np.einsum("pcx,xcd,qdx->pqx", phi, weight, phi)'),
+    ("cmv-band-rho", "src/cmvscat/cmv.py",
+     "-2: np.where(odd, 0.0, rm1 * rm2),",
+     "-2: np.where(odd, 0.0, rm1 * rm1),"),
     ("density-decoupled-past-64", "src/cmvscat/spectral.py",
      "    V = defect_samples(pair)\n",
      "    if pair.frame.N > 64:  # K = g'_n\n"
@@ -116,8 +122,30 @@ def _first_failure(output):
     return ""
 
 
+def check_summary(report_path, returncode):
+    """The failing entries of a `check` report, or its exit code when it wrote none."""
+    try:
+        with open(report_path, encoding="utf-8") as fh:
+            checks = json.load(fh)["checks"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return f"check exit {returncode}"
+    failing = [c["name"] for c in checks if not c["passed"]]
+    return "check fails " + ",".join(failing) if failing else "check passes"
+
+
+def _run_check(copy, env):
+    report = os.path.join(copy, "check.json")
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cmvscat.cli", *CHECK_EXAMPLE, "--out", report],
+            cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "check timeout"
+    return check_summary(report, proc.returncode)
+
+
 def run_mutant(name, path, text, replacement, root=ROOT):
-    """(verdict, first failing test, seconds) of Tier-1 on a mutated copy of root."""
+    """(verdict, first failing test, seconds, check summary) on a mutated copy of root."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = os.path.join(tmp, "repo")
         shutil.copytree(root, copy, ignore=shutil.ignore_patterns(
@@ -136,11 +164,12 @@ def run_mutant(name, path, text, replacement, root=ROOT):
                 [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
                  "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"],
                 cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+            verdict = "survived" if proc.returncode == 0 else "killed"
+            first = _first_failure(proc.stdout)
         except subprocess.TimeoutExpired:
-            return "timeout", "", time.perf_counter() - start
+            verdict, first = "timeout", ""
         seconds = time.perf_counter() - start
-        verdict = "survived" if proc.returncode == 0 else "killed"
-        return verdict, _first_failure(proc.stdout), seconds
+        return verdict, first, seconds, _run_check(copy, env)
 
 
 def main(argv):
@@ -159,9 +188,10 @@ def main(argv):
     for name, path, text, replacement in MUTANTS:
         if argv and name not in argv:
             continue
-        verdict, first, seconds = run_mutant(name, path, text, replacement)
+        verdict, first, seconds, check = run_mutant(name, path, text, replacement)
         note = f"  [equivalent: {EQUIVALENT[name]}]" if name in EQUIVALENT else ""
-        print(f"{name:28s} {verdict:9s} {seconds:6.1f} s  {first or '-'}{note}", flush=True)
+        print(f"{name:28s} {verdict:9s} {seconds:6.1f} s  {first or '-'}  {check}{note}",
+              flush=True)
     return 0
 
 
